@@ -20,10 +20,11 @@ use pmor::multipoint::{MultiPointOptions, MultiPointPmor};
 use pmor::prima::{Prima, PrimaOptions};
 use pmor::{reducer_by_name, Reducer, ReductionContext};
 use pmor_bench::{
-    ascii_chart, logspace, methods_from_args, print_csv, reduce_all, write_bench_json, BenchRecord,
+    ascii_chart, methods_from_args, print_csv, reduce_all, write_bench_json, BenchRecord,
 };
 use pmor_circuits::generators::{rc_random, RcRandomConfig};
 use pmor_circuits::ParametricSystem;
+use pmor_variation::sweep::logspace;
 
 /// Figure-tuned reducer options per registry name; anything else falls
 /// back to the registry defaults.

@@ -23,27 +23,6 @@ pub use suite::{BenchSuite, MicroKernel, SuiteEntry, SuiteEntryKind};
 
 use std::time::Instant;
 
-/// Logarithmically spaced frequencies over `[lo_hz, hi_hz]`, inclusive.
-/// Delegates to [`pmor_variation::sweep::logspace`] so the figure
-/// binaries and the registry analyses can never disagree on the grid.
-///
-/// # Panics
-///
-/// Panics unless `0 < lo_hz < hi_hz`.
-pub fn logspace(lo_hz: f64, hi_hz: f64, count: usize) -> Vec<f64> {
-    pmor_variation::sweep::logspace(lo_hz, hi_hz, count)
-}
-
-/// Linearly spaced values over `[lo, hi]`, inclusive.
-pub fn linspace(lo: f64, hi: f64, count: usize) -> Vec<f64> {
-    if count == 1 {
-        return vec![0.5 * (lo + hi)];
-    }
-    (0..count)
-        .map(|i| lo + (hi - lo) * i as f64 / (count - 1) as f64)
-        .collect()
-}
-
 /// Times a closure, returning its result and the elapsed seconds.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
@@ -168,7 +147,17 @@ pub fn format_grid(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmor_variation::sweep::{linspace, logspace};
 
+    #[test]
+    fn timed_returns_value() {
+        let (v, dt) = timed(|| 41 + 1);
+        assert_eq!(v, 42);
+        assert!(dt >= 0.0);
+    }
+
+    // The figure binaries' frequency and parameter grids come from
+    // pmor_variation::sweep.
     #[test]
     fn logspace_endpoints_and_monotone() {
         let f = logspace(1e7, 1e10, 31);
@@ -184,12 +173,5 @@ mod tests {
     fn linspace_midpoint_for_single() {
         assert_eq!(linspace(0.0, 2.0, 1), vec![1.0]);
         assert_eq!(linspace(0.0, 1.0, 3), vec![0.0, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn timed_returns_value() {
-        let (v, dt) = timed(|| 41 + 1);
-        assert_eq!(v, 42);
-        assert!(dt >= 0.0);
     }
 }

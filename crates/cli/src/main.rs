@@ -8,6 +8,7 @@ use pmor_cli::{reduce_scenario, run_scenario, CliError, Scenario};
 use pmor_num::Complex64;
 use pmor_variation::dist::ParameterDistribution;
 use pmor_variation::stats::Summary;
+use pmor_variation::sweep::logspace;
 use pmor_variation::MonteCarlo;
 
 const USAGE: &str = "\
@@ -141,7 +142,9 @@ fn flag_f64(flags: &[(String, String)], name: &str, default: f64) -> Result<f64,
         None => Ok(default),
         Some((_, v)) => v
             .parse::<f64>()
-            .map_err(|_| CliError::Usage(format!("--{name}: invalid number {v:?}"))),
+            .ok()
+            .filter(|x| x.is_finite())
+            .ok_or_else(|| CliError::Usage(format!("--{name}: invalid finite number {v:?}"))),
     }
 }
 
@@ -175,8 +178,12 @@ fn cmd_eval(args: &[String]) -> Result<(), CliError> {
         None => vec![0.0; rom.num_params()],
         Some((_, v)) => {
             let p: Result<Vec<f64>, _> = v.split(',').map(|t| t.trim().parse::<f64>()).collect();
-            let p =
-                p.map_err(|_| CliError::Usage(format!("--params: invalid number list {v:?}")))?;
+            let p = p
+                .ok()
+                .filter(|p| p.iter().all(|x| x.is_finite()))
+                .ok_or_else(|| {
+                    CliError::Usage(format!("--params: invalid finite number list {v:?}"))
+                })?;
             if p.len() != rom.num_params() {
                 return Err(CliError::Usage(format!(
                     "--params: ROM has {} parameters, got {}",
@@ -202,7 +209,7 @@ fn cmd_eval(args: &[String]) -> Result<(), CliError> {
         rom.num_params()
     );
     println!("freq_hz,re_h11,im_h11,abs_h11");
-    for f in pmor_bench::logspace(fmin, fmax, points) {
+    for f in logspace(fmin, fmax, points) {
         let s = Complex64::jw(2.0 * std::f64::consts::PI * f);
         let h = rom
             .transfer(&p, s)
@@ -227,7 +234,6 @@ fn cmd_mc(args: &[String]) -> Result<(), CliError> {
         distributions: vec![ParameterDistribution::Normal3Sigma { sigma }; rom.num_params()],
         instances,
         seed,
-        threads: 0,
     };
     // Reduced-model-only Monte Carlo: this is the flow the paper sells —
     // thousands of instances evaluated on the ROM alone, no full model in

@@ -44,11 +44,11 @@
 
 use crate::dist::ParameterDistribution;
 use crate::montecarlo::MonteCarlo;
-use crate::stats::Summary;
+use crate::stats::{histogram, Summary};
 use crate::sweep::{linspace, Sweep2d};
 use pmor::eval::pole_errors;
 use pmor::transient::{IntegrationMethod, Stimulus, TransientOptions};
-use pmor::{EvalEngine, EvalPoint, PmorError, Result, TransferModel};
+use pmor::{EvalEngine, EvalPoint, EvalWorkspace, PmorError, Result, TransferModel};
 use pmor_num::Complex64;
 use std::time::Instant; // pmor-lint: allow(det-wallclock) reason="wall-clock here is measurement output (elapsed/speedup report metadata), never an input to numerics"
 
@@ -472,8 +472,52 @@ fn sampler(np: usize, instances: usize, sigma: f64, seed: u64) -> MonteCarlo {
         distributions: vec![ParameterDistribution::Normal3Sigma { sigma }; np],
         instances,
         seed,
-        threads: 0,
     }
+}
+
+/// Relative errors, in percent, of the `num_poles` most dominant
+/// full-model poles at `p` against the reduced model's poles.
+fn pole_errors_percent(
+    full: &dyn TransferModel,
+    rom: &dyn TransferModel,
+    p: &[f64],
+    num_poles: usize,
+) -> Result<Vec<f64>> {
+    let reference = full.dominant_poles(p, num_poles)?;
+    // Deeper candidate list than the reference so near-degenerate
+    // reference poles both find a partner.
+    let candidate = rom.dominant_poles(p, 2 * num_poles + 4)?;
+    Ok(pole_errors(&reference, &candidate)
+        .into_iter()
+        .map(|e| 100.0 * e)
+        .collect())
+}
+
+/// Worst relative transfer-function error at `p` over `freqs_hz`:
+/// `max_f |H_full − H_rom| / |H_full|`.
+fn worst_transfer_error(
+    full: &dyn TransferModel,
+    rom: &dyn TransferModel,
+    p: &[f64],
+    freqs_hz: &[f64],
+    ws: &mut EvalWorkspace,
+) -> Result<f64> {
+    let mut worst = 0.0f64;
+    for &f in freqs_hz {
+        let s = Complex64::jw(2.0 * std::f64::consts::PI * f);
+        // pmor-lint: allow(callgraph-ambiguous-kernel) reason="transfer_with is the TransferModel trait method; an analysis compares whichever full and reduced models it is handed, so following every impl is the intended fan-out"
+        let hf = full.transfer_with(p, s, ws)?;
+        let hr = rom.transfer_with(p, s, ws)?;
+        let denom = hf.max_abs().max(1e-300);
+        // max |H_full − H_rom| computed in place: a function taking the
+        // workspace is held to the lint's no-allocation kernel rule.
+        let mut gap = 0.0f64;
+        for (&a, &b) in hf.as_slice().iter().zip(hr.as_slice()) {
+            gap = gap.max((a - b).abs());
+        }
+        worst = worst.max(gap / denom);
+    }
+    Ok(worst)
 }
 
 // --- frequency_sweep -------------------------------------------------------
@@ -567,6 +611,9 @@ impl Analysis for FrequencySweepAnalysis {
 
 // --- montecarlo ------------------------------------------------------------
 
+/// Bins of the pooled pole-error histogram the `poles` metric reports.
+pub(crate) const POLE_HISTOGRAM_BINS: usize = 12;
+
 /// The paper's §5.3 protocol as a registered analysis: draw parameter
 /// instances, evaluate full and reduced models at each, and report the
 /// error distribution under the configured [`ErrorMetric`].
@@ -603,16 +650,8 @@ impl Analysis for MonteCarloAnalysis {
         match &self.metric {
             ErrorMetric::Poles { num_poles } => {
                 let n = *num_poles;
-                let per_instance: Vec<Vec<f64>> = engine.map(&points, |p, _ws| {
-                    let reference = full.dominant_poles(p, n)?;
-                    // Deeper candidate list than the reference so
-                    // near-degenerate reference poles both find a partner.
-                    let candidate = rom.dominant_poles(p, 2 * n + 4)?;
-                    Ok(pole_errors(&reference, &candidate)
-                        .into_iter()
-                        .map(|e| 100.0 * e)
-                        .collect())
-                })?;
+                let per_instance: Vec<Vec<f64>> =
+                    engine.map(&points, |p, _ws| pole_errors_percent(full, rom, p, n))?;
                 eval_points = 2 * points.len();
                 let pooled: Vec<f64> = per_instance.into_iter().flatten().collect();
                 let s = Summary::of(&pooled);
@@ -624,27 +663,35 @@ impl Analysis for MonteCarloAnalysis {
                     .metric("max_pole_err_percent", s.max)
                     .metric("mean_pole_err_percent", s.mean)
                     .metric("median_pole_err_percent", s.median);
+                // The pooled error distribution: the left-hand plots of
+                // the paper's Figs 5–6.
+                let bins = histogram(&pooled, POLE_HISTOGRAM_BINS);
+                report.csv = Some(CsvBlock {
+                    x_label: "bin_lo_pct".to_string(),
+                    x: bins.iter().map(|b| b.lo).collect(),
+                    series: vec![
+                        (
+                            "bin_hi_pct".to_string(),
+                            bins.iter().map(|b| b.hi).collect(),
+                        ),
+                        (
+                            "count".to_string(),
+                            bins.iter().map(|b| b.count as f64).collect(),
+                        ),
+                    ],
+                });
             }
             ErrorMetric::Transfer { freqs_hz } => {
-                let freqs = freqs_hz.clone();
                 let errs: Vec<f64> = engine.map(&points, |p, ws| {
-                    let mut worst = 0.0f64;
-                    for &f in &freqs {
-                        let s = Complex64::jw(2.0 * std::f64::consts::PI * f);
-                        let hf = full.transfer_with(p, s, ws)?;
-                        let hr = rom.transfer_with(p, s, ws)?;
-                        let denom = hf.max_abs().max(1e-300);
-                        worst = worst.max(hf.sub_mat(&hr).max_abs() / denom);
-                    }
-                    Ok(worst)
+                    worst_transfer_error(full, rom, p, freqs_hz, ws)
                 })?;
-                eval_points = 2 * points.len() * freqs.len();
+                eval_points = 2 * points.len() * freqs_hz.len();
                 let worst = errs.iter().copied().fold(0.0, f64::max);
                 let mean = errs.iter().sum::<f64>() / errs.len().max(1) as f64;
                 report.lines.push(format!(
                     "{} instances × {} freqs — worst rel |H| err {worst:.3e}, mean {mean:.3e}",
                     self.instances,
-                    freqs.len()
+                    freqs_hz.len()
                 ));
                 report = report
                     .metric("worst_rel_transfer_err", worst)
@@ -708,9 +755,10 @@ impl Analysis for CornerSweepAnalysis {
         let (label, unit, errs, eval_points): (&str, &str, Vec<f64>, usize) = match &self.metric {
             ErrorMetric::Poles { .. } => {
                 let errs = engine.map(&grid_points, |(_, _, p), _ws| {
-                    let reference = full.dominant_poles(p, 1)?;
-                    let candidate = rom.dominant_poles(p, 6)?;
-                    Ok(100.0 * pole_errors(&reference, &candidate)[0])
+                    pole_errors_percent(full, rom, p, 1)?
+                        .first()
+                        .copied()
+                        .ok_or_else(|| invalid(format!("full model has no finite poles at {p:?}")))
                 })?;
                 (
                     "dominant-pole error %",
@@ -720,23 +768,14 @@ impl Analysis for CornerSweepAnalysis {
                 )
             }
             ErrorMetric::Transfer { freqs_hz } => {
-                let freqs = freqs_hz.clone();
                 let errs = engine.map(&grid_points, |(_, _, p), ws| {
-                    let mut worst = 0.0f64;
-                    for &f in &freqs {
-                        let s = Complex64::jw(2.0 * std::f64::consts::PI * f);
-                        let hf = full.transfer_with(p, s, ws)?;
-                        let hr = rom.transfer_with(p, s, ws)?;
-                        let denom = hf.max_abs().max(1e-300);
-                        worst = worst.max(hf.sub_mat(&hr).max_abs() / denom);
-                    }
-                    Ok(worst)
+                    worst_transfer_error(full, rom, p, freqs_hz, ws)
                 })?;
                 (
                     "worst relative |H| error",
                     "rel_transfer_err",
                     errs,
-                    2 * grid_points.len() * freqs.len(),
+                    2 * grid_points.len() * freqs_hz.len(),
                 )
             }
         };
@@ -1270,5 +1309,45 @@ mod tests {
         let report = analysis.run(&EvalEngine::new(2), &full, &rom).unwrap();
         assert!(report.metric_value("yield_fraction").unwrap() > 0.9);
         assert!(report.metric_value("threshold_rad_s").unwrap() > 0.0);
+    }
+
+    /// Yield of the lowrank ROM of `tree(40)` under an absolute floor
+    /// (`Some`) or a floor at `margin` × nominal (`None`).
+    fn tree40_yield(instances: usize, min_pole_rad_s: Option<f64>, margin: f64) -> AnalysisReport {
+        let sys = tree(40);
+        let analysis = YieldAnalysis {
+            instances,
+            sigma: 0.1,
+            seed: 0x3C0,
+            min_pole_rad_s,
+            margin,
+        };
+        analysis
+            .run(&EvalEngine::new(2), &FullModel::new(&sys), &rom_for(&sys))
+            .unwrap()
+    }
+
+    #[test]
+    fn yield_trivially_loose_floor_is_one() {
+        let report = tree40_yield(30, Some(1.0), 0.9);
+        assert_eq!(report.metric_value("yield_fraction"), Some(1.0));
+        assert_eq!(report.metric_value("instances"), Some(30.0));
+        assert_eq!(report.metric_value("yield_std_error"), Some(0.0));
+    }
+
+    #[test]
+    fn yield_impossible_floor_is_zero() {
+        let report = tree40_yield(30, Some(1e30), 0.9);
+        assert_eq!(report.metric_value("yield_fraction"), Some(0.0));
+    }
+
+    #[test]
+    fn yield_floor_at_nominal_is_strictly_between() {
+        // A floor at the nominal dominant-pole magnitude: roughly half the
+        // instances should pass.
+        let report = tree40_yield(120, None, 1.0);
+        let y = report.metric_value("yield_fraction").unwrap();
+        assert!(y > 0.15 && y < 0.85, "yield {y} not marginal");
+        assert!(report.metric_value("yield_std_error").unwrap() > 0.0);
     }
 }

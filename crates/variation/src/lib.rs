@@ -12,27 +12,26 @@
 //!
 //! * [`dist`] — parameter distributions (normal with 3σ truncation,
 //!   uniform),
-//! * [`montecarlo`] — the sampling engine and pole-error collection,
-//! * [`sweep`] — deterministic grid sweeps (the right-hand plots of the
-//!   paper's Figs 5–6),
+//! * [`montecarlo`] — the seeded Monte-Carlo sampler,
+//! * [`sweep`] — frequency grids and deterministic 2-D parameter grids
+//!   (the right-hand plots of the paper's Figs 5–6),
 //! * [`stats`] — summary statistics and histogram binning,
-//! * [`yield_analysis`] — pass/fail performance specs and Monte-Carlo
-//!   parametric yield estimation at reduced-model cost,
-//! * [`analysis`] — the **unified analysis interface**: the [`Analysis`]
-//!   trait run against two `TransferModel`s on a batched `EvalEngine`,
-//!   and the [`AnalysisKind`] registry (symmetric to `pmor`'s
-//!   `Reducer`/`ReducerKind`) front ends dispatch by name.
+//! * [`analysis`] — the **one analysis path**: the [`Analysis`] trait run
+//!   against two `TransferModel`s on a batched `EvalEngine`, and the
+//!   [`AnalysisKind`] registry (symmetric to `pmor`'s
+//!   `Reducer`/`ReducerKind`) front ends dispatch by name —
+//!   `frequency_sweep`, `montecarlo` (pole-error distribution and
+//!   histogram), `corner_sweep`, `yield` and `transient`.
 
 pub mod analysis;
 pub mod dist;
 pub mod montecarlo;
 pub mod stats;
 pub mod sweep;
-pub mod yield_analysis;
 
 pub use analysis::{
     analysis_by_name, Analysis, AnalysisConfig, AnalysisKind, AnalysisReport, ErrorMetric,
 };
 pub use dist::ParameterDistribution;
-pub use montecarlo::{MonteCarlo, PoleErrorReport};
+pub use montecarlo::MonteCarlo;
 pub use stats::{histogram, Summary};

@@ -1,46 +1,27 @@
-//! Monte-Carlo accuracy analysis of parametric reduced models.
+//! Monte-Carlo sampling of process-variation parameters.
 //!
-//! Reproduces the paper's §5.3 protocol: draw parameter instances from the
-//! configured distributions, evaluate the `n` most dominant poles of the
-//! perturbed **full** model and of the **reduced** parametric model at each
-//! instance, and collect the relative errors ("the error distribution in
-//! these poles across all the instances is plotted in Fig. 5").
-//!
-//! The sampler is written against the unified [`Reducer`] trait: hand it
-//! a system and *any* registered reduction method and it reduces once
-//! (with a shared [`ReductionContext`]) before sampling. Instance
-//! evaluation is embarrassingly parallel and runs on the batched
-//! [`EvalEngine`] — deterministic, because the sample points are
-//! pre-drawn by [`MonteCarlo::sample_points`] and the engine stitches
-//! results back in sample order regardless of thread count. (For the
-//! registry-dispatched form every front end shares, see
-//! [`crate::analysis::MonteCarloAnalysis`].)
+//! The paper's §5.3 protocol draws parameter instances from per-parameter
+//! distributions and compares full and reduced models at each of them.
+//! [`MonteCarlo`] owns the drawing half: a seeded, deterministic list of
+//! sample points. The comparison half is the registry's `montecarlo`,
+//! `yield` and `transient` analyses ([`crate::analysis`]), which evaluate
+//! those points on a batched `EvalEngine` and stitch results back in
+//! sample order, so any thread count gives the identical report.
 //!
 //! # Example
 //!
 //! ```
-//! use pmor::lowrank::LowRankPmor;
-//! use pmor_circuits::generators::{clock_tree, ClockTreeConfig};
 //! use pmor_variation::MonteCarlo;
 //!
-//! # fn main() -> Result<(), pmor::PmorError> {
-//! let sys = clock_tree(&ClockTreeConfig { num_nodes: 30, ..Default::default() })
-//!     .assemble();
-//! // The paper's ±30% (3σ) metal-width protocol over all 3 parameters.
-//! let mc = MonteCarlo::paper_protocol(sys.num_params(), 5);
-//! let report = mc.pole_errors(&sys, &LowRankPmor::with_defaults(), 2)?;
-//! assert_eq!(report.errors_percent.len(), 5 * 2); // instances × poles
-//! assert!(report.max_percent() < 1.0); // sub-percent dominant-pole error
-//! # Ok(())
-//! # }
+//! // The paper's ±30% (3σ) metal-width protocol over 3 parameters.
+//! let mc = MonteCarlo::paper_protocol(3, 5);
+//! let points = mc.sample_points();
+//! assert_eq!(points.len(), 5);
+//! assert!(points.iter().flatten().all(|x| x.abs() <= 0.3));
+//! assert_eq!(points, mc.sample_points()); // deterministic in the seed
 //! ```
 
 use crate::dist::ParameterDistribution;
-use crate::stats::{histogram, Bin, Summary};
-use pmor::eval::{pole_errors, FullModel};
-use pmor::{EvalEngine, ParametricRom, Reducer, ReductionContext, Result};
-use pmor_circuits::ParametricSystem;
-use pmor_num::Complex64;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -53,9 +34,6 @@ pub struct MonteCarlo {
     pub instances: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Worker threads for instance evaluation; `0` means use the
-    /// machine's available parallelism.
-    pub threads: usize,
 }
 
 impl MonteCarlo {
@@ -65,7 +43,6 @@ impl MonteCarlo {
             distributions: vec![ParameterDistribution::paper_metal_width(); np],
             instances,
             seed: 0x3C0,
-            threads: 0,
         }
     }
 
@@ -81,191 +58,17 @@ impl MonteCarlo {
             })
             .collect()
     }
-
-    /// The batched evaluation engine this configuration runs on.
-    pub fn engine(&self) -> EvalEngine {
-        EvalEngine::new(self.threads)
-    }
-
-    /// The effective worker count: the configured `threads`, or available
-    /// parallelism when 0, never more than one worker per instance.
-    pub fn worker_count(&self) -> usize {
-        self.engine().worker_count(self.instances)
-    }
-
-    /// Reduces `sys` with `reducer` (in a fresh private context) and
-    /// compares the `num_poles` most dominant poles of the full and
-    /// reduced models at every instance. To share factorizations with
-    /// other pipeline stages, use [`MonteCarlo::pole_errors_in`].
-    ///
-    /// # Errors
-    ///
-    /// Fails when the reduction fails, a sampled instance is singular or
-    /// an eigensolve stalls.
-    pub fn pole_errors(
-        &self,
-        sys: &ParametricSystem,
-        reducer: &dyn Reducer,
-        num_poles: usize,
-    ) -> Result<PoleErrorReport> {
-        self.pole_errors_in(sys, reducer, num_poles, &mut ReductionContext::new())
-    }
-
-    /// [`MonteCarlo::pole_errors`] drawing the reduction's factorizations
-    /// from the caller's shared context, so the one-time `G0`
-    /// factorization spans the whole pipeline.
-    ///
-    /// # Errors
-    ///
-    /// See [`MonteCarlo::pole_errors`].
-    pub fn pole_errors_in(
-        &self,
-        sys: &ParametricSystem,
-        reducer: &dyn Reducer,
-        num_poles: usize,
-        ctx: &mut ReductionContext,
-    ) -> Result<PoleErrorReport> {
-        let rom = reducer.reduce(sys, ctx)?;
-        self.pole_errors_with_rom(sys, &rom, num_poles)
-    }
-
-    /// [`MonteCarlo::pole_errors`] against an already-reduced model.
-    ///
-    /// # Errors
-    ///
-    /// Fails when a sampled instance is singular or an eigensolve stalls.
-    pub fn pole_errors_with_rom(
-        &self,
-        sys: &ParametricSystem,
-        rom: &ParametricRom,
-        num_poles: usize,
-    ) -> Result<PoleErrorReport> {
-        let full = FullModel::new(sys);
-        let points = self.sample_points();
-        let per_instance: Vec<(Vec<f64>, f64)> = self.engine().map(&points, |p, _ws| {
-            let reference = full.dominant_poles(p, num_poles)?;
-            // Give the matcher a deeper candidate list than the reference so
-            // near-degenerate reference poles both find their partner.
-            let candidate = rom.dominant_poles(p, 2 * num_poles + 4)?;
-            let errs = pole_errors(&reference, &candidate);
-            let mut inst_max = 0.0f64;
-            let mut percents = Vec::with_capacity(errs.len());
-            for e in errs {
-                percents.push(100.0 * e);
-                inst_max = inst_max.max(100.0 * e);
-            }
-            Ok((percents, inst_max))
-        })?;
-        let mut errors_percent = Vec::with_capacity(self.instances * num_poles);
-        let mut per_instance_max = Vec::with_capacity(self.instances);
-        for (percents, inst_max) in per_instance {
-            errors_percent.extend(percents);
-            per_instance_max.push(inst_max);
-        }
-        Ok(PoleErrorReport {
-            errors_percent,
-            per_instance_max,
-            num_poles,
-        })
-    }
-
-    /// Reduces `sys` with `reducer` (fresh private context; see
-    /// [`MonteCarlo::transfer_errors_in`] to share one) and reports the
-    /// worst-case transfer-function error over instances at a fixed set
-    /// of frequencies: `max_f |H_full − H_rom| / |H_full|` per instance.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the reduction fails or an instance is singular at one
-    /// of the frequencies.
-    pub fn transfer_errors(
-        &self,
-        sys: &ParametricSystem,
-        reducer: &dyn Reducer,
-        freqs_hz: &[f64],
-    ) -> Result<Vec<f64>> {
-        self.transfer_errors_in(sys, reducer, freqs_hz, &mut ReductionContext::new())
-    }
-
-    /// [`MonteCarlo::transfer_errors`] drawing the reduction's
-    /// factorizations from the caller's shared context.
-    ///
-    /// # Errors
-    ///
-    /// See [`MonteCarlo::transfer_errors`].
-    pub fn transfer_errors_in(
-        &self,
-        sys: &ParametricSystem,
-        reducer: &dyn Reducer,
-        freqs_hz: &[f64],
-        ctx: &mut ReductionContext,
-    ) -> Result<Vec<f64>> {
-        let rom = reducer.reduce(sys, ctx)?;
-        self.transfer_errors_with_rom(sys, &rom, freqs_hz)
-    }
-
-    /// [`MonteCarlo::transfer_errors`] against an already-reduced model.
-    ///
-    /// # Errors
-    ///
-    /// Fails when an instance is singular at one of the frequencies.
-    pub fn transfer_errors_with_rom(
-        &self,
-        sys: &ParametricSystem,
-        rom: &ParametricRom,
-        freqs_hz: &[f64],
-    ) -> Result<Vec<f64>> {
-        let full = FullModel::new(sys);
-        let points = self.sample_points();
-        self.engine().map(&points, |p, ws| {
-            let mut worst = 0.0f64;
-            for &f in freqs_hz {
-                let s = Complex64::jw(2.0 * std::f64::consts::PI * f);
-                let hf = full.transfer_with(p, s, ws)?;
-                let hr = rom.transfer_with(p, s, ws)?;
-                let denom = hf.max_abs().max(1e-300);
-                let num = hf.sub_mat(&hr).max_abs();
-                worst = worst.max(num / denom);
-            }
-            Ok(worst)
-        })
-    }
-}
-
-/// Collected pole-error data (all values in **percent**).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PoleErrorReport {
-    /// One relative error per (instance × tracked pole).
-    pub errors_percent: Vec<f64>,
-    /// Worst pole error per instance.
-    pub per_instance_max: Vec<f64>,
-    /// Number of dominant poles tracked.
-    pub num_poles: usize,
-}
-
-impl PoleErrorReport {
-    /// Summary statistics of the pooled errors.
-    pub fn summary(&self) -> Summary {
-        Summary::of(&self.errors_percent)
-    }
-
-    /// Histogram of the pooled errors (the paper's Fig 5/6 left plots).
-    pub fn histogram(&self, nbins: usize) -> Vec<Bin> {
-        histogram(&self.errors_percent, nbins)
-    }
-
-    /// Largest relative error over every pole and instance, in percent —
-    /// the "maximum error out of 1000 poles" headline of §5.3.
-    pub fn max_percent(&self) -> f64 {
-        self.errors_percent.iter().copied().fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::{Analysis, AnalysisReport, ErrorMetric, MonteCarloAnalysis};
+    use pmor::eval::FullModel;
     use pmor::lowrank::{LowRankOptions, LowRankPmor};
+    use pmor::{EvalEngine, ParametricRom, Reducer};
     use pmor_circuits::generators::{clock_tree, ClockTreeConfig};
+    use pmor_circuits::ParametricSystem;
 
     fn tree(n: usize) -> ParametricSystem {
         clock_tree(&ClockTreeConfig {
@@ -273,6 +76,26 @@ mod tests {
             ..Default::default()
         })
         .assemble()
+    }
+
+    /// Runs the registry's Monte-Carlo analysis on the paper protocol's
+    /// sample points (±30 % at 3σ, seed 0x3C0).
+    fn paper_mc(
+        sys: &ParametricSystem,
+        rom: &ParametricRom,
+        instances: usize,
+        metric: ErrorMetric,
+        threads: usize,
+    ) -> AnalysisReport {
+        let analysis = MonteCarloAnalysis {
+            instances,
+            sigma: 0.1,
+            seed: 0x3C0,
+            metric,
+        };
+        analysis
+            .run(&EvalEngine::new(threads), &FullModel::new(sys), rom)
+            .unwrap()
     }
 
     #[test]
@@ -291,75 +114,64 @@ mod tests {
     #[test]
     fn lowrank_rom_pole_errors_are_small() {
         let sys = tree(40);
-        let reducer = LowRankPmor::new(LowRankOptions {
+        let rom = LowRankPmor::new(LowRankOptions {
             s_order: 8,
             param_order: 3,
             rank: 2,
             ..Default::default()
-        });
-        let mc = MonteCarlo::paper_protocol(3, 10);
-        let report = mc.pole_errors(&sys, &reducer, 5).unwrap();
-        assert_eq!(report.errors_percent.len(), 50);
-        assert_eq!(report.per_instance_max.len(), 10);
+        })
+        .reduce_once(&sys)
+        .unwrap();
+        let report = paper_mc(&sys, &rom, 10, ErrorMetric::Poles { num_poles: 5 }, 2);
+        assert_eq!(report.metric_value("instances"), Some(10.0));
         // The paper reports sub-percent dominant-pole errors.
-        assert!(
-            report.max_percent() < 1.0,
-            "max pole error {}%",
-            report.max_percent()
-        );
+        let max = report.metric_value("max_pole_err_percent").unwrap();
+        assert!(max < 1.0, "max pole error {max}%");
     }
 
     #[test]
     fn thread_count_does_not_change_results() {
         let sys = tree(30);
         let rom = LowRankPmor::with_defaults().reduce_once(&sys).unwrap();
-        let mut mc = MonteCarlo::paper_protocol(3, 9);
-        mc.threads = 1;
-        let serial = mc.pole_errors_with_rom(&sys, &rom, 3).unwrap();
-        mc.threads = 4;
-        let parallel = mc.pole_errors_with_rom(&sys, &rom, 3).unwrap();
-        assert_eq!(serial, parallel);
+        let poles = ErrorMetric::Poles { num_poles: 3 };
+        let serial = paper_mc(&sys, &rom, 9, poles.clone(), 1);
         // More workers than instances is fine too.
-        mc.threads = 64;
-        let oversubscribed = mc.pole_errors_with_rom(&sys, &rom, 3).unwrap();
-        assert_eq!(serial, oversubscribed);
-    }
-
-    #[test]
-    fn engines_share_one_factorization_through_a_context() {
-        // The `_in` entry points let a whole analysis pipeline ride on one
-        // nominal G0 factorization.
-        let sys = tree(30);
-        let reducer = LowRankPmor::with_defaults();
-        let mut ctx = ReductionContext::new();
-        let mc = MonteCarlo::paper_protocol(3, 3);
-        mc.pole_errors_in(&sys, &reducer, 2, &mut ctx).unwrap();
-        mc.transfer_errors_in(&sys, &reducer, &[1e8], &mut ctx)
-            .unwrap();
-        assert_eq!(ctx.real_factorizations(), 1);
-        assert!(ctx.cache_hits() >= 1, "hits: {}", ctx.cache_hits());
+        for threads in [4, 64] {
+            let parallel = paper_mc(&sys, &rom, 9, poles.clone(), threads);
+            for (name, value) in &serial.metrics {
+                if name == "threads" || name == "analysis_seconds" {
+                    continue;
+                }
+                assert_eq!(
+                    value.to_bits(),
+                    parallel.metric_value(name).unwrap().to_bits(),
+                    "{name} differs at {threads} threads"
+                );
+            }
+            assert_eq!(serial.csv, parallel.csv);
+        }
     }
 
     #[test]
     fn report_histogram_covers_all_errors() {
         let sys = tree(30);
         let rom = LowRankPmor::with_defaults().reduce_once(&sys).unwrap();
-        let mc = MonteCarlo::paper_protocol(3, 8);
-        let report = mc.pole_errors_with_rom(&sys, &rom, 3).unwrap();
-        let bins = report.histogram(10);
-        let total: usize = bins.iter().map(|b| b.count).sum();
-        assert_eq!(total, report.errors_percent.len());
+        let report = paper_mc(&sys, &rom, 8, ErrorMetric::Poles { num_poles: 3 }, 2);
+        let csv = report.csv.as_ref().unwrap();
+        assert_eq!(csv.x.len(), crate::analysis::POLE_HISTOGRAM_BINS);
+        let total: f64 = csv.series[1].1.iter().sum();
+        assert_eq!(total, (8 * 3) as f64);
     }
 
     #[test]
     fn transfer_errors_bounded() {
         let sys = tree(30);
-        let reducer = LowRankPmor::with_defaults();
-        let mc = MonteCarlo::paper_protocol(3, 5);
-        let errs = mc
-            .transfer_errors(&sys, &reducer, &[1e7, 1e8, 1e9])
-            .unwrap();
-        assert_eq!(errs.len(), 5);
-        assert!(errs.iter().all(|&e| e < 0.01), "{errs:?}");
+        let rom = LowRankPmor::with_defaults().reduce_once(&sys).unwrap();
+        let metric = ErrorMetric::Transfer {
+            freqs_hz: vec![1e7, 1e8, 1e9],
+        };
+        let report = paper_mc(&sys, &rom, 5, metric, 2);
+        let worst = report.metric_value("worst_rel_transfer_err").unwrap();
+        assert!(worst < 0.01, "worst relative transfer error {worst}");
     }
 }

@@ -8,25 +8,23 @@
 //! # Example
 //!
 //! ```
-//! use pmor::lowrank::LowRankPmor;
-//! use pmor_circuits::generators::{clock_tree, ClockTreeConfig};
-//! use pmor_variation::sweep::Sweep2d;
+//! use pmor_variation::sweep::{linspace, Sweep2d};
 //!
-//! # fn main() -> Result<(), pmor::PmorError> {
-//! let sys = clock_tree(&ClockTreeConfig { num_nodes: 30, ..Default::default() })
-//!     .assemble();
 //! // M5 × M6 over ±30%, 3 points per axis, M7 pinned at nominal.
-//! let sweep = Sweep2d::paper_m5_m6(3);
-//! let grid = sweep.dominant_pole_error_grid(&sys, &LowRankPmor::with_defaults())?;
-//! assert_eq!((grid.len(), grid[0].len()), (3, 3));
-//! assert!(grid.iter().flatten().all(|&err_percent| err_percent < 1.0));
-//! # Ok(())
-//! # }
+//! let sweep = Sweep2d {
+//!     param_a: 0,
+//!     param_b: 1,
+//!     values_a: linspace(-0.3, 0.3, 3),
+//!     values_b: linspace(-0.3, 0.3, 3),
+//!     base: vec![0.0; 3],
+//! };
+//! let points = sweep.points();
+//! assert_eq!(points.len(), 9);
+//! assert!(points.iter().all(|(_, _, p)| p[2] == 0.0));
 //! ```
-
-use pmor::eval::{pole_errors, FullModel};
-use pmor::{EvalEngine, ParametricRom, Reducer, ReductionContext, Result};
-use pmor_circuits::ParametricSystem;
+//!
+//! The registry's `corner_sweep` analysis evaluates such a grid against
+//! the full model.
 
 /// Logarithmically spaced values over `[lo, hi]`, inclusive (`lo > 0`).
 ///
@@ -76,18 +74,6 @@ pub struct Sweep2d {
 }
 
 impl Sweep2d {
-    /// The paper's Fig 5/6 sweep: M5 × M6 over ±30 %, `count` points per
-    /// axis, M7 nominal.
-    pub fn paper_m5_m6(count: usize) -> Self {
-        Sweep2d {
-            param_a: 0, // M5
-            param_b: 1, // M6
-            values_a: linspace(-0.3, 0.3, count),
-            values_b: linspace(-0.3, 0.3, count),
-            base: vec![0.0; 3],
-        }
-    }
-
     /// All grid points in row-major order with their `(ia, ib)` indices.
     pub fn points(&self) -> Vec<(usize, usize, Vec<f64>)> {
         let mut out = Vec::with_capacity(self.values_a.len() * self.values_b.len());
@@ -101,72 +87,14 @@ impl Sweep2d {
         }
         out
     }
-
-    /// Reduces `sys` with `reducer` and maps the relative error (in
-    /// percent) of the most dominant pole against the full model over the
-    /// grid: `result[ia][ib]`.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the reduction fails, an instance is singular or an
-    /// eigensolve stalls.
-    pub fn dominant_pole_error_grid(
-        &self,
-        sys: &ParametricSystem,
-        reducer: &dyn Reducer,
-    ) -> Result<Vec<Vec<f64>>> {
-        self.dominant_pole_error_grid_in(sys, reducer, &mut ReductionContext::new())
-    }
-
-    /// [`Sweep2d::dominant_pole_error_grid`] drawing the reduction's
-    /// factorizations from the caller's shared context.
-    ///
-    /// # Errors
-    ///
-    /// See [`Sweep2d::dominant_pole_error_grid`].
-    pub fn dominant_pole_error_grid_in(
-        &self,
-        sys: &ParametricSystem,
-        reducer: &dyn Reducer,
-        ctx: &mut ReductionContext,
-    ) -> Result<Vec<Vec<f64>>> {
-        let rom = reducer.reduce(sys, ctx)?;
-        self.dominant_pole_error_grid_with_rom(sys, &rom)
-    }
-
-    /// [`Sweep2d::dominant_pole_error_grid`] against an already-reduced
-    /// model.
-    ///
-    /// # Errors
-    ///
-    /// Fails when an instance is singular or an eigensolve stalls.
-    pub fn dominant_pole_error_grid_with_rom(
-        &self,
-        sys: &ParametricSystem,
-        rom: &ParametricRom,
-    ) -> Result<Vec<Vec<f64>>> {
-        // Grid corners are independent: run them through the shared
-        // batched engine (deterministic stitching, so any thread count
-        // yields the identical grid).
-        let full = FullModel::new(sys);
-        let points = self.points();
-        let errs = EvalEngine::default().map(&points, |(_, _, p), _ws| {
-            let reference = full.dominant_poles(p, 1)?;
-            let candidate = rom.dominant_poles(p, 6)?;
-            Ok(100.0 * pole_errors(&reference, &candidate)[0])
-        })?;
-        let mut grid = vec![vec![0.0; self.values_b.len()]; self.values_a.len()];
-        for ((ia, ib, _), err) in points.iter().zip(&errs) {
-            grid[*ia][*ib] = *err;
-        }
-        Ok(grid)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmor::lowrank::LowRankPmor;
+    use crate::analysis::{Analysis, CornerSweepAnalysis, ErrorMetric};
+    use pmor::eval::FullModel;
+    use pmor::EvalEngine;
     use pmor_circuits::generators::{clock_tree, ClockTreeConfig};
 
     #[test]
@@ -204,12 +132,25 @@ mod tests {
             ..Default::default()
         })
         .assemble();
-        let sweep = Sweep2d::paper_m5_m6(3);
-        let grid = sweep
-            .dominant_pole_error_grid(&sys, &LowRankPmor::with_defaults())
+        let rom = pmor::reducer_by_name("lowrank", &sys)
+            .unwrap()
+            .reduce_once(&sys)
             .unwrap();
+        // The paper's ±30 % M5 × M6 sweep.
+        let sweep = CornerSweepAnalysis {
+            param_a: 0,
+            param_b: 1,
+            lo: -0.3,
+            hi: 0.3,
+            points_per_axis: 3,
+            metric: ErrorMetric::Poles { num_poles: 1 },
+        };
+        let report = sweep
+            .run(&EvalEngine::default(), &FullModel::new(&sys), &rom)
+            .unwrap();
+        let grid = &report.grid.as_ref().unwrap().values;
         assert_eq!(grid.len(), 3);
-        for row in &grid {
+        for row in grid {
             assert_eq!(row.len(), 3);
             for &err in row {
                 assert!(err < 1.0, "dominant pole error {err}% too large");

@@ -7,9 +7,11 @@
 //!
 //! Run: `cargo run --release -p pmor-bench --example clock_tree_variability`
 
+use pmor::eval::FullModel;
 use pmor::lowrank::{LowRankOptions, LowRankPmor};
-use pmor::Reducer;
+use pmor::{EvalEngine, Reducer};
 use pmor_circuits::generators::rcnet_a;
+use pmor_variation::analysis::{AnalysisConfig, AnalysisKind, ErrorMetric};
 use pmor_variation::{MonteCarlo, Summary};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,7 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("parametric reduced model: {} states", rom.size());
 
     // Process distribution: each layer width varies ±30% at 3σ (normal).
-    let mc = MonteCarlo::paper_protocol(sys.num_params(), 100);
+    let instances = 100;
+    let mc = MonteCarlo::paper_protocol(sys.num_params(), instances);
 
     // Where does the dominant pole (≈ the clock net's bandwidth limit)
     // land across the process distribution, according to the ROM alone?
@@ -47,25 +50,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // And how accurate is that, verified against the full model per
-    // instance?
-    let report = mc.pole_errors_with_rom(&sys, &rom, 5)?;
-    let es = report.summary();
-    println!(
-        "\nROM-vs-full error over 5 dominant poles x {} instances:",
-        100
-    );
-    println!(
-        "  mean {:.2e}%  median {:.2e}%  max {:.2e}%",
-        es.mean, es.median, es.max
-    );
-    println!("\nerror histogram [%]:");
-    for b in report.histogram(8) {
-        println!(
-            "  {:>9.2e} .. {:>9.2e} | {}",
-            b.lo,
-            b.hi,
-            "#".repeat(b.count.min(60))
-        );
+    // instance? The registry's Monte-Carlo analysis draws the same
+    // instances (same sigma and seed) and compares 5 dominant poles.
+    let report = AnalysisKind::MonteCarlo
+        .build(&AnalysisConfig {
+            instances: Some(instances),
+            metric: Some(ErrorMetric::Poles { num_poles: 5 }),
+            ..Default::default()
+        })?
+        .run(&EvalEngine::default(), &FullModel::new(&sys), &rom)?;
+    println!("\nROM-vs-full error over 5 dominant poles x {instances} instances:");
+    for line in &report.lines {
+        println!("  {line}");
+    }
+    if let Some(hist) = &report.csv {
+        println!("\nerror histogram [%]:");
+        let (hi, count) = (&hist.series[0].1, &hist.series[1].1);
+        for (i, lo) in hist.x.iter().enumerate() {
+            println!(
+                "  {lo:>9.2e} .. {:>9.2e} | {}",
+                hi[i],
+                "#".repeat((count[i] as usize).min(60))
+            );
+        }
     }
     Ok(())
 }

@@ -173,3 +173,25 @@ fn guide_documents_the_serve_surface() {
         "docs/BENCHMARKS.md does not cover serving throughput"
     );
 }
+
+#[test]
+fn readme_names_only_shipped_figure_binaries() {
+    // Every `--bin <name>` the README tells a reader to run must exist,
+    // so retiring a binary without updating the README fails here.
+    let root = repo_root();
+    let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
+    let bin_dir = root.join("crates/bench/src/bin");
+    let mut named = 0;
+    for rest in readme.split("--bin ").skip(1) {
+        let name: String = rest
+            .chars()
+            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+            .collect();
+        assert!(
+            bin_dir.join(format!("{name}.rs")).is_file(),
+            "README.md runs `--bin {name}`, but crates/bench/src/bin/{name}.rs does not exist"
+        );
+        named += 1;
+    }
+    assert!(named > 0, "README.md names no figure binaries");
+}
