@@ -27,7 +27,7 @@ use crate::reduce::{registry_defaults as rd, Reducer, ReducerTuning, ReductionCo
 use crate::rom::ParametricRom;
 use crate::{PmorError, Result};
 use pmor_circuits::ParametricSystem;
-use pmor_num::lu::LuFactors;
+use pmor_num::lu::PencilLu;
 use pmor_num::orth::OrthoBasis;
 use pmor_num::{Complex64, Matrix};
 
@@ -85,11 +85,12 @@ impl<'a> ErrorEstimator<'a> {
     ///
     /// Fails when the *reduced* pencil `G̃(p) + sC̃(p)` is singular.
     pub fn relative_residual(&self, rom: &ParametricRom, p: &[f64], s: Complex64) -> Result<f64> {
-        // Small dense reduced solve (same idiom as `ParametricRom::transfer`).
-        let mut a_red = rom.g_at(p).to_complex();
-        a_red.add_assign_scaled(s, &rom.c_at(p).to_complex());
-        let lu = LuFactors::factor(&a_red)?;
-        let x_red = lu.solve_mat(&rom.b.to_complex())?;
+        // Small dense reduced solve, on the kernel `ParametricRom::transfer`
+        // runs on.
+        let mut lu = PencilLu::new();
+        lu.factor_pencil_into(&rom.g_at(p), &rom.c_at(p), s)?;
+        lu.solve_real_into(&rom.b)?;
+        let x_red = lu.solution();
         // Lift back to the full space: x̂ = V x_red.
         let x_hat = rom.projection.to_complex().mul_mat(&x_red);
         // Sparse residual — assembly and mat-vecs only, no factorization.

@@ -11,9 +11,9 @@
 //!   and figure binary is written once against `&dyn TransferModel` and
 //!   compares models without knowing which side is which.
 //! * [`EvalWorkspace`] carries the per-thread scratch that makes batch
-//!   evaluation cheap: dense assembly buffers for reduced models, and
-//!   memoized per-parameter-point sparse assemblies (plus complex port
-//!   maps) for the full model.
+//!   evaluation cheap: dense assembly and split-plane LU buffers for
+//!   reduced models, and memoized per-parameter-point sparse assemblies
+//!   (plus complex port maps) for the full model.
 //! * [`EvalEngine`] chunks arbitrary point sets across
 //!   [`std::thread::scope`] workers **deterministically**: points are
 //!   pre-listed, chunks are contiguous, results are stitched back in
@@ -54,6 +54,7 @@
 
 use crate::transient::{Stimulus, TransientOptions, TransientResult};
 use crate::Result;
+use pmor_num::lu::PencilLu;
 use pmor_num::{Complex64, Matrix};
 use pmor_sparse::CsrMatrix;
 
@@ -97,10 +98,12 @@ impl EvalPoint {
 /// identical to what a fresh evaluation computes.
 #[derive(Debug, Clone)]
 pub struct EvalWorkspace {
-    // Dense reduced-model scratch (sized on first use, reused after).
+    // Dense reduced-model scratch (sized on first use, reused after):
+    // the assembled `G̃(p)`, `C̃(p)`, and the split-plane pencil factors
+    // with their solve buffers.
     pub(crate) rom_g: Matrix<f64>,
     pub(crate) rom_c: Matrix<f64>,
-    pub(crate) rom_k: Matrix<Complex64>,
+    pub(crate) rom_lu: PencilLu,
     // Full-model per-parameter-point assembly: `(fingerprint, p-bits) →
     // G(p), C(p)` as complex CSR, reused across the frequencies of one
     // point.
@@ -135,7 +138,7 @@ impl EvalWorkspace {
         EvalWorkspace {
             rom_g: Matrix::zeros(0, 0),
             rom_c: Matrix::zeros(0, 0),
-            rom_k: Matrix::zeros(0, 0),
+            rom_lu: PencilLu::new(),
             full_key: None,
             full_g: None,
             full_c: None,
@@ -234,7 +237,8 @@ pub trait TransferModel: Sync {
     /// Evaluates a batch of points with one shared workspace, in order.
     /// This is the unit of work the [`EvalEngine`] hands each worker
     /// thread; points sharing a parameter point benefit most when they
-    /// are adjacent (the full model reuses its `G(p)`/`C(p)` assembly).
+    /// are adjacent (the full model reuses its memoized `G(p)`/`C(p)`
+    /// assembly, and a ROM skips re-assembling `G̃(p)`/`C̃(p)`).
     ///
     /// # Errors
     ///

@@ -102,6 +102,9 @@ pub enum PmorError {
     Sparse(pmor_sparse::SparseError),
     /// The requested reduction is invalid for the given system.
     Invalid(String),
+    /// An evaluation input holds a NaN or an infinity; the payload names
+    /// which one (`"p"` or `"s"`).
+    NonFinite(&'static str),
 }
 
 impl fmt::Display for PmorError {
@@ -110,6 +113,12 @@ impl fmt::Display for PmorError {
             PmorError::Num(e) => write!(f, "dense kernel failure: {e}"),
             PmorError::Sparse(e) => write!(f, "sparse kernel failure: {e}"),
             PmorError::Invalid(msg) => write!(f, "invalid reduction request: {msg}"),
+            PmorError::NonFinite(what) => {
+                write!(
+                    f,
+                    "non-finite evaluation input: {what} holds a NaN or an infinity"
+                )
+            }
         }
     }
 }
@@ -119,7 +128,7 @@ impl std::error::Error for PmorError {
         match self {
             PmorError::Num(e) => Some(e),
             PmorError::Sparse(e) => Some(e),
-            PmorError::Invalid(_) => None,
+            PmorError::Invalid(_) | PmorError::NonFinite(_) => None,
         }
     }
 }

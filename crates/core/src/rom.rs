@@ -17,10 +17,10 @@
 //! `pmor reduce` run persist its result for later `pmor eval` / `pmor mc`
 //! runs (see the `pmor-cli` crate) without re-reducing.
 
-use crate::engine::{EvalWorkspace, TransferModel};
+use crate::engine::{EvalPoint, EvalWorkspace, TransferModel};
 use crate::{PmorError, Result};
 use pmor_circuits::ParametricSystem;
-use pmor_num::lu::LuFactors;
+use pmor_num::lu::{LuFactors, PencilLu};
 use pmor_num::{eig, Complex64, Matrix};
 use std::path::Path;
 
@@ -135,57 +135,63 @@ impl ParametricRom {
     }
 
     /// Evaluates the transfer matrix `H(s, p) = L̃ᵀ (G̃(p) + s C̃(p))⁻¹ B̃`
-    /// (`num_outputs × num_inputs`).
+    /// (`num_outputs × num_inputs`): [`ParametricRom::transfer_with`] on a
+    /// fresh workspace.
     ///
     /// # Errors
     ///
-    /// Fails when `G̃(p) + s C̃(p)` is singular (i.e. `s` is a pole).
+    /// Fails when `p` or `s` is not finite, or when `G̃(p) + s C̃(p)` is
+    /// singular (i.e. `s` is a pole).
     pub fn transfer(&self, p: &[f64], s: Complex64) -> Result<Matrix<Complex64>> {
-        let g = self.g_at(p).to_complex();
-        let c = self.c_at(p).to_complex();
-        let mut a = g;
-        a.add_assign_scaled(s, &c);
-        let lu = LuFactors::factor(&a)?;
-        let x = lu.solve_mat(&self.b.to_complex())?;
-        Ok(self.l.to_complex().tr_mul_mat(&x))
+        self.transfer_with(p, s, &mut EvalWorkspace::new())
     }
 
-    /// [`ParametricRom::transfer`] drawing dense scratch from a reusable
-    /// [`EvalWorkspace`]: `G̃(p)`, `C̃(p)` and the complex pencil are
-    /// assembled into preallocated buffers instead of fresh allocations
-    /// per call — the path batch evaluation runs on. Values are bitwise
-    /// identical to [`ParametricRom::transfer`].
+    /// [`ParametricRom::transfer`] drawing every buffer from a reusable
+    /// [`EvalWorkspace`]: `G̃(p)` and `C̃(p)` are assembled in place, and
+    /// the pencil is built and factored in place by the split-plane
+    /// [`PencilLu`] kernel, which reads `B̃` and `L̃` as real matrices. The
+    /// only allocation per call is the returned matrix. Values are bitwise
+    /// identical to [`LuFactors::<Complex64>`] on the complex pencil.
     ///
     /// # Errors
     ///
-    /// Fails when `G̃(p) + s C̃(p)` is singular (i.e. `s` is a pole).
+    /// Returns [`PmorError::NonFinite`] when `p` or `s` holds a NaN or an
+    /// infinity, and fails when `G̃(p) + s C̃(p)` is singular (i.e. `s` is
+    /// a pole).
     pub fn transfer_with(
         &self,
         p: &[f64],
         s: Complex64,
         ws: &mut EvalWorkspace,
     ) -> Result<Matrix<Complex64>> {
+        self.assemble(p, ws)?;
+        self.solve_at(s, ws)
+    }
+
+    /// Assembles `G̃(p)` and `C̃(p)` into the workspace — the per-`p` half
+    /// of an evaluation, which a batch skips while consecutive points
+    /// share `p`.
+    fn assemble(&self, p: &[f64], ws: &mut EvalWorkspace) -> Result<()> {
+        if !all_finite(p) {
+            return Err(PmorError::NonFinite("p"));
+        }
         self.g_at_into(p, &mut ws.rom_g);
         self.c_at_into(p, &mut ws.rom_c);
-        let n = self.size();
-        if ws.rom_k.nrows() != n || ws.rom_k.ncols() != n {
-            ws.rom_k = Matrix::zeros(n, n);
+        Ok(())
+    }
+
+    /// Factors `G̃(p) + s C̃(p)` from the workspace's last assembly and
+    /// returns `L̃ᵀ (G̃(p) + s C̃(p))⁻¹ B̃` — the per-frequency half.
+    fn solve_at(&self, s: Complex64, ws: &mut EvalWorkspace) -> Result<Matrix<Complex64>> {
+        if !all_finite(&[s.re, s.im]) {
+            return Err(PmorError::NonFinite("s"));
         }
-        for ((k, &gv), &cv) in ws
-            .rom_k
-            .as_mut_slice()
-            .iter_mut()
-            .zip(ws.rom_g.as_slice())
-            .zip(ws.rom_c.as_slice())
-        {
-            // Same operation order as `transfer` (to_complex, then
-            // add_assign_scaled), so the results match bit for bit.
-            *k = Complex64::new(gv, 0.0) + s * Complex64::new(cv, 0.0);
-        }
-        let lu = LuFactors::factor(&ws.rom_k)?;
-        // pmor-lint: allow(callgraph-ambiguous-kernel) reason="to_complex exists on both dense and sparse matrices; both are widening copies and the analysis follows both"
-        let x = lu.solve_mat(&self.b.to_complex())?;
-        Ok(self.l.to_complex().tr_mul_mat(&x))
+        let lu = &mut ws.rom_lu;
+        lu.factor_pencil_into(&ws.rom_g, &ws.rom_c, s)?;
+        lu.solve_real_into(&self.b)?;
+        let mut h = Matrix::zeros(self.l.ncols(), self.b.ncols());
+        lu.project_into(&self.l, &mut h)?;
+        Ok(h)
     }
 
     /// Evaluates `|H|` over a frequency sweep, returning one transfer matrix
@@ -276,18 +282,18 @@ impl ParametricRom {
         p: &[f64],
         s: Complex64,
     ) -> Result<Vec<Matrix<Complex64>>> {
-        let mut k = self.g_at(p).to_complex();
-        k.add_assign_scaled(s, &self.c_at(p).to_complex());
-        let lu = LuFactors::factor(&k)?;
-        let x = lu.solve_mat(&self.b.to_complex())?; // K⁻¹B
-        let lc = self.l.to_complex();
+        let mut lu = PencilLu::new();
+        lu.factor_pencil_into(&self.g_at(p), &self.c_at(p), s)?;
+        lu.solve_real_into(&self.b)?;
+        let x = lu.solution(); // K⁻¹B
         let mut out = Vec::with_capacity(self.num_params());
         for i in 0..self.num_params() {
             let mut mi = self.gi[i].to_complex();
             mi.add_assign_scaled(s, &self.ci[i].to_complex());
-            let mx = mi.mul_mat(&x);
-            let kx = lu.solve_mat(&mx)?;
-            out.push(lc.tr_mul_mat(&kx).scaled(-Complex64::ONE));
+            lu.solve_complex_into(&mi.mul_mat(&x))?;
+            let mut h = Matrix::zeros(self.num_outputs(), self.num_inputs());
+            lu.project_into(&self.l, &mut h)?;
+            out.push(h.scaled(-Complex64::ONE));
         }
         Ok(out)
     }
@@ -358,6 +364,38 @@ impl TransferModel for ParametricRom {
     ) -> Result<Matrix<Complex64>> {
         ParametricRom::transfer_with(self, p, s, ws)
     }
+
+    /// Assembles `G̃(p)`, `C̃(p)` once per run of consecutive points whose
+    /// `p` has the same bits (a frequency sweep), then factors and solves
+    /// per point. Each result is bitwise what `transfer_with` returns.
+    fn eval_batch(
+        &self,
+        points: &[EvalPoint],
+        ws: &mut EvalWorkspace,
+    ) -> Result<Vec<Matrix<Complex64>>> {
+        let mut assembled: Option<&[f64]> = None;
+        points
+            .iter()
+            .map(|pt| {
+                if !assembled.is_some_and(|q| same_bits(q, &pt.params)) {
+                    self.assemble(&pt.params, ws)?;
+                    assembled = Some(&pt.params);
+                }
+                self.solve_at(pt.s, ws)
+            })
+            // pmor-lint: allow(alloc-in-kernel) reason="batch-layer orchestration: one allocation per batch/chunk amortized over every point; the per-point ROM path stays allocation-free"
+            .collect()
+    }
+}
+
+/// Whether every value is finite (no NaN, no infinity).
+fn all_finite(values: &[f64]) -> bool {
+    values.iter().all(|v| v.is_finite())
+}
+
+/// Whether two parameter points have identical bits.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Assembles `M0 + Σ pᵢ Mᵢ` into `out`, resizing only when the buffer
@@ -744,6 +782,36 @@ mod tests {
         let near = Complex64::new(pole.re * 0.5, 0.0);
         let h = rom.transfer(&[0.0], near).unwrap();
         assert!(h[(0, 0)].abs() < 1e4);
+    }
+
+    #[test]
+    fn non_finite_inputs_are_rejected_not_evaluated() {
+        let rom = identity_rom(&rc2());
+        let s = Complex64::jw(1e9);
+        let mut ws = EvalWorkspace::new();
+        for (p, s, what) in [
+            (vec![f64::NAN], s, "p"),
+            (vec![f64::INFINITY], s, "p"),
+            (vec![0.0], Complex64::new(f64::NAN, 0.0), "s"),
+            (vec![0.0], Complex64::new(0.0, f64::NEG_INFINITY), "s"),
+        ] {
+            assert_eq!(rom.transfer(&p, s), Err(PmorError::NonFinite(what)));
+            assert_eq!(
+                rom.transfer_with(&p, s, &mut ws),
+                Err(PmorError::NonFinite(what))
+            );
+            let batch = [
+                EvalPoint::new(vec![0.0], Complex64::jw(1e8)),
+                EvalPoint::new(p, s),
+            ];
+            assert_eq!(
+                rom.eval_batch(&batch, &mut ws),
+                Err(PmorError::NonFinite(what))
+            );
+        }
+        // The workspace still evaluates cleanly afterwards.
+        let h = rom.transfer_with(&[0.0], s, &mut ws).unwrap();
+        assert_eq!(h, rom.transfer(&[0.0], s).unwrap());
     }
 
     #[test]

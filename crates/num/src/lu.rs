@@ -3,6 +3,7 @@
 //! Used for reduced-order system solves (`(G̃ + sC̃)x̃ = B̃` at every frequency
 //! point) and as the reduction step inside the generalized eigensolver.
 
+use crate::complex::Complex64;
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 use crate::{NumError, Result};
@@ -181,6 +182,348 @@ impl<T: Scalar> LuFactors<T> {
         (0..self.dim())
             .map(|i| self.lu[(i, i)].modulus())
             .fold(f64::INFINITY, f64::min)
+    }
+
+    /// The packed factors: unit lower `L` below the diagonal, `U` on and
+    /// above it.
+    pub fn packed(&self) -> &Matrix<T> {
+        &self.lu
+    }
+
+    /// The row permutation: `perm()[k]` is the original row in position `k`.
+    pub fn perm(&self) -> &[usize] {
+        &self.perm
+    }
+}
+
+/// Complex LU of a real pencil `G + sC`, factored in place into separate
+/// real and imaginary planes — the kernel every reduced-model evaluation
+/// runs on.
+///
+/// Every entry sees exactly the arithmetic of
+/// [`LuFactors::<Complex64>::factor`](LuFactors::factor) on
+/// `G.to_complex() + s·C.to_complex()`: the same `hypot` pivot search with
+/// its strict-`>` tie rule, the same zero-multiplier skip and the same
+/// `Singular(k)` index. The solves read real right-hand sides as `(b, 0)`
+/// in place. So the packed factors, the permutation, every solve and the
+/// output projection match the generic path bit for bit, without
+/// converting or cloning a matrix per call. All buffers are sized on
+/// first use and reused after.
+///
+/// # Example
+///
+/// ```
+/// use pmor_num::lu::PencilLu;
+/// use pmor_num::{Complex64, Matrix};
+///
+/// # fn main() -> Result<(), pmor_num::NumError> {
+/// let g = Matrix::from_rows(&[&[2.0, -1.0], &[-1.0, 2.0]]);
+/// let c = Matrix::identity(2);
+/// let b = Matrix::from_rows(&[&[1.0], &[0.0]]);
+/// let mut lu = PencilLu::new();
+/// lu.factor_pencil_into(&g, &c, Complex64::jw(1.0))?;
+/// lu.solve_real_into(&b)?;
+/// let mut h = Matrix::zeros(1, 1);
+/// lu.project_into(&b, &mut h)?; // bᵀ (G + jC)⁻¹ b
+/// assert!((h[(0, 0)] - Complex64::new(0.4, -0.3)).abs() < 1e-12);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct PencilLu {
+    /// Order of the last successful factorization (0 before any).
+    n: usize,
+    /// Packed factors, real and imaginary planes (row-major `n × n`).
+    re: Matrix<f64>,
+    im: Matrix<f64>,
+    /// Row permutation: `perm[k]` is the original row now in position `k`.
+    perm: Vec<usize>,
+    /// Solution planes of the last solve, one row per right-hand side
+    /// (`nrhs × n`), so each column of `X` is contiguous.
+    xr: Matrix<f64>,
+    xi: Matrix<f64>,
+}
+
+impl Default for PencilLu {
+    fn default() -> Self {
+        PencilLu::new()
+    }
+}
+
+impl PencilLu {
+    /// An empty kernel; buffers are sized by the first factorization.
+    pub fn new() -> Self {
+        PencilLu {
+            n: 0,
+            re: Matrix::zeros(0, 0),
+            im: Matrix::zeros(0, 0),
+            perm: Vec::new(),
+            xr: Matrix::zeros(0, 0),
+            xi: Matrix::zeros(0, 0),
+        }
+    }
+
+    /// Assembles `G + sC` into the planes and factors it in place with
+    /// partial pivoting.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumError::Singular`] at the same pivot index as
+    /// [`LuFactors::factor`], and [`NumError::DimensionMismatch`] unless
+    /// `G` is square and `C` has its shape. After an error the kernel
+    /// holds no factorization.
+    pub fn factor_pencil_into(
+        &mut self,
+        g: &Matrix<f64>,
+        c: &Matrix<f64>,
+        s: Complex64,
+    ) -> Result<()> {
+        self.n = 0;
+        let n = g.nrows();
+        if g.ncols() != n {
+            return Err(NumError::DimensionMismatch {
+                context: "PencilLu::factor_pencil_into (square G required)",
+                expected: n,
+                actual: g.ncols(),
+            });
+        }
+        if c.nrows() != n || c.ncols() != n {
+            return Err(NumError::DimensionMismatch {
+                context: "PencilLu::factor_pencil_into (C must match G)",
+                expected: n,
+                actual: if c.nrows() != n { c.nrows() } else { c.ncols() },
+            });
+        }
+        if self.re.nrows() != n {
+            self.re = Matrix::zeros(n, n);
+            self.im = Matrix::zeros(n, n);
+        }
+        for (((zr, zi), &gv), &cv) in self
+            .re
+            .as_mut_slice()
+            .iter_mut()
+            .zip(self.im.as_mut_slice())
+            .zip(g.as_slice())
+            .zip(c.as_slice())
+        {
+            // `to_complex` then `add_assign_scaled`, spelled out.
+            let z = Complex64::new(gv, 0.0) + s * Complex64::new(cv, 0.0);
+            *zr = z.re;
+            *zi = z.im;
+        }
+        self.perm.clear();
+        self.perm.extend(0..n);
+
+        for k in 0..n {
+            let (re, im) = (self.re.as_slice(), self.im.as_slice());
+            let mut piv = k;
+            let mut piv_mag = re[k * n + k].hypot(im[k * n + k]);
+            for r in (k + 1)..n {
+                let m = re[r * n + k].hypot(im[r * n + k]);
+                if m > piv_mag {
+                    piv = r;
+                    piv_mag = m;
+                }
+            }
+            if piv_mag == 0.0 {
+                return Err(NumError::Singular(k));
+            }
+            if piv != k {
+                self.re.swap_rows(piv, k);
+                self.im.swap_rows(piv, k);
+                self.perm.swap(piv, k);
+            }
+            let pivot_inv = Complex64::recip(Complex64::new(self.re[(k, k)], self.im[(k, k)]));
+            let (head_re, tail_re) = self.re.as_mut_slice().split_at_mut((k + 1) * n);
+            let (head_im, tail_im) = self.im.as_mut_slice().split_at_mut((k + 1) * n);
+            let (ur, ui) = (&head_re[k * n + k + 1..], &head_im[k * n + k + 1..]);
+            for (row_re, row_im) in tail_re.chunks_exact_mut(n).zip(tail_im.chunks_exact_mut(n)) {
+                let f = Complex64::new(row_re[k], row_im[k]) * pivot_inv;
+                row_re[k] = f.re;
+                row_im[k] = f.im;
+                if f == Complex64::ZERO {
+                    continue;
+                }
+                let (fr, fi) = (f.re, f.im);
+                for (((ar, ai), &xr), &xi) in row_re[k + 1..]
+                    .iter_mut()
+                    .zip(&mut row_im[k + 1..])
+                    .zip(ur)
+                    .zip(ui)
+                {
+                    *ar -= fr * xr - fi * xi;
+                    *ai -= fr * xi + fi * xr;
+                }
+            }
+        }
+        self.n = n;
+        Ok(())
+    }
+
+    /// Solves `A X = B` for a real `B` read as `(b, 0)`, leaving `X` in
+    /// the kernel's solution planes (see [`PencilLu::project_into`] and
+    /// [`PencilLu::solution`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumError::DimensionMismatch`] unless `b` has as many rows as the
+    /// last successful factorization's order.
+    pub fn solve_real_into(&mut self, b: &Matrix<f64>) -> Result<()> {
+        self.load_rhs(b.nrows(), b.ncols())?;
+        for j in 0..b.ncols() {
+            for (x, &p) in self.xr.row_mut(j).iter_mut().zip(&self.perm) {
+                *x = b[(p, j)];
+            }
+            self.xi.row_mut(j).fill(0.0);
+        }
+        self.substitute();
+        Ok(())
+    }
+
+    /// Solves `A X = B` for a complex `B`, leaving `X` in the kernel's
+    /// solution planes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumError::DimensionMismatch`] unless `b` has as many rows as the
+    /// last successful factorization's order.
+    pub fn solve_complex_into(&mut self, b: &Matrix<Complex64>) -> Result<()> {
+        self.load_rhs(b.nrows(), b.ncols())?;
+        for j in 0..b.ncols() {
+            for ((xr, xi), &p) in self
+                .xr
+                .row_mut(j)
+                .iter_mut()
+                .zip(self.xi.row_mut(j))
+                .zip(&self.perm)
+            {
+                *xr = b[(p, j)].re;
+                *xi = b[(p, j)].im;
+            }
+        }
+        self.substitute();
+        Ok(())
+    }
+
+    /// Writes `Lᵀ X` for a real `L` (read as `(l, 0)`) and the last
+    /// solution `X` into `out`, with the operation order of
+    /// [`Matrix::tr_mul_mat`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumError::DimensionMismatch`] unless the last solve
+    /// belongs to the current factorization, `L` has a row per state, and
+    /// `out` is `l.ncols() × nrhs`.
+    pub fn project_into(&self, l: &Matrix<f64>, out: &mut Matrix<Complex64>) -> Result<()> {
+        let (nrhs, n) = (self.xr.nrows(), self.xr.ncols());
+        if l.nrows() != n || n != self.n {
+            return Err(NumError::DimensionMismatch {
+                context: "PencilLu::project_into (L rows vs the solved order)",
+                expected: self.n,
+                actual: l.nrows(),
+            });
+        }
+        if out.nrows() != l.ncols() || out.ncols() != nrhs {
+            return Err(NumError::DimensionMismatch {
+                context: "PencilLu::project_into (output shape)",
+                expected: l.ncols() * nrhs,
+                actual: out.nrows() * out.ncols(),
+            });
+        }
+        out.as_mut_slice().fill(Complex64::ZERO);
+        for k in 0..n {
+            for (i, &lki) in l.row(k).iter().enumerate() {
+                if lki == 0.0 {
+                    continue;
+                }
+                for (j, o) in out.row_mut(i).iter_mut().enumerate() {
+                    *o +=
+                        Complex64::new(lki, 0.0) * Complex64::new(self.xr[(j, k)], self.xi[(j, k)]);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The last solution `X` as a complex matrix.
+    pub fn solution(&self) -> Matrix<Complex64> {
+        Matrix::from_fn(self.xr.ncols(), self.xr.nrows(), |r, j| {
+            Complex64::new(self.xr[(j, r)], self.xi[(j, r)])
+        })
+    }
+
+    /// The packed factors' real and imaginary planes (same layout as
+    /// [`LuFactors::packed`]).
+    pub fn factors(&self) -> (&Matrix<f64>, &Matrix<f64>) {
+        (&self.re, &self.im)
+    }
+
+    /// The row permutation (same convention as [`LuFactors::perm`]).
+    pub fn perm(&self) -> &[usize] {
+        &self.perm
+    }
+
+    /// Checks the right-hand side's row count and sizes the solution
+    /// planes for `nrhs` columns.
+    fn load_rhs(&mut self, nrows: usize, nrhs: usize) -> Result<()> {
+        if nrows != self.n {
+            return Err(NumError::DimensionMismatch {
+                context: "PencilLu::solve (rows of B vs the factored order)",
+                expected: self.n,
+                actual: nrows,
+            });
+        }
+        if self.xr.nrows() != nrhs || self.xr.ncols() != nrows {
+            self.xr = Matrix::zeros(nrhs, nrows);
+            self.xi = Matrix::zeros(nrhs, nrows);
+        }
+        Ok(())
+    }
+
+    /// Forward substitution with the unit lower factor, then backward
+    /// substitution with the upper one, on each permuted right-hand side
+    /// in the solution planes, accumulating in the order of
+    /// [`LuFactors::solve_into`].
+    fn substitute(&mut self) {
+        let n = self.n;
+        let (lr, li) = (self.re.as_slice(), self.im.as_slice());
+        for j in 0..self.xr.nrows() {
+            let (xr, xi) = (self.xr.row_mut(j), self.xi.row_mut(j));
+            for i in 1..n {
+                let (done_r, rest_r) = xr.split_at_mut(i);
+                let (done_i, rest_i) = xi.split_at_mut(i);
+                let (mut ar, mut ai) = (rest_r[0], rest_i[0]);
+                for (((&fr, &fi), &br), &bi) in lr[i * n..i * n + i]
+                    .iter()
+                    .zip(&li[i * n..i * n + i])
+                    .zip(&*done_r)
+                    .zip(&*done_i)
+                {
+                    ar -= fr * br - fi * bi;
+                    ai -= fr * bi + fi * br;
+                }
+                rest_r[0] = ar;
+                rest_i[0] = ai;
+            }
+            for i in (0..n).rev() {
+                let (head_r, rest_r) = xr.split_at_mut(i + 1);
+                let (head_i, rest_i) = xi.split_at_mut(i + 1);
+                let (mut ar, mut ai) = (head_r[i], head_i[i]);
+                for (((&fr, &fi), &br), &bi) in lr[i * n + i + 1..(i + 1) * n]
+                    .iter()
+                    .zip(&li[i * n + i + 1..(i + 1) * n])
+                    .zip(&*rest_r)
+                    .zip(&*rest_i)
+                {
+                    ar -= fr * br - fi * bi;
+                    ai -= fr * bi + fi * br;
+                }
+                let d = Complex64::recip(Complex64::new(lr[i * n + i], li[i * n + i]));
+                let z = Complex64::new(ar, ai) * d;
+                head_r[i] = z.re;
+                head_i[i] = z.im;
+            }
+        }
     }
 }
 

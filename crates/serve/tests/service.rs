@@ -200,6 +200,24 @@ fn faults_are_structured_and_do_not_kill_other_connections() {
         other => panic!("expected eval_failed fault, got {other:?}"),
     }
 
+    // 2b. Non-finite p or s → eval_failed fault, never a NaN "result".
+    for bad in [
+        EvalPoint::new(vec![f64::NAN; model.num_params()], Complex64::jw(1e9)),
+        EvalPoint::new(vec![f64::INFINITY; model.num_params()], Complex64::jw(1e9)),
+        EvalPoint::new(vec![0.0; model.num_params()], Complex64::new(f64::NAN, 1e9)),
+    ] {
+        match client.request_eval(stamp.fingerprint, &[points[0].clone(), bad]) {
+            Err(ServeError::Fault(fault)) => {
+                assert_eq!(fault.code, FaultCode::EvalFailed);
+                assert!(fault.message.contains("non-finite"), "{}", fault.message);
+            }
+            other => panic!("expected eval_failed fault, got {other:?}"),
+        }
+    }
+    client
+        .request_eval(stamp.fingerprint, &points)
+        .expect("same connection still serves after non-finite input");
+
     // 3. Garbage bytes → malformed fault; daemon keeps serving others.
     let ServeAddr::Tcp(hp) = handle.addr().clone() else {
         panic!("default config is TCP")

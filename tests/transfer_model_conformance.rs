@@ -13,7 +13,8 @@ use pmor_circuits::generators::{
     RlcBusConfig,
 };
 use pmor_circuits::ParametricSystem;
-use pmor_num::Complex64;
+use pmor_num::lu::{LuFactors, PencilLu};
+use pmor_num::{Complex64, Matrix};
 
 /// Small instances of every generator family (kept small so the
 /// methods × workloads product stays fast).
@@ -148,6 +149,66 @@ fn workspace_batch_path_matches_plain_transfer_bitwise() {
                     assert_eq!(plain[(r, c)].im.to_bits(), hb[(r, c)].im.to_bits());
                 }
             }
+        }
+    }
+}
+
+/// The generic dense path every ROM evaluation used to take:
+/// `LuFactors::<Complex64>` on `G̃(p).to_complex() + s·C̃(p).to_complex()`,
+/// `solve_mat` on `B̃.to_complex()`, then `L̃.to_complex().tr_mul_mat`.
+fn generic_rom_transfer(
+    rom: &pmor::ParametricRom,
+    p: &[f64],
+    s: Complex64,
+) -> (LuFactors<Complex64>, Matrix<Complex64>) {
+    let mut a = rom.g_at(p).to_complex();
+    a.add_assign_scaled(s, &rom.c_at(p).to_complex());
+    let lu = LuFactors::factor(&a).unwrap();
+    let x = lu.solve_mat(&rom.b.to_complex()).unwrap();
+    let h = rom.l.to_complex().tr_mul_mat(&x);
+    (lu, h)
+}
+
+fn assert_same_bits(a: &Matrix<Complex64>, b: &Matrix<Complex64>, what: &str) {
+    assert_eq!((a.nrows(), a.ncols()), (b.nrows(), b.ncols()), "{what}");
+    for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+        assert_eq!(x.re.to_bits(), y.re.to_bits(), "{what}");
+        assert_eq!(x.im.to_bits(), y.im.to_bits(), "{what}");
+    }
+}
+
+#[test]
+fn rom_sweeps_match_the_generic_complex_lu_bitwise() {
+    // Pins ROM evaluation to the generic dense LU bit for bit: a lowrank
+    // ROM of every workload family, swept over 10 MHz–10 GHz at shared
+    // parameter points (the batch path assembles once per run of equal
+    // `p`), with the split-plane factors and permutation checked against
+    // `LuFactors` on the same pencil.
+    for (workload, sys) in workloads() {
+        let rom = ReducerKind::LowRank.build(&sys).reduce_once(&sys).unwrap();
+        let freqs: Vec<f64> = (0..=24).map(|i| 1e7 * 10f64.powf(i as f64 / 8.0)).collect();
+        let mut points = Vec::new();
+        let np = rom.num_params();
+        for step in [0.0, 0.04, -0.03] {
+            let p: Vec<f64> = (0..np).map(|i| step * (1.0 + i as f64).sqrt()).collect();
+            points.extend(EvalPoint::sweep(&p, &freqs));
+        }
+        let batched = EvalEngine::serial().transfer_batch(&rom, &points).unwrap();
+        let mut kernel = PencilLu::new();
+        for (pt, hb) in points.iter().zip(&batched) {
+            let (lu, want) = generic_rom_transfer(&rom, &pt.params, pt.s);
+            let at = format!("{workload} at {pt:?}");
+            assert_same_bits(hb, &want, &at);
+            assert_same_bits(&rom.transfer(&pt.params, pt.s).unwrap(), &want, &at);
+
+            let (g, c) = (rom.g_at(&pt.params), rom.c_at(&pt.params));
+            kernel.factor_pencil_into(&g, &c, pt.s).unwrap();
+            let (re, im) = kernel.factors();
+            for (k, z) in lu.packed().as_slice().iter().enumerate() {
+                assert_eq!(re.as_slice()[k].to_bits(), z.re.to_bits(), "{at}");
+                assert_eq!(im.as_slice()[k].to_bits(), z.im.to_bits(), "{at}");
+            }
+            assert_eq!(kernel.perm(), lu.perm(), "{at}");
         }
     }
 }
