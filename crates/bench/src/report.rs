@@ -5,8 +5,11 @@
 //! performance and accuracy trajectory of the workspace can be tracked
 //! across changes without parsing log text. The format is deliberately
 //! flat: one record per (method × workload) with wall-clock seconds and a
-//! free-form metric map.
+//! free-form metric map, written line-per-record with the shared
+//! `pmor-json` primitives and validated by parsing the file and then
+//! checking its schema.
 
+use pmor_json::{parse_json, push_number, push_string, Kind};
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -76,39 +79,35 @@ pub fn write_bench_json_in(
     records: &[BenchRecord],
 ) -> std::io::Result<PathBuf> {
     let path = dir.join(format!("BENCH_{tag}.json"));
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"tag\": {},\n", json_string(tag)));
-    out.push_str("  \"records\": [\n");
+    let mut out = String::from("{\n  \"tag\": ");
+    push_string(&mut out, tag);
+    out.push_str(",\n  \"records\": [\n");
     for (i, r) in records.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!("\"method\": {}, ", json_string(&r.method)));
-        out.push_str(&format!("\"workload\": {}, ", json_string(&r.workload)));
-        out.push_str(&format!(
-            "\"wall_seconds\": {}, \"metrics\": {{",
-            json_number(r.wall_seconds)
-        ));
+        out.push_str("    {\"method\": ");
+        push_string(&mut out, &r.method);
+        out.push_str(", \"workload\": ");
+        push_string(&mut out, &r.workload);
+        out.push_str(", \"wall_seconds\": ");
+        push_number(&mut out, r.wall_seconds);
+        out.push_str(", \"metrics\": {");
         for (j, (name, value)) in r.metrics.iter().enumerate() {
-            out.push_str(&format!("{}: {}", json_string(name), json_number(*value)));
-            if j + 1 < r.metrics.len() {
-                out.push_str(", ");
-            }
+            out.push_str(if j == 0 { "" } else { ", " });
+            push_string(&mut out, name);
+            out.push_str(": ");
+            push_number(&mut out, *value);
         }
         out.push('}');
         if !r.labels.is_empty() {
             out.push_str(", \"labels\": {");
             for (j, (name, value)) in r.labels.iter().enumerate() {
-                out.push_str(&format!("{}: {}", json_string(name), json_string(value)));
-                if j + 1 < r.labels.len() {
-                    out.push_str(", ");
-                }
+                out.push_str(if j == 0 { "" } else { ", " });
+                push_string(&mut out, name);
+                out.push_str(": ");
+                push_string(&mut out, value);
             }
             out.push('}');
         }
-        out.push('}');
-        if i + 1 < records.len() {
-            out.push(',');
-        }
-        out.push('\n');
+        out.push_str(if i + 1 < records.len() { "},\n" } else { "}\n" });
     }
     out.push_str("  ]\n}\n");
     let mut f = std::fs::File::create(&path)?;
@@ -143,112 +142,72 @@ pub const FILL_METRICS: [&str; 2] = ["factor_nnz", "fill_ratio"];
 pub const ADAPTIVE_METRICS: [&str; 3] = ["estimated_error", "final_order", "expansion_points_used"];
 
 /// Checks that `text` is a `BENCH_*.json` file produced by
-/// [`write_bench_json`] whose every record carries the required fields:
-/// a file-level `tag`, and per record `method`, `wall_seconds`, and the
-/// [`REQUIRED_METRICS`] (`median_seconds`, `dim`). This is a structural
-/// check of the writer's own line-per-record format, not a general JSON
-/// parser — exactly what the CI artifact gate needs.
+/// [`write_bench_json`]: it must parse as JSON, carry a file-level
+/// `tag`, and hold at least one record, each with a string `method` and
+/// `workload`, a numeric `wall_seconds`, and a `metrics` object of
+/// numbers that includes the [`REQUIRED_METRICS`] (`median_seconds`,
+/// `dim`). The optional [`FILL_METRICS`] and [`ADAPTIVE_METRICS`] are
+/// all-or-nothing sets, and fill metrics need an `"ordering"` label.
+/// The checks run on the parsed tree, so truncated or mistyped files
+/// are rejected too — exactly what the CI artifact gate needs.
 ///
 /// # Errors
 ///
-/// Returns a message naming the first missing field or record.
+/// Returns a message naming the first missing or malformed field or
+/// record.
 pub fn validate_bench_json(text: &str) -> Result<(), String> {
-    if !text.contains("\"tag\": \"") {
-        return Err("missing file-level \"tag\" field".into());
-    }
-    let Some(start) = text.find("\"records\": [") else {
-        return Err("missing \"records\" array".into());
-    };
-    let mut records = 0;
-    for line in text[start..].lines() {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            continue;
-        }
-        records += 1;
-        for field in ["\"method\": \"", "\"workload\": \"", "\"wall_seconds\": "] {
-            if !line.contains(field) {
-                return Err(format!("record {records}: missing {field}"));
-            }
-        }
-        for metric in REQUIRED_METRICS {
-            if !line.contains(&format!("\"{metric}\": ")) {
-                return Err(format!("record {records}: missing metric \"{metric}\""));
-            }
-        }
-        // Fill metrics are optional but must arrive as a coherent set:
-        // both numbers plus the ordering label that produced the fill.
-        let has_fill = FILL_METRICS
-            .iter()
-            .any(|m| line.contains(&format!("\"{m}\": ")));
-        if has_fill {
-            for metric in FILL_METRICS {
-                if !line.contains(&format!("\"{metric}\": ")) {
-                    return Err(format!(
-                        "record {records}: has fill metrics but misses \"{metric}\""
-                    ));
-                }
-            }
-            if !line.contains("\"ordering\": \"") {
+    let doc = parse_json(text)?;
+    doc.field("tag", Kind::Str)?;
+    let records = doc.field("records", Kind::Arr)?.items();
+    for (i, rec) in records.iter().enumerate() {
+        let n = i + 1;
+        let schema = [
+            ("method", Kind::Str),
+            ("workload", Kind::Str),
+            ("wall_seconds", Kind::Num),
+            ("metrics", Kind::Obj),
+        ];
+        rec.check(&schema).map_err(|e| format!("record {n}: {e}"))?;
+        for (key, kind) in [("metrics", Kind::Num), ("labels", Kind::Str)] {
+            let Some(map) = rec.get(key) else { continue };
+            if !Kind::Obj.admits(map) || map.entries().iter().any(|(_, v)| !kind.admits(v)) {
                 return Err(format!(
-                    "record {records}: fill metrics need an \"ordering\" label"
+                    "record {n}: \"{key}\" must map names to {}s",
+                    kind.name()
                 ));
             }
         }
-        // Adaptive provenance is optional but all-or-nothing: a record
-        // reporting an estimated error must also say what order and how
-        // many expansion points bought it.
-        let has_adaptive = ADAPTIVE_METRICS
-            .iter()
-            .any(|m| line.contains(&format!("\"{m}\": ")));
-        if has_adaptive {
-            for metric in ADAPTIVE_METRICS {
-                if !line.contains(&format!("\"{metric}\": ")) {
+        let has = |metric: &str| rec.get("metrics").and_then(|m| m.get(metric)).is_some();
+        if let Some(metric) = REQUIRED_METRICS.iter().find(|m| !has(m)) {
+            return Err(format!("record {n}: missing metric \"{metric}\""));
+        }
+        // The optional sets are all-or-nothing: a record reporting an
+        // estimated error must also say what order and how many
+        // expansion points bought it, and fill metrics arrive as both
+        // numbers plus the ordering label that produced the fill.
+        for (set, what) in [
+            (&FILL_METRICS[..], "fill"),
+            (&ADAPTIVE_METRICS[..], "adaptive"),
+        ] {
+            if set.iter().any(|m| has(m)) {
+                if let Some(metric) = set.iter().find(|m| !has(m)) {
                     return Err(format!(
-                        "record {records}: has adaptive metrics but misses \"{metric}\""
+                        "record {n}: has {what} metrics but misses \"{metric}\""
                     ));
                 }
             }
         }
+        let ordering = rec.get("labels").and_then(|l| l.get("ordering"));
+        if FILL_METRICS.iter().any(|m| has(m)) && ordering.is_none() {
+            return Err(format!(
+                "record {n}: fill metrics need an \"ordering\" label"
+            ));
+        }
     }
-    if records == 0 {
+    if records.is_empty() {
         return Err("no records".into());
     }
     Ok(())
-}
-
-/// JSON string literal with the mandatory escapes.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number; non-finite values become `null` (JSON has no NaN/Inf).
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        // Rust's shortest round-trip Display is valid JSON for finite f64.
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
 }
 
 #[cfg(test)]
@@ -257,11 +216,19 @@ mod tests {
 
     #[test]
     fn json_escaping_and_numbers() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_number(1.5), "1.5");
-        assert_eq!(json_number(3.0), "3.0");
-        assert_eq!(json_number(f64::NAN), "null");
-        assert_eq!(json_number(f64::INFINITY), "null");
+        // Names are escaped and non-finite numbers written as null, and
+        // the result still validates.
+        let dir = std::env::temp_dir().join("pmor_bench_escape_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let rec = BenchRecord::new("a\"b\\c\n", "w", f64::NAN)
+            .metric("median_seconds", 1.5)
+            .metric("dim", 3.0)
+            .metric("err", f64::INFINITY);
+        let path = write_bench_json_in(&dir, "esc", &[rec]).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let line = r#"{"method": "a\"b\\c\n", "workload": "w", "wall_seconds": null, "metrics": {"median_seconds": 1.5, "dim": 3.0, "err": null}}"#;
+        assert!(text.contains(line), "{text}");
+        validate_bench_json(&text).unwrap();
     }
 
     #[test]
@@ -331,6 +298,30 @@ mod tests {
             .unwrap_err()
             .contains("no records"));
         assert!(validate_bench_json("{}").is_err());
+
+        // Damage a substring probe cannot see: a file cut before its
+        // closing `]` or `}`, and wrong-typed fields.
+        let path = write_bench_json_in(&dir, "v8", &good).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        for cut in [text.rfind(']').unwrap(), text.rfind('}').unwrap()] {
+            assert!(
+                validate_bench_json(&text[..cut]).is_err(),
+                "{}",
+                &text[..cut]
+            );
+        }
+        for (from, to, needle) in [
+            (
+                "\"wall_seconds\": 0.5",
+                "\"wall_seconds\": \"oops\"",
+                "wall_seconds",
+            ),
+            ("\"dim\": 1089.0", "\"dim\": \"1089\"", "metrics"),
+            ("\"method\": \"lowrank\"", "\"method\": 7", "method"),
+        ] {
+            let err = validate_bench_json(&text.replace(from, to)).unwrap_err();
+            assert!(err.contains(needle), "{err}");
+        }
     }
 
     #[test]
@@ -351,6 +342,15 @@ mod tests {
         assert!(text.starts_with('{') && text.trim_end().ends_with('}'));
         // No labels on these records — the object must be omitted.
         assert!(!text.contains("\"labels\""));
+        // The exact bytes are pinned: the layout is part of the contract.
+        assert_eq!(
+            text,
+            "{\n  \"tag\": \"unit_test\",\n  \"records\": [\n    \
+             {\"method\": \"lowrank\", \"workload\": \"rc_random(767)\", \"wall_seconds\": 0.25, \
+             \"metrics\": {\"size\": 37.0, \"worst_err\": 0.0015}},\n    \
+             {\"method\": \"multipoint\", \"workload\": \"rc_random(767)\", \"wall_seconds\": 1.0, \
+             \"metrics\": {}}\n  ]\n}\n"
+        );
 
         let labeled = vec![BenchRecord::new("lowrank", "rc_mesh(65536)", 0.25)
             .metric("dim", 65536.0)
@@ -360,6 +360,12 @@ mod tests {
         assert!(
             text.contains("\"labels\": {\"ordering\": \"amd\"}"),
             "{text}"
+        );
+        assert_eq!(
+            text,
+            "{\n  \"tag\": \"unit_test_labels\",\n  \"records\": [\n    \
+             {\"method\": \"lowrank\", \"workload\": \"rc_mesh(65536)\", \"wall_seconds\": 0.25, \
+             \"metrics\": {\"dim\": 65536.0}, \"labels\": {\"ordering\": \"amd\"}}\n  ]\n}\n"
         );
     }
 }

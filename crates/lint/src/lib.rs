@@ -10,7 +10,7 @@
 //! tests, but a runtime test catches a violation only on the inputs it
 //! runs. In the spirit of proof-carrying numeric claims, this crate
 //! checks the invariants *statically* on every source line: a
-//! dependency-free, hand-rolled scanner ([`scan`]) feeds a registry of
+//! hand-rolled scanner ([`scan`]) feeds a registry of
 //! rules ([`rules::LintKind`], symmetric to `ReducerKind` /
 //! `AnalysisKind`) and the results land in validated `LINT_*.json`
 //! reports ([`report`]) next to the `BENCH_*.json` machinery.

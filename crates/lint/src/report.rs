@@ -2,16 +2,19 @@
 //! `CALLGRAPH_<tag>.json`.
 //!
 //! The format mirrors the `BENCH_*.json` discipline from `pmor-bench`:
-//! a flat, line-per-record layout written by hand and validated by a
-//! structural checker ([`validate_lint_json`]) that the CI artifact
-//! gate runs — so a lint trajectory can be diffed across PRs exactly
-//! like the bench trajectory. On top of the findings, the report
-//! carries the full **allow ledger**: every suppression in the
-//! workspace, with its reason and whether it still suppresses anything
-//! (an unused allow is itself an error — the ledger never rots).
+//! a flat, line-per-record layout written with the shared `pmor-json`
+//! primitives, and validators ([`validate_lint_json`],
+//! [`validate_callgraph_json`]) that parse the file and check its
+//! schema, run by the CI artifact gate — so a lint trajectory can be
+//! diffed across PRs exactly like the bench trajectory. On top of the
+//! findings, the report carries the full **allow ledger**: every
+//! suppression in the workspace, with its reason and whether it still
+//! suppresses anything (an unused allow is itself an error — the
+//! ledger never rots).
 
 use crate::graph::{CallGraph, TransitiveFinding};
 use crate::rules::LintKind;
+use pmor_json::{parse_json, push_string, Json, Kind};
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -111,35 +114,21 @@ pub fn write_lint_json_in(
     report: &LintReport,
 ) -> std::io::Result<PathBuf> {
     let path = dir.join(format!("LINT_{tag}.json"));
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"tag\": {},\n", json_string(tag)));
-    out.push_str("  \"findings\": [\n");
+    let mut out = String::from("{\n  \"tag\": ");
+    push_string(&mut out, tag);
+    out.push_str(",\n  \"findings\": [\n");
     for (i, f) in report.findings.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}{}\n",
-            json_string(f.rule.name()),
-            json_string(&f.file),
-            f.line,
-            json_string(&f.message),
-            if i + 1 < report.findings.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
+        push_site(&mut out, f.rule, &f.file, f.line);
+        out.push_str(", \"message\": ");
+        push_string(&mut out, &f.message);
+        out.push_str(record_end(i, report.findings.len()));
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"allows\": [\n");
+    out.push_str("  ],\n  \"allows\": [\n");
     for (i, a) in report.allows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"used\": {}, \"reason\": {}}}{}\n",
-            json_string(a.rule.name()),
-            json_string(&a.file),
-            a.line,
-            a.used,
-            json_string(&a.reason),
-            if i + 1 < report.allows.len() { "," } else { "" }
-        ));
+        push_site(&mut out, a.rule, &a.file, a.line);
+        out.push_str(&format!(", \"used\": {}, \"reason\": ", a.used));
+        push_string(&mut out, &a.reason);
+        out.push_str(record_end(i, report.allows.len()));
     }
     out.push_str("  ],\n");
     out.push_str(&format!(
@@ -158,81 +147,36 @@ pub fn write_lint_json_in(
 }
 
 /// Checks that `text` is a `LINT_*.json` file produced by
-/// [`write_lint_json_in`]: a file-level `tag`, a `findings` array whose
-/// every record carries a **registered** rule id, a file and a line, an
-/// `allows` array whose every record carries rule/file/line/used/reason,
-/// and a `summary` with the allow-ledger counts. Like
-/// `validate_bench_json` this is a structural check of the writer's own
-/// line-per-record format, not a general JSON parser.
+/// [`write_lint_json_in`]: it must parse as JSON and carry a file-level
+/// `tag`, a `findings` array whose every record carries a **registered**
+/// rule id, a file and a line, an `allows` array whose every record
+/// carries rule/file/line/used/reason, and a `summary` with the
+/// allow-ledger counts — each field with its type. Like
+/// `validate_bench_json` the checks run on the parsed tree, so
+/// truncated or mistyped files fail too.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first missing or malformed field.
 pub fn validate_lint_json(text: &str) -> Result<(), String> {
-    if !text.contains("\"tag\": \"") {
-        return Err("missing file-level \"tag\" field".into());
-    }
-    let Some(findings_at) = text.find("\"findings\": [") else {
-        return Err("missing \"findings\" array".into());
-    };
-    let Some(allows_at) = text.find("\"allows\": [") else {
-        return Err("missing \"allows\" array".into());
-    };
-    let Some(summary_at) = text.find("\"summary\": {") else {
-        return Err("missing \"summary\" object".into());
-    };
-    let mut records = 0usize;
-    for line in text[findings_at..allows_at].lines() {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            continue;
-        }
-        records += 1;
-        for field in ["\"rule\": \"", "\"file\": \"", "\"line\": "] {
-            if !line.contains(field) {
-                return Err(format!("finding {records}: missing {field}"));
-            }
-        }
-        let rule = field_str(line, "rule").unwrap_or_default();
-        if LintKind::from_name(&rule).is_none() {
-            return Err(format!("finding {records}: unregistered rule id {rule:?}"));
-        }
-    }
-    let mut entries = 0usize;
-    for line in text[allows_at..summary_at].lines() {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            continue;
-        }
-        entries += 1;
-        for field in [
-            "\"rule\": \"",
-            "\"file\": \"",
-            "\"line\": ",
-            "\"used\": ",
-            "\"reason\": \"",
-        ] {
-            if !line.contains(field) {
-                return Err(format!("allow {entries}: missing {field}"));
-            }
-        }
-        let rule = field_str(line, "rule").unwrap_or_default();
-        if LintKind::from_name(&rule).is_none() {
-            return Err(format!("allow {entries}: unregistered rule id {rule:?}"));
-        }
-    }
-    for count in [
+    let doc = parse_json(text)?;
+    doc.field("tag", Kind::Str)?;
+    let findings = doc.field("findings", Kind::Arr)?.items();
+    let allows = doc.field("allows", Kind::Arr)?.items();
+    let summary = doc.field("summary", Kind::Obj)?;
+    check_records(findings, "finding", &SITE)?;
+    let allow = [&SITE[..], &[("used", Kind::Bool), ("reason", Kind::Str)]].concat();
+    check_records(allows, "allow", &allow)?;
+    let counts = [
         "files_scanned",
         "findings",
         "allows_used",
         "allows_unused",
         "bad_allows",
-    ] {
-        if !text[summary_at..].contains(&format!("\"{count}\": ")) {
-            return Err(format!("summary: missing \"{count}\" count"));
-        }
-    }
-    Ok(())
+    ];
+    summary
+        .check(&counts.map(|c| (c, Kind::Count)))
+        .map_err(|e| format!("summary: {e}"))
 }
 
 /// Serializes a call graph plus its witness paths to
@@ -253,30 +197,27 @@ pub fn write_callgraph_json_in(
     witnesses: &[TransitiveFinding],
 ) -> std::io::Result<PathBuf> {
     let path = dir.join(format!("CALLGRAPH_{tag}.json"));
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"tag\": {},\n", json_string(tag)));
-    out.push_str("  \"nodes\": [\n");
+    let mut out = String::from("{\n  \"tag\": ");
+    push_string(&mut out, tag);
+    out.push_str(",\n  \"nodes\": [\n");
     for (id, n) in graph.nodes.iter().enumerate() {
+        out.push_str(&format!("    {{\"id\": {id}, \"fn\": "));
+        push_string(&mut out, &n.name);
+        out.push_str(", \"file\": ");
+        push_string(&mut out, &n.file);
         out.push_str(&format!(
-            "    {{\"id\": {id}, \"fn\": {}, \"file\": {}, \"line\": {}, \"kernel\": {}}}{}\n",
-            json_string(&n.name),
-            json_string(&n.file),
-            n.line,
-            n.is_kernel,
-            if id + 1 < graph.nodes.len() { "," } else { "" }
+            ", \"line\": {}, \"kernel\": {}",
+            n.line, n.is_kernel
         ));
+        out.push_str(record_end(id, graph.nodes.len()));
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"edges\": [\n");
+    out.push_str("  ],\n  \"edges\": [\n");
     for (i, e) in graph.edges.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"caller\": {}, \"callee\": {}, \"line\": {}, \"candidates\": {}}}{}\n",
-            e.caller,
-            e.callee,
-            e.line,
-            e.candidates,
-            if i + 1 < graph.edges.len() { "," } else { "" }
+            "    {{\"caller\": {}, \"callee\": {}, \"line\": {}, \"candidates\": {}",
+            e.caller, e.callee, e.line, e.candidates
         ));
+        out.push_str(record_end(i, graph.edges.len()));
     }
     out.push_str("  ],\n");
     out.push_str(&format!(
@@ -291,29 +232,19 @@ pub fn write_callgraph_json_in(
     out.push_str("  \"panic_sinks\": [\n");
     for (i, s) in graph.panic_sinks.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"node\": {}, \"line\": {}, \"what\": {}, \"ledgered\": {}}}{}\n",
-            s.node,
-            s.line,
-            json_string(s.what),
-            s.ledgered,
-            if i + 1 < graph.panic_sinks.len() {
-                ","
-            } else {
-                ""
-            }
+            "    {{\"node\": {}, \"line\": {}, \"what\": ",
+            s.node, s.line
         ));
+        push_string(&mut out, s.what);
+        out.push_str(&format!(", \"ledgered\": {}", s.ledgered));
+        out.push_str(record_end(i, graph.panic_sinks.len()));
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"witness_paths\": [\n");
+    out.push_str("  ],\n  \"witness_paths\": [\n");
     for (i, w) in witnesses.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"path\": {}}}{}\n",
-            json_string(w.finding.rule.name()),
-            json_string(&w.finding.file),
-            w.finding.line,
-            json_string(&graph.path_names(&w.path)),
-            if i + 1 < witnesses.len() { "," } else { "" }
-        ));
+        push_site(&mut out, w.finding.rule, &w.finding.file, w.finding.line);
+        out.push_str(", \"path\": ");
+        push_string(&mut out, &graph.path_names(&w.path));
+        out.push_str(record_end(i, witnesses.len()));
     }
     out.push_str("  ],\n");
     out.push_str(&format!(
@@ -333,184 +264,133 @@ pub fn write_callgraph_json_in(
 }
 
 /// Checks that `text` is a `CALLGRAPH_*.json` file produced by
-/// [`write_callgraph_json_in`]: a file-level `tag`; a `nodes` array
-/// whose records carry id/fn/file/line/kernel with ids counting up
-/// from 0; an `edges` array whose caller/callee ids are in node range;
-/// `kernel_roots` ids in range; `panic_sinks` records with
-/// node/line/what/ledgered; `witness_paths` records whose rule ids are
-/// **registered**; and a `summary` with the six counts. Structural, in
-/// the house line-per-record discipline — not a general JSON parser.
+/// [`write_callgraph_json_in`]: it must parse as JSON and carry a
+/// file-level `tag`; a `nodes` array whose records carry
+/// id/fn/file/line/kernel with ids counting up from 0; an `edges` array
+/// whose caller/callee ids are in node range; `kernel_roots` ids in
+/// range; `panic_sinks` records with node/line/what/ledgered and an
+/// in-range node; `witness_paths` records whose rule ids are
+/// **registered**; and a `summary` with the six counts. Every field is
+/// checked with its type.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first missing or malformed field.
 pub fn validate_callgraph_json(text: &str) -> Result<(), String> {
-    if !text.contains("\"tag\": \"") {
-        return Err("missing file-level \"tag\" field".into());
-    }
-    let section = |name: &str| -> Result<usize, String> {
-        text.find(&format!("\"{name}\": ["))
-            .ok_or(format!("missing \"{name}\" array"))
-    };
-    let nodes_at = section("nodes")?;
-    let edges_at = section("edges")?;
-    let roots_at = section("kernel_roots")?;
-    let sinks_at = section("panic_sinks")?;
-    let paths_at = section("witness_paths")?;
-    let Some(summary_at) = text.find("\"summary\": {") else {
-        return Err("missing \"summary\" object".into());
-    };
-    let mut nodes = 0usize;
-    for line in text[nodes_at..edges_at].lines() {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            continue;
-        }
-        for field in [
-            "\"id\": ",
-            "\"fn\": \"",
-            "\"file\": \"",
-            "\"line\": ",
-            "\"kernel\": ",
-        ] {
-            if !line.contains(field) {
-                return Err(format!("node {nodes}: missing {field}"));
-            }
-        }
-        if field_num(line, "id") != Some(nodes) {
-            return Err(format!("node {nodes}: ids must count up from 0"));
-        }
-        nodes += 1;
-    }
-    let mut edges = 0usize;
-    for line in text[edges_at..roots_at].lines() {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            continue;
-        }
-        edges += 1;
-        for field in [
-            "\"caller\": ",
-            "\"callee\": ",
-            "\"line\": ",
-            "\"candidates\": ",
-        ] {
-            if !line.contains(field) {
-                return Err(format!("edge {edges}: missing {field}"));
-            }
-        }
-        for end in ["caller", "callee"] {
-            match field_num(line, end) {
-                Some(id) if id < nodes => {}
-                _ => return Err(format!("edge {edges}: {end} id out of node range")),
-            }
-        }
-    }
-    let roots_line = text[roots_at..sinks_at].lines().next().unwrap_or_default();
-    let root_list = roots_line
-        .split('[')
-        .nth(1)
-        .and_then(|r| r.split(']').next())
-        .ok_or("kernel_roots: not a one-line id array")?;
-    for id in root_list
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
+    let doc = parse_json(text)?;
+    doc.field("tag", Kind::Str)?;
+    let section = |key| doc.field(key, Kind::Arr).map(Json::items);
+    let nodes = section("nodes")?;
+    let edges = section("edges")?;
+    let roots = section("kernel_roots")?;
+    let sinks = section("panic_sinks")?;
+    let paths = section("witness_paths")?;
+    let summary = doc.field("summary", Kind::Obj)?;
+    let node = [
+        ("id", Kind::Count),
+        ("fn", Kind::Str),
+        ("file", Kind::Str),
+        ("line", Kind::Count),
+        ("kernel", Kind::Bool),
+    ];
+    check_records(nodes, "node", &node)?;
+    if let Some(id) =
+        (0..nodes.len()).find(|&id| nodes[id].get("id").and_then(Json::as_count) != Some(id))
     {
-        match id.parse::<usize>() {
-            Ok(id) if id < nodes => {}
-            _ => return Err(format!("kernel_roots: id {id:?} out of node range")),
+        return Err(format!("node {id}: ids must count up from 0"));
+    }
+    let in_range = |id: Option<&Json>| {
+        id.and_then(Json::as_count)
+            .is_some_and(|id| id < nodes.len())
+    };
+    let edge = [
+        ("caller", Kind::Count),
+        ("callee", Kind::Count),
+        ("line", Kind::Count),
+        ("candidates", Kind::Count),
+    ];
+    check_records(edges, "edge", &edge)?;
+    for (i, e) in edges.iter().enumerate() {
+        if let Some(end) = ["caller", "callee"]
+            .iter()
+            .find(|end| !in_range(e.get(end)))
+        {
+            return Err(format!("edge {i}: {end} id out of node range"));
         }
     }
-    let mut sinks = 0usize;
-    for line in text[sinks_at..paths_at].lines() {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            continue;
-        }
-        sinks += 1;
-        for field in ["\"node\": ", "\"line\": ", "\"what\": \"", "\"ledgered\": "] {
-            if !line.contains(field) {
-                return Err(format!("panic sink {sinks}: missing {field}"));
-            }
-        }
-        match field_num(line, "node") {
-            Some(id) if id < nodes => {}
-            _ => return Err(format!("panic sink {sinks}: node id out of range")),
-        }
+    if let Some(i) = roots.iter().position(|r| !in_range(Some(r))) {
+        return Err(format!(
+            "kernel_roots: entry {i} is not an in-range node id"
+        ));
     }
-    let mut paths = 0usize;
-    for line in text[paths_at..summary_at].lines() {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            continue;
-        }
-        paths += 1;
-        for field in ["\"rule\": \"", "\"file\": \"", "\"line\": ", "\"path\": \""] {
-            if !line.contains(field) {
-                return Err(format!("witness path {paths}: missing {field}"));
-            }
-        }
-        let rule = field_str(line, "rule").unwrap_or_default();
-        if LintKind::from_name(&rule).is_none() {
-            return Err(format!(
-                "witness path {paths}: unregistered rule id {rule:?}"
-            ));
-        }
+    let sink = [
+        ("node", Kind::Count),
+        ("line", Kind::Count),
+        ("what", Kind::Str),
+        ("ledgered", Kind::Bool),
+    ];
+    check_records(sinks, "panic sink", &sink)?;
+    if let Some(i) = sinks.iter().position(|s| !in_range(s.get("node"))) {
+        return Err(format!("panic sink {i}: node id out of range"));
     }
-    for count in [
+    let path = [&SITE[..], &[("path", Kind::Str)]].concat();
+    check_records(paths, "witness path", &path)?;
+    let counts = [
         "nodes",
         "edges",
         "kernel_roots",
         "panic_sinks",
         "witness_paths",
         "ambiguous_edges",
-    ] {
-        if !text[summary_at..].contains(&format!("\"{count}\": ")) {
-            return Err(format!("summary: missing \"{count}\" count"));
+    ];
+    summary
+        .check(&counts.map(|c| (c, Kind::Count)))
+        .map_err(|e| format!("summary: {e}"))
+}
+
+/// The `rule`/`file`/`line` fields that open every finding, allow and
+/// witness-path record.
+const SITE: [(&str, Kind); 3] = [
+    ("rule", Kind::Str),
+    ("file", Kind::Str),
+    ("line", Kind::Count),
+];
+
+/// Writes the [`SITE`] fields that open a finding, allow or witness-path
+/// record line.
+fn push_site(out: &mut String, rule: LintKind, file: &str, line: usize) {
+    out.push_str("    {\"rule\": ");
+    push_string(out, rule.name());
+    out.push_str(", \"file\": ");
+    push_string(out, file);
+    out.push_str(&format!(", \"line\": {line}"));
+}
+
+/// Checks every record of a report array against `schema` and any
+/// `rule` id it carries against the registry. Messages name the record
+/// by its array index, as `<what> <n>`.
+fn check_records(records: &[Json], what: &str, schema: &[(&str, Kind)]) -> Result<(), String> {
+    for (n, rec) in records.iter().enumerate() {
+        rec.check(schema).map_err(|e| format!("{what} {n}: {e}"))?;
+        let rule = rec.get("rule").map(Json::text);
+        if rule.is_some_and(|r| LintKind::from_name(r).is_none()) {
+            return Err(format!(
+                "{what} {n}: unregistered rule id {:?}",
+                rule.unwrap_or_default()
+            ));
         }
     }
     Ok(())
 }
 
-/// Extracts the value of a `"name": 123` numeric field on a record
-/// line.
-fn field_num(line: &str, name: &str) -> Option<usize> {
-    let pat = format!("\"{name}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Extracts the value of a `"name": "value"` field on a record line.
-fn field_str(line: &str, name: &str) -> Option<String> {
-    let pat = format!("\"{name}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')?;
-    Some(line[start..start + end].to_string())
-}
-
-/// JSON string literal with the mandatory escapes (the same contract as
-/// the bench writer's).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// The close of a line-per-record entry: a trailing comma on all but
+/// the last of `len` records.
+fn record_end(i: usize, len: usize) -> &'static str {
+    if i + 1 < len {
+        "},\n"
+    } else {
+        "}\n"
     }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -548,11 +428,29 @@ mod tests {
         assert!(text.contains("\"used\": true"));
         assert!(text.contains("\"allows_unused\": 0"));
         validate_lint_json(&text).unwrap();
+        // The exact bytes are pinned: the layout is part of the contract.
+        assert_eq!(
+            text,
+            "{\n  \"tag\": \"unit\",\n  \"findings\": [\n    \
+             {\"rule\": \"panic-in-lib\", \"file\": \"crates/core/src/rom.rs\", \"line\": 12, \
+             \"message\": \"`unwrap()` in library code\"}\n  ],\n  \"allows\": [\n    \
+             {\"rule\": \"det-wallclock\", \"file\": \"crates/variation/src/analysis.rs\", \
+             \"line\": 30, \"used\": true, \"reason\": \"provenance-only timing\"}\n  ],\n  \
+             \"summary\": {\"files_scanned\": 2, \"findings\": 1, \"allows_used\": 1, \
+             \"allows_unused\": 0, \"bad_allows\": 0}\n}\n"
+        );
 
         // An empty report is still a valid file (zero findings is the
         // desired steady state, unlike bench's "no records" rejection).
         let path = write_lint_json_in(&dir, "empty", &LintReport::default()).unwrap();
-        validate_lint_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        validate_lint_json(&text).unwrap();
+        assert_eq!(
+            text,
+            "{\n  \"tag\": \"empty\",\n  \"findings\": [\n  ],\n  \"allows\": [\n  ],\n  \
+             \"summary\": {\"files_scanned\": 0, \"findings\": 0, \"allows_used\": 0, \
+             \"allows_unused\": 0, \"bad_allows\": 0}\n}\n"
+        );
     }
 
     fn sample_graph() -> (CallGraph, Vec<TransitiveFinding>) {
@@ -578,10 +476,33 @@ fn helper(out: &mut [f64]) {\n    let v = out.to_vec();\n}\n";
         assert!(text.contains("\"rule\": \"kernel-transitive-alloc\""));
         assert!(text.contains("\"path\": \"eval_into -> helper\""));
         validate_callgraph_json(&text).unwrap();
+        // The exact bytes are pinned: the layout is part of the contract.
+        assert_eq!(
+            text,
+            "{\n  \"tag\": \"unit\",\n  \"nodes\": [\n    \
+             {\"id\": 0, \"fn\": \"eval_into\", \"file\": \"crates/core/src/x.rs\", \"line\": 1, \
+             \"kernel\": true},\n    \
+             {\"id\": 1, \"fn\": \"helper\", \"file\": \"crates/core/src/x.rs\", \"line\": 4, \
+             \"kernel\": false}\n  ],\n  \"edges\": [\n    \
+             {\"caller\": 0, \"callee\": 1, \"line\": 2, \"candidates\": 1}\n  ],\n  \
+             \"kernel_roots\": [0],\n  \"panic_sinks\": [\n  ],\n  \"witness_paths\": [\n    \
+             {\"rule\": \"kernel-transitive-alloc\", \"file\": \"crates/core/src/x.rs\", \"line\": 5, \
+             \"path\": \"eval_into -> helper\"}\n  ],\n  \
+             \"summary\": {\"nodes\": 2, \"edges\": 1, \"kernel_roots\": 1, \"panic_sinks\": 0, \
+             \"witness_paths\": 1, \"ambiguous_edges\": 0}\n}\n"
+        );
 
         // An empty graph is a valid (if sad) report.
         let path = write_callgraph_json_in(&dir, "empty", &CallGraph::default(), &[]).unwrap();
-        validate_callgraph_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        validate_callgraph_json(&text).unwrap();
+        assert_eq!(
+            text,
+            "{\n  \"tag\": \"empty\",\n  \"nodes\": [\n  ],\n  \"edges\": [\n  ],\n  \
+             \"kernel_roots\": [],\n  \"panic_sinks\": [\n  ],\n  \"witness_paths\": [\n  ],\n  \
+             \"summary\": {\"nodes\": 0, \"edges\": 0, \"kernel_roots\": 0, \"panic_sinks\": 0, \
+             \"witness_paths\": 0, \"ambiguous_edges\": 0}\n}\n"
+        );
     }
 
     #[test]
@@ -613,6 +534,25 @@ fn helper(out: &mut [f64]) {\n    let v = out.to_vec();\n}\n";
         assert!(validate_callgraph_json(&no_summary)
             .unwrap_err()
             .contains("ambiguous_edges"));
+
+        // Damage a substring probe cannot see: a file cut before its
+        // closing `]` or `}`, and wrong-typed fields.
+        for cut in [good.rfind(']').unwrap(), good.rfind('}').unwrap()] {
+            assert!(validate_callgraph_json(&good[..cut]).is_err());
+        }
+        for (from, to, needle) in [
+            ("\"kernel\": true", "\"kernel\": \"yes\"", "kernel"),
+            ("\"caller\": 0", "\"caller\": 0.5", "caller"),
+            ("\"line\": 4", "\"line\": \"x\"", "line"),
+            (
+                "\"path\": \"eval_into -> helper\"",
+                "\"path\": null",
+                "path",
+            ),
+        ] {
+            let err = validate_callgraph_json(&good.replace(from, to)).unwrap_err();
+            assert!(err.contains(needle), "{err}");
+        }
     }
 
     #[test]
@@ -635,5 +575,23 @@ fn helper(out: &mut [f64]) {\n    let v = out.to_vec();\n}\n";
         assert!(validate_lint_json(&no_summary)
             .unwrap_err()
             .contains("allows_unused"));
+
+        // Damage a substring probe cannot see: a file cut before its
+        // closing `]` or `}`, and wrong-typed fields.
+        for cut in [good.rfind(']').unwrap(), good.rfind('}').unwrap()] {
+            assert!(validate_lint_json(&good[..cut]).is_err());
+        }
+        for (from, to, needle) in [
+            ("\"line\": 12", "\"line\": \"x\"", "line"),
+            ("\"used\": true", "\"used\": 1", "used"),
+            (
+                "\"files_scanned\": 2",
+                "\"files_scanned\": -2",
+                "files_scanned",
+            ),
+        ] {
+            let err = validate_lint_json(&good.replace(from, to)).unwrap_err();
+            assert!(err.contains(needle), "{err}");
+        }
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! A connection whose first byte is `{` speaks this instead of the
 //! binary protocol: one JSON object per line in, one per line out.
-//! The parser is hand-rolled and offline, in the same house style as
-//! the workspace TOML reader — recursive descent, depth-limited,
-//! typed errors, no dependencies.
+//! Parsing and the string/number primitives come from the workspace's
+//! one JSON crate, `pmor-json`; this module only maps requests and
+//! responses onto them, in a compact one-line layout.
 //!
 //! The fallback exists for quick `nc`/script interop; numbers travel
 //! as decimal text (shortest round-trip form, like `BENCH_*.json`),
@@ -21,245 +21,10 @@
 //! {"op":"shutdown"}
 //! ```
 
-use crate::protocol::{FaultCode, Request, Response};
+use crate::protocol::{FaultCode, Request, Response, ServeFault};
 use pmor::engine::EvalPoint;
+use pmor_json::{parse_json, push_number, push_string, Json, Kind};
 use pmor_num::Complex64;
-
-/// Nesting depth cap for the parser (arrays + objects combined).
-const MAX_DEPTH: usize = 32;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`).
-    Num(f64),
-    /// A string with escapes resolved.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks up a key in an object; `None` for absent keys or
-    /// non-objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document (whole-input: trailing garbage is an
-/// error).
-///
-/// # Errors
-///
-/// Returns a position-annotated message on any syntax violation,
-/// depth overflow, or trailing input.
-pub fn parse_json(input: &str) -> Result<Json, String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing input at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    if depth > MAX_DEPTH {
-        return Err(format!("nesting deeper than {MAX_DEPTH}"));
-    }
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos, depth + 1)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while matches!(
-        bytes.get(*pos),
-        Some(b'0'..=b'9') | Some(b'.') | Some(b'e') | Some(b'E') | Some(b'+') | Some(b'-')
-    ) {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| format!("invalid number at byte {start}"))?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number {text:?} at byte {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000C}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        *pos += 1;
-                        let hi = parse_hex4(bytes, pos)?;
-                        let code = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair: require a following \uXXXX low half.
-                            if bytes.get(*pos) != Some(&b'\\') || bytes.get(*pos + 1) != Some(&b'u')
-                            {
-                                return Err("unpaired high surrogate".into());
-                            }
-                            *pos += 2;
-                            let lo = parse_hex4(bytes, pos)?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err("invalid low surrogate".into());
-                            }
-                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                        } else if (0xDC00..0xE000).contains(&hi) {
-                            return Err("unpaired low surrogate".into());
-                        } else {
-                            hi
-                        };
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| "invalid unicode escape".to_string())?,
-                        );
-                        continue; // parse_hex4 already advanced pos
-                    }
-                    _ => return Err(format!("invalid escape at byte {pos}", pos = *pos)),
-                }
-                *pos += 1;
-            }
-            Some(&b) if b < 0x20 => {
-                return Err(format!("raw control byte in string at {pos}", pos = *pos))
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is &str, so this is safe
-                // to slice at char boundaries found by the std decoder).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                let ch = rest.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
-    let end = pos
-        .checked_add(4)
-        .filter(|&e| e <= bytes.len())
-        .ok_or("truncated \\u escape")?;
-    let text =
-        std::str::from_utf8(&bytes[*pos..end]).map_err(|_| "invalid \\u escape".to_string())?;
-    let v = u32::from_str_radix(text, 16).map_err(|_| format!("invalid \\u escape {text:?}"))?;
-    *pos = end;
-    Ok(v)
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&want) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!(
-            "expected {:?} at byte {pos}",
-            want as char,
-            pos = *pos
-        ))
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while matches!(bytes.get(*pos), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-        *pos += 1;
-    }
-}
 
 /// Parses one JSON request line into `(req_id, Request)`.
 ///
@@ -272,14 +37,13 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
 /// violation; `"op":"load_rom"` is reported as binary-only.
 pub fn request_from_json(line: &str) -> Result<(u32, Request), String> {
     let doc = parse_json(line)?;
-    let op = match doc.get("op") {
-        Some(Json::Str(op)) => op.as_str(),
-        _ => return Err("missing string field \"op\"".into()),
-    };
+    let op = doc.field("op", Kind::Str)?.text();
     let id = match doc.get("id") {
         None => 0,
-        Some(Json::Num(n)) if *n >= 0.0 && *n <= u32::MAX as f64 && n.fract() == 0.0 => *n as u32,
-        Some(_) => return Err("\"id\" must be a u32".into()),
+        Some(v) => v
+            .as_count()
+            .and_then(|n| u32::try_from(n).ok())
+            .ok_or("\"id\" must be a u32")?,
     };
     let req = match op {
         "ping" => Request::Ping,
@@ -289,22 +53,17 @@ pub fn request_from_json(line: &str) -> Result<(u32, Request), String> {
             return Err("load_rom is binary-protocol-only (ROM bytes don't travel as JSON)".into())
         }
         "eval" => {
-            let rom = match doc.get("rom") {
-                Some(Json::Str(s)) => u64::from_str_radix(s, 16)
-                    .map_err(|_| format!("\"rom\" is not a hex fingerprint: {s:?}"))?,
-                _ => return Err("missing string field \"rom\"".into()),
-            };
-            let Some(Json::Arr(raw_points)) = doc.get("points") else {
-                return Err("missing array field \"points\"".into());
-            };
+            let rom = doc.field("rom", Kind::Str)?.text();
+            let rom = u64::from_str_radix(rom, 16)
+                .map_err(|_| format!("\"rom\" is not a hex fingerprint: {rom:?}"))?;
+            let raw_points = doc.field("points", Kind::Arr)?.items();
             if raw_points.is_empty() {
                 return Err("\"points\" must be non-empty".into());
             }
             let mut points = Vec::with_capacity(raw_points.len());
             for (i, p) in raw_points.iter().enumerate() {
-                let Some(Json::Arr(params)) = p.get("params") else {
-                    return Err(format!("point {i}: missing array field \"params\""));
-                };
+                let array = |key| p.field(key, Kind::Arr).map(Json::items);
+                let params = array("params").map_err(|e| format!("point {i}: {e}"))?;
                 let mut pv = Vec::with_capacity(params.len());
                 for v in params {
                     match v {
@@ -312,12 +71,9 @@ pub fn request_from_json(line: &str) -> Result<(u32, Request), String> {
                         _ => return Err(format!("point {i}: non-numeric parameter")),
                     }
                 }
-                let s = match p.get("s") {
-                    Some(Json::Arr(re_im)) => match re_im.as_slice() {
-                        [Json::Num(re), Json::Num(im)] => Complex64::new(*re, *im),
-                        _ => return Err(format!("point {i}: \"s\" must be [re, im]")),
-                    },
-                    _ => return Err(format!("point {i}: missing array field \"s\"")),
+                let s = match array("s").map_err(|e| format!("point {i}: {e}"))? {
+                    [Json::Num(re), Json::Num(im)] => Complex64::new(*re, *im),
+                    _ => return Err(format!("point {i}: \"s\" must be [re, im]")),
                 };
                 points.push(EvalPoint::new(pv, s));
             }
@@ -337,24 +93,17 @@ pub fn request_from_json(line: &str) -> Result<(u32, Request), String> {
 /// shortest-round-trip decimal form as `BENCH_*.json` (non-finite →
 /// `null`).
 pub fn response_to_json(id: u32, resp: &Response) -> String {
-    let mut out = String::with_capacity(64);
-    out.push_str("{\"id\":");
-    out.push_str(&id.to_string());
+    let mut out = format!("{{\"id\":{id}");
     match resp {
         Response::Pong => out.push_str(",\"ok\":\"pong\""),
         Response::ShutdownAck => out.push_str(",\"ok\":\"shutdown\""),
         Response::Info(info) => {
-            out.push_str(",\"ok\":\"info\",\"protocol_version\":");
-            out.push_str(&info.protocol_version.to_string());
-            out.push_str(",\"max_frame\":");
-            out.push_str(&info.max_frame.to_string());
-            out.push_str(",\"max_batch\":");
-            out.push_str(&info.max_batch.to_string());
-            out.push_str(",\"roms\":[");
+            out.push_str(&format!(
+                ",\"ok\":\"info\",\"protocol_version\":{},\"max_frame\":{},\"max_batch\":{},\"roms\":[",
+                info.protocol_version, info.max_frame, info.max_batch
+            ));
             for (i, stamp) in info.roms.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
+                out.push_str(if i == 0 { "" } else { "," });
                 push_stamp_json(&mut out, stamp);
             }
             out.push(']');
@@ -365,36 +114,26 @@ pub fn response_to_json(id: u32, resp: &Response) -> String {
         }
         Response::Eval(reply) => {
             let p = &reply.provenance;
-            out.push_str(",\"ok\":\"eval\",\"rom\":\"");
-            out.push_str(&format!("{:016x}", p.rom_fingerprint));
-            out.push_str("\",\"eval_points\":");
-            out.push_str(&p.eval_points.to_string());
-            out.push_str(",\"threads\":");
-            out.push_str(&p.threads.to_string());
-            out.push_str(",\"eval_seconds\":");
-            out.push_str(&json_number(p.eval_seconds));
-            out.push_str(",\"rows\":");
-            out.push_str(&reply.rows.to_string());
-            out.push_str(",\"cols\":");
-            out.push_str(&reply.cols.to_string());
-            out.push_str(",\"values\":[");
+            out.push_str(&format!(
+                ",\"ok\":\"eval\",\"rom\":\"{:016x}\",\"eval_points\":{},\"threads\":{},\"eval_seconds\":",
+                p.rom_fingerprint, p.eval_points, p.threads
+            ));
+            push_number(&mut out, p.eval_seconds);
+            let (rows, cols) = (reply.rows, reply.cols);
+            out.push_str(&format!(",\"rows\":{rows},\"cols\":{cols},\"values\":["));
             for (i, v) in reply.values.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                out.push_str(&json_number(v.re));
+                out.push_str(if i == 0 { "[" } else { ",[" });
+                push_number(&mut out, v.re);
                 out.push(',');
-                out.push_str(&json_number(v.im));
+                push_number(&mut out, v.im);
                 out.push(']');
             }
             out.push(']');
         }
         Response::Error(fault) => {
-            out.push_str(",\"error\":\"");
-            out.push_str(fault.code.name());
-            out.push_str("\",\"message\":");
-            push_json_string(&mut out, &fault.message);
+            let code = fault.code.name();
+            out.push_str(&format!(",\"error\":\"{code}\",\"message\":"));
+            push_string(&mut out, &fault.message);
         }
     }
     out.push('}');
@@ -414,87 +153,34 @@ fn push_stamp_json(out: &mut String, stamp: &crate::protocol::RomStamp) {
     ));
 }
 
-/// Shortest decimal form that round-trips through `f64` parsing, with
-/// `.0` appended to integral values so the reader sees a float;
-/// non-finite values become `null` (mirrors the bench report writer).
-fn json_number(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
-    }
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// The standard fault line for an unparsable JSON request.
 pub fn malformed_line(detail: &str) -> String {
-    let mut out = String::from("{\"id\":0,\"error\":\"");
-    out.push_str(FaultCode::Malformed.name());
-    out.push_str("\",\"message\":");
-    push_json_string(&mut out, detail);
-    out.push('}');
-    out
+    response_to_json(
+        0,
+        &Response::Error(ServeFault::new(FaultCode::Malformed, detail)),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{EvalReply, Provenance, RomStamp, ServeFault, ServerInfo};
+    use crate::protocol::{EvalReply, Provenance, RomStamp, ServerInfo};
 
-    #[test]
-    fn parses_scalars_and_nesting() {
-        assert_eq!(parse_json("null").unwrap(), Json::Null);
-        assert_eq!(parse_json(" true ").unwrap(), Json::Bool(true));
-        assert_eq!(parse_json("-1.5e3").unwrap(), Json::Num(-1500.0));
-        assert_eq!(
-            parse_json(r#""a\nb\u00e9\ud83d\ude00""#).unwrap(),
-            Json::Str("a\nb\u{e9}\u{1F600}".to_string())
-        );
-        let doc = parse_json(r#"{"a":[1,{"b":[]}],"c":{}}"#).unwrap();
-        assert!(matches!(doc.get("a"), Some(Json::Arr(items)) if items.len() == 2));
-        assert_eq!(doc.get("c"), Some(&Json::Obj(vec![])));
-    }
-
-    #[test]
-    fn rejects_garbage_without_panicking() {
-        for bad in [
-            "",
-            "{",
-            "}",
-            "[1,",
-            "{\"a\"}",
-            "tru",
-            "1.2.3",
-            "\"\\q\"",
-            "\"\\ud800\"",
-            "\"\\udc00x\"",
-            "{} trailing",
-            "\"unterminated",
-        ] {
-            assert!(parse_json(bad).is_err(), "accepted {bad:?}");
-        }
-        // Depth bomb stops at the limit instead of blowing the stack.
-        let deep = "[".repeat(200) + &"]".repeat(200);
-        assert!(parse_json(&deep).is_err());
+    /// The one-value eval reply both rendering tests use.
+    fn eval_reply(value: Complex64) -> Response {
+        Response::Eval(EvalReply {
+            rows: 1,
+            cols: 1,
+            provenance: Provenance {
+                rom_fingerprint: 0xabc,
+                eval_points: 1,
+                threads: 1,
+                eval_seconds: 0.5,
+                states: 6,
+                full_dim: 100,
+            },
+            values: vec![value],
+        })
     }
 
     #[test]
@@ -521,6 +207,12 @@ mod tests {
         assert!(request_from_json(r#"{"op":"eval","rom":"zz","points":[]}"#).is_err());
         assert!(request_from_json(r#"{"op":"nope"}"#).is_err());
         assert!(request_from_json(r#"{"id":-1,"op":"ping"}"#).is_err());
+        // Wrong-typed fields are named in the malformed message.
+        let err = request_from_json(r#"{"op":1}"#).unwrap_err();
+        assert!(err.contains("\"op\""), "{err}");
+        let err = request_from_json(r#"{"op":"eval","rom":"ff","points":[{"params":[],"s":{}}]}"#)
+            .unwrap_err();
+        assert!(err.contains("point 0") && err.contains("\"s\""), "{err}");
     }
 
     #[test]
@@ -546,22 +238,7 @@ mod tests {
                 }),
             ),
             response_to_json(4, &Response::RomLoaded(stamp)),
-            response_to_json(
-                5,
-                &Response::Eval(EvalReply {
-                    rows: 1,
-                    cols: 1,
-                    provenance: Provenance {
-                        rom_fingerprint: 0xabc,
-                        eval_points: 1,
-                        threads: 1,
-                        eval_seconds: 0.5,
-                        states: 6,
-                        full_dim: 100,
-                    },
-                    values: vec![pmor_num::Complex64::new(1.0, f64::NAN)],
-                }),
-            ),
+            response_to_json(5, &eval_reply(Complex64::new(1.0, f64::NAN))),
             response_to_json(
                 6,
                 &Response::Error(ServeFault::new(
@@ -579,13 +256,36 @@ mod tests {
         // NaN rendered as null, exact hex fingerprint present.
         assert!(lines[4].contains("null"));
         assert!(lines[4].contains("0000000000000abc"));
+        // The exact bytes are pinned: the wire form is part of the contract.
+        let stamp_json = r#"{"fingerprint":"0000000000000abc","states":6,"full_dim":100,"num_params":2,"num_inputs":1,"num_outputs":1}"#;
+        let expected = [
+            r#"{"id":1,"ok":"pong"}"#.to_string(),
+            r#"{"id":2,"ok":"shutdown"}"#.to_string(),
+            format!(
+                r#"{{"id":3,"ok":"info","protocol_version":1,"max_frame":16,"max_batch":8,"roms":[{stamp_json}]}}"#
+            ),
+            format!(r#"{{"id":4,"ok":"rom_loaded","rom":{stamp_json}}}"#),
+            r#"{"id":5,"ok":"eval","rom":"0000000000000abc","eval_points":1,"threads":1,"eval_seconds":0.5,"rows":1,"cols":1,"values":[[1.0,null]]}"#.to_string(),
+            r#"{"id":6,"error":"unknown_rom","message":"tab\there \"quoted\""}"#.to_string(),
+            r#"{"id":0,"error":"malformed","message":"bad { line"}"#.to_string(),
+        ];
+        assert_eq!(lines, expected);
     }
 
     #[test]
     fn json_number_matches_report_style() {
-        assert_eq!(json_number(2.0), "2.0");
-        assert_eq!(json_number(0.1), "0.1");
-        assert_eq!(json_number(f64::INFINITY), "null");
-        assert!(json_number(1e300).parse::<f64>().unwrap() == 1e300);
+        // Reply floats go through the shared writer primitive, so the
+        // fallback renders numbers exactly like `BENCH_*.json`.
+        for (v, text) in [(2.0, "2.0"), (0.1, "0.1"), (f64::INFINITY, "null")] {
+            let line = response_to_json(0, &eval_reply(Complex64::new(v, v)));
+            assert!(line.ends_with(&format!("[[{text},{text}]]}}")), "{line}");
+        }
+        let line = response_to_json(0, &eval_reply(Complex64::new(1e300, 0.0)));
+        let values = parse_json(&line)
+            .unwrap()
+            .field("values", Kind::Arr)
+            .unwrap()
+            .clone();
+        assert_eq!(values.items()[0].items()[0], Json::Num(1e300));
     }
 }
