@@ -203,12 +203,8 @@ impl LowRankPmor {
             // vectors must still be mapped into moment space through G0⁻¹
             // to seed the A0-Krylov recurrence.
             let raw = operator_svd(mat, &svd_opts)?;
-            let mut u = Matrix::zeros(sys.dim(), raw.u.ncols());
-            for j in 0..raw.u.ncols() {
-                u.set_col(j, &lu.solve(&raw.u.col(j))?);
-            }
             pmor_num::svd::Svd {
-                u,
+                u: lu.solve_block(&raw.u)?,
                 sigma: raw.sigma,
                 v: raw.v,
             }
@@ -236,13 +232,9 @@ impl LowRankPmor {
         if o.include_transpose_subspaces {
             // Ṽ = -G0⁻ᵀ·V̂, then Kr(Ã0ᵀ, Ṽ, k) with Ã0ᵀ = -G0⁻ᵀC0ᵀ; both use
             // transpose solves on the same factors.
-            let mut vt = Matrix::zeros(sys.dim(), svd.v.ncols());
-            for j in 0..svd.v.ncols() {
-                let mut col = lu.solve_transpose(&svd.v.col(j))?;
-                for x in col.iter_mut() {
-                    *x = -*x;
-                }
-                vt.set_col(j, &col);
+            let mut vt = lu.solve_transpose_block(&svd.v)?;
+            for x in vt.as_mut_slice() {
+                *x = -*x;
             }
             added += krylov_from(
                 |v| {

@@ -110,21 +110,37 @@ impl LinearOperator for GeneralizedSensitivity<'_> {
     }
 
     fn apply(&self, x: &[f64]) -> Vec<f64> {
-        let mx = self.m.mul_vec(x);
-        self.g0_lu
-            .solve(&mx)
-            // pmor-lint: allow(panic-in-lib) reason="the operator is built from a successful G0 factorization of matching dimension"
-            .expect("G0 factors valid by construction")
+        solved(self.g0_lu.solve(&self.m.mul_vec(x)))
     }
 
     fn apply_transpose(&self, x: &[f64]) -> Vec<f64> {
-        let y = self
-            .g0_lu
-            .solve_transpose(x)
-            // pmor-lint: allow(panic-in-lib) reason="the operator is built from a successful G0 factorization of matching dimension"
-            .expect("G0 factors valid by construction");
-        self.m.tr_mul_vec(&y)
+        self.m.tr_mul_vec(&solved(self.g0_lu.solve_transpose(x)))
     }
+
+    /// Block form of [`Self::apply`], bitwise equal to it per column.
+    fn apply_dense(&self, x: &Matrix<f64>) -> Matrix<f64> {
+        solved(self.g0_lu.solve_block(&self.m.mul_dense(x)))
+    }
+
+    /// Block form of [`Self::apply_transpose`], bitwise equal to it per
+    /// column.
+    fn apply_transpose_dense(&self, x: &Matrix<f64>) -> Matrix<f64> {
+        assert_eq!(
+            x.nrows(),
+            self.nrows(),
+            "apply_transpose_dense: dimension mismatch"
+        );
+        self.m
+            .tr_mul_dense(&solved(self.g0_lu.solve_transpose_block(x)))
+    }
+}
+
+/// Unwraps a solve on the operator's own `G0` factors, whose only error
+/// is a dimension mismatch that [`GeneralizedSensitivity::new`] rules
+/// out.
+fn solved<T>(r: pmor_sparse::Result<T>) -> T {
+    // pmor-lint: allow(panic-in-lib) reason="the operator is built from a successful G0 factorization of matching dimension"
+    r.expect("G0 factors valid by construction")
 }
 
 fn gaussian(rng: &mut StdRng) -> f64 {

@@ -211,6 +211,39 @@ impl<T: Scalar> CsrMatrix<T> {
         y
     }
 
+    /// Transposed sparse–dense product `Aᵀ · X` for dense `X`, bitwise
+    /// identical to [`CsrMatrix::tr_mul_vec`] on each column of `X`: every
+    /// entry accumulates over the rows of `A` in ascending order, and a
+    /// zero `X[r, j]` adds `−0` (an exact identity) in place of the column
+    /// product's skip. Rows of `X` that are entirely zero are skipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.nrows() != nrows`.
+    pub fn tr_mul_dense(&self, x: &Matrix<T>) -> Matrix<T> {
+        assert_eq!(
+            x.nrows(),
+            self.nrows,
+            "CsrMatrix::tr_mul_dense: dim mismatch"
+        );
+        let neg_zero = -T::ZERO;
+        let mut y = Matrix::zeros(self.ncols, x.ncols());
+        for r in 0..self.nrows {
+            let xrow = x.row(r);
+            if xrow.iter().all(|&v| v == T::ZERO) {
+                continue;
+            }
+            let (cols, vals) = self.row(r);
+            for (&c, &v) in cols.iter().zip(vals.iter()) {
+                for (yj, &xj) in y.row_mut(c).iter_mut().zip(xrow) {
+                    let p = v * xj;
+                    *yj += if xj == T::ZERO { neg_zero } else { p };
+                }
+            }
+        }
+        y
+    }
+
     /// Sparse–dense product `A · X` for dense `X`.
     ///
     /// # Panics
@@ -235,13 +268,49 @@ impl<T: Scalar> CsrMatrix<T> {
     /// Congruence/projection product `Vᵀ · A · W` for dense `V`, `W` —
     /// the reduction step `G̃ = Vᵀ G V` of PRIMA and Algorithm 1 step 4.
     ///
+    /// Support-aware: row `k` of `A·W` is formed and folded into the
+    /// result only when row `k` of `A` stores entries, so a sensitivity
+    /// matrix touching a quarter of the rows costs a quarter of the
+    /// work, and `A·W` is never held in full. The result is bitwise
+    /// identical to `v.tr_mul_mat(&self.mul_dense(w))`. Every kept term is
+    /// computed in the same order (entries of `A·W` over the row's stored
+    /// columns, the result over `k` ascending, zero `V[k, i]` skipped).
+    /// A skipped empty row would have added `V[k, i]·(+0)`, which is `±0`
+    /// when `V` is **finite**, the precondition here. Each accumulator
+    /// starts at `+0`, and under round-to-nearest a sum is `−0` only when
+    /// both addends are, so an accumulator is never `−0`; adding `±0` to
+    /// anything but `−0` is an identity, so the skipped terms change no
+    /// bit. (A non-finite `V[k, i]` would have contributed `NaN`.)
+    ///
     /// # Panics
     ///
     /// Panics on dimension mismatch.
     pub fn congruence(&self, v: &Matrix<T>, w: &Matrix<T>) -> Matrix<T> {
         assert_eq!(v.nrows(), self.nrows, "congruence: V row mismatch");
-        let aw = self.mul_dense(w);
-        v.tr_mul_mat(&aw)
+        assert_eq!(w.nrows(), self.ncols, "congruence: W row mismatch");
+        let mut out = Matrix::zeros(v.ncols(), w.ncols());
+        let mut awk = vec![T::ZERO; w.ncols()];
+        for k in 0..self.nrows {
+            let (cols, vals) = self.row(k);
+            if cols.is_empty() {
+                continue;
+            }
+            awk.fill(T::ZERO);
+            for (&c, &a) in cols.iter().zip(vals.iter()) {
+                for (s, &x) in awk.iter_mut().zip(w.row(c)) {
+                    *s += a * x;
+                }
+            }
+            for (i, &vki) in v.row(k).iter().enumerate() {
+                if vki == T::ZERO {
+                    continue;
+                }
+                for (o, &s) in out.row_mut(i).iter_mut().zip(&awk) {
+                    *o += vki * s;
+                }
+            }
+        }
+        out
     }
 
     /// Linear combination `self + k · other` (patterns may differ).
@@ -382,6 +451,53 @@ mod tests {
         let got = m.congruence(&v, &v);
         let expect = v.tr_mul_mat(&m.to_dense().mul_mat(&v));
         assert!(got.approx_eq(&expect, 1e-14));
+    }
+
+    /// Support-aware congruence is bitwise the two-pass product, on a
+    /// matrix with empty rows, `V` holding `+0` and `−0` entries and
+    /// `V ≠ W` (the shape `fit.rs` uses).
+    #[test]
+    fn congruence_is_bitwise_the_two_pass_product() {
+        let (n, q, m) = (12, 4, 3);
+        let mut tri = Vec::new();
+        for r in (0..n).filter(|r| r % 3 != 1) {
+            tri.push((r, r, 2.0 + r as f64 * 0.37));
+            for d in [1, 4, 7] {
+                tri.push((r, (r + d) % n, -0.61 * ((r * d) as f64 + 1.0).sin()));
+            }
+        }
+        let a = CsrMatrix::from_triplets(n, n, &tri);
+        assert!((0..n).any(|r| a.row(r).0.is_empty()), "has empty rows");
+        let v = Matrix::from_fn(n, q, |r, c| match (r + 2 * c) % 4 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => ((r * q + c) as f64 * 0.91).cos(),
+        });
+        let w = Matrix::from_fn(n, m, |r, c| match (3 * r + c) % 5 {
+            0 => -0.0,
+            _ => ((r + 7 * c) as f64 * 0.53).sin() - 0.2,
+        });
+        for (vv, ww, what) in [(&v, &w, "V ≠ W"), (&v, &v, "V = W")] {
+            let got = a.congruence(vv, ww);
+            let want = vv.tr_mul_mat(&a.mul_dense(ww));
+            assert_eq!((got.nrows(), got.ncols()), (want.nrows(), want.ncols()));
+            for (g, e) in got.as_slice().iter().zip(want.as_slice()) {
+                assert_eq!(g.to_bits(), e.to_bits(), "{what}: {g} vs {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn tr_mul_dense_is_bitwise_tr_mul_vec_per_column() {
+        let m = sample();
+        let x = Matrix::from_rows(&[&[1.0, -0.0, 0.0], &[0.0, 0.0, -0.0], &[-2.5, 0.0, 3.0]]);
+        let got = m.tr_mul_dense(&x);
+        for j in 0..3 {
+            let want = m.tr_mul_vec(&x.col(j));
+            for (i, w) in want.iter().enumerate() {
+                assert_eq!(got[(i, j)].to_bits(), w.to_bits(), "({i}, {j})");
+            }
+        }
     }
 
     #[test]

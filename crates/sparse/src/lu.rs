@@ -28,10 +28,29 @@
 //! numeric cancellation would deviate from the recorded run, it falls back
 //! to a from-scratch factorization — so `refactor` is **bitwise identical**
 //! to [`SparseLu::factor`] on every input, just faster on the common path.
+//!
+//! # Storage and block solves
+//!
+//! Each column of `L` and `U` is one vector of `(index, value)` entries,
+//! sized exactly: a factorization counts a column's entries before it
+//! gathers them, and a replay takes the counts from the recorded fill.
+//! (One packed array per factor was measured too. Its large short-lived
+//! allocations raised peak memory under glibc's dynamic mmap threshold,
+//! for no measurable end-to-end speed.)
+//!
+//! [`SparseLu::solve_block`] and [`SparseLu::solve_transpose_block`]
+//! solve `m` right-hand sides held as one row-major `n × m` block, so each
+//! factor entry is loaded once per block instead of once per column. Every
+//! column keeps its exact operation order, so a block solve is **bitwise
+//! identical** to solving its columns one at a time. Where the column
+//! solve skips a zero multiplier, the block solve subtracts `+0` in that
+//! column (masking the product, since `l·(+0)` may be `−0` and `x − (−0)`
+//! turns a `−0` into `+0`), and it skips a step outright only when the
+//! whole multiplier row is zero. A one-column block takes the column path.
 
 use crate::csr::CsrMatrix;
 use crate::{Result, SparseError};
-use pmor_num::Scalar;
+use pmor_num::{Matrix, Scalar};
 
 /// Threshold for partial pivoting: a diagonal-position candidate is accepted
 /// if its magnitude is at least `PIVOT_THRESHOLD` times the largest candidate
@@ -342,10 +361,20 @@ impl<T: Scalar> SparseLu<T> {
                 };
             let pivot = x[piv_row];
 
-            // --- Gather into L and U columns; `topo` bounds the fill, so
-            // pre-size once instead of growing through reallocations.
-            let mut lcol: Vec<(usize, T)> = Vec::with_capacity(topo.len());
-            let mut ucol: Vec<(usize, T)> = Vec::with_capacity(topo.len());
+            // --- Gather into L and U columns, counted first so that each
+            // is allocated once at its exact size.
+            let (mut l_len, mut u_len) = (0, 0);
+            for &i in &topo {
+                if x[i] != T::ZERO && i != piv_row {
+                    if pinv[i] == UNASSIGNED {
+                        l_len += 1;
+                    } else {
+                        u_len += 1;
+                    }
+                }
+            }
+            let mut lcol: Vec<(usize, T)> = Vec::with_capacity(l_len);
+            let mut ucol: Vec<(usize, T)> = Vec::with_capacity(u_len);
             let pivot_inv = pivot.recip();
             for &i in &topo {
                 let v = x[i];
@@ -637,7 +666,157 @@ impl<T: Scalar> SparseLu<T> {
         Ok(xout)
     }
 
-    /// Solves for several right-hand sides given as dense columns.
+    /// Solves `A X = B` for a dense block of right-hand sides, bitwise
+    /// identical to [`SparseLu::solve`] on each column of `B`.
+    ///
+    /// The block is row-major, so each factor entry updates all `m`
+    /// columns of one row in a single pass. Where the column solve skips a
+    /// zero multiplier, this subtracts `+0` in that column instead (an
+    /// exact identity); a step is skipped only when its whole multiplier
+    /// row is zero. A one-column block takes the column path, which wins
+    /// there.
+    ///
+    /// Use this for dense blocks, such as sketch or basis blocks. For
+    /// sparse right-hand sides, such as the columns of an input matrix
+    /// `B`, [`SparseLu::solve_dense`] is faster: it solves per column and
+    /// skips every zero multiplier.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::DimensionMismatch`] if `b.nrows() != dim()`.
+    pub fn solve_block(&self, b: &Matrix<T>) -> Result<Matrix<T>> {
+        self.check_block(b, "SparseLu::solve_block")?;
+        Ok(match b.ncols() {
+            0 => Matrix::zeros(self.n, 0),
+            1 => Matrix::from_col(&self.solve(b.as_slice())?),
+            2 => self.solve_block_of::<2>(b),
+            6 => self.solve_block_of::<6>(b),
+            _ => self.solve_block_of::<0>(b),
+        })
+    }
+
+    /// Solves `Aᵀ X = B` for a dense block of right-hand sides, bitwise
+    /// identical to [`SparseLu::solve_transpose`] on each column of `B`.
+    /// The transpose solve has no zero skip, so this is a straight block
+    /// loop. A one-column block takes the column path.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::DimensionMismatch`] if `b.nrows() != dim()`.
+    pub fn solve_transpose_block(&self, b: &Matrix<T>) -> Result<Matrix<T>> {
+        self.check_block(b, "SparseLu::solve_transpose_block")?;
+        Ok(match b.ncols() {
+            0 => Matrix::zeros(self.n, 0),
+            1 => Matrix::from_col(&self.solve_transpose(b.as_slice())?),
+            2 => self.solve_transpose_block_of::<2>(b),
+            6 => self.solve_transpose_block_of::<6>(b),
+            _ => self.solve_transpose_block_of::<0>(b),
+        })
+    }
+
+    fn check_block(&self, b: &Matrix<T>, context: &'static str) -> Result<()> {
+        if b.nrows() == self.n {
+            Ok(())
+        } else {
+            Err(SparseError::DimensionMismatch {
+                context,
+                expected: self.n,
+                actual: b.nrows(),
+            })
+        }
+    }
+
+    /// [`SparseLu::solve_block`]'s kernel. `M = 0` reads the width from
+    /// `b`; a nonzero `M` is the width as a constant, so the row updates
+    /// compile to fixed-length loops. Only widths 6 and 2 get such a copy:
+    /// they are the sketch (`rank + oversample`) and `Ṽ` (`rank`) blocks
+    /// of a rank-2 low-rank reduction, where the fixed widths made
+    /// perfbench's `reduce_mesh` 8% faster than the run-time width.
+    fn solve_block_of<const M: usize>(&self, b: &Matrix<T>) -> Matrix<T> {
+        let (n, m) = (self.n, if M == 0 { b.ncols() } else { M });
+        // Forward: L Y = P B, Y by pivot position, W on original rows.
+        let mut w = b.as_slice().to_vec();
+        let mut y = vec![T::ZERO; n * m];
+        for k in 0..n {
+            let src = self.row_of_pos[k] * m;
+            let yk = &mut y[k * m..(k + 1) * m];
+            yk.copy_from_slice(&w[src..src + m]);
+            if yk.iter().all(|&v| v == T::ZERO) {
+                continue;
+            }
+            for &(r, lv) in &self.l_cols[k] {
+                sub_masked(&mut w[r * m..(r + 1) * m], lv, yk);
+            }
+        }
+        // Backward: U Z = Y in place; U's entries of step k sit above it.
+        for k in (0..n).rev() {
+            let d = self.u_diag[k].recip();
+            let (above, rest) = y.split_at_mut(k * m);
+            let zk = &mut rest[..m];
+            for z in zk.iter_mut() {
+                *z *= d;
+            }
+            if zk.iter().all(|&v| v == T::ZERO) {
+                continue;
+            }
+            for &(kp, uv) in &self.u_cols[k] {
+                sub_masked(&mut above[kp * m..(kp + 1) * m], uv, zk);
+            }
+        }
+        let mut out = Matrix::zeros(n, m);
+        for (k, yk) in y.chunks_exact(m).enumerate() {
+            out.row_mut(self.q[k]).copy_from_slice(yk);
+        }
+        out
+    }
+
+    /// [`SparseLu::solve_transpose_block`]'s kernel; `M` as in
+    /// [`SparseLu::solve_block_of`].
+    fn solve_transpose_block_of<const M: usize>(&self, b: &Matrix<T>) -> Matrix<T> {
+        let (n, m) = (self.n, if M == 0 { b.ncols() } else { M });
+        let mut y = vec![T::ZERO; n * m];
+        for (k, yk) in y.chunks_exact_mut(m).enumerate() {
+            yk.copy_from_slice(b.row(self.q[k]));
+        }
+        // Forward: Uᵀ Y' = B'; step k reads the finished rows above it.
+        for k in 0..n {
+            let d = self.u_diag[k].recip();
+            let (above, rest) = y.split_at_mut(k * m);
+            let acc = &mut rest[..m];
+            for &(kp, uv) in &self.u_cols[k] {
+                for (a, &v) in acc.iter_mut().zip(&above[kp * m..(kp + 1) * m]) {
+                    *a -= uv * v;
+                }
+            }
+            for a in acc.iter_mut() {
+                *a *= d;
+            }
+        }
+        // Backward: Lᵀ Z = Y; step k reads the finished rows below it.
+        for k in (0..n).rev() {
+            let (upto, below) = y.split_at_mut((k + 1) * m);
+            let acc = &mut upto[k * m..];
+            for &(i, lv) in &self.l_cols[k] {
+                let p = self.pinv[i] - k - 1;
+                for (a, &v) in acc.iter_mut().zip(&below[p * m..(p + 1) * m]) {
+                    *a -= lv * v;
+                }
+            }
+        }
+        let mut out = Matrix::zeros(n, m);
+        for (k, yk) in y.chunks_exact(m).enumerate() {
+            out.row_mut(self.row_of_pos[k]).copy_from_slice(yk);
+        }
+        out
+    }
+
+    /// Solves for several right-hand sides given as dense columns, one
+    /// [`SparseLu::solve`] per column.
+    ///
+    /// Use this when the right-hand sides are sparse, such as the columns
+    /// of an input matrix `B`: each column skips its own zero multipliers.
+    /// For dense blocks, [`SparseLu::solve_block`] gives the same bits
+    /// faster.
     ///
     /// # Errors
     ///
@@ -655,6 +834,18 @@ impl<T: Scalar> SparseLu<T> {
             out.set_col(j, &self.solve(&b.col(j))?);
         }
         Ok(out)
+    }
+}
+
+/// `dst[j] -= f·src[j]`, except that a zero `src[j]` subtracts `+0`: the
+/// block form of the column solves' zero-multiplier skip. The product is
+/// masked rather than the multiplier because `f·(+0)` can be `−0`, and
+/// subtracting `−0` would turn a `−0` entry into `+0`.
+#[inline]
+fn sub_masked<T: Scalar>(dst: &mut [T], f: T, src: &[T]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        let p = f * s;
+        *d -= if s == T::ZERO { T::ZERO } else { p };
     }
 }
 
