@@ -248,12 +248,19 @@ pub trait TransferModel: Sync {
         points: &[EvalPoint],
         ws: &mut EvalWorkspace,
     ) -> Result<Vec<Matrix<Complex64>>> {
-        points
-            .iter()
-            .map(|pt| self.transfer_with(&pt.params, pt.s, ws))
-            // pmor-lint: allow(alloc-in-kernel) reason="batch-layer orchestration: one allocation per batch/chunk amortized over every point; the per-point ROM path stays allocation-free"
-            .collect()
+        let mut out = batch_results(points);
+        for pt in points {
+            out.push(self.transfer_with(&pt.params, pt.s, ws)?);
+        }
+        Ok(out)
     }
+}
+
+/// An empty result vector with room for one matrix per point, so a
+/// batch allocates it once rather than growing it by doubling.
+pub(crate) fn batch_results(points: &[EvalPoint]) -> Vec<Matrix<Complex64>> {
+    // pmor-lint: allow(kernel-transitive-alloc) reason="batch-layer orchestration: one allocation per batch/chunk amortized over every point, via eval_batch -> batch_results; the per-point ROM path stays allocation-free"
+    Vec::with_capacity(points.len())
 }
 
 /// The batched, deterministic evaluation engine shared by every

@@ -17,7 +17,7 @@
 //! `pmor reduce` run persist its result for later `pmor eval` / `pmor mc`
 //! runs (see the `pmor-cli` crate) without re-reducing.
 
-use crate::engine::{EvalPoint, EvalWorkspace, TransferModel};
+use crate::engine::{batch_results, EvalPoint, EvalWorkspace, TransferModel};
 use crate::{PmorError, Result};
 use pmor_circuits::ParametricSystem;
 use pmor_num::lu::{LuFactors, PencilLu};
@@ -374,17 +374,15 @@ impl TransferModel for ParametricRom {
         ws: &mut EvalWorkspace,
     ) -> Result<Vec<Matrix<Complex64>>> {
         let mut assembled: Option<&[f64]> = None;
-        points
-            .iter()
-            .map(|pt| {
-                if !assembled.is_some_and(|q| same_bits(q, &pt.params)) {
-                    self.assemble(&pt.params, ws)?;
-                    assembled = Some(&pt.params);
-                }
-                self.solve_at(pt.s, ws)
-            })
-            // pmor-lint: allow(alloc-in-kernel) reason="batch-layer orchestration: one allocation per batch/chunk amortized over every point; the per-point ROM path stays allocation-free"
-            .collect()
+        let mut out = batch_results(points);
+        for pt in points {
+            if !assembled.is_some_and(|q| same_bits(q, &pt.params)) {
+                self.assemble(&pt.params, ws)?;
+                assembled = Some(&pt.params);
+            }
+            out.push(self.solve_at(pt.s, ws)?);
+        }
+        Ok(out)
     }
 }
 

@@ -202,13 +202,18 @@ impl<T: Scalar> LuFactors<T> {
 ///
 /// Every entry sees exactly the arithmetic of
 /// [`LuFactors::<Complex64>::factor`](LuFactors::factor) on
-/// `G.to_complex() + s·C.to_complex()`: the same `hypot` pivot search with
-/// its strict-`>` tie rule, the same zero-multiplier skip and the same
-/// `Singular(k)` index. The solves read real right-hand sides as `(b, 0)`
-/// in place. So the packed factors, the permutation, every solve and the
-/// output projection match the generic path bit for bit, without
-/// converting or cloning a matrix per call. All buffers are sized on
-/// first use and reused after.
+/// `G.to_complex() + s·C.to_complex()`: the same operations in the same
+/// order, the same zero-multiplier skip and the same `Singular(k)` index.
+/// Two things differ only in cost. The elimination runs two steps per
+/// pass over the trailing rows, each entry taking step `k`'s update and
+/// then step `k + 1`'s. The pivot search compares squared magnitudes and
+/// falls back to the generic `hypot` scan on near-ties and out-of-range
+/// squares, so it picks the row that scan picks, strict-`>` tie rule
+/// included. The solves read real right-hand sides as `(b, 0)` in place.
+/// So the packed factors, the permutation, every solve and the output
+/// projection match the generic path bit for bit, without converting or
+/// cloning a matrix per call. All buffers are sized on first use and
+/// reused after.
 ///
 /// # Example
 ///
@@ -314,49 +319,104 @@ impl PencilLu {
         self.perm.clear();
         self.perm.extend(0..n);
 
-        for k in 0..n {
-            let (re, im) = (self.re.as_slice(), self.im.as_slice());
-            let mut piv = k;
-            let mut piv_mag = re[k * n + k].hypot(im[k * n + k]);
-            for r in (k + 1)..n {
-                let m = re[r * n + k].hypot(im[r * n + k]);
-                if m > piv_mag {
-                    piv = r;
-                    piv_mag = m;
-                }
-            }
-            if piv_mag == 0.0 {
-                return Err(NumError::Singular(k));
-            }
-            if piv != k {
-                self.re.swap_rows(piv, k);
-                self.im.swap_rows(piv, k);
-                self.perm.swap(piv, k);
-            }
-            let pivot_inv = Complex64::recip(Complex64::new(self.re[(k, k)], self.im[(k, k)]));
-            let (head_re, tail_re) = self.re.as_mut_slice().split_at_mut((k + 1) * n);
-            let (head_im, tail_im) = self.im.as_mut_slice().split_at_mut((k + 1) * n);
-            let (ur, ui) = (&head_re[k * n + k + 1..], &head_im[k * n + k + 1..]);
-            for (row_re, row_im) in tail_re.chunks_exact_mut(n).zip(tail_im.chunks_exact_mut(n)) {
-                let f = Complex64::new(row_re[k], row_im[k]) * pivot_inv;
-                row_re[k] = f.re;
-                row_im[k] = f.im;
-                if f == Complex64::ZERO {
-                    continue;
-                }
-                let (fr, fi) = (f.re, f.im);
-                for (((ar, ai), &xr), &xi) in row_re[k + 1..]
-                    .iter_mut()
-                    .zip(&mut row_im[k + 1..])
-                    .zip(ur)
-                    .zip(ui)
-                {
-                    *ar -= fr * xr - fi * xi;
-                    *ai -= fr * xi + fi * xr;
-                }
-            }
+        let mut k = 0;
+        while k + 1 < n {
+            self.eliminate_pair(k)?;
+            k += 2;
+        }
+        if k < n {
+            // An odd order ends on a step with no row below it: only
+            // its pivot is left to check.
+            self.column_pivot(k)?;
         }
         self.n = n;
+        Ok(())
+    }
+
+    /// Swaps rows `piv` and `k` of both planes and the permutation.
+    fn swap_pivot_row(&mut self, piv: usize, k: usize) {
+        if piv != k {
+            self.re.swap_rows(piv, k);
+            self.im.swap_rows(piv, k);
+            self.perm.swap(piv, k);
+        }
+    }
+
+    /// Reciprocal of the diagonal entry `(k, k)`.
+    fn pivot_inverse(&self, k: usize) -> Complex64 {
+        Complex64::recip(Complex64::new(self.re[(k, k)], self.im[(k, k)]))
+    }
+
+    /// The pivot row of column `k`, searched from row `k` down.
+    fn column_pivot(&self, k: usize) -> Result<usize> {
+        let n = self.re.nrows();
+        let mut scan = PivotScan::new(k);
+        for r in k..n {
+            scan.push(r, self.re[(r, k)], self.im[(r, k)]);
+        }
+        scan.finish(self.re.as_slice(), self.im.as_slice(), n, k)
+    }
+
+    /// Elimination steps `k` and `k + 1` in one pass over the rows below
+    /// `k + 1`. Step `k` first forms its multipliers and updates only
+    /// column `k + 1`, which is all pivot `k + 1` needs; row `k + 1`
+    /// then takes step `k`'s update, and every lower row takes both
+    /// updates entry by entry, `k`'s before `k + 1`'s. Each entry sees
+    /// the operations of steps `k` and `k + 1` of [`LuFactors::factor`]
+    /// in their order, and an exactly-zero multiplier skips its update
+    /// as there.
+    fn eliminate_pair(&mut self, k: usize) -> Result<()> {
+        let n = self.re.nrows();
+        let (k1, k2) = (k + 1, k + 2);
+        let piv = self.column_pivot(k)?;
+        self.swap_pivot_row(piv, k);
+
+        // Step k on column k + 1 only, scanning that column for pivot k + 1.
+        let pivot_inv = self.pivot_inverse(k);
+        let (ukr, uki) = (self.re[(k, k1)], self.im[(k, k1)]);
+        let mut scan = PivotScan::new(k1);
+        for r in k1..n {
+            let f = Complex64::new(self.re[(r, k)], self.im[(r, k)]) * pivot_inv;
+            self.re[(r, k)] = f.re;
+            self.im[(r, k)] = f.im;
+            if f != Complex64::ZERO {
+                self.re[(r, k1)] -= f.re * ukr - f.im * uki;
+                self.im[(r, k1)] -= f.re * uki + f.im * ukr;
+            }
+            scan.push(r, self.re[(r, k1)], self.im[(r, k1)]);
+        }
+        let piv = scan.finish(self.re.as_slice(), self.im.as_slice(), n, k1)?;
+        self.swap_pivot_row(piv, k1);
+
+        // Row k + 1 takes step k on the columns past k + 1.
+        let (head_re, tail_re) = self.re.as_mut_slice().split_at_mut(k1 * n);
+        let (head_im, tail_im) = self.im.as_mut_slice().split_at_mut(k1 * n);
+        let (u0r, u0i) = (&head_re[k * n + k2..k1 * n], &head_im[k * n + k2..k1 * n]);
+        let (row_re, row_im) = (&mut tail_re[..n], &mut tail_im[..n]);
+        let f0 = Complex64::new(row_re[k], row_im[k]);
+        if f0 != Complex64::ZERO {
+            sub_scaled_row(&mut row_re[k2..], &mut row_im[k2..], f0, u0r, u0i);
+        }
+
+        // Every lower row: multiplier k + 1, then both updates.
+        let pivot_inv = self.pivot_inverse(k1);
+        let (head_re, tail_re) = self.re.as_mut_slice().split_at_mut(k2 * n);
+        let (head_im, tail_im) = self.im.as_mut_slice().split_at_mut(k2 * n);
+        let (u0r, u0i) = (&head_re[k * n + k2..k1 * n], &head_im[k * n + k2..k1 * n]);
+        let (u1r, u1i) = (&head_re[k1 * n + k2..], &head_im[k1 * n + k2..]);
+        for (row_re, row_im) in tail_re.chunks_exact_mut(n).zip(tail_im.chunks_exact_mut(n)) {
+            let f0 = Complex64::new(row_re[k], row_im[k]);
+            let f1 = Complex64::new(row_re[k1], row_im[k1]) * pivot_inv;
+            row_re[k1] = f1.re;
+            row_im[k1] = f1.im;
+            let (ar, ai) = (&mut row_re[k2..], &mut row_im[k2..]);
+            match (f0 != Complex64::ZERO, f1 != Complex64::ZERO) {
+                (true, true) => sub_scaled_row_pair(ar, ai, [f0, f1], [u0r, u1r], [u0i, u1i]),
+                (true, false) => sub_scaled_row(ar, ai, f0, u0r, u0i),
+                (false, true) => sub_scaled_row(ar, ai, f1, u1r, u1i),
+                (false, false) => {}
+            }
+        }
         Ok(())
     }
 
@@ -524,6 +584,126 @@ impl PencilLu {
                 head_i[i] = z.im;
             }
         }
+    }
+}
+
+/// `a -= f·u` over a row segment held as real and imaginary planes,
+/// with the operation order of `Complex64`'s `*` and `-=`.
+fn sub_scaled_row(ar: &mut [f64], ai: &mut [f64], f: Complex64, ur: &[f64], ui: &[f64]) {
+    let (fr, fi) = (f.re, f.im);
+    for (((ar, ai), &xr), &xi) in ar.iter_mut().zip(ai).zip(ur).zip(ui) {
+        *ar -= fr * xr - fi * xi;
+        *ai -= fr * xi + fi * xr;
+    }
+}
+
+/// `a -= f[0]·u[0]`, then `a -= f[1]·u[1]`, entry by entry in one pass:
+/// the bits of two [`sub_scaled_row`] calls in that order.
+fn sub_scaled_row_pair(
+    ar: &mut [f64],
+    ai: &mut [f64],
+    f: [Complex64; 2],
+    ur: [&[f64]; 2],
+    ui: [&[f64]; 2],
+) {
+    let ([f0r, f1r], [f0i, f1i]) = ([f[0].re, f[1].re], [f[0].im, f[1].im]);
+    for (((((ar, ai), &x0r), &x0i), &x1r), &x1i) in ar
+        .iter_mut()
+        .zip(ai)
+        .zip(ur[0])
+        .zip(ui[0])
+        .zip(ur[1])
+        .zip(ui[1])
+    {
+        let (br, bi) = (*ar - (f0r * x0r - f0i * x0i), *ai - (f0r * x0i + f0i * x0r));
+        *ar = br - (f1r * x1r - f1i * x1i);
+        *ai = bi - (f1r * x1i + f1i * x1r);
+    }
+}
+
+/// The pivot search trusts squared magnitudes only while every square
+/// is below `SQUARE_MAX` (far from overflow) and the largest is at least
+/// `SQUARE_MIN` (far enough above the subnormal range that underflow in
+/// the smaller squares cannot matter); otherwise it falls back to `hypot`.
+const SQUARE_MAX: f64 = 1e280;
+/// See [`SQUARE_MAX`].
+const SQUARE_MIN: f64 = 1e-280;
+/// Relative gap between the largest square and the runner-up below
+/// which the pivot search falls back to `hypot`.
+const SQUARE_TIE: f64 = 1e-12;
+
+/// Partial-pivot search over one column on squared magnitudes
+/// `re² + im²`, which picks the same row as the strict-`>` scan over
+/// `hypot(re, im)` of [`LuFactors::factor`] without its cost.
+///
+/// Error argument. Each computed square is `|z|²(1 + θ) + η`, with
+/// `|θ| ≤ 2u + u²` (`u = 2⁻⁵³`: two rounded products and a rounded sum)
+/// and `|η| ≤ 2⁻¹⁰⁷³` from underflow, which is below `10⁻⁴²` of a
+/// largest square `S₁ ≥ SQUARE_MIN`. So when every other square is below
+/// `(1 − 10⁻¹²)·S₁`, every other row has
+/// `|z|/|z₁| < (1 − 10⁻¹²)^½ (1 + 3u) < 1 − 4·10⁻¹³`. `hypot` errs by at
+/// most an ulp, a relative `2u`, and the gap would absorb even a hundred
+/// ulps: the row of `S₁` is the unique largest `hypot`, which the
+/// strict-`>` scan picks whatever the row order. When the runner-up is
+/// within the gap, a square is not finite (NaN included), or the largest
+/// leaves `[SQUARE_MIN, SQUARE_MAX)`, [`PivotScan::finish`] reruns the
+/// `hypot` scan itself, which also reports an all-zero column.
+struct PivotScan {
+    row: usize,
+    best: f64,
+    second: f64,
+    out_of_range: bool,
+}
+
+impl PivotScan {
+    fn new(k: usize) -> Self {
+        PivotScan {
+            row: k,
+            best: -1.0,
+            second: -1.0,
+            out_of_range: false,
+        }
+    }
+
+    /// Records the entry `(re, im)` of row `r`.
+    #[inline]
+    fn push(&mut self, r: usize, re: f64, im: f64) {
+        let sq = re * re + im * im;
+        self.out_of_range |= !(sq < SQUARE_MAX);
+        if sq > self.best {
+            self.second = self.best;
+            self.best = sq;
+            self.row = r;
+        } else if sq > self.second {
+            self.second = sq;
+        }
+    }
+
+    /// The pivot row of column `k` in the row-major `n × n` planes.
+    ///
+    /// # Errors
+    ///
+    /// [`NumError::Singular`]`(k)` when every entry from row `k` down is zero.
+    fn finish(self, re: &[f64], im: &[f64], n: usize, k: usize) -> Result<usize> {
+        if !self.out_of_range
+            && self.best >= SQUARE_MIN
+            && self.second < self.best * (1.0 - SQUARE_TIE)
+        {
+            return Ok(self.row);
+        }
+        let mut piv = k;
+        let mut piv_mag = re[k * n + k].hypot(im[k * n + k]);
+        for r in (k + 1)..n {
+            let m = re[r * n + k].hypot(im[r * n + k]);
+            if m > piv_mag {
+                piv = r;
+                piv_mag = m;
+            }
+        }
+        if piv_mag == 0.0 {
+            return Err(NumError::Singular(k));
+        }
+        Ok(piv)
     }
 }
 
