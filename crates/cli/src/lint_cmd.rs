@@ -13,7 +13,7 @@
 //! line-per-record house format as `BENCH_*.json`; `--graph`
 //! additionally writes `CALLGRAPH_workspace.json` — the workspace call
 //! graph with kernel roots, panic sinks, and the witness path behind
-//! every transitive finding, pre-suppression; `--check` makes a
+//! every `panic-reachable-hot` finding, pre-suppression; `--check` makes a
 //! non-clean report a hard failure, which is what CI gates on.
 
 use crate::CliError;

@@ -210,7 +210,6 @@ pub trait TransferModel: Sync {
         ws: &mut EvalWorkspace,
     ) -> Result<Matrix<Complex64>> {
         let _ = ws;
-        // pmor-lint: allow(callgraph-ambiguous-kernel) reason="the default method forwards to whichever transfer impl the model provides; the analysis follows every impl, which is exactly right here"
         self.transfer(p, s)
     }
 
@@ -259,7 +258,6 @@ pub trait TransferModel: Sync {
 /// An empty result vector with room for one matrix per point, so a
 /// batch allocates it once rather than growing it by doubling.
 pub(crate) fn batch_results(points: &[EvalPoint]) -> Vec<Matrix<Complex64>> {
-    // pmor-lint: allow(kernel-transitive-alloc) reason="batch-layer orchestration: one allocation per batch/chunk amortized over every point, via eval_batch -> batch_results; the per-point ROM path stays allocation-free"
     Vec::with_capacity(points.len())
 }
 
@@ -325,7 +323,11 @@ impl EvalEngine {
     {
         self.map_chunked(items, |chunk, ws| {
             // pmor-lint: allow(alloc-in-kernel) reason="batch-layer orchestration: one allocation per batch/chunk amortized over every point; the per-point ROM path stays allocation-free"
-            chunk.iter().map(|item| eval(item, ws)).collect()
+            let mut out = Vec::with_capacity(chunk.len());
+            for item in chunk {
+                out.push(eval(item, ws)?);
+            }
+            Ok(out)
         })
     }
 
@@ -342,7 +344,6 @@ impl EvalEngine {
         T: Send,
         F: Fn(&[I], &mut EvalWorkspace) -> Result<Vec<T>> + Sync,
     {
-        // pmor-lint: allow(callgraph-ambiguous-kernel) reason="len is slice::len here; the workspace also defines len on its own containers and the analysis follows all of them"
         let workers = self.worker_count(items.len());
         if workers <= 1 {
             let mut ws = EvalWorkspace::new();

@@ -93,9 +93,7 @@ impl<'a> FullModel<'a> {
         let pbits: Vec<u64> = p.iter().map(|v| v.to_bits()).collect();
         let wanted = (self.fingerprint, pbits);
         if ws.full_key.as_ref() != Some(&wanted) {
-            // pmor-lint: allow(callgraph-ambiguous-kernel) reason="g_at/to_complex resolve to the dense and sparse system impls; both are assembly paths and the analysis follows both"
             ws.full_g = Some(self.sys.g_at(p).to_complex());
-            // pmor-lint: allow(callgraph-ambiguous-kernel) reason="c_at resolves to the dense and sparse system impls; both are assembly paths and the analysis follows both"
             ws.full_c = Some(self.sys.c_at(p).to_complex());
             ws.full_key = Some(wanted);
         }

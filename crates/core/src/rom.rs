@@ -106,7 +106,6 @@ impl ParametricRom {
     ///
     /// Panics if `p.len() != num_params()`.
     pub fn g_at_into(&self, p: &[f64], out: &mut Matrix<f64>) {
-        // pmor-lint: allow(callgraph-ambiguous-kernel) reason="len/num_params are the slice and ROM accessors; the same names exist on the full-order system and the analysis follows both"
         assert_eq!(p.len(), self.num_params(), "g_at: parameter count");
         assemble_affine_into(&self.g0, &self.gi, p, out);
     }
@@ -129,7 +128,6 @@ impl ParametricRom {
     ///
     /// Panics if `p.len() != num_params()`.
     pub fn c_at_into(&self, p: &[f64], out: &mut Matrix<f64>) {
-        // pmor-lint: allow(callgraph-ambiguous-kernel) reason="len/num_params are the slice and ROM accessors; the same names exist on the full-order system and the analysis follows both"
         assert_eq!(p.len(), self.num_params(), "c_at: parameter count");
         assemble_affine_into(&self.c0, &self.ci, p, out);
     }

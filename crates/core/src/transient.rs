@@ -294,20 +294,17 @@ pub fn simulate_full_ordered(
 
     let n = sys.dim();
     let steps = (opts.t_stop / h).round() as usize;
-    // pmor-lint: allow(kernel-transitive-alloc) reason="full-order reference sim allocates its state and result series once at setup, via transient -> simulate_full_ordered; the allocation-free contract targets the ROM kernels"
     let mut x = vec![0.0; n];
-    // pmor-lint: allow(kernel-transitive-alloc) reason="full-order reference sim allocates its state and result series once at setup, via transient -> simulate_full_ordered; the allocation-free contract targets the ROM kernels"
-    let mut time = Vec::with_capacity(steps + 1);
-    // pmor-lint: allow(kernel-transitive-alloc) reason="full-order reference sim allocates its state and result series once at setup, via transient -> simulate_full_ordered; the allocation-free contract targets the ROM kernels"
-    let mut outputs = vec![Vec::with_capacity(steps + 1); sys.num_outputs()];
+    let samples = steps + 1;
+    let mut time = Vec::with_capacity(samples);
+    // One exactly sized series per output: `vec![v; n]` clones `v`, and a
+    // clone of an empty `Vec` has no capacity, so it grows by doubling.
+    let outs = sys.num_outputs();
+    let mut outputs: Vec<Vec<f64>> = (0..outs).map(|_| Vec::with_capacity(samples)).collect();
     // Per-step scratch, allocated once and reused via the `_into` paths.
-    // pmor-lint: allow(kernel-transitive-alloc) reason="per-step scratch allocated once at setup and reused, via transient -> simulate_full_ordered; the allocation-free contract targets the ROM kernels"
     let mut rhs = Vec::with_capacity(n);
-    // pmor-lint: allow(kernel-transitive-alloc) reason="per-step scratch allocated once at setup and reused, via transient -> simulate_full_ordered; the allocation-free contract targets the ROM kernels"
     let mut u = Vec::with_capacity(stimuli.len());
-    // pmor-lint: allow(kernel-transitive-alloc) reason="per-step scratch allocated once at setup and reused, via transient -> simulate_full_ordered; the allocation-free contract targets the ROM kernels"
     let mut bu = Vec::with_capacity(n);
-    // pmor-lint: allow(kernel-transitive-alloc) reason="per-step scratch allocated once at setup and reused, via transient -> simulate_full_ordered; the allocation-free contract targets the ROM kernels"
     let mut y = Vec::with_capacity(sys.num_outputs());
 
     let record = |x: &[f64], y: &mut Vec<f64>, outputs: &mut Vec<Vec<f64>>| {
@@ -366,11 +363,9 @@ pub fn simulate_rom_with(
     opts: &TransientOptions,
     ws: &mut EvalWorkspace,
 ) -> Result<TransientResult> {
-    // pmor-lint: allow(callgraph-ambiguous-kernel) reason="num_inputs exists on the ROM and the full-order system; both are plain accessors and the analysis follows both"
     opts.validate(rom.num_inputs(), stimuli)?;
     let theta = opts.theta();
     let h = opts.dt;
-    // pmor-lint: allow(callgraph-ambiguous-kernel) reason="size exists on the ROM and on other workspace containers; all are plain accessors and the analysis follows all of them"
     let n = rom.size();
     rom.g_at_into(p, &mut ws.rom_g);
     rom.c_at_into(p, &mut ws.rom_c);
@@ -398,11 +393,13 @@ pub fn simulate_rom_with(
     let steps = (opts.t_stop / h).round() as usize;
     ws.trans_x.clear();
     ws.trans_x.resize(n, 0.0);
-    // pmor-lint: allow(alloc-in-kernel) reason="allocates the returned result series once per simulation, not per step"
-    let mut time = Vec::with_capacity(steps + 1);
-    // pmor-lint: allow(alloc-in-kernel) reason="allocates the returned result series once per simulation, not per step"
-    // pmor-lint: allow(callgraph-ambiguous-kernel) reason="num_outputs exists on the ROM and the full-order system; both are plain accessors and the analysis follows both"
-    let mut outputs = vec![Vec::with_capacity(steps + 1); rom.num_outputs()];
+    let samples = steps + 1;
+    // pmor-lint: allow(alloc-in-kernel) reason="allocates the returned time series once per simulation, not per step"
+    let mut time = Vec::with_capacity(samples);
+    // One exactly sized series per output, as in `simulate_full_ordered`.
+    let outs = rom.num_outputs();
+    // pmor-lint: allow(alloc-in-kernel) reason="allocates one exactly sized series per output once per simulation, not per step"
+    let mut outputs: Vec<Vec<f64>> = (0..outs).map(|_| Vec::with_capacity(samples)).collect();
 
     rom.l.tr_mul_vec_into(&ws.trans_x, &mut ws.trans_y);
     time.push(0.0);
@@ -414,7 +411,6 @@ pub fn simulate_rom_with(
         let t0 = k as f64 * h;
         let t1 = t0 + h;
         // rhs = M x + B (θ u1 + (1-θ) u0), all through reused buffers.
-        // pmor-lint: allow(callgraph-ambiguous-kernel) reason="mul_vec_into exists on dense and sparse matrices; both write into the caller's buffer and the analysis follows both"
         ws.trans_m.mul_vec_into(&ws.trans_x, &mut ws.trans_rhs);
         blend_inputs(stimuli, theta, t0, t1, &mut ws.trans_u);
         rom.b.mul_vec_into(&ws.trans_u, &mut ws.trans_bu);

@@ -1,8 +1,8 @@
-//! Cross-file semantic pass: workspace call graph and transitive
-//! reachability rules.
+//! Cross-file semantic pass: workspace call graph and the transitive
+//! `panic-reachable-hot` rule.
 //!
 //! The per-line rules in [`crate::rules`] are lexical and file-local —
-//! an allocation one call below a kernel is invisible to them. This
+//! a ledgered panic one call below a kernel is invisible to them. This
 //! module builds a conservative, name-resolved call graph over every
 //! scanned source file and walks it:
 //!
@@ -16,22 +16,21 @@
 //!   definitions (`fn name(`), control keywords (`if (…)`) and
 //!   CamelCase constructors (`Some(`, `SparseError::Io(`) are not
 //!   calls. Unresolved names (std, core) produce no edge.
-//! * **Transitive rules** — `kernel-transitive-alloc` (an allocation
-//!   reachable from an eval kernel through one or more calls),
-//!   `panic-reachable-hot` (a ledgered panic site reachable from a
-//!   kernel or a hot-path module), `callgraph-ambiguous-kernel` (a
-//!   kernel whose direct callee resolved to several definitions).
-//!   Every finding is anchored at the *sink* line so the ordinary
-//!   allow machinery applies, and carries the full witness path.
+//! * **Transitive rule** — `panic-reachable-hot`: a ledgered panic
+//!   site reachable from a kernel or a hot-path module. Each finding is
+//!   anchored at the *sink* line so the ordinary allow machinery
+//!   applies, and carries the full witness path.
 //!
 //! Soundness: the graph over-approximates (ambiguous names fan out to
-//! all candidates) but cannot see calls through function pointers,
-//! closures passed as values, or macro-generated code. The
-//! ambiguous-kernel rule exists precisely so the over-approximation
-//! stays visible instead of silently lying.
+//! all candidates; `summary.ambiguous_edges` in the `CALLGRAPH_*.json`
+//! report counts them) but cannot see calls through function pointers,
+//! closures passed as values, `Type::fn(` paths, or macro-generated
+//! code. Allocation-freedom of the eval kernels is therefore not proven
+//! here but at runtime, by the counting allocator in
+//! `tests/eval_allocations.rs`.
 
 use crate::report::Finding;
-use crate::rules::{LintKind, ALLOC_PATTERNS, PANIC_PATTERNS};
+use crate::rules::{LintKind, PANIC_PATTERNS};
 use crate::scan::{find_word, is_ident_char, SourceFile};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -75,18 +74,6 @@ pub struct CallEdge {
     pub candidates: usize,
 }
 
-/// An allocation site inside a non-kernel function body (kernel-direct
-/// allocations are `alloc-in-kernel` territory and excluded here).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AllocSink {
-    /// Node whose body allocates.
-    pub node: usize,
-    /// 1-based line of the allocation.
-    pub line: usize,
-    /// The allocation spelling (`Vec::new`, `.clone()`, …).
-    pub what: &'static str,
-}
-
 /// A panic site inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PanicSink {
@@ -101,16 +88,14 @@ pub struct PanicSink {
     pub ledgered: bool,
 }
 
-/// The workspace call graph plus the sink tables the transitive rules
-/// consume.
+/// The workspace call graph plus the panic sinks the transitive rule
+/// consumes.
 #[derive(Debug, Clone, Default)]
 pub struct CallGraph {
     /// Non-test function definitions, in (file, source) order.
     pub nodes: Vec<FnNode>,
     /// Resolved call sites, in (file, line) order.
     pub edges: Vec<CallEdge>,
-    /// Allocation sites outside kernels.
-    pub alloc_sinks: Vec<AllocSink>,
     /// Panic sites.
     pub panic_sinks: Vec<PanicSink>,
 }
@@ -217,14 +202,6 @@ impl CallGraph {
                         }
                     }
                 }
-                if info.kernel.is_none() {
-                    for (pat, what) in ALLOC_PATTERNS {
-                        if info.code.contains(pat) {
-                            graph.alloc_sinks.push(AllocSink { node, line, what });
-                            break;
-                        }
-                    }
-                }
                 for (pat, what) in PANIC_PATTERNS {
                     let hit = match info.code.find(pat) {
                         Some(pos) if pat == "panic!" => {
@@ -325,58 +302,23 @@ impl CallGraph {
     }
 }
 
-/// Runs the three transitive rules over a built graph. Findings are
-/// anchored at sink lines; the caller merges them into the per-file
+/// Runs `panic-reachable-hot` over a built graph: a ledgered panic
+/// site reachable from a kernel or a hot-path module function. The
+/// file-local allow proves the site infallible in isolation; the rule
+/// demands the proof be re-stated path-aware (`… via <path>`). Findings
+/// are anchored at sink lines; the caller merges them into the per-file
 /// stream before suppression.
 pub fn check_graph(graph: &CallGraph) -> Vec<TransitiveFinding> {
-    let mut out = Vec::new();
-    let kernels = graph.kernel_roots();
-
-    // kernel-transitive-alloc: an allocation in a non-kernel function
-    // reachable from a kernel. Direct kernel allocations are
-    // `alloc-in-kernel`'s territory and never appear as sinks.
-    let from_kernels = graph.reach(&kernels);
-    for sink in &graph.alloc_sinks {
-        let path = graph.witness(&from_kernels, sink.node);
-        if path.len() < 2 {
-            continue;
-        }
-        let node = &graph.nodes[sink.node];
-        out.push(TransitiveFinding {
-            finding: Finding {
-                rule: LintKind::KernelTransitiveAlloc,
-                file: node.file.clone(),
-                line: sink.line,
-                message: format!(
-                    "`{}` in `{}` is reachable from eval kernel `{}` via {} — \
-                     the hot path must stay allocation-free end-to-end; hoist \
-                     the allocation or justify the whole path with an allow",
-                    sink.what,
-                    node.name,
-                    graph.nodes[path[0]].name,
-                    graph.path_names(&path),
-                ),
-            },
-            path,
-        });
-    }
-
-    // panic-reachable-hot: a ledgered panic site reachable from a
-    // kernel or a hot-path module function. The file-local allow proves
-    // the site infallible in isolation; this rule demands the proof be
-    // re-stated path-aware (`… via <path>`).
     let from_hot = graph.reach(&graph.hot_roots());
-    for sink in &graph.panic_sinks {
-        if !sink.ledgered {
-            continue;
-        }
-        let path = graph.witness(&from_hot, sink.node);
-        if path.is_empty() {
-            continue;
-        }
-        let node = &graph.nodes[sink.node];
-        out.push(TransitiveFinding {
-            finding: Finding {
+    graph
+        .panic_sinks
+        .iter()
+        .filter(|sink| sink.ledgered)
+        .filter_map(|sink| {
+            let path = graph.witness(&from_hot, sink.node);
+            let root = *path.first()?;
+            let node = &graph.nodes[sink.node];
+            let finding = Finding {
                 rule: LintKind::PanicReachableHot,
                 file: node.file.clone(),
                 line: sink.line,
@@ -387,48 +329,13 @@ pub fn check_graph(graph: &CallGraph) -> Vec<TransitiveFinding> {
                      route, `… via …`)",
                     sink.what,
                     node.name,
-                    graph.nodes[path[0]].name,
+                    graph.nodes[root].name,
                     graph.path_names(&path),
                 ),
-            },
-            path,
-        });
-    }
-
-    // callgraph-ambiguous-kernel: a kernel call site whose simple name
-    // resolved to several definitions. One finding per (kernel, name)
-    // keeps the signal readable; the graph still follows every
-    // candidate above.
-    for &k in &kernels {
-        let mut seen: Vec<&str> = Vec::new();
-        for e in graph.edges.iter().filter(|e| e.caller == k) {
-            if e.candidates < 2 {
-                continue;
-            }
-            let callee = graph.nodes[e.callee].name.as_str();
-            if seen.contains(&callee) {
-                continue;
-            }
-            seen.push(callee);
-            let node = &graph.nodes[k];
-            out.push(TransitiveFinding {
-                finding: Finding {
-                    rule: LintKind::CallgraphAmbiguousKernel,
-                    file: node.file.clone(),
-                    line: e.line,
-                    message: format!(
-                        "call to `{}` from kernel `{}` resolves to {} \
-                         workspace definitions — the graph conservatively \
-                         follows all of them; rename for a unique resolution \
-                         or acknowledge the fan-out with an allow",
-                        callee, node.name, e.candidates,
-                    ),
-                },
-                path: vec![k, e.callee],
-            });
-        }
-    }
-    out
+            };
+            Some(TransitiveFinding { finding, path })
+        })
+        .collect()
 }
 
 /// The `crates/<name>` prefix of a workspace-relative path — the
@@ -596,14 +503,6 @@ mod tests {
         // Reachability follows both candidates.
         let parent = g.reach(&g.kernel_roots());
         assert!(parent[1].is_some() && parent[2].is_some());
-        // And the ambiguity surfaces as a rule 3 finding, deduped.
-        let findings = check_graph(&g);
-        let amb: Vec<_> = findings
-            .iter()
-            .filter(|f| f.finding.rule == LintKind::CallgraphAmbiguousKernel)
-            .collect();
-        assert_eq!(amb.len(), 1);
-        assert!(amb[0].finding.message.contains("2 workspace definitions"));
     }
 
     #[test]

@@ -15,6 +15,12 @@
 //! `AnalysisKind`) and the results land in validated `LINT_*.json`
 //! reports ([`report`]) next to the `BENCH_*.json` machinery.
 //!
+//! One claim is proven the other way round: the allocation-free eval
+//! kernels are measured by the counting allocator in
+//! `tests/eval_allocations.rs`, which sees every allocation a
+//! name-resolved call graph can only guess at. `alloc-in-kernel` stays
+//! here as the per-file early warning for new `_into` kernels.
+//!
 //! Suppressions are scoped comments that **must** carry a reason:
 //!
 //! ```text
@@ -67,9 +73,9 @@ impl std::error::Error for LintError {}
 
 /// A full analysis over a scanned file set: the lint report (findings
 /// after suppression, the allow ledger, malformed directives) plus the
-/// call graph and the raw transitive findings — the latter two feed the
-/// `CALLGRAPH_*.json` report, which keeps witness paths even for sites
-/// whose findings an allow suppressed.
+/// call graph and the raw `panic-reachable-hot` findings — the latter
+/// two feed the `CALLGRAPH_*.json` report, which keeps witness paths
+/// even for sites whose findings an allow suppressed.
 #[derive(Debug, Clone, Default)]
 pub struct WorkspaceAnalysis {
     /// The lint outcome `pmor lint --check` gates on.
@@ -80,8 +86,8 @@ pub struct WorkspaceAnalysis {
     pub transitive: Vec<TransitiveFinding>,
 }
 
-/// Runs the whole pipeline — per-file rules, call graph, transitive
-/// rules, suppression — over an already-scanned file set.
+/// Runs the whole pipeline — per-file rules, call graph, the transitive
+/// rule, suppression — over an already-scanned file set.
 pub fn analyze_sources(files: &[SourceFile]) -> WorkspaceAnalysis {
     let graph = CallGraph::build(files);
     let transitive = graph::check_graph(&graph);
@@ -112,8 +118,8 @@ pub fn analyze_sources(files: &[SourceFile]) -> WorkspaceAnalysis {
 
 /// Lints one file's contents under a workspace-relative `path` label.
 /// Returns the surviving findings plus the ledger entries and
-/// malformed directives the file contributes. The transitive rules run
-/// over the one-file call graph, so single-file fixtures exercise them
+/// malformed directives the file contributes. The transitive rule runs
+/// over the one-file call graph, so single-file fixtures exercise it
 /// too. This is the unit the fixture tests drive.
 pub fn lint_text(path: &str, text: &str) -> (Vec<Finding>, Vec<LedgerEntry>, Vec<BadAllowEntry>) {
     let analysis = analyze_sources(&[SourceFile::parse(path, text)]);
@@ -223,7 +229,7 @@ pub fn workspace_sources(root: &Path) -> Result<Vec<PathBuf>, LintError> {
 
 /// Scans and analyzes every workspace source under `root` (see
 /// [`workspace_sources`]): per-file rules, the cross-file call graph,
-/// and the transitive rules.
+/// and the transitive rule.
 ///
 /// # Errors
 ///

@@ -181,8 +181,9 @@ pub fn validate_lint_json(text: &str) -> Result<(), String> {
 
 /// Serializes a call graph plus its witness paths to
 /// `CALLGRAPH_<tag>.json` in `dir` and returns the path written. The
-/// witness list is the *raw* transitive-rule output (pre-suppression):
-/// the report documents every kernel→sink route the analysis proved,
+/// witness list is the *raw* `panic-reachable-hot` output
+/// (pre-suppression): the report documents every hot-root→panic route
+/// the analysis proved,
 /// including routes the allow ledger has already re-justified —
 /// that is what makes it a reachability proof artifact rather than a
 /// findings dump.
@@ -456,7 +457,9 @@ mod tests {
     fn sample_graph() -> (CallGraph, Vec<TransitiveFinding>) {
         let src = "\
 pub fn eval_into(out: &mut [f64]) {\n    helper(out);\n}\n\
-fn helper(out: &mut [f64]) {\n    let v = out.to_vec();\n}\n";
+fn helper(out: &mut [f64]) {\n    \
+// pmor-lint: allow(panic-in-lib) reason=\"fixture: provably nonempty\"\n    \
+*out.last_mut().unwrap() = 0.0;\n}\n";
         let file = crate::scan::SourceFile::parse("crates/core/src/x.rs", src);
         let graph = CallGraph::build(&[file]);
         let witnesses = crate::graph::check_graph(&graph);
@@ -473,7 +476,7 @@ fn helper(out: &mut [f64]) {\n    let v = out.to_vec();\n}\n";
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"tag\": \"unit\""));
         assert!(text.contains("\"fn\": \"eval_into\""));
-        assert!(text.contains("\"rule\": \"kernel-transitive-alloc\""));
+        assert!(text.contains("\"rule\": \"panic-reachable-hot\""));
         assert!(text.contains("\"path\": \"eval_into -> helper\""));
         validate_callgraph_json(&text).unwrap();
         // The exact bytes are pinned: the layout is part of the contract.
@@ -485,10 +488,12 @@ fn helper(out: &mut [f64]) {\n    let v = out.to_vec();\n}\n";
              {\"id\": 1, \"fn\": \"helper\", \"file\": \"crates/core/src/x.rs\", \"line\": 4, \
              \"kernel\": false}\n  ],\n  \"edges\": [\n    \
              {\"caller\": 0, \"callee\": 1, \"line\": 2, \"candidates\": 1}\n  ],\n  \
-             \"kernel_roots\": [0],\n  \"panic_sinks\": [\n  ],\n  \"witness_paths\": [\n    \
-             {\"rule\": \"kernel-transitive-alloc\", \"file\": \"crates/core/src/x.rs\", \"line\": 5, \
+             \"kernel_roots\": [0],\n  \"panic_sinks\": [\n    \
+             {\"node\": 1, \"line\": 6, \"what\": \"unwrap()\", \"ledgered\": true}\n  ],\n  \
+             \"witness_paths\": [\n    \
+             {\"rule\": \"panic-reachable-hot\", \"file\": \"crates/core/src/x.rs\", \"line\": 6, \
              \"path\": \"eval_into -> helper\"}\n  ],\n  \
-             \"summary\": {\"nodes\": 2, \"edges\": 1, \"kernel_roots\": 1, \"panic_sinks\": 0, \
+             \"summary\": {\"nodes\": 2, \"edges\": 1, \"kernel_roots\": 1, \"panic_sinks\": 1, \
              \"witness_paths\": 1, \"ambiguous_edges\": 0}\n}\n"
         );
 
@@ -522,7 +527,7 @@ fn helper(out: &mut [f64]) {\n    let v = out.to_vec();\n}\n";
         assert!(validate_callgraph_json(&bad_edge)
             .unwrap_err()
             .contains("out of node range"));
-        let bad_rule = good.replace("kernel-transitive-alloc", "made-up-rule");
+        let bad_rule = good.replace("panic-reachable-hot", "made-up-rule");
         assert!(validate_callgraph_json(&bad_rule)
             .unwrap_err()
             .contains("unregistered rule"));
@@ -530,6 +535,10 @@ fn helper(out: &mut [f64]) {\n    let v = out.to_vec();\n}\n";
         assert!(validate_callgraph_json(&bad_root)
             .unwrap_err()
             .contains("kernel_roots"));
+        let bad_sink = good.replace("\"node\": 1", "\"node\": 9");
+        assert!(validate_callgraph_json(&bad_sink)
+            .unwrap_err()
+            .contains("panic sink 0: node id out of range"));
         let no_summary = good.replace("ambiguous_edges", "x");
         assert!(validate_callgraph_json(&no_summary)
             .unwrap_err()
@@ -544,6 +553,7 @@ fn helper(out: &mut [f64]) {\n    let v = out.to_vec();\n}\n";
             ("\"kernel\": true", "\"kernel\": \"yes\"", "kernel"),
             ("\"caller\": 0", "\"caller\": 0.5", "caller"),
             ("\"line\": 4", "\"line\": \"x\"", "line"),
+            ("\"ledgered\": true", "\"ledgered\": \"yes\"", "ledgered"),
             (
                 "\"path\": \"eval_into -> helper\"",
                 "\"path\": null",

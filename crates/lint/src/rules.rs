@@ -36,20 +36,14 @@ pub enum LintKind {
     /// A workspace crate root missing `#![forbid(unsafe_code)]`
     /// (`"forbid-unsafe"`).
     ForbidUnsafe,
-    /// Allocation in a non-kernel function reachable from an eval
-    /// kernel through the call graph (`"kernel-transitive-alloc"`).
-    KernelTransitiveAlloc,
     /// A ledgered panic site reachable from a kernel or hot-path module
     /// through the call graph (`"panic-reachable-hot"`).
     PanicReachableHot,
-    /// A kernel call site whose callee name resolves to several
-    /// workspace definitions (`"callgraph-ambiguous-kernel"`).
-    CallgraphAmbiguousKernel,
 }
 
 impl LintKind {
     /// Every registered rule, in presentation order.
-    pub const ALL: [LintKind; 10] = [
+    pub const ALL: [LintKind; 8] = [
         LintKind::DetHashIter,
         LintKind::DetUnscopedThread,
         LintKind::DetWallclock,
@@ -57,9 +51,7 @@ impl LintKind {
         LintKind::AllocInKernel,
         LintKind::FloatAccum,
         LintKind::ForbidUnsafe,
-        LintKind::KernelTransitiveAlloc,
         LintKind::PanicReachableHot,
-        LintKind::CallgraphAmbiguousKernel,
     ];
 
     /// The registry name — the id used in findings, allows, and
@@ -73,9 +65,7 @@ impl LintKind {
             LintKind::AllocInKernel => "alloc-in-kernel",
             LintKind::FloatAccum => "float-accum",
             LintKind::ForbidUnsafe => "forbid-unsafe",
-            LintKind::KernelTransitiveAlloc => "kernel-transitive-alloc",
             LintKind::PanicReachableHot => "panic-reachable-hot",
-            LintKind::CallgraphAmbiguousKernel => "callgraph-ambiguous-kernel",
         }
     }
 
@@ -102,9 +92,7 @@ impl LintKind {
             LintKind::AllocInKernel => Box::new(AllocInKernel),
             LintKind::FloatAccum => Box::new(FloatAccum),
             LintKind::ForbidUnsafe => Box::new(ForbidUnsafe),
-            LintKind::KernelTransitiveAlloc => Box::new(KernelTransitiveAlloc),
             LintKind::PanicReachableHot => Box::new(PanicReachableHot),
-            LintKind::CallgraphAmbiguousKernel => Box::new(CallgraphAmbiguousKernel),
         }
     }
 }
@@ -123,7 +111,7 @@ pub trait LintRule {
     fn in_scope(&self, path: &str) -> bool;
 
     /// Raw findings for `file` — suppression is applied by the caller.
-    /// The transitive rules return nothing here: their findings come
+    /// The transitive rule returns nothing here: its findings come
     /// from the whole-workspace pass in [`crate::graph::check_graph`]
     /// and are merged by the caller before suppression.
     fn check(&self, file: &SourceFile) -> Vec<Finding>;
@@ -489,12 +477,12 @@ impl LintRule for PanicInLib {
 /// owns every scratch vector, which is what makes batched evaluation
 /// scale linearly across worker threads. An allocation inside such a
 /// kernel is a per-call heap round-trip multiplied by every MC
-/// instance × frequency point.
+/// instance × frequency point. This per-file rule is the early warning;
+/// the exact counts in `tests/eval_allocations.rs` are the proof.
 struct AllocInKernel;
 
-/// Allocation spellings the rule (and the transitive
-/// `kernel-transitive-alloc` pass in [`crate::graph`]) recognizes.
-pub(crate) const ALLOC_PATTERNS: [(&str, &str); 7] = [
+/// Allocation spellings the rule recognizes.
+const ALLOC_PATTERNS: [(&str, &str); 7] = [
     ("Vec::new(", "Vec::new"),
     ("Vec::with_capacity(", "Vec::with_capacity"),
     ("vec![", "vec!"),
@@ -656,32 +644,6 @@ impl LintRule for ForbidUnsafe {
     }
 }
 
-/// `kernel-transitive-alloc`: `alloc-in-kernel` sees only the kernel
-/// body; this rule walks the call graph so an allocation hidden one
-/// call below the kernel is flagged too, with the full witness path.
-/// Findings come from [`crate::graph::check_graph`]; the per-file
-/// `check` is empty by design.
-struct KernelTransitiveAlloc;
-
-impl LintRule for KernelTransitiveAlloc {
-    fn kind(&self) -> LintKind {
-        LintKind::KernelTransitiveAlloc
-    }
-
-    fn describe(&self) -> &'static str {
-        "allocation in a function reachable from an eval kernel \
-         through the call graph (witness path in the finding)"
-    }
-
-    fn in_scope(&self, _path: &str) -> bool {
-        true
-    }
-
-    fn check(&self, _file: &SourceFile) -> Vec<Finding> {
-        Vec::new()
-    }
-}
-
 /// `panic-reachable-hot`: a `panic-in-lib` allow proves one site
 /// infallible in isolation; this rule re-examines every ledgered site
 /// against the call graph and demands a second, path-aware
@@ -697,33 +659,6 @@ impl LintRule for PanicReachableHot {
     fn describe(&self) -> &'static str {
         "ledgered panic site reachable from a kernel or hot-path \
          module; the allow must re-justify the route (via …)"
-    }
-
-    fn in_scope(&self, _path: &str) -> bool {
-        true
-    }
-
-    fn check(&self, _file: &SourceFile) -> Vec<Finding> {
-        Vec::new()
-    }
-}
-
-/// `callgraph-ambiguous-kernel`: the graph resolves calls by simple
-/// name, so a kernel calling `solve` when three crates define `solve`
-/// is analyzed against all three. That keeps reachability sound but
-/// imprecise — this rule surfaces the imprecision at the call site
-/// instead of letting it hide. Findings come from
-/// [`crate::graph::check_graph`].
-struct CallgraphAmbiguousKernel;
-
-impl LintRule for CallgraphAmbiguousKernel {
-    fn kind(&self) -> LintKind {
-        LintKind::CallgraphAmbiguousKernel
-    }
-
-    fn describe(&self) -> &'static str {
-        "kernel call site whose callee name resolves to several \
-         workspace definitions (analysis follows all of them)"
     }
 
     fn in_scope(&self, _path: &str) -> bool {

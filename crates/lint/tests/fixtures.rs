@@ -261,64 +261,6 @@ fn forbid_unsafe_fires_and_clean() {
     silent(LintKind::ForbidUnsafe, "crates/core/src/lib.rs", clean);
 }
 
-// --- kernel-transitive-alloc -----------------------------------------------
-
-#[test]
-fn kernel_transitive_alloc_fires_and_clean() {
-    // The kernel itself is allocation-free; its helper is not. The
-    // per-line alloc-in-kernel rule cannot see this — only the call
-    // graph can, and the finding anchors at the helper's alloc site.
-    let dirty = r#"
-pub fn eval_into(p: &[f64], out: &mut [f64]) {
-    helper(p, out);
-}
-
-fn helper(p: &[f64], out: &mut [f64]) {
-    let scratch = p.to_vec();
-    out.copy_from_slice(&scratch);
-}
-"#;
-    fires(
-        LintKind::KernelTransitiveAlloc,
-        "crates/core/src/fixture.rs",
-        dirty,
-    );
-
-    // An allocation-free helper chain stays silent.
-    let clean = r#"
-pub fn eval_into(p: &[f64], out: &mut [f64]) {
-    helper(p, out);
-}
-
-fn helper(p: &[f64], out: &mut [f64]) {
-    for (o, v) in out.iter_mut().zip(p) {
-        *o = *v;
-    }
-}
-"#;
-    silent(
-        LintKind::KernelTransitiveAlloc,
-        "crates/core/src/fixture.rs",
-        clean,
-    );
-
-    // An allocating helper never reached from a kernel is also fine.
-    let unreached = r#"
-pub fn assemble(p: &[f64]) -> Vec<f64> {
-    helper(p)
-}
-
-fn helper(p: &[f64]) -> Vec<f64> {
-    p.to_vec()
-}
-"#;
-    silent(
-        LintKind::KernelTransitiveAlloc,
-        "crates/core/src/fixture.rs",
-        unreached,
-    );
-}
-
 // --- panic-reachable-hot ---------------------------------------------------
 
 #[test]
@@ -379,87 +321,6 @@ fn helper(out: &mut [f64]) {
         LintKind::PanicInLib,
         "crates/core/src/fixture.rs",
         unledgered,
-    );
-}
-
-// --- callgraph-ambiguous-kernel --------------------------------------------
-
-#[test]
-fn callgraph_ambiguous_kernel_fires_and_clean() {
-    // Two same-named methods in scope: the kernel's call site cannot be
-    // resolved uniquely, so the analysis fans out and says so.
-    let dirty = r#"
-pub struct Dense;
-pub struct Sparse;
-
-impl Dense {
-    pub fn norm(&self) -> f64 {
-        0.0
-    }
-}
-
-impl Sparse {
-    pub fn norm(&self) -> f64 {
-        1.0
-    }
-}
-
-pub fn eval_into(m: &Dense, out: &mut [f64]) {
-    out[0] = m.norm();
-}
-"#;
-    fires(
-        LintKind::CallgraphAmbiguousKernel,
-        "crates/core/src/fixture.rs",
-        dirty,
-    );
-
-    // A single definition resolves uniquely: silent.
-    let clean = r#"
-pub struct Dense;
-
-impl Dense {
-    pub fn norm(&self) -> f64 {
-        0.0
-    }
-}
-
-pub fn eval_into(m: &Dense, out: &mut [f64]) {
-    out[0] = m.norm();
-}
-"#;
-    silent(
-        LintKind::CallgraphAmbiguousKernel,
-        "crates/core/src/fixture.rs",
-        clean,
-    );
-
-    // Ambiguity only matters from kernels: a plain function calling the
-    // same overloaded name is not flagged.
-    let non_kernel = r#"
-pub struct Dense;
-pub struct Sparse;
-
-impl Dense {
-    pub fn norm(&self) -> f64 {
-        0.0
-    }
-}
-
-impl Sparse {
-    pub fn norm(&self) -> f64 {
-        1.0
-    }
-}
-
-pub fn report(m: &Dense) -> f64 {
-    m.norm()
-}
-"#;
-    silent(
-        LintKind::CallgraphAmbiguousKernel,
-        "crates/core/src/fixture.rs",
-        non_kernel,
     );
 }
 
@@ -549,9 +410,7 @@ fn every_registered_rule_has_a_fixture_above() {
         LintKind::AllocInKernel,
         LintKind::FloatAccum,
         LintKind::ForbidUnsafe,
-        LintKind::KernelTransitiveAlloc,
         LintKind::PanicReachableHot,
-        LintKind::CallgraphAmbiguousKernel,
     ];
     for kind in LintKind::ALL {
         assert!(

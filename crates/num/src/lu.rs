@@ -90,7 +90,6 @@ impl<T: Scalar> LuFactors<T> {
     ///
     /// Returns [`NumError::DimensionMismatch`] if `b.len() != dim()`.
     pub fn solve(&self, b: &[T]) -> Result<Vec<T>> {
-        // pmor-lint: allow(kernel-transitive-alloc) reason="owned-result convenience over solve_into, reached only on the full-order reference route via transient -> simulate_full_ordered; the ROM time stepper calls solve_into directly"
         let mut x = Vec::with_capacity(self.dim());
         self.solve_into(b, &mut x)?;
         Ok(x)
@@ -130,7 +129,6 @@ impl<T: Scalar> LuFactors<T> {
             for j in (i + 1)..n {
                 acc -= self.lu[(i, j)] * x[j];
             }
-            // pmor-lint: allow(callgraph-ambiguous-kernel) reason="recip is the Scalar trait method; every impl is a branch-free reciprocal and the analysis follows all of them"
             x[i] = acc * self.lu[(i, i)].recip();
         }
         Ok(())

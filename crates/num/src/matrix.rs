@@ -155,7 +155,6 @@ impl<T: Scalar> Matrix<T> {
 
     /// Copies column `c` into a new vector.
     pub fn col(&self, c: usize) -> Vec<T> {
-        // pmor-lint: allow(kernel-transitive-alloc) reason="owned column copy, reached only on the full-model reference route via transfer_with -> solve_dense; ROM kernels never take columns"
         (0..self.nrows).map(|r| self[(r, c)]).collect()
     }
 
@@ -235,7 +234,6 @@ impl<T: Scalar> Matrix<T> {
         Matrix {
             nrows: self.nrows,
             ncols: self.ncols,
-            // pmor-lint: allow(kernel-transitive-alloc) reason="false edge: the kernels' .map( call sites are std iterator adapters sharing Matrix::map's simple name, via solve_into -> map; no kernel builds a mapped matrix"
             data: self.data.iter().map(|&v| f(v)).collect(),
         }
     }
@@ -391,7 +389,6 @@ impl<T: Scalar> Matrix<T> {
 
     /// Returns `k * self`.
     pub fn scaled(&self, k: T) -> Matrix<T> {
-        // pmor-lint: allow(kernel-transitive-alloc) reason="owned scaled copy, reached only on the full-order reference route via transient -> simulate_full_ordered; the ROM stepper assembles its step matrices in place"
         let mut out = self.clone();
         for a in out.data.iter_mut() {
             *a *= k;

@@ -177,7 +177,6 @@ impl<T: Scalar> CsrMatrix<T> {
     ///
     /// Panics if `x.len() != ncols`.
     pub fn mul_vec_into(&self, x: &[T], y: &mut Vec<T>) {
-        // pmor-lint: allow(callgraph-ambiguous-kernel) reason="len is slice::len here; the workspace also defines len on its own containers and the analysis follows all of them"
         assert_eq!(x.len(), self.ncols, "CsrMatrix::mul_vec_into: dim mismatch");
         y.clear();
         y.extend((0..self.nrows).map(|r| {
@@ -324,7 +323,6 @@ impl<T: Scalar> CsrMatrix<T> {
             (other.nrows, other.ncols),
             "add_scaled: dimension mismatch"
         );
-        // pmor-lint: allow(kernel-transitive-alloc) reason="owned-sum assembly, reached only on the full-model reference route via transfer_with -> add_scaled; the ROM kernels assemble elementwise into workspace buffers"
         let mut triplets: Vec<(usize, usize, T)> = self.iter().collect();
         triplets.extend(other.iter().map(|(r, c, v)| (r, c, k * v)));
         CsrMatrix::from_triplets(self.nrows, self.ncols, &triplets)
@@ -332,7 +330,6 @@ impl<T: Scalar> CsrMatrix<T> {
 
     /// Scales all values by `k`.
     pub fn scaled(&self, k: T) -> CsrMatrix<T> {
-        // pmor-lint: allow(kernel-transitive-alloc) reason="owned scaled copy, reached only on the full-order reference route via transient -> simulate_full_ordered; ROM kernels scale in place"
         let mut out = self.clone();
         for v in out.values.iter_mut() {
             *v *= k;
@@ -361,11 +358,8 @@ impl<T: Scalar> CsrMatrix<T> {
         CsrMatrix {
             nrows: self.nrows,
             ncols: self.ncols,
-            // pmor-lint: allow(kernel-transitive-alloc) reason="false edge: the kernels' .map( call sites are std iterator adapters sharing CsrMatrix::map's simple name, via mul_vec_into -> map; no kernel builds a mapped matrix"
             row_ptr: self.row_ptr.clone(),
-            // pmor-lint: allow(kernel-transitive-alloc) reason="false edge: the kernels' .map( call sites are std iterator adapters sharing CsrMatrix::map's simple name, via mul_vec_into -> map; no kernel builds a mapped matrix"
             col_idx: self.col_idx.clone(),
-            // pmor-lint: allow(kernel-transitive-alloc) reason="false edge: the kernels' .map( call sites are std iterator adapters sharing CsrMatrix::map's simple name, via mul_vec_into -> map; no kernel builds a mapped matrix"
             values: self.values.iter().map(|&v| f(v)).collect(),
         }
     }

@@ -590,9 +590,7 @@ impl<T: Scalar> SparseLu<T> {
         }
         // Forward: L y = P b, with y indexed by pivot position; the work
         // array w lives on original row indices.
-        // pmor-lint: allow(kernel-transitive-alloc) reason="owned-result sparse solve, reached only on the full-model reference routes via transfer_with -> solve_dense and transient -> simulate_full_ordered; ROM kernels solve dense factors in place"
         let mut w = b.to_vec();
-        // pmor-lint: allow(kernel-transitive-alloc) reason="owned-result sparse solve, reached only on the full-model reference routes via transfer_with -> solve_dense and transient -> simulate_full_ordered; ROM kernels solve dense factors in place"
         let mut y = vec![T::ZERO; n];
         for k in 0..n {
             let yk = w[self.row_of_pos[k]];
@@ -616,7 +614,6 @@ impl<T: Scalar> SparseLu<T> {
             }
         }
         // Undo the column permutation.
-        // pmor-lint: allow(kernel-transitive-alloc) reason="owned-result sparse solve, reached only on the full-model reference routes via transfer_with -> solve_dense and transient -> simulate_full_ordered; ROM kernels solve dense factors in place"
         let mut xout = vec![T::ZERO; n];
         for k in 0..n {
             xout[self.q[k]] = y[k];

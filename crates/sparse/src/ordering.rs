@@ -90,7 +90,6 @@ pub fn rcm<T: Scalar>(a: &CsrMatrix<T>) -> Vec<usize> {
     let n = a.nrows();
     assert_eq!(n, a.ncols(), "rcm: square matrix required");
     // Build symmetric adjacency (excluding the diagonal).
-    // pmor-lint: allow(kernel-transitive-alloc) reason="symbolic ordering runs once per factorization, not per step, via transient -> simulate_full_ordered -> rcm; the ordered reference path precomputes and reuses the permutation"
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (r, c, _) in a.iter() {
         if r != c {
@@ -102,12 +101,9 @@ pub fn rcm<T: Scalar>(a: &CsrMatrix<T>) -> Vec<usize> {
         list.sort_unstable();
         list.dedup();
     }
-    // pmor-lint: allow(kernel-transitive-alloc) reason="symbolic ordering runs once per factorization, not per step, via transient -> simulate_full_ordered -> rcm; the ordered reference path precomputes and reuses the permutation"
     let degree: Vec<usize> = adj.iter().map(Vec::len).collect();
 
-    // pmor-lint: allow(kernel-transitive-alloc) reason="symbolic ordering runs once per factorization, not per step, via transient -> simulate_full_ordered -> rcm; the ordered reference path precomputes and reuses the permutation"
     let mut order: Vec<usize> = Vec::with_capacity(n);
-    // pmor-lint: allow(kernel-transitive-alloc) reason="symbolic ordering runs once per factorization, not per step, via transient -> simulate_full_ordered -> rcm; the ordered reference path precomputes and reuses the permutation"
     let mut visited = vec![false; n];
 
     // Process every connected component.
@@ -121,7 +117,6 @@ pub fn rcm<T: Scalar>(a: &CsrMatrix<T>) -> Vec<usize> {
         queue.push_back(root);
         while let Some(u) = queue.pop_front() {
             order.push(u);
-            // pmor-lint: allow(kernel-transitive-alloc) reason="symbolic ordering runs once per factorization, not per step, via transient -> simulate_full_ordered -> rcm; the ordered reference path precomputes and reuses the permutation"
             let mut nbrs: Vec<usize> = adj[u].iter().copied().filter(|&v| !visited[v]).collect();
             nbrs.sort_by_key(|&v| degree[v]);
             for v in nbrs {
@@ -142,7 +137,6 @@ fn pseudo_peripheral(start: usize, adj: &[Vec<usize>], global_visited: &[bool]) 
     let mut last_ecc = 0usize;
     for _ in 0..8 {
         // BFS from `node`, track eccentricity and the last level.
-        // pmor-lint: allow(kernel-transitive-alloc) reason="symbolic ordering runs once per factorization, not per step, via transient -> simulate_full_ordered -> rcm -> pseudo_peripheral; the ordered reference path precomputes and reuses the permutation"
         let mut dist = vec![usize::MAX; n];
         dist[node] = 0;
         let mut queue = std::collections::VecDeque::new();

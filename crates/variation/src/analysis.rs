@@ -505,7 +505,6 @@ fn worst_transfer_error(
     let mut worst = 0.0f64;
     for &f in freqs_hz {
         let s = Complex64::jw(2.0 * std::f64::consts::PI * f);
-        // pmor-lint: allow(callgraph-ambiguous-kernel) reason="transfer_with is the TransferModel trait method; an analysis compares whichever full and reduced models it is handed, so following every impl is the intended fan-out"
         let hf = full.transfer_with(p, s, ws)?;
         let hr = rom.transfer_with(p, s, ws)?;
         let denom = hf.max_abs().max(1e-300);
