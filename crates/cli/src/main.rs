@@ -37,15 +37,12 @@ USAGE:
                                 holding hot ROMs in an in-memory LRU
   pmor serve --ping ADDR        health-check a running daemon
   pmor serve --shutdown ADDR    ask a running daemon to drain and exit
-  pmor lint [--check] [--json] [--graph] [--out DIR] [root]
+  pmor lint [--check] [--json] [--out DIR] [root]
                                 determinism & numeric-safety static analysis
                                 over crates/*/src (--check: findings and
                                 unused allows are fatal; --json: write
-                                LINT_workspace.json; --graph: write
-                                CALLGRAPH_workspace.json with the workspace
-                                call graph and witness paths)
-  pmor lint --validate <file>...  validate LINT_*.json / CALLGRAPH_*.json
-                                report files
+                                LINT_workspace.json)
+  pmor lint --validate <file>...  validate LINT_*.json report files
   pmor vet [root]               parse-validate every scenario in scenarios/
                                 and every suite in scenarios/suites/ (incl.
                                 suite→scenario references and SPICE deck
@@ -376,7 +373,6 @@ fn cmd_lint(args: &[String]) -> Result<(), CliError> {
     }
     let mut check = false;
     let mut json = false;
-    let mut graph = false;
     let mut out = ".".to_string();
     let mut root = ".".to_string();
     let mut it = args.iter();
@@ -384,7 +380,6 @@ fn cmd_lint(args: &[String]) -> Result<(), CliError> {
         match arg.as_str() {
             "--check" => check = true,
             "--json" => json = true,
-            "--graph" => graph = true,
             "--out" => {
                 let Some(dir) = it.next() else {
                     return Err(CliError::Usage("--out needs a directory".into()));
@@ -401,7 +396,6 @@ fn cmd_lint(args: &[String]) -> Result<(), CliError> {
     pmor_cli::lint_cmd::run_lint(
         std::path::Path::new(&root),
         json.then_some(out_dir.as_path()),
-        graph.then_some(out_dir.as_path()),
         check,
     )?;
     Ok(())
@@ -442,7 +436,7 @@ fn cmd_list(args: &[String]) -> Result<(), CliError> {
 /// Each description comes off the built `LintRule` trait object — the
 /// same object the scan runs — not a parallel table.
 fn list_lints() {
-    println!("lint rules (run: pmor lint [--check] [--json] [--graph]):");
+    println!("lint rules (run: pmor lint [--check] [--json]):");
     for kind in pmor_lint::LintKind::ALL {
         let rule: Box<dyn pmor_lint::LintRule> = kind.build();
         println!("  {:<28} {}", kind.name(), rule.describe());

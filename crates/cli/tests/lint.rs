@@ -3,7 +3,7 @@
 //! checker's all-invalid-files reporting.
 
 use pmor_cli::lint_cmd::{run_lint, validate_files};
-use pmor_lint::{validate_callgraph_json, validate_lint_json, write_lint_json_in, LintReport};
+use pmor_lint::{validate_lint_json, write_lint_json_in, LintReport};
 use std::path::PathBuf;
 
 /// A unique per-test directory under the system temp dir.
@@ -22,7 +22,7 @@ fn repo_root() -> PathBuf {
 fn lint_check_passes_on_the_workspace_and_writes_valid_json() {
     let dir = out_dir("workspace");
     // --check mode: the audited workspace must come back clean.
-    let report = run_lint(&repo_root(), Some(&dir), Some(&dir), true).unwrap();
+    let report = run_lint(&repo_root(), Some(&dir), true).unwrap();
     assert!(report.clean());
     assert!(
         report.allows_used() > 0,
@@ -34,50 +34,8 @@ fn lint_check_passes_on_the_workspace_and_writes_valid_json() {
     validate_lint_json(&text).unwrap();
     assert!(text.contains("\"tag\": \"workspace\""), "{text}");
     assert!(text.contains("\"files_scanned\""), "{text}");
-    // --graph mode: the call-graph report sits next to it, validates,
-    // and actually carries the workspace graph — kernels exist, edges
-    // exist, and the panic-reachable-hot witnesses the audit ledgered
-    // are kept pre-suppression. They are the only witness records: a
-    // `rule` key appears nowhere else in the report.
-    let gpath = dir.join("CALLGRAPH_workspace.json");
-    let gtext = std::fs::read_to_string(&gpath).unwrap();
-    validate_callgraph_json(&gtext).unwrap();
-    assert!(gtext.contains("\"tag\": \"workspace\""), "{gtext}");
-    assert!(gtext.contains("\"kernel\": true"), "{gtext}");
-    let witnesses = gtext.matches("\"rule\": ").count();
-    assert!(witnesses > 0, "{gtext}");
-    assert_eq!(
-        gtext.matches("\"rule\": \"panic-reachable-hot\"").count(),
-        witnesses,
-        "{gtext}"
-    );
-    assert!(gtext.contains(" -> "), "witness paths should be rendered");
-    // Both report kinds go through the same --validate front door.
-    let both = vec![
-        path.to_str().unwrap().to_string(),
-        gpath.to_str().unwrap().to_string(),
-    ];
-    validate_files(&both).unwrap();
-}
-
-#[test]
-fn validate_rejects_a_structurally_damaged_callgraph_report() {
-    let dir = out_dir("graph_damage");
-    run_lint(&repo_root(), None, Some(&dir), false).unwrap();
-    let gpath = dir.join("CALLGRAPH_workspace.json");
-    let text = std::fs::read_to_string(&gpath).unwrap();
-    // An out-of-range edge endpoint must fail validation through the
-    // CLI path (the validator is picked by the CALLGRAPH_ basename).
-    let bad = dir.join("CALLGRAPH_bad.json");
-    std::fs::write(
-        &bad,
-        text.replacen("\"caller\": 0", "\"caller\": 999999", 1),
-    )
-    .unwrap();
-    let err = validate_files(&[bad.to_str().unwrap().to_string()])
-        .unwrap_err()
-        .to_string();
-    assert!(err.contains("CALLGRAPH_bad.json"), "{err}");
+    // The written report goes through the --validate front door.
+    validate_files(&[path.to_str().unwrap().to_string()]).unwrap();
 }
 
 #[test]

@@ -366,7 +366,7 @@ impl EvalEngine {
                 .collect();
             handles
                 .into_iter()
-                // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="join fails only when a worker panicked; re-raising that panic is the intended behavior — hot via map_chunked, the EvalEngine batch path itself"
+                // pmor-lint: allow(panic-in-lib) reason="join fails only when a worker panicked; re-raising that panic is the intended behavior"
                 .map(|h| h.join().expect("evaluation worker panicked"))
                 // pmor-lint: allow(alloc-in-kernel) reason="batch-layer orchestration: one allocation per batch/chunk amortized over every point; the per-point ROM path stays allocation-free"
                 .collect()

@@ -103,16 +103,16 @@ impl<'a> FullModel<'a> {
             ws.full_io_key = Some(self.fingerprint);
         }
         let (g, c) = (
-            // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="the workspace caches are populated by the key checks immediately above; hot via transfer_with, the full-model reference kernel"
+            // pmor-lint: allow(panic-in-lib) reason="the workspace caches are populated by the key checks immediately above"
             ws.full_g.as_ref().expect("assembled above"),
-            // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="the workspace caches are populated by the key checks immediately above; hot via transfer_with, the full-model reference kernel"
+            // pmor-lint: allow(panic-in-lib) reason="the workspace caches are populated by the key checks immediately above"
             ws.full_c.as_ref().expect("assembled above"),
         );
         let a = g.add_scaled(s, c);
         let lu = SparseLu::factor(&a, Some(&self.perm))?;
-        // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="the workspace caches are populated by the key checks immediately above; hot via transfer_with, the full-model reference kernel"
+        // pmor-lint: allow(panic-in-lib) reason="the workspace caches are populated by the key checks immediately above"
         let x = lu.solve_dense(ws.full_b.as_ref().expect("converted above"))?;
-        // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="the workspace caches are populated by the key checks immediately above; hot via transfer_with, the full-model reference kernel"
+        // pmor-lint: allow(panic-in-lib) reason="the workspace caches are populated by the key checks immediately above"
         Ok(ws.full_l.as_ref().expect("converted above").tr_mul_mat(&x))
     }
 

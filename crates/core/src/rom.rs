@@ -511,8 +511,8 @@ pub fn to_bytes(rom: &ParametricRom) -> Vec<u8> {
 /// # Errors
 ///
 /// Rejects files with a wrong magic, an unsupported format version, a
-/// checksum mismatch (corruption), truncation, or inconsistent matrix
-/// dimensions.
+/// checksum mismatch (corruption), truncation, a parameter count the
+/// payload cannot hold, or inconsistent matrix dimensions.
 pub fn from_bytes(bytes: &[u8]) -> Result<ParametricRom> {
     let err = |msg: &str| PmorError::Invalid(format!("ROM deserialization: {msg}"));
     if bytes.len() < ROM_MAGIC.len() + 4 + 8 {
@@ -521,7 +521,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<ParametricRom> {
     if bytes[..8] != ROM_MAGIC {
         return Err(err("not a pmor ROM file (bad magic)"));
     }
-    // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="the slice range is exactly 8 bytes by construction, so the array conversion cannot fail — holds unchanged on the daemon upload route, hot via accept_loop -> load -> from_bytes"
+    // pmor-lint: allow(panic-in-lib) reason="the slice range is exactly 8 bytes by construction, so the array conversion cannot fail"
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
     if version != ROM_FORMAT_VERSION {
         return Err(err(&format!(
@@ -529,7 +529,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<ParametricRom> {
         )));
     }
     let payload = &bytes[12..bytes.len() - 8];
-    // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="the slice range is exactly 8 bytes by construction, so the array conversion cannot fail — holds unchanged on the daemon upload route, hot via accept_loop -> load -> from_bytes"
+    // pmor-lint: allow(panic-in-lib) reason="the slice range is exactly 8 bytes by construction, so the array conversion cannot fail"
     let stored_sum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
     if fnv1a(payload) != stored_sum {
         return Err(err("checksum mismatch (corrupted file)"));
@@ -541,7 +541,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<ParametricRom> {
             .checked_add(8)
             .filter(|&e| e <= payload.len())
             .ok_or_else(|| err("truncated payload"))?;
-        // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="the slice range is exactly 8 bytes by construction, so the array conversion cannot fail — holds unchanged on the daemon upload route, hot via accept_loop -> load -> from_bytes"
+        // pmor-lint: allow(panic-in-lib) reason="the slice range is exactly 8 bytes by construction, so the array conversion cannot fail"
         let v = u64::from_le_bytes(payload[cursor..end].try_into().unwrap());
         cursor = end;
         Ok(v)
@@ -558,7 +558,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<ParametricRom> {
     };
     let size = as_dim(next_u64(payload)?)?;
     let full_dim = as_dim(next_u64(payload)?)?;
-    let np = as_dim(next_u64(payload)?)?;
+    let np = param_count(as_dim(next_u64(payload)?)?, payload.len())?;
     let ni = as_dim(next_u64(payload)?)?;
     let no = as_dim(next_u64(payload)?)?;
     let mut read_mat = |payload: &[u8], want_r: usize, want_c: usize| -> Result<Matrix<f64>> {
@@ -567,11 +567,11 @@ pub fn from_bytes(bytes: &[u8]) -> Result<ParametricRom> {
             .filter(|&e| e <= payload.len())
             .ok_or_else(|| err("truncated payload"))?;
         let nr = as_dim(u64::from_le_bytes(
-            // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="the slice range is exactly 8 bytes by construction, so the array conversion cannot fail — holds unchanged on the daemon upload route, hot via accept_loop -> load -> from_bytes"
+            // pmor-lint: allow(panic-in-lib) reason="the slice range is exactly 8 bytes by construction, so the array conversion cannot fail"
             payload[cursor..cursor + 8].try_into().unwrap(),
         ))?;
         let nc = as_dim(u64::from_le_bytes(
-            // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="the slice range is exactly 8 bytes by construction, so the array conversion cannot fail — holds unchanged on the daemon upload route, hot via accept_loop -> load -> from_bytes"
+            // pmor-lint: allow(panic-in-lib) reason="the slice range is exactly 8 bytes by construction, so the array conversion cannot fail"
             payload[cursor + 8..end].try_into().unwrap(),
         ))?;
         cursor = end;
@@ -593,7 +593,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<ParametricRom> {
             for c in 0..nc {
                 let at = cursor + 8 * (r * nc + c);
                 m[(r, c)] =
-                    // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="the slice range is exactly 8 bytes by construction, so the array conversion cannot fail — holds unchanged on the daemon upload route, hot via accept_loop -> load -> from_bytes"
+                    // pmor-lint: allow(panic-in-lib) reason="the slice range is exactly 8 bytes by construction, so the array conversion cannot fail"
                     f64::from_bits(u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()));
             }
         }
@@ -625,6 +625,21 @@ pub fn from_bytes(bytes: &[u8]) -> Result<ParametricRom> {
         l,
         projection,
     })
+}
+
+/// Bounds a header's parameter count by the payload that must carry it:
+/// each parameter stores two matrices (G̃ᵢ, C̃ᵢ), each opening with a
+/// 16-byte dimension header, so a count whose headers alone overrun the
+/// payload is rejected before [`from_bytes`] reserves anything for it.
+fn param_count(np: usize, payload_len: usize) -> Result<usize> {
+    let need = np.saturating_mul(2 * 16);
+    if need > payload_len {
+        return Err(PmorError::Invalid(format!(
+            "ROM deserialization: parameter count {np} needs {need} bytes of \
+             matrix headers, but the payload holds {payload_len}"
+        )));
+    }
+    Ok(np)
 }
 
 /// Writes `rom` to `path` in the versioned binary ROM format (see

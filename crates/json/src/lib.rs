@@ -4,8 +4,8 @@
 //! `pmor-json`: the workspace's one JSON implementation.
 //!
 //! The workspace's JSON goes through this crate: the `BENCH_*.json`
-//! records, the `LINT_*.json` and `CALLGRAPH_*.json` lint reports, and
-//! the `pmor serve` line protocol.
+//! records, the `LINT_*.json` lint reports, and the `pmor serve` line
+//! protocol.
 //!
 //! * **Reading** — [`parse_json`] is a strict (RFC 8259) recursive
 //!   descent parser into a [`Json`] tree: depth-limited, linear in the

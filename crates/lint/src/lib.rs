@@ -15,11 +15,13 @@
 //! `AnalysisKind`) and the results land in validated `LINT_*.json`
 //! reports ([`report`]) next to the `BENCH_*.json` machinery.
 //!
-//! One claim is proven the other way round: the allocation-free eval
-//! kernels are measured by the counting allocator in
-//! `tests/eval_allocations.rs`, which sees every allocation a
-//! name-resolved call graph can only guess at. `alloc-in-kernel` stays
-//! here as the per-file early warning for new `_into` kernels.
+//! Every rule reads one file at a time; nothing here resolves calls
+//! across files. Claims about what a call chain does are proven at
+//! runtime instead: the allocation-free eval kernels by the counting
+//! allocator in `tests/eval_allocations.rs` (`alloc-in-kernel` stays
+//! here as the per-file early warning for new `_into` kernels), and the
+//! ROM decoder's handling of outside input by the resealed-payload
+//! cases in `tests/rom_serialization.rs`.
 //!
 //! Suppressions are scoped comments that **must** carry a reason:
 //!
@@ -38,15 +40,12 @@
 //! additionally gates the workspace through
 //! `tests/workspace_clean.rs`.
 
-pub mod graph;
 pub mod report;
 pub mod rules;
 pub mod scan;
 
-pub use graph::{CallGraph, TransitiveFinding};
 pub use report::{
-    validate_callgraph_json, validate_lint_json, write_callgraph_json_in, write_lint_json_in,
-    BadAllowEntry, Finding, LedgerEntry, LintReport,
+    validate_lint_json, write_lint_json_in, BadAllowEntry, Finding, LedgerEntry, LintReport,
 };
 pub use rules::{LintKind, LintRule};
 pub use scan::SourceFile;
@@ -71,59 +70,28 @@ impl fmt::Display for LintError {
 
 impl std::error::Error for LintError {}
 
-/// A full analysis over a scanned file set: the lint report (findings
-/// after suppression, the allow ledger, malformed directives) plus the
-/// call graph and the raw `panic-reachable-hot` findings — the latter
-/// two feed the `CALLGRAPH_*.json` report, which keeps witness paths
-/// even for sites whose findings an allow suppressed.
-#[derive(Debug, Clone, Default)]
-pub struct WorkspaceAnalysis {
-    /// The lint outcome `pmor lint --check` gates on.
-    pub report: LintReport,
-    /// The workspace call graph.
-    pub graph: CallGraph,
-    /// Transitive findings with witness paths, pre-suppression.
-    pub transitive: Vec<TransitiveFinding>,
-}
-
-/// Runs the whole pipeline — per-file rules, call graph, the transitive
-/// rule, suppression — over an already-scanned file set.
-pub fn analyze_sources(files: &[SourceFile]) -> WorkspaceAnalysis {
-    let graph = CallGraph::build(files);
-    let transitive = graph::check_graph(&graph);
+/// Runs the per-file rules and applies each file's suppressions over
+/// an already-scanned file set.
+pub fn analyze_sources(files: &[SourceFile]) -> LintReport {
     let mut report = LintReport {
         files_scanned: files.len(),
         ..LintReport::default()
     };
     for file in files {
-        let mut raw = rules::check_file(file);
-        raw.extend(
-            transitive
-                .iter()
-                .filter(|t| t.finding.file == file.path)
-                .map(|t| t.finding.clone()),
-        );
-        raw.sort_by_key(|f| f.line);
-        let (findings, ledger, bad) = apply_allows(file, raw);
+        let (findings, ledger, bad) = apply_allows(file, rules::check_file(file));
         report.findings.extend(findings);
         report.allows.extend(ledger);
         report.bad_allows.extend(bad);
     }
-    WorkspaceAnalysis {
-        report,
-        graph,
-        transitive,
-    }
+    report
 }
 
 /// Lints one file's contents under a workspace-relative `path` label.
 /// Returns the surviving findings plus the ledger entries and
-/// malformed directives the file contributes. The transitive rule runs
-/// over the one-file call graph, so single-file fixtures exercise it
-/// too. This is the unit the fixture tests drive.
+/// malformed directives the file contributes. This is the unit the
+/// fixture tests drive.
 pub fn lint_text(path: &str, text: &str) -> (Vec<Finding>, Vec<LedgerEntry>, Vec<BadAllowEntry>) {
-    let analysis = analyze_sources(&[SourceFile::parse(path, text)]);
-    let report = analysis.report;
+    let report = analyze_sources(&[SourceFile::parse(path, text)]);
     (report.findings, report.allows, report.bad_allows)
 }
 
@@ -227,15 +195,14 @@ pub fn workspace_sources(root: &Path) -> Result<Vec<PathBuf>, LintError> {
     Ok(out)
 }
 
-/// Scans and analyzes every workspace source under `root` (see
-/// [`workspace_sources`]): per-file rules, the cross-file call graph,
-/// and the transitive rule.
+/// Scans and lints every workspace source under `root` (see
+/// [`workspace_sources`]) and aggregates the report.
 ///
 /// # Errors
 ///
 /// Fails on walk or read errors; findings are *not* errors — inspect
 /// [`LintReport::clean`].
-pub fn analyze_workspace(root: &Path) -> Result<WorkspaceAnalysis, LintError> {
+pub fn lint_workspace(root: &Path) -> Result<LintReport, LintError> {
     let paths = workspace_sources(root)?;
     let mut files = Vec::with_capacity(paths.len());
     for path in &paths {
@@ -244,17 +211,6 @@ pub fn analyze_workspace(root: &Path) -> Result<WorkspaceAnalysis, LintError> {
         files.push(SourceFile::parse(&relative_label(root, path), &text));
     }
     Ok(analyze_sources(&files))
-}
-
-/// Lints every workspace source under `root` and aggregates the
-/// report — [`analyze_workspace`] without the graph artifacts.
-///
-/// # Errors
-///
-/// Fails on walk or read errors; findings are *not* errors — inspect
-/// [`LintReport::clean`].
-pub fn lint_workspace(root: &Path) -> Result<LintReport, LintError> {
-    Ok(analyze_workspace(root)?.report)
 }
 
 /// `path` relative to `root` with `/` separators, for stable report

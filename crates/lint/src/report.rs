@@ -1,18 +1,15 @@
-//! Machine-readable lint reports: `LINT_<tag>.json` and
-//! `CALLGRAPH_<tag>.json`.
+//! Machine-readable lint reports: `LINT_<tag>.json`.
 //!
 //! The format mirrors the `BENCH_*.json` discipline from `pmor-bench`:
 //! a flat, line-per-record layout written with the shared `pmor-json`
-//! primitives, and validators ([`validate_lint_json`],
-//! [`validate_callgraph_json`]) that parse the file and check its
-//! schema, run by the CI artifact gate — so a lint trajectory can be
+//! primitives, and a validator ([`validate_lint_json`]) that parses the
+//! file and checks its schema, run by the CI artifact gate — so a lint trajectory can be
 //! diffed across PRs exactly like the bench trajectory. On top of the
 //! findings, the report carries the full **allow ledger**: every
 //! suppression in the workspace, with its reason and whether it still
 //! suppresses anything (an unused allow is itself an error — the
 //! ledger never rots).
 
-use crate::graph::{CallGraph, TransitiveFinding};
 use crate::rules::LintKind;
 use pmor_json::{parse_json, push_string, Json, Kind};
 use std::io::Write;
@@ -179,186 +176,15 @@ pub fn validate_lint_json(text: &str) -> Result<(), String> {
         .map_err(|e| format!("summary: {e}"))
 }
 
-/// Serializes a call graph plus its witness paths to
-/// `CALLGRAPH_<tag>.json` in `dir` and returns the path written. The
-/// witness list is the *raw* `panic-reachable-hot` output
-/// (pre-suppression): the report documents every hot-root→panic route
-/// the analysis proved,
-/// including routes the allow ledger has already re-justified —
-/// that is what makes it a reachability proof artifact rather than a
-/// findings dump.
-///
-/// # Errors
-///
-/// Propagates file-creation and write failures.
-pub fn write_callgraph_json_in(
-    dir: &std::path::Path,
-    tag: &str,
-    graph: &CallGraph,
-    witnesses: &[TransitiveFinding],
-) -> std::io::Result<PathBuf> {
-    let path = dir.join(format!("CALLGRAPH_{tag}.json"));
-    let mut out = String::from("{\n  \"tag\": ");
-    push_string(&mut out, tag);
-    out.push_str(",\n  \"nodes\": [\n");
-    for (id, n) in graph.nodes.iter().enumerate() {
-        out.push_str(&format!("    {{\"id\": {id}, \"fn\": "));
-        push_string(&mut out, &n.name);
-        out.push_str(", \"file\": ");
-        push_string(&mut out, &n.file);
-        out.push_str(&format!(
-            ", \"line\": {}, \"kernel\": {}",
-            n.line, n.is_kernel
-        ));
-        out.push_str(record_end(id, graph.nodes.len()));
-    }
-    out.push_str("  ],\n  \"edges\": [\n");
-    for (i, e) in graph.edges.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"caller\": {}, \"callee\": {}, \"line\": {}, \"candidates\": {}",
-            e.caller, e.callee, e.line, e.candidates
-        ));
-        out.push_str(record_end(i, graph.edges.len()));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"kernel_roots\": [{}],\n",
-        graph
-            .kernel_roots()
-            .iter()
-            .map(|r| r.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str("  \"panic_sinks\": [\n");
-    for (i, s) in graph.panic_sinks.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"node\": {}, \"line\": {}, \"what\": ",
-            s.node, s.line
-        ));
-        push_string(&mut out, s.what);
-        out.push_str(&format!(", \"ledgered\": {}", s.ledgered));
-        out.push_str(record_end(i, graph.panic_sinks.len()));
-    }
-    out.push_str("  ],\n  \"witness_paths\": [\n");
-    for (i, w) in witnesses.iter().enumerate() {
-        push_site(&mut out, w.finding.rule, &w.finding.file, w.finding.line);
-        out.push_str(", \"path\": ");
-        push_string(&mut out, &graph.path_names(&w.path));
-        out.push_str(record_end(i, witnesses.len()));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"summary\": {{\"nodes\": {}, \"edges\": {}, \"kernel_roots\": {}, \
-         \"panic_sinks\": {}, \"witness_paths\": {}, \"ambiguous_edges\": {}}}\n",
-        graph.nodes.len(),
-        graph.edges.len(),
-        graph.kernel_roots().len(),
-        graph.panic_sinks.len(),
-        witnesses.len(),
-        graph.edges.iter().filter(|e| e.candidates > 1).count()
-    ));
-    out.push_str("}\n");
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(out.as_bytes())?;
-    Ok(path)
-}
-
-/// Checks that `text` is a `CALLGRAPH_*.json` file produced by
-/// [`write_callgraph_json_in`]: it must parse as JSON and carry a
-/// file-level `tag`; a `nodes` array whose records carry
-/// id/fn/file/line/kernel with ids counting up from 0; an `edges` array
-/// whose caller/callee ids are in node range; `kernel_roots` ids in
-/// range; `panic_sinks` records with node/line/what/ledgered and an
-/// in-range node; `witness_paths` records whose rule ids are
-/// **registered**; and a `summary` with the six counts. Every field is
-/// checked with its type.
-///
-/// # Errors
-///
-/// Returns a message naming the first missing or malformed field.
-pub fn validate_callgraph_json(text: &str) -> Result<(), String> {
-    let doc = parse_json(text)?;
-    doc.field("tag", Kind::Str)?;
-    let section = |key| doc.field(key, Kind::Arr).map(Json::items);
-    let nodes = section("nodes")?;
-    let edges = section("edges")?;
-    let roots = section("kernel_roots")?;
-    let sinks = section("panic_sinks")?;
-    let paths = section("witness_paths")?;
-    let summary = doc.field("summary", Kind::Obj)?;
-    let node = [
-        ("id", Kind::Count),
-        ("fn", Kind::Str),
-        ("file", Kind::Str),
-        ("line", Kind::Count),
-        ("kernel", Kind::Bool),
-    ];
-    check_records(nodes, "node", &node)?;
-    if let Some(id) =
-        (0..nodes.len()).find(|&id| nodes[id].get("id").and_then(Json::as_count) != Some(id))
-    {
-        return Err(format!("node {id}: ids must count up from 0"));
-    }
-    let in_range = |id: Option<&Json>| {
-        id.and_then(Json::as_count)
-            .is_some_and(|id| id < nodes.len())
-    };
-    let edge = [
-        ("caller", Kind::Count),
-        ("callee", Kind::Count),
-        ("line", Kind::Count),
-        ("candidates", Kind::Count),
-    ];
-    check_records(edges, "edge", &edge)?;
-    for (i, e) in edges.iter().enumerate() {
-        if let Some(end) = ["caller", "callee"]
-            .iter()
-            .find(|end| !in_range(e.get(end)))
-        {
-            return Err(format!("edge {i}: {end} id out of node range"));
-        }
-    }
-    if let Some(i) = roots.iter().position(|r| !in_range(Some(r))) {
-        return Err(format!(
-            "kernel_roots: entry {i} is not an in-range node id"
-        ));
-    }
-    let sink = [
-        ("node", Kind::Count),
-        ("line", Kind::Count),
-        ("what", Kind::Str),
-        ("ledgered", Kind::Bool),
-    ];
-    check_records(sinks, "panic sink", &sink)?;
-    if let Some(i) = sinks.iter().position(|s| !in_range(s.get("node"))) {
-        return Err(format!("panic sink {i}: node id out of range"));
-    }
-    let path = [&SITE[..], &[("path", Kind::Str)]].concat();
-    check_records(paths, "witness path", &path)?;
-    let counts = [
-        "nodes",
-        "edges",
-        "kernel_roots",
-        "panic_sinks",
-        "witness_paths",
-        "ambiguous_edges",
-    ];
-    summary
-        .check(&counts.map(|c| (c, Kind::Count)))
-        .map_err(|e| format!("summary: {e}"))
-}
-
-/// The `rule`/`file`/`line` fields that open every finding, allow and
-/// witness-path record.
+/// The `rule`/`file`/`line` fields that open every finding and allow
+/// record.
 const SITE: [(&str, Kind); 3] = [
     ("rule", Kind::Str),
     ("file", Kind::Str),
     ("line", Kind::Count),
 ];
 
-/// Writes the [`SITE`] fields that open a finding, allow or witness-path
-/// record line.
+/// Writes the [`SITE`] fields that open a finding or allow record line.
 fn push_site(out: &mut String, rule: LintKind, file: &str, line: usize) {
     out.push_str("    {\"rule\": ");
     push_string(out, rule.name());
@@ -452,117 +278,6 @@ mod tests {
              \"summary\": {\"files_scanned\": 0, \"findings\": 0, \"allows_used\": 0, \
              \"allows_unused\": 0, \"bad_allows\": 0}\n}\n"
         );
-    }
-
-    fn sample_graph() -> (CallGraph, Vec<TransitiveFinding>) {
-        let src = "\
-pub fn eval_into(out: &mut [f64]) {\n    helper(out);\n}\n\
-fn helper(out: &mut [f64]) {\n    \
-// pmor-lint: allow(panic-in-lib) reason=\"fixture: provably nonempty\"\n    \
-*out.last_mut().unwrap() = 0.0;\n}\n";
-        let file = crate::scan::SourceFile::parse("crates/core/src/x.rs", src);
-        let graph = CallGraph::build(&[file]);
-        let witnesses = crate::graph::check_graph(&graph);
-        (graph, witnesses)
-    }
-
-    #[test]
-    fn written_callgraph_reports_validate() {
-        let dir = std::env::temp_dir().join("pmor_callgraph_json_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let (graph, witnesses) = sample_graph();
-        assert!(!witnesses.is_empty(), "sample should yield a witness");
-        let path = write_callgraph_json_in(&dir, "unit", &graph, &witnesses).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"tag\": \"unit\""));
-        assert!(text.contains("\"fn\": \"eval_into\""));
-        assert!(text.contains("\"rule\": \"panic-reachable-hot\""));
-        assert!(text.contains("\"path\": \"eval_into -> helper\""));
-        validate_callgraph_json(&text).unwrap();
-        // The exact bytes are pinned: the layout is part of the contract.
-        assert_eq!(
-            text,
-            "{\n  \"tag\": \"unit\",\n  \"nodes\": [\n    \
-             {\"id\": 0, \"fn\": \"eval_into\", \"file\": \"crates/core/src/x.rs\", \"line\": 1, \
-             \"kernel\": true},\n    \
-             {\"id\": 1, \"fn\": \"helper\", \"file\": \"crates/core/src/x.rs\", \"line\": 4, \
-             \"kernel\": false}\n  ],\n  \"edges\": [\n    \
-             {\"caller\": 0, \"callee\": 1, \"line\": 2, \"candidates\": 1}\n  ],\n  \
-             \"kernel_roots\": [0],\n  \"panic_sinks\": [\n    \
-             {\"node\": 1, \"line\": 6, \"what\": \"unwrap()\", \"ledgered\": true}\n  ],\n  \
-             \"witness_paths\": [\n    \
-             {\"rule\": \"panic-reachable-hot\", \"file\": \"crates/core/src/x.rs\", \"line\": 6, \
-             \"path\": \"eval_into -> helper\"}\n  ],\n  \
-             \"summary\": {\"nodes\": 2, \"edges\": 1, \"kernel_roots\": 1, \"panic_sinks\": 1, \
-             \"witness_paths\": 1, \"ambiguous_edges\": 0}\n}\n"
-        );
-
-        // An empty graph is a valid (if sad) report.
-        let path = write_callgraph_json_in(&dir, "empty", &CallGraph::default(), &[]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        validate_callgraph_json(&text).unwrap();
-        assert_eq!(
-            text,
-            "{\n  \"tag\": \"empty\",\n  \"nodes\": [\n  ],\n  \"edges\": [\n  ],\n  \
-             \"kernel_roots\": [],\n  \"panic_sinks\": [\n  ],\n  \"witness_paths\": [\n  ],\n  \
-             \"summary\": {\"nodes\": 0, \"edges\": 0, \"kernel_roots\": 0, \"panic_sinks\": 0, \
-             \"witness_paths\": 0, \"ambiguous_edges\": 0}\n}\n"
-        );
-    }
-
-    #[test]
-    fn callgraph_validator_rejects_structural_damage() {
-        let dir = std::env::temp_dir().join("pmor_callgraph_json_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let (graph, witnesses) = sample_graph();
-        let path = write_callgraph_json_in(&dir, "v", &graph, &witnesses).unwrap();
-        let good = std::fs::read_to_string(&path).unwrap();
-
-        assert!(validate_callgraph_json("{}").is_err());
-        let no_nodes = good.replace("\"nodes\": [", "\"sedon\": [");
-        assert!(validate_callgraph_json(&no_nodes)
-            .unwrap_err()
-            .contains("nodes"));
-        let bad_edge = good.replace("\"caller\": 0", "\"caller\": 99");
-        assert!(validate_callgraph_json(&bad_edge)
-            .unwrap_err()
-            .contains("out of node range"));
-        let bad_rule = good.replace("panic-reachable-hot", "made-up-rule");
-        assert!(validate_callgraph_json(&bad_rule)
-            .unwrap_err()
-            .contains("unregistered rule"));
-        let bad_root = good.replace("\"kernel_roots\": [0]", "\"kernel_roots\": [7]");
-        assert!(validate_callgraph_json(&bad_root)
-            .unwrap_err()
-            .contains("kernel_roots"));
-        let bad_sink = good.replace("\"node\": 1", "\"node\": 9");
-        assert!(validate_callgraph_json(&bad_sink)
-            .unwrap_err()
-            .contains("panic sink 0: node id out of range"));
-        let no_summary = good.replace("ambiguous_edges", "x");
-        assert!(validate_callgraph_json(&no_summary)
-            .unwrap_err()
-            .contains("ambiguous_edges"));
-
-        // Damage a substring probe cannot see: a file cut before its
-        // closing `]` or `}`, and wrong-typed fields.
-        for cut in [good.rfind(']').unwrap(), good.rfind('}').unwrap()] {
-            assert!(validate_callgraph_json(&good[..cut]).is_err());
-        }
-        for (from, to, needle) in [
-            ("\"kernel\": true", "\"kernel\": \"yes\"", "kernel"),
-            ("\"caller\": 0", "\"caller\": 0.5", "caller"),
-            ("\"line\": 4", "\"line\": \"x\"", "line"),
-            ("\"ledgered\": true", "\"ledgered\": \"yes\"", "ledgered"),
-            (
-                "\"path\": \"eval_into -> helper\"",
-                "\"path\": null",
-                "path",
-            ),
-        ] {
-            let err = validate_callgraph_json(&good.replace(from, to)).unwrap_err();
-            assert!(err.contains(needle), "{err}");
-        }
     }
 
     #[test]

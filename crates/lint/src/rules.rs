@@ -36,14 +36,11 @@ pub enum LintKind {
     /// A workspace crate root missing `#![forbid(unsafe_code)]`
     /// (`"forbid-unsafe"`).
     ForbidUnsafe,
-    /// A ledgered panic site reachable from a kernel or hot-path module
-    /// through the call graph (`"panic-reachable-hot"`).
-    PanicReachableHot,
 }
 
 impl LintKind {
     /// Every registered rule, in presentation order.
-    pub const ALL: [LintKind; 8] = [
+    pub const ALL: [LintKind; 7] = [
         LintKind::DetHashIter,
         LintKind::DetUnscopedThread,
         LintKind::DetWallclock,
@@ -51,7 +48,6 @@ impl LintKind {
         LintKind::AllocInKernel,
         LintKind::FloatAccum,
         LintKind::ForbidUnsafe,
-        LintKind::PanicReachableHot,
     ];
 
     /// The registry name — the id used in findings, allows, and
@@ -65,7 +61,6 @@ impl LintKind {
             LintKind::AllocInKernel => "alloc-in-kernel",
             LintKind::FloatAccum => "float-accum",
             LintKind::ForbidUnsafe => "forbid-unsafe",
-            LintKind::PanicReachableHot => "panic-reachable-hot",
         }
     }
 
@@ -92,7 +87,6 @@ impl LintKind {
             LintKind::AllocInKernel => Box::new(AllocInKernel),
             LintKind::FloatAccum => Box::new(FloatAccum),
             LintKind::ForbidUnsafe => Box::new(ForbidUnsafe),
-            LintKind::PanicReachableHot => Box::new(PanicReachableHot),
         }
     }
 }
@@ -111,9 +105,6 @@ pub trait LintRule {
     fn in_scope(&self, path: &str) -> bool;
 
     /// Raw findings for `file` — suppression is applied by the caller.
-    /// The transitive rule returns nothing here: its findings come
-    /// from the whole-workspace pass in [`crate::graph::check_graph`]
-    /// and are merged by the caller before suppression.
     fn check(&self, file: &SourceFile) -> Vec<Finding>;
 }
 
@@ -410,9 +401,8 @@ impl LintRule for DetWallclock {
 /// output is a terminal, not a caller.
 struct PanicInLib;
 
-/// Panic spellings the rule (and the transitive `panic-reachable-hot`
-/// pass in [`crate::graph`]) recognizes.
-pub(crate) const PANIC_PATTERNS: [(&str, &str); 3] = [
+/// Panic spellings the rule recognizes.
+const PANIC_PATTERNS: [(&str, &str); 3] = [
     (".unwrap()", "unwrap()"),
     (".expect(", "expect()"),
     ("panic!", "panic!"),
@@ -641,32 +631,6 @@ impl LintRule for ForbidUnsafe {
                     .to_string(),
             )]
         }
-    }
-}
-
-/// `panic-reachable-hot`: a `panic-in-lib` allow proves one site
-/// infallible in isolation; this rule re-examines every ledgered site
-/// against the call graph and demands a second, path-aware
-/// justification when a kernel / `EvalEngine` / `FactorCache` route
-/// reaches it. Findings come from [`crate::graph::check_graph`].
-struct PanicReachableHot;
-
-impl LintRule for PanicReachableHot {
-    fn kind(&self) -> LintKind {
-        LintKind::PanicReachableHot
-    }
-
-    fn describe(&self) -> &'static str {
-        "ledgered panic site reachable from a kernel or hot-path \
-         module; the allow must re-justify the route (via …)"
-    }
-
-    fn in_scope(&self, _path: &str) -> bool {
-        true
-    }
-
-    fn check(&self, _file: &SourceFile) -> Vec<Finding> {
-        Vec::new()
     }
 }
 

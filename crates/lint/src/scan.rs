@@ -50,31 +50,6 @@ struct FnSpan {
     /// Brace depth of the body's opening `{` (the body is every line
     /// while the running depth stays above this).
     depth: usize,
-    /// Index into [`SourceFile::functions`].
-    region: usize,
-}
-
-/// One function definition the scanner delimited: the unit of the
-/// cross-file call graph ([`crate::graph`]). Regions nest (a named fn
-/// inside a fn); call sites are attributed to the innermost region.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FnRegion {
-    /// The function name.
-    pub name: String,
-    /// Signature text (`fn` keyword through the body `{`), whitespace
-    /// collapsed across continuation lines.
-    pub signature: String,
-    /// 1-based line of the `fn` keyword.
-    pub start: usize,
-    /// 1-based last line of the body (inclusive; the file's last line
-    /// when the body never closes).
-    pub end: usize,
-    /// Whether the function is an eval kernel by the workspace's
-    /// conventions (`*_into` name or a `&mut EvalWorkspace` parameter).
-    pub is_kernel: bool,
-    /// Whether the definition sits inside `#[cfg(test)]` / `#[test]`
-    /// scope (excluded from the call graph's symbol table).
-    pub in_test: bool,
 }
 
 /// Per-line facts the rules consume.
@@ -88,10 +63,6 @@ pub struct LineInfo {
     /// Name of the enclosing eval-kernel function, when the line sits
     /// inside one (`*_into` name or a `&mut EvalWorkspace` parameter).
     pub kernel: Option<String>,
-    /// Index (into [`SourceFile::functions`]) of the innermost function
-    /// the line belongs to — the call graph attributes this line's call
-    /// sites to it.
-    pub fn_index: Option<usize>,
 }
 
 /// A scanned source file: blanked lines, scope facts, identifier
@@ -106,9 +77,6 @@ pub struct SourceFile {
     /// Identifiers bound, typed, or declared as `HashMap`/`HashSet` in
     /// this file (let bindings, struct fields, fn parameters).
     pub hash_idents: Vec<String>,
-    /// Every function definition the scanner delimited, in source
-    /// order — the nodes this file contributes to the call graph.
-    pub functions: Vec<FnRegion>,
     /// Well-formed suppression directives.
     pub allows: Vec<AllowSite>,
     /// Malformed suppression directives.
@@ -123,7 +91,6 @@ impl SourceFile {
             path: path.to_string(),
             lines: Vec::with_capacity(stripped.len()),
             hash_idents: Vec::new(),
-            functions: Vec::new(),
             allows: Vec::new(),
             bad_allows: Vec::new(),
         };
@@ -208,12 +175,11 @@ impl SourceFile {
         // `#[cfg(test)]` seen, block not yet opened.
         let mut pending_test = false;
         // `fn` seen, signature accumulating until its body `{` opens:
-        // (name, signature so far, 1-based line of the `fn` keyword).
-        let mut pending_fn: Option<(String, String, usize)> = None;
+        // (name, signature so far).
+        let mut pending_fn: Option<(String, String)> = None;
         let mut fn_stack: Vec<FnSpan> = Vec::new();
 
-        for (line_idx, sl) in stripped.iter().enumerate() {
-            let line_no = line_idx + 1;
+        for sl in stripped {
             let code = &sl.code;
             let trimmed = code.trim();
             if test_at.is_none()
@@ -224,10 +190,8 @@ impl SourceFile {
                 pending_test = true;
             }
             if pending_fn.is_none() {
-                if let Some((name, sig)) = fn_signature_start(code) {
-                    pending_fn = Some((name, sig, line_no));
-                }
-            } else if let Some((_, sig, _)) = pending_fn.as_mut() {
+                pending_fn = fn_signature_start(code);
+            } else if let Some((_, sig)) = pending_fn.as_mut() {
                 sig.push(' ');
                 sig.push_str(trimmed);
             }
@@ -245,21 +209,13 @@ impl SourceFile {
                     .rev()
                     .find_map(|f| is_kernel(&f.name, &f.signature).then(|| f.name.clone()));
                 if kernel.is_none() && opens > 0 {
-                    if let Some((name, sig, _)) = &pending_fn {
+                    if let Some((name, sig)) = &pending_fn {
                         if is_kernel(name, sig) {
                             kernel = Some(name.clone());
                         }
                     }
                 }
                 kernel
-            };
-            // Innermost enclosing function: the stack top at line start,
-            // or the function whose body `{` opens on this line (so the
-            // `fn … {` header belongs to the function it declares).
-            let line_fn = match fn_stack.last() {
-                Some(span) => Some(span.region),
-                None if opens > 0 && pending_fn.is_some() => Some(self.functions.len()),
-                None => None,
             };
 
             // Update the scope state with this line's braces, char by
@@ -272,21 +228,11 @@ impl SourceFile {
                             test_at = Some(depth);
                             pending_test = false;
                         }
-                        if let Some((name, sig, start)) = pending_fn.take() {
-                            let region = self.functions.len();
-                            self.functions.push(FnRegion {
-                                is_kernel: is_kernel(&name, &sig),
-                                in_test: test_at.is_some(),
-                                name: name.clone(),
-                                signature: sig.clone(),
-                                start,
-                                end: line_no,
-                            });
+                        if let Some((name, signature)) = pending_fn.take() {
                             fn_stack.push(FnSpan {
                                 name,
-                                signature: sig,
+                                signature,
                                 depth,
-                                region,
                             });
                         }
                         depth += 1;
@@ -296,12 +242,8 @@ impl SourceFile {
                         if test_at == Some(depth) {
                             test_at = None;
                         }
-                        while let Some(span) = fn_stack.pop() {
-                            if span.depth < depth {
-                                fn_stack.push(span);
-                                break;
-                            }
-                            self.functions[span.region].end = line_no;
+                        while fn_stack.last().is_some_and(|span| span.depth >= depth) {
+                            fn_stack.pop();
                         }
                     }
                     _ => {}
@@ -320,12 +262,7 @@ impl SourceFile {
                 code: code.clone(),
                 in_test: line_in_test,
                 kernel: line_kernel,
-                fn_index: line_fn,
             });
-        }
-        // A body the file never closes still spans to its last line.
-        while let Some(span) = fn_stack.pop() {
-            self.functions[span.region].end = stripped.len();
         }
     }
 
@@ -689,25 +626,33 @@ mod tests {
                    fn helper(out: &mut [f64]) {\n\
                        out[0] = 1.0;\n\
                    }\n\
-                   #[cfg(test)]\n\
-                   mod tests {\n\
-                       fn t() { helper(&mut []); }\n\
+                   fn outer_into(out: &mut [f64]) {\n\
+                       fn inner(x: f64) -> f64 {\n\
+                           x\n\
+                       }\n\
+                       out[0] = inner(1.0);\n\
                    }";
         let f = SourceFile::parse("x.rs", src);
-        assert_eq!(f.functions.len(), 3);
-        assert_eq!(f.functions[0].name, "mul_vec_into");
-        assert_eq!((f.functions[0].start, f.functions[0].end), (1, 3));
-        assert!(f.functions[0].is_kernel);
-        assert!(!f.functions[0].in_test);
-        assert_eq!(f.functions[1].name, "helper");
-        assert_eq!((f.functions[1].start, f.functions[1].end), (4, 6));
-        assert!(!f.functions[1].is_kernel);
-        assert!(f.functions[2].in_test);
-        // Call-site attribution: line 2 belongs to the kernel's region.
-        assert_eq!(f.lines[0].fn_index, Some(0));
-        assert_eq!(f.lines[1].fn_index, Some(0));
-        assert_eq!(f.lines[4].fn_index, Some(1));
-        assert_eq!(f.lines[7].fn_index, None);
+        let kernels: Vec<Option<&str>> = f.lines.iter().map(|l| l.kernel.as_deref()).collect();
+        // A kernel covers its header through its closing brace and no
+        // further; a nested plain fn stays inside the enclosing kernel.
+        assert_eq!(
+            kernels,
+            [
+                Some("mul_vec_into"),
+                Some("mul_vec_into"),
+                Some("mul_vec_into"),
+                None,
+                None,
+                None,
+                Some("outer_into"),
+                Some("outer_into"),
+                Some("outer_into"),
+                Some("outer_into"),
+                Some("outer_into"),
+                Some("outer_into"),
+            ]
+        );
     }
 
     #[test]

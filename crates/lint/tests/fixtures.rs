@@ -261,69 +261,6 @@ fn forbid_unsafe_fires_and_clean() {
     silent(LintKind::ForbidUnsafe, "crates/core/src/lib.rs", clean);
 }
 
-// --- panic-reachable-hot ---------------------------------------------------
-
-#[test]
-fn panic_reachable_hot_fires_and_clean() {
-    // A *ledgered* panic site (its panic-in-lib finding is allowed
-    // away) that a kernel reaches must be re-justified with a
-    // path-aware reason — the rule fires until the allow also names it.
-    let dirty = r#"
-pub fn eval_into(out: &mut [f64]) {
-    helper(out);
-}
-
-fn helper(out: &mut [f64]) {
-    // pmor-lint: allow(panic-in-lib) reason="fixture: provably nonempty"
-    *out.last_mut().unwrap() = 0.0;
-}
-"#;
-    fires(
-        LintKind::PanicReachableHot,
-        "crates/core/src/fixture.rs",
-        dirty,
-    );
-
-    // Extending the same directive with a path-aware reason settles it.
-    let clean = r#"
-pub fn eval_into(out: &mut [f64]) {
-    helper(out);
-}
-
-fn helper(out: &mut [f64]) {
-    // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="fixture: provably nonempty, via eval_into -> helper"
-    *out.last_mut().unwrap() = 0.0;
-}
-"#;
-    silent(
-        LintKind::PanicReachableHot,
-        "crates/core/src/fixture.rs",
-        clean,
-    );
-
-    // An unledgered panic is plain panic-in-lib territory: the
-    // transitive rule only audits sites the ledger already carries.
-    let unledgered = r#"
-pub fn eval_into(out: &mut [f64]) {
-    helper(out);
-}
-
-fn helper(out: &mut [f64]) {
-    *out.last_mut().unwrap() = 0.0;
-}
-"#;
-    silent(
-        LintKind::PanicReachableHot,
-        "crates/core/src/fixture.rs",
-        unledgered,
-    );
-    fires(
-        LintKind::PanicInLib,
-        "crates/core/src/fixture.rs",
-        unledgered,
-    );
-}
-
 // --- the suppression ledger ------------------------------------------------
 
 #[test]
@@ -410,7 +347,6 @@ fn every_registered_rule_has_a_fixture_above() {
         LintKind::AllocInKernel,
         LintKind::FloatAccum,
         LintKind::ForbidUnsafe,
-        LintKind::PanicReachableHot,
     ];
     for kind in LintKind::ALL {
         assert!(

@@ -4,7 +4,7 @@
 //! `pmor lint --check` enforces in CI, asserted here so `cargo test`
 //! alone catches a regression.
 
-use pmor_lint::{lint_workspace, LintKind};
+use pmor_lint::lint_workspace;
 use std::path::PathBuf;
 
 fn repo_root() -> PathBuf {
@@ -45,33 +45,4 @@ fn every_suppression_carries_a_reason() {
             a.rule.name()
         );
     }
-}
-
-#[test]
-fn transitive_allows_carry_path_aware_reasons() {
-    // The reachability rule comes with a witness path; an allow that
-    // survives it must re-justify the *route*, not just the site.
-    // Convention: the reason names the path with "via …".
-    let report = lint_workspace(&repo_root()).expect("workspace scan");
-    let mut audited = 0usize;
-    for a in report
-        .allows
-        .iter()
-        .filter(|a| a.rule == LintKind::PanicReachableHot)
-    {
-        audited += 1;
-        assert!(
-            a.reason.contains("via "),
-            "{}:{}: allow({}) must name the reachability route (reason contains \"via …\"), got: {}",
-            a.file,
-            a.line,
-            a.rule.name(),
-            a.reason
-        );
-    }
-    // The audit ledger genuinely exercises the rule.
-    assert!(
-        audited >= 2,
-        "expected ledgered transitive allows, found {audited}"
-    );
 }

@@ -189,17 +189,17 @@ impl FactorCache {
             std::thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(|| loop {
-                        // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join; hot via the FactorCache batch paths real_parallel/real_parallel_reusing themselves"
+                        // pmor-lint: allow(panic-in-lib) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join"
                         let Some((slot, (key, factor))) = queue.lock().unwrap().pop() else {
                             break;
                         };
                         let lu = factor();
-                        // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join; hot via the FactorCache batch paths real_parallel/real_parallel_reusing themselves"
+                        // pmor-lint: allow(panic-in-lib) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join"
                         done.lock().unwrap().push((slot, key, lu));
                     });
                 }
             });
-            // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join; hot via the FactorCache batch paths real_parallel/real_parallel_reusing themselves"
+            // pmor-lint: allow(panic-in-lib) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join"
             let mut out = done.into_inner().unwrap();
             out.sort_by_key(|(slot, _, _)| *slot);
             out.into_iter().map(|(_, k, lu)| (k, lu)).collect()
@@ -228,7 +228,7 @@ impl FactorCache {
         self.stats.hits += keys.len() - inserted;
         Ok(keys
             .iter()
-            // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="every key is either a prior hit or was inserted from `pending` above; factorization failures already returned Err — hot via the FactorCache batch paths real_parallel/real_parallel_reusing themselves"
+            // pmor-lint: allow(panic-in-lib) reason="every key is either a prior hit or was inserted from `pending` above; factorization failures already returned Err"
             .map(|k| Arc::clone(self.real.get(k).expect("all keys resolved")))
             .collect())
     }
@@ -301,17 +301,17 @@ impl FactorCache {
                 std::thread::scope(|scope| {
                     for _ in 0..workers {
                         scope.spawn(|| loop {
-                            // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join; hot via the FactorCache batch paths real_parallel/real_parallel_reusing themselves"
+                            // pmor-lint: allow(panic-in-lib) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join"
                             let Some((slot, (key, assemble))) = queue.lock().unwrap().pop() else {
                                 break;
                             };
                             let lu = run(&assemble());
-                            // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join; hot via the FactorCache batch paths real_parallel/real_parallel_reusing themselves"
+                            // pmor-lint: allow(panic-in-lib) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join"
                             done.lock().unwrap().push((slot, key, lu));
                         });
                     }
                 });
-                // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join; hot via the FactorCache batch paths real_parallel/real_parallel_reusing themselves"
+                // pmor-lint: allow(panic-in-lib) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join"
                 let mut out = done.into_inner().unwrap();
                 out.sort_by_key(|(slot, _, _)| *slot);
                 produced.extend(out.into_iter().map(|(_, k, lu)| (k, lu)));
@@ -341,7 +341,7 @@ impl FactorCache {
         self.stats.hits += keys.len() - inserted;
         let out = keys
             .iter()
-            // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="every key is either a prior hit or was inserted from `pending` above; factorization failures already returned Err — hot via the FactorCache batch paths real_parallel/real_parallel_reusing themselves"
+            // pmor-lint: allow(panic-in-lib) reason="every key is either a prior hit or was inserted from `pending` above; factorization failures already returned Err"
             .map(|k| Arc::clone(self.real.get(k).expect("all keys resolved")))
             .collect();
         Ok((out, sym))

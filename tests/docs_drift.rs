@@ -113,14 +113,11 @@ fn guide_documents_every_lint_rule() {
         guide.contains("pmor-lint: allow("),
         "docs/GUIDE.md does not show the suppression syntax"
     );
-    // And so are the cross-file surfaces: the call-graph report, the
-    // path-aware allow convention, and the scenario checker.
-    for needle in ["CALLGRAPH_", "--graph", "pmor vet", "witness path"] {
-        assert!(
-            guide.contains(needle),
-            "docs/GUIDE.md does not document {needle:?}"
-        );
-    }
+    // And so is the scenario checker.
+    assert!(
+        guide.contains("pmor vet"),
+        "docs/GUIDE.md does not document \"pmor vet\""
+    );
 }
 
 #[test]

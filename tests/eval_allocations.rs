@@ -1,8 +1,8 @@
 //! Runtime allocation proof of the reduced-model evaluation path. A
 //! counting global allocator records the allocations each thread makes,
-//! and the tests assert the exact count of every ROM/dense kernel the
-//! lint's call graph roots at (`*_into` names and `&mut EvalWorkspace`
-//! signatures), on a ROM of every generator family:
+//! and the tests assert the exact count of every kernel by the
+//! `*_into` / `&mut EvalWorkspace` convention, on a ROM of every
+//! generator family:
 //!
 //! * warmed `ParametricRom::transfer_with`: the returned matrix, 1;
 //! * warmed `eval_batch`: one matrix per point plus the result `Vec`;

@@ -3,7 +3,10 @@
 //! The format contract (`pmor::rom`): save → load reproduces the model
 //! **bitwise** — `transfer()` at arbitrary (parameter, frequency) points
 //! returns bit-for-bit identical values — and corrupted or
-//! unknown-version files are rejected instead of misread.
+//! unknown-version files are rejected instead of misread. Damage that
+//! carries a valid checksum (a resealed file, as any `LoadRom` client
+//! can send) must be rejected by the parser itself, without a panic
+//! and without a reservation the payload cannot back.
 
 use pmor::rom::{from_bytes, to_bytes, ROM_FORMAT_VERSION, ROM_MAGIC};
 use pmor::{reducer_by_name, ParametricRom, PmorError};
@@ -126,10 +129,45 @@ fn byte_level_round_trip_preserves_exact_payload() {
     assert_eq!(to_bytes(&back), bytes);
 }
 
+/// FNV-1a, the format's payload checksum (private in `pmor::rom`).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A ROM file around `payload` with a matching checksum, so damage in
+/// the payload gets past the checksum into the parser.
+fn reseal(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::from(ROM_MAGIC);
+    out.extend_from_slice(&ROM_FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out
+}
+
+/// Byte offsets (into the payload) of every header and matrix
+/// dimension word: the five header words, then each matrix's
+/// `nrows`/`ncols` pair, walked by the stored dimensions.
+fn structure_words(payload: &[u8]) -> Vec<usize> {
+    let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize;
+    let mut offsets: Vec<usize> = (0..5).map(|i| 8 * i).collect();
+    let mut at = 40;
+    while at < payload.len() {
+        offsets.extend([at, at + 8]);
+        at += 16 + 8 * word(at) * word(at + 8);
+    }
+    assert_eq!(at, payload.len(), "walked past the payload");
+    offsets
+}
+
 #[test]
 fn corrupted_bytes_are_rejected_everywhere() {
     // Property-style: flipping any single byte of the payload must be
     // detected (checksum), and truncating anywhere must fail cleanly.
+    // Resealed damage — a flipped bit in a header or dimension word, or
+    // a truncated payload, under a recomputed checksum — must be
+    // rejected by the parser itself.
     let sys = clock_tree(&ClockTreeConfig {
         num_nodes: 12,
         ..Default::default()
@@ -142,6 +180,8 @@ fn corrupted_bytes_are_rejected_everywhere() {
     let good = to_bytes(&rom);
     let mut runner = proptest::TestRunner::new(proptest::ProptestConfig::with_cases(64));
     let len = good.len();
+    let payload = &good[12..len - 8];
+    let words = structure_words(payload);
     runner.run(|rng| {
         // Flip one payload byte (past magic+version, before the checksum).
         let at = rng.gen_range(12..len - 8);
@@ -157,10 +197,47 @@ fn corrupted_bytes_are_rejected_everywhere() {
             from_bytes(&good[..cut]).is_err(),
             "truncation at {cut} accepted"
         );
+        // Flip one bit of a header or dimension word, then reseal.
+        let at = words[rng.gen_range(0..words.len())];
+        let bit = rng.gen_range(0..64usize);
+        let mut bad = payload.to_vec();
+        let word = u64::from_le_bytes(bad[at..at + 8].try_into().unwrap()) ^ (1 << bit);
+        bad[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        prop_assert!(
+            from_bytes(&reseal(&bad)).is_err(),
+            "resealed bit {bit} flip of the word at payload byte {at} accepted"
+        );
+        // Truncate the payload, then reseal.
+        let cut = rng.gen_range(0..payload.len());
+        prop_assert!(
+            from_bytes(&reseal(&payload[..cut])).is_err(),
+            "resealed payload truncated to {cut} bytes accepted"
+        );
         Ok(())
     });
-    // The pristine bytes still load.
+    // The pristine bytes still load, and so does their reseal.
     assert!(from_bytes(&good).is_ok());
+    assert_eq!(reseal(payload), good);
+}
+
+#[test]
+fn parameter_count_beyond_the_payload_is_rejected_before_reserving() {
+    // 92 bytes with a valid checksum: header `[0, 0, 2^24, 0, 0]` (size,
+    // full dim, #params, #inputs, #outputs) and two empty matrices.
+    // 2^24 passes the per-dimension plausibility check, but its 2^25
+    // matrix headers cannot fit in a 72-byte payload.
+    let mut payload = Vec::new();
+    for word in [0, 0, 1u64 << 24, 0, 0, 0, 0, 0, 0] {
+        payload.extend_from_slice(&word.to_le_bytes());
+    }
+    let bytes = reseal(&payload);
+    assert_eq!(bytes.len(), 92);
+    match from_bytes(&bytes) {
+        Err(PmorError::Invalid(msg)) => {
+            assert!(msg.contains("parameter count 16777216"), "{msg}")
+        }
+        other => panic!("2^24 parameters accepted: {other:?}"),
+    }
 }
 
 #[test]
