@@ -106,11 +106,6 @@ impl Netlist {
         &self.elements
     }
 
-    /// Mutable element access by id.
-    pub fn element_mut(&mut self, id: ElementId) -> &mut Element {
-        &mut self.elements[id.0]
-    }
-
     /// Input nodes (unit current sources).
     pub fn inputs(&self) -> &[usize] {
         &self.inputs

@@ -81,19 +81,6 @@ impl ParametricSystem {
         c
     }
 
-    /// Returns the non-parametric (nominal) system at `p = 0` — handy for
-    /// treating a perturbed instance as a fixed system.
-    pub fn frozen_at(&self, p: &[f64]) -> ParametricSystem {
-        ParametricSystem {
-            g0: self.g_at(p),
-            c0: self.c_at(p),
-            gi: Vec::new(),
-            ci: Vec::new(),
-            b: self.b.clone(),
-            l: self.l.clone(),
-        }
-    }
-
     /// `true` when inputs and outputs coincide (`B == L`), the immittance
     /// form under which congruence reduction preserves passivity.
     pub fn has_symmetric_ports(&self) -> bool {
@@ -146,13 +133,5 @@ mod tests {
         assert!((g.get(0, 1) + 1.2).abs() < 1e-15);
         let c = s.c_at(&[0.4]);
         assert_eq!(c.get(1, 1), 1.0);
-    }
-
-    #[test]
-    fn frozen_at_removes_parameters() {
-        let s = tiny();
-        let f = s.frozen_at(&[1.0]);
-        assert_eq!(f.num_params(), 0);
-        assert!((f.g0.get(0, 0) - 2.5).abs() < 1e-15);
     }
 }

@@ -121,16 +121,19 @@ pub fn run_suite(
             picked
         }
     };
-    println!(
+    outln!(
         "# suite {}: {} (warmup {}, repeats {}, median reported)",
-        suite.name, suite.description, suite.warmup, suite.repeats
+        suite.name,
+        suite.description,
+        suite.warmup,
+        suite.repeats
     );
     std::fs::create_dir_all(out_dir)
         .map_err(|e| CliError::Io(format!("creating {}: {e}", out_dir.display())))?;
     let mut files = Vec::new();
     let mut total = 0;
     for entry in entries {
-        println!("# entry {}", entry.tag);
+        outln!("# entry {}", entry.tag);
         let records = match &entry.kind {
             SuiteEntryKind::Micro { kernels, sides } => {
                 run_micro(kernels, sides, suite.warmup, suite.repeats)
@@ -170,8 +173,8 @@ pub fn run_suite(
         let text = std::fs::read_to_string(&path)
             .map_err(|e| CliError::Io(format!("re-reading {}: {e}", path.display())))?;
         validate_bench_json(&text)
-            .map_err(|e| CliError::Invalid(format!("{} failed validation: {e}", path.display())))?;
-        println!("# wrote {} ({} records)", path.display(), records.len());
+            .map_err(|e| CliError::Check(format!("{} failed validation: {e}", path.display())))?;
+        outln!("# wrote {} ({} records)", path.display(), records.len());
         total += records.len();
         files.push(path);
     }
@@ -261,19 +264,19 @@ fn run_scenario_entry(
             if let Some((_, value)) = metrics.iter().find(|(n, _)| n == metric) {
                 gate_seen = true;
                 if !(value.is_finite() && *value <= *max) {
-                    return Err(CliError::Invalid(format!(
+                    return Err(CliError::Check(format!(
                         "accuracy gate failed for {name} on {}: {metric} = {value:.6e} \
                          exceeds gate_max = {max:.6e}",
                         file.display()
                     )));
                 }
-                println!("#   {name}: gate {metric} = {value:.3e} <= {max:.3e}");
+                outln!("#   {name}: gate {metric} = {value:.3e} <= {max:.3e}");
             }
         }
         let reduce_median = median(&mut reduce_times);
         let analysis_median = median(&mut analysis_times);
         let total = reduce_median + analysis_median;
-        println!(
+        outln!(
             "#   {name}: reduce {reduce_median:.3}s + {} {analysis_median:.3}s (median of {repeats})",
             analysis.name()
         );
@@ -347,7 +350,7 @@ fn assert_transfers_bitwise(
             for c in 0..ha.ncols() {
                 let (a, b) = (ha[(r, c)], hb[(r, c)]);
                 if a.re.to_bits() != b.re.to_bits() || a.im.to_bits() != b.im.to_bits() {
-                    return Err(CliError::Pmor(format!(
+                    return Err(CliError::Check(format!(
                         "{what} reductions disagree at p={p:?}, s={s:?}: \
                          {a:?} vs {b:?} — the two paths are not equivalent"
                     )));
@@ -403,10 +406,11 @@ fn run_compare_entry(
     // bit of the reduced model's behavior.
     assert_transfers_bitwise(&roms, sys.num_params(), "serial/parallel")?;
     let speedup = medians[0] / medians[1].max(1e-12);
-    println!(
+    outln!(
         "#   {method}: serial {:.3}s, parallel {:.3}s on {workers} threads \
          (x{speedup:.2}), transfer bitwise identical",
-        medians[0], medians[1]
+        medians[0],
+        medians[1]
     );
     let base = |label: &str, m: f64| {
         stamp_provenance(
@@ -470,10 +474,11 @@ fn run_refactor_entry(
     // change one bit of the reduced model's behavior.
     assert_transfers_bitwise(&roms, sys.num_params(), "reuse/scratch")?;
     let speedup = medians[1] / medians[0].max(1e-12);
-    println!(
+    outln!(
         "#   {method}: symbolic reuse {:.3}s vs from-scratch {:.3}s \
          (x{speedup:.2}), transfer bitwise identical",
-        medians[0], medians[1]
+        medians[0],
+        medians[1]
     );
     let base = |label: &str, m: f64| {
         stamp_provenance(
@@ -694,14 +699,18 @@ fn run_serve_entry(spec: &ServeEntrySpec<'_>) -> Result<Vec<BenchRecord>, CliErr
     let median_s = median(&mut times);
     let total_evals = (spec.clients * spec.batches * spec.batch_points) as f64;
     let evals_per_sec = total_evals / median_s.max(1e-12);
-    println!(
+    outln!(
         "#   serve_{}: {} clients x {} batches x {} points -> {evals_per_sec:.0} evals/s \
          (median {median_s:.4}s of {}, {mode} daemon, bitwise identical)",
-        spec.method, spec.clients, spec.batches, spec.batch_points, spec.repeats
+        spec.method,
+        spec.clients,
+        spec.batches,
+        spec.batch_points,
+        spec.repeats
     );
     if let Some(min) = spec.min_evals_per_sec {
         if !(evals_per_sec >= min) {
-            return Err(CliError::Pmor(format!(
+            return Err(CliError::Check(format!(
                 "serve throughput gate failed: {evals_per_sec:.0} evals/s under the \
                  required {min:.0} ({} clients, {mode} daemon)",
                 spec.clients
@@ -749,9 +758,9 @@ pub fn check_files(paths: &[String]) -> Result<(), CliError> {
                 validate_bench_json(&text).map_err(|e| format!("{path} failed validation: {e}"))
             });
         match verdict {
-            Ok(()) => println!("# {path}: ok"),
+            Ok(()) => outln!("# {path}: ok"),
             Err(msg) => {
-                println!("# {path}: INVALID");
+                outln!("# {path}: INVALID");
                 failures.push(msg);
             }
         }
@@ -759,7 +768,7 @@ pub fn check_files(paths: &[String]) -> Result<(), CliError> {
     if failures.is_empty() {
         Ok(())
     } else {
-        Err(CliError::Invalid(format!(
+        Err(CliError::Check(format!(
             "{} of {} files failed validation:\n  {}",
             failures.len(),
             paths.len(),

@@ -107,20 +107,20 @@ pub(crate) fn reduce_timed(
         let driver = pmor::AdaptiveDriver::from_tuning(tuning);
         let (out, seconds) = timed(|| driver.reduce_with_report(sys, ctx));
         let (rom, report) =
-            out.map_err(|e| CliError::Invalid(format!("reducing with {name}: {e}")))?;
+            out.map_err(|e| CliError::Pmor(format!("reducing with {name}: {e}")))?;
         return Ok((rom, seconds, Some(report)));
     }
     let reducer = kind.build_tuned(sys, tuning);
     let (rom, seconds) = timed(|| reducer.reduce(sys, ctx));
-    let rom = rom.map_err(|e| CliError::Invalid(format!("reducing with {name}: {e}")))?;
+    let rom = rom.map_err(|e| CliError::Pmor(format!("reducing with {name}: {e}")))?;
     Ok((rom, seconds, None))
 }
 
 fn run(sc: &Scenario, save_roms: bool, analyze: bool) -> Result<ExecReport, CliError> {
     let sys = sc.system.assemble();
     let workload = sc.system.workload_label(&sys);
-    println!("# scenario {}: {}", sc.name, sc.description);
-    println!(
+    outln!("# scenario {}: {}", sc.name, sc.description);
+    outln!(
         "# system: {workload}, {} parameters, {} inputs, {} outputs",
         sys.num_params(),
         sys.num_inputs(),
@@ -148,7 +148,7 @@ fn run(sc: &Scenario, save_roms: bool, analyze: bool) -> Result<ExecReport, CliE
         if let Some(cache) = &rom_cache {
             let (hit, seconds) = timed(|| cache.load(key, name));
             if let Some(rom) = hit {
-                println!(
+                outln!(
                     "# {name}: {} states loaded from ROM cache in {seconds:.3}s (reduction skipped)",
                     rom.size()
                 );
@@ -165,9 +165,9 @@ fn run(sc: &Scenario, save_roms: bool, analyze: bool) -> Result<ExecReport, CliE
         // Construction stays in the registry: unset tuning fields fall
         // back to exactly the registry's defaults.
         let (rom, seconds, adaptive) = reduce_timed(name, &sys, &sc.tuning, &mut ctx)?;
-        println!("# {name}: {} states in {seconds:.3}s", rom.size());
+        outln!("# {name}: {} states in {seconds:.3}s", rom.size());
         if let Some(rep) = &adaptive {
-            println!(
+            outln!(
                 "# {name}: adaptive {} at order {} with {} expansion points \
                  (estimated error {:.3e}, tolerance {:.3e})",
                 if rep.converged {
@@ -187,7 +187,7 @@ fn run(sc: &Scenario, save_roms: bool, analyze: bool) -> Result<ExecReport, CliE
             let path = cache
                 .store(key, name, &rom)
                 .map_err(|e| CliError::Io(format!("storing cached ROM: {e}")))?;
-            println!("# {name}: cached ROM at {}", path.display());
+            outln!("# {name}: cached ROM at {}", path.display());
         }
         reduced.push(Reduced {
             name: name.clone(),
@@ -274,7 +274,7 @@ fn run(sc: &Scenario, save_roms: bool, analyze: bool) -> Result<ExecReport, CliE
         };
         for out in outputs {
             let (text, rec) = out?;
-            print!("{text}");
+            outln!("{}", text.strip_suffix('\n').unwrap_or(&text));
             records.push(rec);
         }
         // --- Judge: pick the winning method per system ------------------
@@ -289,7 +289,7 @@ fn run(sc: &Scenario, save_roms: bool, analyze: bool) -> Result<ExecReport, CliE
                 .find(|r| r.method == winner)
                 .and_then(|r| lookup(r, "size"))
                 .unwrap_or(f64::NAN);
-            println!("# judge: {winner} wins on {workload} ({metric} = {err:.3e} at size {size})");
+            outln!("# judge: {winner} wins on {workload} ({metric} = {err:.3e} at size {size})");
             records = records
                 .into_iter()
                 .map(|r| r.label("judge_winner", winner.clone()))
@@ -306,7 +306,7 @@ fn run(sc: &Scenario, save_roms: bool, analyze: bool) -> Result<ExecReport, CliE
     // `provenance_ready` never factors or bumps counters, so the counts
     // printed below stay exactly the reduction's own.
     if let Some(prov) = ctx.provenance_ready(&sys) {
-        println!(
+        outln!(
             "# ordering {}: factor nnz {} ({:.2}x fill over {} matrix nnz)",
             prov.ordering,
             prov.factor_nnz,
@@ -322,7 +322,7 @@ fn run(sc: &Scenario, save_roms: bool, analyze: bool) -> Result<ExecReport, CliE
             })
             .collect();
     }
-    println!(
+    outln!(
         "# sparse factorizations across all methods: {} real, {} cache hits",
         ctx.real_factorizations(),
         ctx.cache_hits()
@@ -333,13 +333,13 @@ fn run(sc: &Scenario, save_roms: bool, analyze: bool) -> Result<ExecReport, CliE
         .map_err(|e| CliError::Io(format!("creating {}: {e}", sc.output.dir.display())))?;
     let bench_path = write_bench_json_in(&sc.output.dir, &sc.output.bench_tag, &records)
         .map_err(|e| CliError::Io(format!("writing bench record: {e}")))?;
-    println!("# wrote {}", bench_path.display());
+    outln!("# wrote {}", bench_path.display());
     let mut rom_paths = Vec::new();
     if save_roms {
         for m in &reduced {
             let path = sc.rom_path(&m.name);
             pmor::rom::save(&m.rom, &path).map_err(|e| CliError::Pmor(e.to_string()))?;
-            println!("# saved ROM {}", path.display());
+            outln!("# saved ROM {}", path.display());
             rom_paths.push(path);
         }
     }

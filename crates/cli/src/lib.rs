@@ -26,6 +26,15 @@
 //! `pmor::rom::save`/`load` — reloaded models evaluate bit-for-bit
 //! identically to the originals.
 
+/// `println!` for the `pmor` binary: every stdout line goes through
+/// [`write_line`].
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_line(format_args!($($arg)*))
+    };
+}
+
 pub mod bench_cmd;
 pub mod cache;
 pub mod exec;
@@ -40,14 +49,33 @@ pub use pmor_variation::analysis::{AnalysisConfig, AnalysisKind, ErrorMetric};
 pub use scenario::{AnalysisSpec, OutputSpec, Scenario, SystemSpec};
 
 use std::fmt;
+use std::io::{self, Write};
+
+/// Writes `line` and a newline to stdout. `println!` panics once the
+/// reader has gone (`pmor eval x.rom | head -1`); here a closed pipe ends
+/// the process with status 0, as for any Unix filter, and any other write
+/// error ends it with status 1.
+pub fn write_line(line: fmt::Arguments<'_>) {
+    if let Err(e) = writeln!(io::stdout().lock(), "{line}") {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 /// Top-level CLI error: every failure the binary reports.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CliError {
     /// Filesystem failure (reading scenarios, writing outputs).
     Io(String),
-    /// Scenario schema violation or invalid request.
+    /// Invalid input: a scenario, suite or flag value the command cannot
+    /// act on.
     Invalid(String),
+    /// A check that ran and failed: a lint or vet verdict, a report
+    /// validator, or a bench gate.
+    Check(String),
     /// A reduction/analysis kernel failed.
     Pmor(String),
     /// Command-line usage error (unknown subcommand, bad flag).
@@ -58,7 +86,8 @@ impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CliError::Io(msg) => write!(f, "i/o error: {msg}"),
-            CliError::Invalid(msg) => write!(f, "invalid scenario: {msg}"),
+            CliError::Invalid(msg) => write!(f, "invalid input: {msg}"),
+            CliError::Check(msg) => write!(f, "check failed: {msg}"),
             CliError::Pmor(msg) => write!(f, "computation failed: {msg}"),
             CliError::Usage(msg) => write!(f, "usage error: {msg}"),
         }

@@ -27,10 +27,10 @@ use std::path::Path;
 pub fn run_lint(root: &Path, json_out: Option<&Path>, check: bool) -> Result<LintReport, CliError> {
     let report = lint_workspace(root).map_err(|e| CliError::Io(e.to_string()))?;
     for f in &report.findings {
-        println!("{f}");
+        outln!("{f}");
     }
     for a in report.allows.iter().filter(|a| !a.used) {
-        println!(
+        outln!(
             "{}:{}: unused allow: `{}` suppresses nothing here (reason was: {})",
             a.file,
             a.line,
@@ -39,9 +39,9 @@ pub fn run_lint(root: &Path, json_out: Option<&Path>, check: bool) -> Result<Lin
         );
     }
     for b in &report.bad_allows {
-        println!("{}:{}: bad allow directive: {}", b.file, b.line, b.message);
+        outln!("{}:{}: bad allow directive: {}", b.file, b.line, b.message);
     }
-    println!(
+    outln!(
         "# lint: {} files scanned, {} findings, {} allows used, {} unused, {} malformed",
         report.files_scanned,
         report.findings.len(),
@@ -57,12 +57,12 @@ pub fn run_lint(root: &Path, json_out: Option<&Path>, check: bool) -> Result<Lin
         let text = std::fs::read_to_string(&path)
             .map_err(|e| CliError::Io(format!("re-reading {}: {e}", path.display())))?;
         validate_lint_json(&text)
-            .map_err(|e| CliError::Invalid(format!("{} failed validation: {e}", path.display())))?;
-        println!("# wrote {}", path.display());
+            .map_err(|e| CliError::Check(format!("{} failed validation: {e}", path.display())))?;
+        outln!("# wrote {}", path.display());
     }
     if check && !report.clean() {
-        return Err(CliError::Invalid(format!(
-            "lint check failed: {} findings, {} unused allows, {} malformed directives",
+        return Err(CliError::Check(format!(
+            "lint: {} findings, {} unused allows, {} malformed directives",
             report.findings.len(),
             report.allows_unused(),
             report.bad_allows.len()
@@ -91,9 +91,9 @@ pub fn validate_files(paths: &[String]) -> Result<(), CliError> {
                 validate_lint_json(&text).map_err(|e| format!("{path} failed validation: {e}"))
             });
         match verdict {
-            Ok(()) => println!("# {path}: ok"),
+            Ok(()) => outln!("# {path}: ok"),
             Err(msg) => {
-                println!("# {path}: INVALID");
+                outln!("# {path}: INVALID");
                 failures.push(msg);
             }
         }
@@ -101,7 +101,7 @@ pub fn validate_files(paths: &[String]) -> Result<(), CliError> {
     if failures.is_empty() {
         Ok(())
     } else {
-        Err(CliError::Invalid(format!(
+        Err(CliError::Check(format!(
             "{} of {} files failed validation:\n  {}",
             failures.len(),
             paths.len(),

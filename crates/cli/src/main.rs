@@ -4,7 +4,7 @@
 
 use pmor_bench::suite::{BenchSuite, SuiteEntryKind};
 use pmor_cli::bench_cmd::{check_files, resolve_suite, run_suite, SUITE_DIR};
-use pmor_cli::{reduce_scenario, run_scenario, CliError, Scenario};
+use pmor_cli::{outln, reduce_scenario, run_scenario, CliError, Scenario};
 use pmor_num::Complex64;
 use pmor_variation::dist::ParameterDistribution;
 use pmor_variation::stats::Summary;
@@ -72,7 +72,7 @@ fn main() {
 
 fn dispatch(args: &[String]) -> Result<(), CliError> {
     let Some(cmd) = args.first() else {
-        println!("{USAGE}");
+        outln!("{USAGE}");
         return Ok(());
     };
     let rest = &args[1..];
@@ -96,7 +96,7 @@ fn dispatch(args: &[String]) -> Result<(), CliError> {
         "vet" => cmd_vet(rest),
         "list" => cmd_list(rest),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
         other => Err(CliError::Usage(format!("unknown subcommand {other:?}"))),
@@ -199,20 +199,20 @@ fn cmd_eval(args: &[String]) -> Result<(), CliError> {
             "need 0 < --fmin < --fmax and --points >= 2".into(),
         ));
     }
-    println!(
+    outln!(
         "# {} — {} states, {} params, evaluated at p = {p:?}",
         path,
         rom.size(),
         rom.num_params()
     );
-    println!("freq_hz,re_h11,im_h11,abs_h11");
+    outln!("freq_hz,re_h11,im_h11,abs_h11");
     for f in logspace(fmin, fmax, points) {
         let s = Complex64::jw(2.0 * std::f64::consts::PI * f);
         let h = rom
             .transfer(&p, s)
             .map_err(|e| CliError::Pmor(format!("transfer at {f:.3e} Hz: {e}")))?;
         let h11 = h[(0, 0)];
-        println!("{f:.6e},{:.6e},{:.6e},{:.6e}", h11.re, h11.im, h11.abs());
+        outln!("{f:.6e},{:.6e},{:.6e},{:.6e}", h11.re, h11.im, h11.abs());
     }
     Ok(())
 }
@@ -246,16 +246,20 @@ fn cmd_mc(args: &[String]) -> Result<(), CliError> {
         pole_mags.push(first.abs());
     }
     let s = Summary::of(&pole_mags);
-    println!(
+    outln!(
         "# {} — {} states, {} params, {instances} instances, sigma {sigma}",
         path,
         rom.size(),
         rom.num_params()
     );
-    println!("# dominant pole magnitude |λ₁| (rad/s):");
-    println!(
+    outln!("# dominant pole magnitude |λ₁| (rad/s):");
+    outln!(
         "#   min {:.6e}  median {:.6e}  mean {:.6e}  max {:.6e}  std {:.3e}",
-        s.min, s.median, s.mean, s.max, s.std
+        s.min,
+        s.median,
+        s.mean,
+        s.max,
+        s.std
     );
     if let Some((_, v)) = flags.iter().find(|(n, _)| n == "min-pole") {
         let min_rad_s = v
@@ -270,7 +274,7 @@ fn cmd_mc(args: &[String]) -> Result<(), CliError> {
         let pass = pole_mags.iter().filter(|&&m| m >= min_rad_s).count();
         let y = pass as f64 / instances as f64;
         let std_error = (y * (1.0 - y) / instances as f64).sqrt();
-        println!(
+        outln!(
             "# yield(|λ₁| ≥ {min_rad_s:.3e}): {:.1}% ± {:.1}%",
             100.0 * y,
             100.0 * std_error
@@ -283,22 +287,22 @@ fn cmd_info(args: &[String]) -> Result<(), CliError> {
     let (path, flags) = rom_and_flags(args)?;
     check_flags(&flags, &[])?;
     let rom = load_rom(&path)?;
-    println!("{path}:");
-    println!("  states:       {}", rom.size());
-    println!("  parameters:   {}", rom.num_params());
-    println!("  inputs:       {}", rom.num_inputs());
-    println!("  outputs:      {}", rom.num_outputs());
-    println!("  full dim:     {}", rom.projection.nrows());
+    outln!("{path}:");
+    outln!("  states:       {}", rom.size());
+    outln!("  parameters:   {}", rom.num_params());
+    outln!("  inputs:       {}", rom.num_inputs());
+    outln!("  outputs:      {}", rom.num_outputs());
+    outln!("  full dim:     {}", rom.projection.nrows());
     let p0 = vec![0.0; rom.num_params()];
     if let Ok(poles) = rom.dominant_poles(&p0, 3) {
-        println!("  nominal dominant poles (rad/s):");
+        outln!("  nominal dominant poles (rad/s):");
         for z in poles {
-            println!("    {:.6e} {:+.6e}j", z.re, z.im);
+            outln!("    {:.6e} {:+.6e}j", z.re, z.im);
         }
     }
     match rom.is_passive_stamp(&p0) {
-        Ok(passive) => println!("  passivity stamp at p = 0: {passive}"),
-        Err(e) => println!("  passivity stamp at p = 0: check failed ({e})"),
+        Ok(passive) => outln!("  passivity stamp at p = 0: {passive}"),
+        Err(e) => outln!("  passivity stamp at p = 0: check failed ({e})"),
     }
     Ok(())
 }
@@ -356,7 +360,7 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
         .find(|(n, _)| n == "serve-addr")
         .map(|(_, v)| v.as_str());
     let report = run_suite(&suite, std::path::Path::new(&out), only, serve_addr)?;
-    println!(
+    outln!(
         "# suite {} done: {} files, {} records",
         suite.name,
         report.files.len(),
@@ -436,12 +440,12 @@ fn cmd_list(args: &[String]) -> Result<(), CliError> {
 /// Each description comes off the built `LintRule` trait object — the
 /// same object the scan runs — not a parallel table.
 fn list_lints() {
-    println!("lint rules (run: pmor lint [--check] [--json]):");
+    outln!("lint rules (run: pmor lint [--check] [--json]):");
     for kind in pmor_lint::LintKind::ALL {
         let rule: Box<dyn pmor_lint::LintRule> = kind.build();
-        println!("  {:<28} {}", kind.name(), rule.describe());
+        outln!("  {:<28} {}", kind.name(), rule.describe());
     }
-    println!(
+    outln!(
         "suppressions: // pmor-lint: allow(<rule>, …) reason=\"…\" \
          (own line covers the next line; trailing covers its line)"
     );
@@ -464,16 +468,19 @@ fn list_benches(dir: &std::path::Path) -> Result<(), CliError> {
             dir.display()
         )));
     }
-    println!(
+    outln!(
         "benchmark suites in {} (run: pmor bench --suite <name>):",
         dir.display()
     );
     for path in paths {
         let suite = BenchSuite::load(&path)
             .map_err(|e| CliError::Invalid(format!("{}: {e}", path.display())))?;
-        println!(
+        outln!(
             "  {:<10} {} (warmup {}, repeats {})",
-            suite.name, suite.description, suite.warmup, suite.repeats
+            suite.name,
+            suite.description,
+            suite.warmup,
+            suite.repeats
         );
         for entry in &suite.entries {
             let what = match &entry.kind {
@@ -510,28 +517,28 @@ fn list_benches(dir: &std::path::Path) -> Result<(), CliError> {
                     file.display()
                 ),
             };
-            println!("    {:<22} {what}", entry.tag);
+            outln!("    {:<22} {what}", entry.tag);
         }
     }
     Ok(())
 }
 
 fn list_registries() {
-    println!("generators ([system] generator = …):");
-    println!("  rc_random    §5.1 random RC network (default 767 unknowns, 2 sources)");
-    println!("  rlc_bus      §5.2 coupled multi-bit RLC bus (default 1086 MNA unknowns)");
-    println!("  clock_tree   §5.3 three-layer clock tree (RCNetA/B stand-ins)");
-    println!("  rc_mesh      power-grid style RC mesh with regional parameters");
-    println!("  power_grid   two-layer power grid (fine mesh + global straps), 16k-65k unknowns");
-    println!("  spice        a .sp netlist deck parsed via pmor_circuits::spice (path = …)");
-    println!("reduction methods ([reduce] methods = […]):");
+    outln!("generators ([system] generator = …):");
+    outln!("  rc_random    §5.1 random RC network (default 767 unknowns, 2 sources)");
+    outln!("  rlc_bus      §5.2 coupled multi-bit RLC bus (default 1086 MNA unknowns)");
+    outln!("  clock_tree   §5.3 three-layer clock tree (RCNetA/B stand-ins)");
+    outln!("  rc_mesh      power-grid style RC mesh with regional parameters");
+    outln!("  power_grid   two-layer power grid (fine mesh + global straps), 16k-65k unknowns");
+    outln!("  spice        a .sp netlist deck parsed via pmor_circuits::spice (path = …)");
+    outln!("reduction methods ([reduce] methods = […]):");
     for kind in pmor::ReducerKind::ALL {
-        println!("  {}", kind.name());
+        outln!("  {}", kind.name());
     }
     // Derived from the analysis registry, so this list can never drift
     // from what `[analysis] kind = …` actually accepts.
-    println!("analyses ([analysis] kind = …):");
+    outln!("analyses ([analysis] kind = …):");
     for kind in pmor_variation::AnalysisKind::ALL {
-        println!("  {:<17} {}", kind.name(), kind.describe());
+        outln!("  {:<17} {}", kind.name(), kind.describe());
     }
 }

@@ -56,16 +56,18 @@ fn cmd_ping(addr: &ServeAddr) -> Result<(), CliError> {
     let info = client
         .server_info()
         .map_err(|e| CliError::Pmor(format!("info {addr}: {e}")))?;
-    println!(
+    outln!(
         "# pmor serve at {addr}: alive (protocol v{}, max frame {} B, max batch {})",
-        info.protocol_version, info.max_frame, info.max_batch
+        info.protocol_version,
+        info.max_frame,
+        info.max_batch
     );
     if info.roms.is_empty() {
-        println!("# resident ROMs: none");
+        outln!("# resident ROMs: none");
     } else {
-        println!("# resident ROMs (most recently used first):");
+        outln!("# resident ROMs (most recently used first):");
         for stamp in &info.roms {
-            println!(
+            outln!(
                 "#   {:016x}  {} states ({} full), {} params, {}x{} ports",
                 stamp.fingerprint,
                 stamp.states,
@@ -84,7 +86,7 @@ fn cmd_shutdown(addr: &ServeAddr) -> Result<(), CliError> {
     client
         .shutdown_server()
         .map_err(|e| CliError::Pmor(format!("shutdown {addr}: {e}")))?;
-    println!("# pmor serve at {addr}: shutdown acknowledged");
+    outln!("# pmor serve at {addr}: shutdown acknowledged");
     Ok(())
 }
 
@@ -131,8 +133,8 @@ fn cmd_daemon(args: &[String]) -> Result<(), CliError> {
         threads: flag_parse(&flags, "threads", defaults.threads, |_: usize| true)?,
     };
     let handle = Server::start(cfg.clone()).map_err(|e| CliError::Io(e.to_string()))?;
-    println!("# pmor serve listening on {}", handle.addr());
-    println!(
+    outln!("# pmor serve listening on {}", handle.addr());
+    outln!(
         "#   lru {} | max frame {} B | max batch {} | idle timeout {} ms | threads {}",
         cfg.lru_capacity,
         cfg.max_frame,
@@ -147,7 +149,7 @@ fn cmd_daemon(args: &[String]) -> Result<(), CliError> {
     if let Some((_, dir)) = flags.iter().find(|(n, _)| n == "roms") {
         preload_dir(&handle, Path::new(dir))?;
     }
-    println!(
+    outln!(
         "# ready; stop with: pmor serve --shutdown {}",
         handle.addr()
     );
@@ -175,7 +177,7 @@ fn preload_dir(handle: &pmor_serve::ServerHandle, dir: &Path) -> Result<(), CliE
         let model = pmor::rom::load(path)
             .map_err(|e| CliError::Pmor(format!("{}: {e}", path.display())))?;
         let stamp = handle.preload(&model);
-        println!(
+        outln!(
             "# preloaded {} -> {:016x} ({} states, {} params)",
             path.display(),
             stamp.fingerprint,

@@ -55,10 +55,10 @@ pub fn run_vet(root: &Path) -> Result<VetReport, CliError> {
         match Scenario::load(&path) {
             Ok(_) => {
                 report.scenarios += 1;
-                println!("# {}: ok", path.display());
+                outln!("# {}: ok", path.display());
             }
             Err(e) => {
-                println!("# {}: INVALID", path.display());
+                outln!("# {}: INVALID", path.display());
                 failures.push(format!("{}: {e}", path.display()));
             }
         }
@@ -70,7 +70,7 @@ pub fn run_vet(root: &Path) -> Result<VetReport, CliError> {
             let suite = match BenchSuite::load(&path) {
                 Ok(suite) => suite,
                 Err(e) => {
-                    println!("# {}: INVALID", path.display());
+                    outln!("# {}: INVALID", path.display());
                     failures.push(format!("{}: {e}", path.display()));
                     continue;
                 }
@@ -95,9 +95,9 @@ pub fn run_vet(root: &Path) -> Result<VetReport, CliError> {
             }
             if broken == 0 {
                 report.suites += 1;
-                println!("# {}: ok", path.display());
+                outln!("# {}: ok", path.display());
             } else {
-                println!(
+                outln!(
                     "# {}: INVALID ({broken} broken scenario references)",
                     path.display()
                 );
@@ -105,7 +105,7 @@ pub fn run_vet(root: &Path) -> Result<VetReport, CliError> {
         }
     }
 
-    println!(
+    outln!(
         "# vet: {} scenarios, {} suites, {} suite references validated, {} failures",
         report.scenarios,
         report.suites,
@@ -115,8 +115,8 @@ pub fn run_vet(root: &Path) -> Result<VetReport, CliError> {
     if failures.is_empty() {
         Ok(report)
     } else {
-        Err(CliError::Invalid(format!(
-            "vet failed:\n  {}",
+        Err(CliError::Check(format!(
+            "vet:\n  {}",
             failures.join("\n  ")
         )))
     }

@@ -1,13 +1,15 @@
-//! `pmor eval` input validation, driven through the real binary: a
-//! non-finite parameter or frequency is a usage error with a non-zero
-//! exit, never a CSV of `NaN`/`inf` rows.
+//! `pmor eval` driven through the real binary: a non-finite parameter or
+//! frequency is a usage error with a non-zero exit, never a CSV of
+//! `NaN`/`inf` rows, and a reader that stops early ends the sweep cleanly.
 
 use pmor_circuits::generators::{clock_tree, ClockTreeConfig};
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
-/// A small lowrank ROM saved under the system temp dir.
-fn rom_file() -> PathBuf {
+/// A small lowrank ROM saved under the system temp dir as `<tag>.rom`
+/// (one file per test, so parallel tests never share one).
+fn rom_file(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pmor_eval_test_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let sys = clock_tree(&ClockTreeConfig {
@@ -19,7 +21,7 @@ fn rom_file() -> PathBuf {
         .unwrap()
         .reduce_once(&sys)
         .unwrap();
-    let path = dir.join("tree.rom");
+    let path = dir.join(format!("{tag}.rom"));
     pmor::rom::save(&rom, &path).unwrap();
     path
 }
@@ -35,7 +37,7 @@ fn eval(rom: &PathBuf, flags: &[&str]) -> Output {
 
 #[test]
 fn eval_rejects_non_finite_inputs() {
-    let rom = rom_file();
+    let rom = rom_file("non_finite");
     let ok = eval(&rom, &["--params", "0.1,0,0", "--points", "3"]);
     assert!(ok.status.success(), "{ok:?}");
 
@@ -52,5 +54,31 @@ fn eval_rejects_non_finite_inputs() {
         assert!(stderr.contains("finite"), "{flags:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{flags:?} printed rows");
     }
+    let _ = std::fs::remove_file(&rom);
+}
+
+#[test]
+fn eval_exits_cleanly_when_the_reader_closes_the_pipe() {
+    // `pmor eval … | head -1`: about 2.2 MB of CSV against a reader that
+    // takes one line and goes. The closed pipe is a normal end, not a
+    // panic.
+    let rom = rom_file("closed_pipe");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pmor"))
+        .arg("eval")
+        .arg(&rom)
+        .args(["--points", "50000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("# "), "{first}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
     let _ = std::fs::remove_file(&rom);
 }

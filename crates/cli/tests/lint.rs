@@ -1,10 +1,11 @@
 //! End-to-end tests for `pmor lint`: the workspace scan through the CLI
 //! layer, the emitted `LINT_*.json` report, and the `--validate`
-//! checker's all-invalid-files reporting.
+//! checker's all-invalid-files reporting and exit status.
 
 use pmor_cli::lint_cmd::{run_lint, validate_files};
 use pmor_lint::{validate_lint_json, write_lint_json_in, LintReport};
 use std::path::PathBuf;
+use std::process::Command;
 
 /// A unique per-test directory under the system temp dir.
 fn out_dir(tag: &str) -> PathBuf {
@@ -69,4 +70,23 @@ fn validate_reports_all_invalid_files_not_just_the_first() {
     validate_files(&[good.to_str().unwrap().to_string()]).unwrap();
     assert!(validate_files(&[]).is_err());
     assert!(validate_files(&["/definitely/missing.json".into()]).is_err());
+}
+
+#[test]
+fn validate_failure_exits_1_as_a_failed_check() {
+    // A report cut short is a check that ran and failed: exit status 1,
+    // reported as such rather than as a bad scenario.
+    let dir = out_dir("cut");
+    let path = write_lint_json_in(&dir, "cut", &LintReport::default()).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(&path, &text[..text.len() - 2]).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_pmor"))
+        .args(["lint", "--validate"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("check failed"), "{stderr}");
+    assert!(!stderr.contains("scenario"), "{stderr}");
 }

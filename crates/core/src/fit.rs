@@ -9,12 +9,13 @@
 //! V(p) ≈ V0 + Σᵢ pᵢ·Vᵢ
 //! ```
 //!
-//! The reduced matrices `V(p)ᵀ·M(p)·V(p)` become polynomials in `p` whose
-//! coefficient matrices are precomputed, so evaluation stays cheap. As the
-//! paper notes at the end of §3.3, the projection matrix can be *sensitive*
+//! In \[6\] the reduced matrices `V(p)ᵀ·M(p)·V(p)` become polynomials in
+//! `p`; the reducer here instead orthonormalizes the span of the fitted
+//! coefficients `[V0, …, Vnp]` and projects by congruence, so its ROM is
+//! affine in `p` like every other method's. As the paper notes at the end of §3.3, the projection matrix can be *sensitive*
 //! to the parameters (Krylov bases rotate arbitrarily between samples),
 //! which makes direct fitting less robust than implicit interpolation via a
-//! combined projection — this module exists to reproduce that comparison.
+//! combined projection.
 
 use crate::prima::krylov_blocks;
 use crate::reduce::{Reducer, ReductionContext};
@@ -23,8 +24,7 @@ use crate::{PmorError, Result};
 use pmor_circuits::ParametricSystem;
 use pmor_num::lu::LuFactors;
 use pmor_num::orth::OrthoBasis;
-use pmor_num::{Complex64, Matrix};
-use pmor_sparse::CsrMatrix;
+use pmor_num::Matrix;
 
 /// Options for the projection-fitting reducer.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,112 +34,6 @@ pub struct FitOptions {
     pub samples: Vec<Vec<f64>>,
     /// Number of `s`-moment blocks per sample.
     pub num_block_moments: usize,
-}
-
-/// A reduced model with polynomially fitted projection: all reduced
-/// matrices are quadratic polynomials in `p` (linear `V(p)` congruence on
-/// affine `G(p)/C(p)` gives cubic terms; the cubic remainder is truncated,
-/// consistent with \[6\]).
-#[derive(Debug, Clone)]
-pub struct FittedRom {
-    size: usize,
-    num_params: usize,
-    /// `G̃` polynomial coefficients keyed by monomial (see [`Monomial`]).
-    g_terms: Vec<(Monomial, Matrix<f64>)>,
-    /// `C̃` polynomial coefficients.
-    c_terms: Vec<(Monomial, Matrix<f64>)>,
-    /// `B̃` polynomial coefficients (linear in `p`).
-    b_terms: Vec<(Monomial, Matrix<f64>)>,
-    /// `L̃` polynomial coefficients (linear in `p`).
-    l_terms: Vec<(Monomial, Matrix<f64>)>,
-}
-
-/// A monomial in the parameters of total degree ≤ 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Monomial {
-    /// Constant term.
-    One,
-    /// `p[i]`.
-    P(usize),
-    /// `p[i]·p[j]` with `i ≤ j`.
-    PP(usize, usize),
-}
-
-impl Monomial {
-    fn eval(self, p: &[f64]) -> f64 {
-        match self {
-            Monomial::One => 1.0,
-            Monomial::P(i) => p[i],
-            Monomial::PP(i, j) => p[i] * p[j],
-        }
-    }
-}
-
-impl FittedRom {
-    /// Reduced model size.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Number of parameters.
-    pub fn num_params(&self) -> usize {
-        self.num_params
-    }
-
-    fn assemble(
-        &self,
-        terms: &[(Monomial, Matrix<f64>)],
-        p: &[f64],
-        r: usize,
-        c: usize,
-    ) -> Matrix<f64> {
-        let mut out = Matrix::zeros(r, c);
-        for (mono, m) in terms {
-            let w = mono.eval(p);
-            if w != 0.0 {
-                out.add_assign_scaled(w, m);
-            }
-        }
-        out
-    }
-
-    /// Assembles `G̃(p)`.
-    pub fn g_at(&self, p: &[f64]) -> Matrix<f64> {
-        self.assemble(&self.g_terms, p, self.size, self.size)
-    }
-
-    /// Assembles `C̃(p)`.
-    pub fn c_at(&self, p: &[f64]) -> Matrix<f64> {
-        self.assemble(&self.c_terms, p, self.size, self.size)
-    }
-
-    /// Evaluates the transfer matrix `H(s, p)`.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the assembled pencil is singular at `s`.
-    pub fn transfer(&self, p: &[f64], s: Complex64) -> Result<Matrix<Complex64>> {
-        let nb = self.b_terms[0].1.ncols();
-        let nl = self.l_terms[0].1.ncols();
-        let b = self.assemble(&self.b_terms, p, self.size, nb);
-        let l = self.assemble(&self.l_terms, p, self.size, nl);
-        let mut a = self.g_at(p).to_complex();
-        a.add_assign_scaled(s, &self.c_at(p).to_complex());
-        let lu = LuFactors::factor(&a)?;
-        let x = lu.solve_mat(&b.to_complex())?;
-        Ok(l.to_complex().tr_mul_mat(&x))
-    }
-
-    /// Dominant poles of the fitted pencil at `p`.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `G̃(p)` is singular or the eigensolver stalls.
-    pub fn dominant_poles(&self, p: &[f64], count: usize) -> Result<Vec<Complex64>> {
-        let mut poles = crate::rom::pencil_poles(&self.g_at(p), &self.c_at(p))?;
-        poles.truncate(count);
-        Ok(poles)
-    }
 }
 
 /// The projection-fitting reducer.
@@ -235,90 +129,6 @@ impl FittedProjectionPmor {
         }
         Ok(coeff)
     }
-
-    /// Fits `V(p) = V0 + Σ pᵢVᵢ` over the samples and expands the reduced
-    /// matrices to quadratic polynomials in `p` (a fresh private context).
-    ///
-    /// # Errors
-    ///
-    /// See [`FittedProjectionPmor::fitted_basis`].
-    pub fn reduce_fitted(&self, sys: &ParametricSystem) -> Result<FittedRom> {
-        self.reduce_fitted_in(sys, &mut ReductionContext::new())
-    }
-
-    /// Fits `V(p)` and expands the reduced matrices to quadratic
-    /// polynomials in `p`, drawing per-sample factors from the shared
-    /// context.
-    ///
-    /// # Errors
-    ///
-    /// See [`FittedProjectionPmor::fitted_basis`].
-    pub fn reduce_fitted_in(
-        &self,
-        sys: &ParametricSystem,
-        ctx: &mut ReductionContext,
-    ) -> Result<FittedRom> {
-        let np = sys.num_params();
-        let coeff = self.fitted_basis(sys, ctx)?;
-        let q = coeff[0].ncols();
-
-        // Expand V(p)ᵀ M(p) V(p) to quadratic terms.
-        let v0 = &coeff[0];
-        let vi = &coeff[1..];
-        let expand = |m0: &CsrMatrix<f64>, mi: &[CsrMatrix<f64>]| {
-            let mut terms: Vec<(Monomial, Matrix<f64>)> = Vec::new();
-            // Constant.
-            terms.push((Monomial::One, m0.congruence(v0, v0)));
-            // Linear: VᵢᵀM0V0 + V0ᵀM0Vᵢ + V0ᵀMᵢV0.
-            for i in 0..np {
-                let mut t = m0.congruence(&vi[i], v0);
-                t.add_assign_scaled(1.0, &m0.congruence(v0, &vi[i]));
-                if mi[i].nnz() > 0 {
-                    t.add_assign_scaled(1.0, &mi[i].congruence(v0, v0));
-                }
-                terms.push((Monomial::P(i), t));
-            }
-            // Quadratic: VᵢᵀM0Vⱼ + VⱼᵀM0Vᵢ + VᵢᵀMⱼV0 + V0ᵀMⱼVᵢ (i ≤ j; for
-            // i == j the symmetric pair appears once).
-            for i in 0..np {
-                for j in i..np {
-                    let mut t = m0.congruence(&vi[i], &vi[j]);
-                    if i != j {
-                        t.add_assign_scaled(1.0, &m0.congruence(&vi[j], &vi[i]));
-                    }
-                    if mi[j].nnz() > 0 {
-                        t.add_assign_scaled(1.0, &mi[j].congruence(&vi[i], v0));
-                        t.add_assign_scaled(1.0, &mi[j].congruence(v0, &vi[i]));
-                    }
-                    if i != j && mi[i].nnz() > 0 {
-                        t.add_assign_scaled(1.0, &mi[i].congruence(&vi[j], v0));
-                        t.add_assign_scaled(1.0, &mi[i].congruence(v0, &vi[j]));
-                    }
-                    terms.push((Monomial::PP(i, j), t));
-                }
-            }
-            terms
-        };
-        let g_terms = expand(&sys.g0, &sys.gi);
-        let c_terms = expand(&sys.c0, &sys.ci);
-
-        // B̃(p) = V(p)ᵀB, L̃(p) = V(p)ᵀL: linear.
-        let mut b_terms = vec![(Monomial::One, v0.tr_mul_mat(&sys.b))];
-        let mut l_terms = vec![(Monomial::One, v0.tr_mul_mat(&sys.l))];
-        for i in 0..np {
-            b_terms.push((Monomial::P(i), vi[i].tr_mul_mat(&sys.b)));
-            l_terms.push((Monomial::P(i), vi[i].tr_mul_mat(&sys.l)));
-        }
-
-        Ok(FittedRom {
-            size: q,
-            num_params: np,
-            g_terms,
-            c_terms,
-            b_terms,
-            l_terms,
-        })
-    }
 }
 
 impl Reducer for FittedProjectionPmor {
@@ -328,9 +138,8 @@ impl Reducer for FittedProjectionPmor {
 
     /// Unified-interface reduction: the span of the fitted coefficient
     /// matrices `[V0, V1, …, Vnp]` is orthonormalized into one projection
-    /// and applied by **congruence** — unlike the raw quadratic
-    /// [`FittedRom`] (kept via [`FittedProjectionPmor::reduce_fitted`]),
-    /// this yields an affine [`ParametricRom`] that is exact at the fit
+    /// and applied by **congruence**: this yields an affine
+    /// [`ParametricRom`] that is exact at the fit
     /// center and passivity-preserving, making the method comparable to
     /// the other registered reducers on equal terms.
     fn reduce(&self, sys: &ParametricSystem, ctx: &mut ReductionContext) -> Result<ParametricRom> {
@@ -348,6 +157,7 @@ mod tests {
     use super::*;
     use crate::eval::FullModel;
     use pmor_circuits::generators::{clock_tree, ClockTreeConfig};
+    use pmor_num::Complex64;
 
     fn tree(n: usize) -> ParametricSystem {
         clock_tree(&ClockTreeConfig {
@@ -377,7 +187,7 @@ mod tests {
             samples: vec![vec![0.0; 3]],
             num_block_moments: 2,
         };
-        assert!(FittedProjectionPmor::new(opts).reduce_fitted(&sys).is_err());
+        assert!(FittedProjectionPmor::new(opts).reduce_once(&sys).is_err());
     }
 
     #[test]
@@ -387,7 +197,7 @@ mod tests {
             samples: star_samples(3, 0.2),
             num_block_moments: 4,
         })
-        .reduce_fitted(&sys)
+        .reduce_once(&sys)
         .unwrap();
         let full = FullModel::new(&sys);
         let p = [0.0; 3];
@@ -395,7 +205,8 @@ mod tests {
         let hf = full.transfer(&p, s).unwrap()[(0, 0)];
         let hr = rom.transfer(&p, s).unwrap()[(0, 0)];
         let err = (hf - hr).abs() / hf.abs();
-        // V(0) = V0 = fitted center ≈ the nominal PRIMA basis.
+        // The projection spans V0, the fitted center ≈ the nominal PRIMA
+        // basis.
         assert!(err < 1e-4, "err = {err}");
     }
 
@@ -406,7 +217,7 @@ mod tests {
             samples: star_samples(3, 0.3),
             num_block_moments: 4,
         })
-        .reduce_fitted(&sys)
+        .reduce_once(&sys)
         .unwrap();
         let full = FullModel::new(&sys);
         let p = [0.15, -0.1, 0.2];
@@ -424,7 +235,7 @@ mod tests {
             samples: star_samples(3, 0.2),
             num_block_moments: 3,
         })
-        .reduce_fitted(&sys)
+        .reduce_once(&sys)
         .unwrap();
         let poles = rom.dominant_poles(&[0.05, 0.0, -0.05], 3).unwrap();
         for z in poles {

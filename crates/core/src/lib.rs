@@ -71,7 +71,6 @@ pub mod multipoint;
 pub mod opsvd;
 pub mod prima;
 pub mod reduce;
-pub mod residues;
 pub mod rom;
 pub mod transient;
 

@@ -171,12 +171,6 @@ impl ReductionContext {
         self.threads
     }
 
-    /// Creates a context that factors without a fill-reducing ordering
-    /// (diagnostic; solutions are identical, fill-in may be larger).
-    pub fn without_rcm() -> Self {
-        ReductionContext::with_ordering(OrderingChoice::Natural)
-    }
-
     /// Creates a context with an explicit fill-reducing ordering policy.
     /// Orderings only affect fill-in (memory and wall-clock), never
     /// solution values.
@@ -1022,7 +1016,7 @@ mod tests {
         // policy; results are identical either way.
         let sys = tree(20);
         let s = Complex64::jw(2.0 * std::f64::consts::PI * 1e9);
-        let mut plain = ReductionContext::without_rcm();
+        let mut plain = ReductionContext::with_ordering(OrderingChoice::Natural);
         let mut rcm = ReductionContext::new();
         let b: Vec<Complex64> = (0..sys.dim())
             .map(|i| Complex64::new((i as f64).sin(), 1.0))

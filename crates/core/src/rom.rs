@@ -20,7 +20,7 @@
 use crate::engine::{batch_results, EvalPoint, EvalWorkspace, TransferModel};
 use crate::{PmorError, Result};
 use pmor_circuits::ParametricSystem;
-use pmor_num::lu::{LuFactors, PencilLu};
+use pmor_num::lu::LuFactors;
 use pmor_num::{eig, Complex64, Matrix};
 use std::path::Path;
 
@@ -147,9 +147,10 @@ impl ParametricRom {
     /// [`ParametricRom::transfer`] drawing every buffer from a reusable
     /// [`EvalWorkspace`]: `G̃(p)` and `C̃(p)` are assembled in place, and
     /// the pencil is built and factored in place by the split-plane
-    /// [`PencilLu`] kernel, which reads `B̃` and `L̃` as real matrices. The
-    /// only allocation per call is the returned matrix. Values are bitwise
-    /// identical to [`LuFactors::<Complex64>`] on the complex pencil.
+    /// [`PencilLu`](pmor_num::lu::PencilLu) kernel, which reads `B̃` and
+    /// `L̃` as real matrices. The only allocation per call is the returned
+    /// matrix. Values are bitwise identical to [`LuFactors::<Complex64>`]
+    /// on the complex pencil.
     ///
     /// # Errors
     ///
@@ -259,41 +260,6 @@ impl ParametricRom {
             return Ok(false);
         }
         Ok(eig::is_positive_semidefinite(&c, 1e-9)?)
-    }
-
-    /// Analytic first-order sensitivity of the transfer matrix to every
-    /// parameter at `(s, p)`:
-    ///
-    /// ```text
-    /// ∂H/∂pᵢ = -L̃ᵀ K⁻¹ (G̃ᵢ + s·C̃ᵢ) K⁻¹ B̃,     K = G̃(p) + s·C̃(p)
-    /// ```
-    ///
-    /// One factorization of `K` serves all parameters — the cheap way to
-    /// drive gradient-based corner search or variational bounds from the
-    /// reduced model.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `K` is singular (i.e. `s` is a pole at `p`).
-    pub fn transfer_sensitivities(
-        &self,
-        p: &[f64],
-        s: Complex64,
-    ) -> Result<Vec<Matrix<Complex64>>> {
-        let mut lu = PencilLu::new();
-        lu.factor_pencil_into(&self.g_at(p), &self.c_at(p), s)?;
-        lu.solve_real_into(&self.b)?;
-        let x = lu.solution(); // K⁻¹B
-        let mut out = Vec::with_capacity(self.num_params());
-        for i in 0..self.num_params() {
-            let mut mi = self.gi[i].to_complex();
-            mi.add_assign_scaled(s, &self.ci[i].to_complex());
-            lu.solve_complex_into(&mi.mul_mat(&x))?;
-            let mut h = Matrix::zeros(self.num_outputs(), self.num_inputs());
-            lu.project_into(&self.l, &mut h)?;
-            out.push(h.scaled(-Complex64::ONE));
-        }
-        Ok(out)
     }
 
     /// The first `k` block transfer-function moments at the nominal point:
@@ -848,39 +814,6 @@ mod tests {
         // G⁻¹(Cx) = v with v0 = 50*5e-11... compute: solve G v = [0,5e-11]:
         // v1 - v0 = 5e-11/0.01 ... v0 = 2.5e-9, v1 = 7.5e-9 → m1 = -2.5e-9.
         assert!((m[1][(0, 0)] + 2.5e-9).abs() < 1e-18, "{}", m[1][(0, 0)]);
-    }
-
-    #[test]
-    fn transfer_sensitivities_match_finite_difference() {
-        let sys = rc2();
-        let rom = identity_rom(&sys);
-        let s = Complex64::jw(2.0 * std::f64::consts::PI * 2e9);
-        let p0 = [0.1];
-        let sens = rom.transfer_sensitivities(&p0, s).unwrap();
-        let dp = 1e-7;
-        let h0 = rom.transfer(&p0, s).unwrap()[(0, 0)];
-        let h1 = rom.transfer(&[p0[0] + dp], s).unwrap()[(0, 0)];
-        let fd = (h1 - h0) * (1.0 / dp);
-        let analytic = sens[0][(0, 0)];
-        assert!(
-            (fd - analytic).abs() < 1e-4 * analytic.abs().max(1e-12),
-            "fd {fd} vs analytic {analytic}"
-        );
-    }
-
-    #[test]
-    fn sensitivity_is_zero_for_untouched_parameter() {
-        // Add a second parameter with no stamps.
-        let mut sys = rc2();
-        sys.gi.push(pmor_sparse::CsrMatrix::zeros(2, 2));
-        sys.ci.push(pmor_sparse::CsrMatrix::zeros(2, 2));
-        let rom = identity_rom(&sys);
-        let sens = rom
-            .transfer_sensitivities(&[0.0, 0.0], Complex64::jw(1e9))
-            .unwrap();
-        assert_eq!(sens.len(), 2);
-        assert!(sens[1].max_abs() < 1e-300);
-        assert!(sens[0].max_abs() > 0.0);
     }
 
     #[test]

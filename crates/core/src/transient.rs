@@ -425,29 +425,6 @@ pub fn simulate_rom_with(
     Ok(TransientResult { time, outputs })
 }
 
-/// Convenience wrapper keeping the dense step matrix factored across calls
-/// when sweeping many parameter points is not needed.
-pub fn step_response_rom(
-    rom: &ParametricRom,
-    p: &[f64],
-    t_stop: f64,
-    steps: usize,
-) -> Result<TransientResult> {
-    let stimuli = vec![
-        Stimulus::Step {
-            t0: 0.0,
-            amplitude: 1.0,
-        };
-        rom.num_inputs()
-    ];
-    simulate_rom(
-        rom,
-        p,
-        &stimuli,
-        &TransientOptions::trapezoidal(t_stop, steps),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

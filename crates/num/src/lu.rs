@@ -175,13 +175,6 @@ impl<T: Scalar> LuFactors<T> {
         self.solve_mat(&Matrix::identity(self.dim()))
     }
 
-    /// Smallest pivot magnitude — a cheap singularity indicator.
-    pub fn min_pivot(&self) -> f64 {
-        (0..self.dim())
-            .map(|i| self.lu[(i, i)].modulus())
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// The packed factors: unit lower `L` below the diagonal, `U` on and
     /// above it.
     pub fn packed(&self) -> &Matrix<T> {

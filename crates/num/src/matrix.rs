@@ -6,7 +6,7 @@
 //! semantic unit for Krylov code, so column accessors copy into `Vec`s.
 
 use crate::scalar::Scalar;
-use crate::{Complex64, NumError, Result};
+use crate::Complex64;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -170,52 +170,10 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// Appends a column on the right, growing the matrix in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col.len() != nrows` (unless the matrix is empty, in which
-    /// case the row count is taken from the column).
-    pub fn push_col(&mut self, col: &[T]) {
-        if self.ncols == 0 && self.nrows == 0 {
-            self.nrows = col.len();
-        }
-        assert_eq!(col.len(), self.nrows, "column length mismatch");
-        let ncols = self.ncols;
-        let mut data = Vec::with_capacity(self.nrows * (ncols + 1));
-        for r in 0..self.nrows {
-            data.extend_from_slice(&self.data[r * ncols..(r + 1) * ncols]);
-            data.push(col[r]);
-        }
-        self.ncols += 1;
-        self.data = data;
-    }
-
     /// Returns a new matrix consisting of the selected column range.
     pub fn columns(&self, range: std::ops::Range<usize>) -> Matrix<T> {
         let ncols = range.len();
         Matrix::from_fn(self.nrows, ncols, |r, c| self[(r, range.start + c)])
-    }
-
-    /// Horizontally concatenates `self` with `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::DimensionMismatch`] if the row counts differ.
-    pub fn hcat(&self, other: &Matrix<T>) -> Result<Matrix<T>> {
-        if self.nrows != other.nrows {
-            return Err(NumError::DimensionMismatch {
-                context: "hcat",
-                expected: self.nrows,
-                actual: other.nrows,
-            });
-        }
-        let mut m = Matrix::zeros(self.nrows, self.ncols + other.ncols);
-        for r in 0..self.nrows {
-            m.row_mut(r)[..self.ncols].copy_from_slice(self.row(r));
-            m.row_mut(r)[self.ncols..].copy_from_slice(other.row(r));
-        }
-        Ok(m)
     }
 
     /// Matrix transpose.
@@ -537,26 +495,10 @@ mod tests {
     #[test]
     fn hcat_and_columns_roundtrip() {
         let a = a2();
-        let b = Matrix::from_rows(&[&[5.0], &[6.0]]);
-        let c = a.hcat(&b).unwrap();
+        let c = Matrix::from_rows(&[&[1.0, 2.0, 5.0], &[3.0, 4.0, 6.0]]);
         assert_eq!(c.ncols(), 3);
         assert_eq!(c.col(2), vec![5.0, 6.0]);
         assert_eq!(c.columns(0..2), a);
-    }
-
-    #[test]
-    fn hcat_dimension_mismatch_errors() {
-        let a = a2();
-        let b = Matrix::<f64>::zeros(3, 1);
-        assert!(a.hcat(&b).is_err());
-    }
-
-    #[test]
-    fn push_col_grows() {
-        let mut m = Matrix::<f64>::zeros(0, 0);
-        m.push_col(&[1.0, 2.0]);
-        m.push_col(&[3.0, 4.0]);
-        assert_eq!(m, Matrix::from_rows(&[&[1.0, 3.0], &[2.0, 4.0]]));
     }
 
     #[test]

@@ -47,15 +47,6 @@ impl<T: Scalar> OrthoBasis<T> {
         }
     }
 
-    /// Creates an empty basis with a custom deflation tolerance.
-    pub fn with_tolerance(dim: usize, tol: f64) -> Self {
-        OrthoBasis {
-            dim,
-            cols: Vec::new(),
-            tol,
-        }
-    }
-
     /// Vector length this basis lives in.
     pub fn dim(&self) -> usize {
         self.dim
@@ -115,21 +106,6 @@ impl<T: Scalar> OrthoBasis<T> {
         let mut added = 0;
         for j in 0..block.ncols() {
             if self.insert(&block.col(j)) {
-                added += 1;
-            }
-        }
-        added
-    }
-
-    /// Inserts every vector in `vectors`, returning how many survived.
-    pub fn insert_all<'a, I>(&mut self, vectors: I) -> usize
-    where
-        I: IntoIterator<Item = &'a [T]>,
-        T: 'a,
-    {
-        let mut added = 0;
-        for v in vectors {
-            if self.insert(v) {
                 added += 1;
             }
         }

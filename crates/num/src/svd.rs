@@ -151,15 +151,6 @@ pub fn svd(a: &Matrix<f64>) -> Result<Svd> {
     })
 }
 
-/// Computes the best rank-`k` approximation factors of `a`.
-///
-/// # Errors
-///
-/// Propagates [`svd`] errors.
-pub fn low_rank(a: &Matrix<f64>, k: usize) -> Result<Svd> {
-    Ok(svd(a)?.truncated(k))
-}
-
 fn borrow_two<T>(v: &mut [Vec<T>], p: usize, q: usize) -> (&mut Vec<T>, &mut Vec<T>) {
     debug_assert!(p < q);
     let (head, tail) = v.split_at_mut(q);

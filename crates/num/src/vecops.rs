@@ -29,11 +29,6 @@ pub fn norm2<T: Scalar>(x: &[T]) -> f64 {
         .sqrt()
 }
 
-/// Largest entry magnitude `‖x‖_∞`.
-pub fn norm_inf<T: Scalar>(x: &[T]) -> f64 {
-    x.iter().map(|v| v.modulus()).fold(0.0, f64::max)
-}
-
 /// In-place `y += a * x`.
 ///
 /// # Panics
@@ -139,10 +134,5 @@ mod tests {
     fn rel_err_conventions() {
         assert!((rel_err(&[1.0, 0.0], &[0.0, 0.0]) - 1.0).abs() < 1e-15);
         assert!(rel_err(&[1.0, 1.0], &[1.0, 1.0]) < 1e-15);
-    }
-
-    #[test]
-    fn norm_inf_picks_max() {
-        assert_eq!(norm_inf(&[1.0, -7.0, 3.0]), 7.0);
     }
 }

@@ -122,17 +122,6 @@ impl<T: Scalar> CsrMatrix<T> {
         &self.col_idx
     }
 
-    /// Whether `other` has exactly the same sparsity structure (same
-    /// dimensions, same stored positions — values ignored). This is the
-    /// precondition for numeric refactorization under a shared
-    /// [`crate::lu::SymbolicLu`].
-    pub fn same_pattern<U: Scalar>(&self, other: &CsrMatrix<U>) -> bool {
-        self.nrows == other.nrows
-            && self.ncols == other.ncols
-            && self.row_ptr == other.row_ptr
-            && self.col_idx == other.col_idx
-    }
-
     /// Returns the entry at `(row, col)` (zero when not stored).
     pub fn get(&self, row: usize, col: usize) -> T {
         let (cols, vals) = self.row(row);

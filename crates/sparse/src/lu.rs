@@ -79,8 +79,6 @@ pub struct SparseLu<T = f64> {
     row_of_pos: Vec<usize>,
     /// Column ordering: `q[k]` is the original column factored at step k.
     q: Vec<usize>,
-    /// `qinv[original_col] = position`.
-    qinv: Vec<usize>,
 }
 
 const UNASSIGNED: usize = usize::MAX;
@@ -97,7 +95,6 @@ const UNASSIGNED: usize = usize::MAX;
 pub struct SymbolicLu {
     n: usize,
     q: Vec<usize>,
-    qinv: Vec<usize>,
     /// CSR pattern of the analyzed matrix (row pointers + column indices).
     pat_row_ptr: Vec<usize>,
     pat_col_idx: Vec<usize>,
@@ -251,7 +248,6 @@ impl<T: Scalar> SparseLu<T> {
         let mut rec = record.then(|| SymbolicLu {
             n,
             q: q.clone(),
-            qinv: qinv.clone(),
             pat_row_ptr: a.row_ptr().to_vec(),
             pat_col_idx: a.col_indices().to_vec(),
             topo_ptr: vec![0],
@@ -417,7 +413,6 @@ impl<T: Scalar> SparseLu<T> {
                 pinv,
                 row_of_pos,
                 q,
-                qinv,
             },
             rec,
         ))
@@ -541,7 +536,6 @@ impl<T: Scalar> SparseLu<T> {
             pinv,
             row_of_pos,
             q: sym.q.clone(),
-            qinv: sym.qinv.clone(),
         }))
     }
 
@@ -554,11 +548,6 @@ impl<T: Scalar> SparseLu<T> {
     /// original column eliminated at step `k`.
     pub fn column_order(&self) -> &[usize] {
         &self.q
-    }
-
-    /// Inverse column ordering: position of each original column.
-    pub fn column_position(&self) -> &[usize] {
-        &self.qinv
     }
 
     /// Row permutation chosen by pivoting: `row_of_position()[k]` is the

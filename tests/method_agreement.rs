@@ -102,7 +102,7 @@ fn projection_fit_agrees_near_its_samples() {
         samples,
         num_block_moments: 4,
     })
-    .reduce_fitted(&sys)
+    .reduce_once(&sys)
     .unwrap();
     let lowrank = LowRankPmor::with_defaults().reduce_once(&sys).unwrap();
     let s = Complex64::jw(2.0 * std::f64::consts::PI * 2e8);
