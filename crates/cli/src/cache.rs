@@ -31,9 +31,12 @@ use pmor::rom;
 use pmor::{ParametricRom, ReducerTuning};
 use std::path::{Path, PathBuf};
 
-/// Bump when the key derivation itself changes (invalidates all old
-/// entries without having to delete them).
-const CACHE_SCHEMA_VERSION: u64 = 1;
+/// Bump when the key derivation itself changes, or when the reducers
+/// start producing different bytes for the same inputs (invalidates all
+/// old entries without having to delete them). Version 2: congruence
+/// mirrors the reduced matrices of symmetric systems, so their ROMs
+/// evaluate on the pivot-free `LDLᵀ` kernel.
+const CACHE_SCHEMA_VERSION: u64 = 2;
 
 /// A directory of content-addressed ROM files.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,10 +58,15 @@ impl RomCache {
     /// The content key for reducing `method` (with `tuning`) on a system
     /// whose [`pmor::system_fingerprint`] is `fingerprint`.
     pub fn key(fingerprint: u64, method: &str, tuning: &ReducerTuning) -> u64 {
+        Self::key_at_schema(CACHE_SCHEMA_VERSION, fingerprint, method, tuning)
+    }
+
+    /// [`RomCache::key`] under cache-schema version `schema`.
+    fn key_at_schema(schema: u64, fingerprint: u64, method: &str, tuning: &ReducerTuning) -> u64 {
         let opt_f64 = |v: Option<f64>| v.map_or(u64::MAX, f64::to_bits);
         let opt_usize = |v: Option<usize>| v.map_or(u64::MAX, |n| n as u64);
         let mut words = vec![
-            CACHE_SCHEMA_VERSION,
+            schema,
             rom::ROM_FORMAT_VERSION as u64,
             pmor::reduce::registry_defaults::fingerprint(),
             fingerprint,
@@ -154,6 +162,11 @@ mod tests {
         };
         assert_ne!(RomCache::key(1, "prima", &zeroed), base);
         assert_eq!(base, RomCache::key(1, "prima", &ReducerTuning::default()));
+        // Entries written under an older schema must miss: schema 1
+        // cached unmirrored ROMs of symmetric systems.
+        assert_eq!(CACHE_SCHEMA_VERSION, 2);
+        assert_eq!(base, RomCache::key_at_schema(2, 1, "prima", &t));
+        assert_ne!(base, RomCache::key_at_schema(1, 1, "prima", &t));
         // Every adaptive knob separates keys too: a model reduced to a
         // loose tolerance must never be served for a tight one.
         for t in [

@@ -22,12 +22,12 @@
 //! (bitwise identical across thread counts), so adaptive runs are
 //! bitwise reproducible at any `threads` setting.
 
+use crate::engine::EvalWorkspace;
 use crate::prima::krylov_blocks;
 use crate::reduce::{registry_defaults as rd, Reducer, ReducerTuning, ReductionContext};
 use crate::rom::ParametricRom;
 use crate::{PmorError, Result};
 use pmor_circuits::ParametricSystem;
-use pmor_num::lu::PencilLu;
 use pmor_num::orth::OrthoBasis;
 use pmor_num::{Complex64, Matrix};
 
@@ -85,12 +85,11 @@ impl<'a> ErrorEstimator<'a> {
     ///
     /// Fails when the *reduced* pencil `G̃(p) + sC̃(p)` is singular.
     pub fn relative_residual(&self, rom: &ParametricRom, p: &[f64], s: Complex64) -> Result<f64> {
+        let mut ws = EvalWorkspace::new();
+        rom.assemble(p, &mut ws)?;
         // Small dense reduced solve, on the kernel `ParametricRom::transfer`
-        // runs on.
-        let mut lu = PencilLu::new();
-        lu.factor_pencil_into(&rom.g_at(p), &rom.c_at(p), s)?;
-        lu.solve_real_into(&rom.b)?;
-        let x_red = lu.solution();
+        // dispatches to.
+        let x_red = rom.solve_pencil(s, &mut ws)?.solution();
         // Lift back to the full space: x̂ = V x_red.
         let x_hat = rom.projection.to_complex().mul_mat(&x_red);
         // Sparse residual — assembly and mat-vecs only, no factorization.

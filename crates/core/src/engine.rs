@@ -11,8 +11,8 @@
 //!   and figure binary is written once against `&dyn TransferModel` and
 //!   compares models without knowing which side is which.
 //! * [`EvalWorkspace`] carries the per-thread scratch that makes batch
-//!   evaluation cheap: dense assembly and split-plane LU buffers for
-//!   reduced models, and memoized per-parameter-point sparse assemblies
+//!   evaluation cheap: dense assembly and split-plane `LDLᵀ`/LU buffers
+//!   for reduced models, and memoized per-parameter-point sparse assemblies
 //!   (plus complex port maps) for the full model.
 //! * [`EvalEngine`] chunks arbitrary point sets across
 //!   [`std::thread::scope`] workers **deterministically**: points are
@@ -54,7 +54,7 @@
 
 use crate::transient::{Stimulus, TransientOptions, TransientResult};
 use crate::Result;
-use pmor_num::lu::PencilLu;
+use pmor_num::lu::{PencilLdl, PencilLu};
 use pmor_num::{Complex64, Matrix};
 use pmor_sparse::CsrMatrix;
 
@@ -99,10 +99,13 @@ impl EvalPoint {
 #[derive(Debug, Clone)]
 pub struct EvalWorkspace {
     // Dense reduced-model scratch (sized on first use, reused after):
-    // the assembled `G̃(p)`, `C̃(p)`, and the split-plane pencil factors
-    // with their solve buffers.
+    // the assembled `G̃(p)`, `C̃(p)`, whether both equal their
+    // transposes bit for bit, and the split-plane pencil kernels with
+    // their solve buffers: `LDLᵀ` for symmetric pencils, LU otherwise.
     pub(crate) rom_g: Matrix<f64>,
     pub(crate) rom_c: Matrix<f64>,
+    pub(crate) rom_symmetric: bool,
+    pub(crate) rom_ldl: PencilLdl,
     pub(crate) rom_lu: PencilLu,
     // Full-model per-parameter-point assembly: `(fingerprint, p-bits) →
     // G(p), C(p)` as complex CSR, reused across the frequencies of one
@@ -138,6 +141,8 @@ impl EvalWorkspace {
         EvalWorkspace {
             rom_g: Matrix::zeros(0, 0),
             rom_c: Matrix::zeros(0, 0),
+            rom_symmetric: false,
+            rom_ldl: PencilLdl::new(),
             rom_lu: PencilLu::new(),
             full_key: None,
             full_g: None,

@@ -507,12 +507,12 @@ impl FactorProvenance {
 /// for any evaluation — the basis of the compute-once orderings in
 /// [`crate::eval::FullModel`] and [`ReductionContext`].
 pub(crate) fn union_pattern(sys: &ParametricSystem) -> CsrMatrix<f64> {
-    let mut u = sys.g0.map(f64::abs);
-    u = u.add_scaled(1.0, &sys.c0.map(f64::abs));
-    for m in sys.gi.iter().chain(sys.ci.iter()) {
-        u = u.add_scaled(1.0, &m.map(f64::abs));
-    }
-    u
+    let mats: Vec<&CsrMatrix<f64>> = [&sys.g0, &sys.c0]
+        .into_iter()
+        .chain(&sys.gi)
+        .chain(&sys.ci)
+        .collect();
+    CsrMatrix::abs_sum(&mats)
 }
 
 /// The FNV-1a fold over a `u64` word stream shared by every content key
@@ -811,7 +811,45 @@ pub fn reducer_by_name(name: &str, sys: &ParametricSystem) -> Option<Box<dyn Red
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmor_circuits::generators::{clock_tree, ClockTreeConfig};
+    use pmor_circuits::generators::{
+        clock_tree, power_grid, rc_mesh, rc_random, rlc_bus, ClockTreeConfig, PowerGridConfig,
+        RcMeshConfig, RcRandomConfig, RlcBusConfig,
+    };
+    use pmor_sparse::ordering;
+
+    #[test]
+    fn one_pass_union_pattern_matches_the_add_scaled_fold() {
+        // Reference: one `add_scaled` (a rebuild from triplets) per
+        // matrix after the first.
+        let fold = |sys: &ParametricSystem| {
+            let mut u = sys.g0.map(f64::abs);
+            for m in std::iter::once(&sys.c0).chain(&sys.gi).chain(&sys.ci) {
+                u = u.add_scaled(1.0, &m.map(f64::abs));
+            }
+            u
+        };
+        for sys in [
+            tree(60),
+            rc_random(&RcRandomConfig::default()).assemble(),
+            rlc_bus(&RlcBusConfig::default()).assemble(),
+            rc_mesh(&RcMeshConfig::default()).assemble(),
+            power_grid(&PowerGridConfig {
+                cols: 12,
+                rows: 12,
+                ..Default::default()
+            })
+            .assemble(),
+        ] {
+            let (got, want) = (union_pattern(&sys), fold(&sys));
+            assert_eq!(got.row_ptr(), want.row_ptr());
+            assert_eq!(got.col_indices(), want.col_indices());
+            let bits =
+                |m: &CsrMatrix<f64>| m.iter().map(|(_, _, v)| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want));
+            assert_eq!(ordering::rcm(&got), ordering::rcm(&want));
+            assert_eq!(ordering::amd(&got), ordering::amd(&want));
+        }
+    }
 
     fn tree(n: usize) -> ParametricSystem {
         clock_tree(&ClockTreeConfig {

@@ -20,7 +20,7 @@
 use crate::engine::{batch_results, EvalPoint, EvalWorkspace, TransferModel};
 use crate::{PmorError, Result};
 use pmor_circuits::ParametricSystem;
-use pmor_num::lu::LuFactors;
+use pmor_num::lu::{LuFactors, PencilLdl, PencilLu};
 use pmor_num::{eig, Complex64, Matrix};
 use std::path::Path;
 
@@ -146,11 +146,18 @@ impl ParametricRom {
 
     /// [`ParametricRom::transfer`] drawing every buffer from a reusable
     /// [`EvalWorkspace`]: `G̃(p)` and `C̃(p)` are assembled in place, and
-    /// the pencil is built and factored in place by the split-plane
-    /// [`PencilLu`](pmor_num::lu::PencilLu) kernel, which reads `B̃` and
-    /// `L̃` as real matrices. The only allocation per call is the returned
-    /// matrix. Values are bitwise identical to [`LuFactors::<Complex64>`]
-    /// on the complex pencil.
+    /// the pencil is built and factored in place by a split-plane kernel
+    /// that reads `B̃` and `L̃` as real matrices. The only allocation per
+    /// call is the returned matrix.
+    ///
+    /// The kernel depends only on the assembled matrices and `s`. When
+    /// `G̃(p)` and `C̃(p)` both equal their transposes bit for bit (RC
+    /// models reduced by congruence), the pencil is complex symmetric and
+    /// [`PencilLdl`] factors it without pivoting, at half the elimination
+    /// work, keeping its factors only when its backward-error certificate
+    /// holds and otherwise falling back to [`PencilLu`] on the same
+    /// pencil. Every other pencil runs on [`PencilLu`], whose values are
+    /// bitwise those of [`LuFactors::<Complex64>`] on the complex pencil.
     ///
     /// # Errors
     ///
@@ -167,29 +174,49 @@ impl ParametricRom {
         self.solve_at(s, ws)
     }
 
-    /// Assembles `G̃(p)` and `C̃(p)` into the workspace — the per-`p` half
-    /// of an evaluation, which a batch skips while consecutive points
-    /// share `p`.
-    fn assemble(&self, p: &[f64], ws: &mut EvalWorkspace) -> Result<()> {
+    /// Assembles `G̃(p)` and `C̃(p)` into the workspace and records whether
+    /// both are bitwise symmetric — the per-`p` half of an evaluation,
+    /// which a batch skips while consecutive points share `p`.
+    pub(crate) fn assemble(&self, p: &[f64], ws: &mut EvalWorkspace) -> Result<()> {
         if !all_finite(p) {
             return Err(PmorError::NonFinite("p"));
         }
         self.g_at_into(p, &mut ws.rom_g);
         self.c_at_into(p, &mut ws.rom_c);
+        ws.rom_symmetric = ws.rom_g.is_bitwise_symmetric() && ws.rom_c.is_bitwise_symmetric();
         Ok(())
     }
 
     /// Factors `G̃(p) + s C̃(p)` from the workspace's last assembly and
-    /// returns `L̃ᵀ (G̃(p) + s C̃(p))⁻¹ B̃` — the per-frequency half.
-    fn solve_at(&self, s: Complex64, ws: &mut EvalWorkspace) -> Result<Matrix<Complex64>> {
+    /// solves it for `B̃`, on [`PencilLdl`] for a symmetric pencil and on
+    /// [`PencilLu`] otherwise; returns the kernel holding the solution.
+    pub(crate) fn solve_pencil<'w>(
+        &self,
+        s: Complex64,
+        ws: &'w mut EvalWorkspace,
+    ) -> Result<Solved<'w>> {
         if !all_finite(&[s.re, s.im]) {
             return Err(PmorError::NonFinite("s"));
         }
-        let lu = &mut ws.rom_lu;
-        lu.factor_pencil_into(&ws.rom_g, &ws.rom_c, s)?;
-        lu.solve_real_into(&self.b)?;
+        if ws.rom_symmetric {
+            let ldl = &mut ws.rom_ldl;
+            ldl.factor_pencil_into(&ws.rom_g, &ws.rom_c, s)?;
+            ldl.solve_real_into(&self.b)?;
+            Ok(Solved::Ldl(ldl))
+        } else {
+            let lu = &mut ws.rom_lu;
+            lu.factor_pencil_into(&ws.rom_g, &ws.rom_c, s)?;
+            lu.solve_real_into(&self.b)?;
+            Ok(Solved::Lu(lu))
+        }
+    }
+
+    /// Returns `L̃ᵀ (G̃(p) + s C̃(p))⁻¹ B̃` from the workspace's last
+    /// assembly — the per-frequency half.
+    fn solve_at(&self, s: Complex64, ws: &mut EvalWorkspace) -> Result<Matrix<Complex64>> {
+        let solved = self.solve_pencil(s, ws)?;
         let mut h = Matrix::zeros(self.l.ncols(), self.b.ncols());
-        lu.project_into(&self.l, &mut h)?;
+        solved.project_into(&self.l, &mut h)?;
         Ok(h)
     }
 
@@ -347,6 +374,31 @@ impl TransferModel for ParametricRom {
             out.push(self.solve_at(pt.s, ws)?);
         }
         Ok(out)
+    }
+}
+
+/// The pencil kernel holding a [`ParametricRom`] solve.
+pub(crate) enum Solved<'w> {
+    Ldl(&'w PencilLdl),
+    Lu(&'w PencilLu),
+}
+
+impl Solved<'_> {
+    /// `out = L̃ᵀ X` (see [`PencilLu::project_into`]).
+    fn project_into(&self, l: &Matrix<f64>, out: &mut Matrix<Complex64>) -> Result<()> {
+        match self {
+            Solved::Ldl(k) => k.project_into(l, out)?,
+            Solved::Lu(k) => k.project_into(l, out)?,
+        }
+        Ok(())
+    }
+
+    /// The solution `X = (G̃(p) + s C̃(p))⁻¹ B̃`.
+    pub(crate) fn solution(&self) -> Matrix<Complex64> {
+        match self {
+            Solved::Ldl(k) => k.solution(),
+            Solved::Lu(k) => k.solution(),
+        }
     }
 }
 

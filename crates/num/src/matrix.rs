@@ -408,6 +408,14 @@ impl<T: Scalar> Matrix<T> {
 }
 
 impl Matrix<f64> {
+    /// Whether the matrix is square and equals its transpose bit for bit
+    /// (`+0` and `−0` differ).
+    pub fn is_bitwise_symmetric(&self) -> bool {
+        self.nrows == self.ncols
+            && (0..self.nrows)
+                .all(|i| (0..i).all(|j| self[(i, j)].to_bits() == self[(j, i)].to_bits()))
+    }
+
     /// Embeds a real matrix into the complex field.
     pub fn to_complex(&self) -> Matrix<Complex64> {
         self.map(Complex64::from_real)

@@ -260,7 +260,8 @@ impl<T: Scalar> CsrMatrix<T> {
     /// result only when row `k` of `A` stores entries, so a sensitivity
     /// matrix touching a quarter of the rows costs a quarter of the
     /// work, and `A·W` is never held in full. The result is bitwise
-    /// identical to `v.tr_mul_mat(&self.mul_dense(w))`. Every kept term is
+    /// identical to `v.tr_mul_mat(&self.mul_dense(w))` (on and above the
+    /// diagonal in the mirrored case below). Every kept term is
     /// computed in the same order (entries of `A·W` over the row's stored
     /// columns, the result over `k` ascending, zero `V[k, i]` skipped).
     /// A skipped empty row would have added `V[k, i]·(+0)`, which is `±0`
@@ -270,12 +271,20 @@ impl<T: Scalar> CsrMatrix<T> {
     /// anything but `−0` is an identity, so the skipped terms change no
     /// bit. (A non-finite `V[k, i]` would have contributed `NaN`.)
     ///
+    /// When `V` and `W` are equal and `A` equals its transpose bit for
+    /// bit ([`CsrMatrix::is_bitwise_symmetric`]), only the `j ≥ i` half
+    /// of each fold is computed, bit for bit as above, and then mirrored
+    /// below the diagonal: at half the dense work, the result equals its
+    /// transpose bit for bit, as the congruence of a symmetric matrix
+    /// does in exact arithmetic.
+    ///
     /// # Panics
     ///
     /// Panics on dimension mismatch.
     pub fn congruence(&self, v: &Matrix<T>, w: &Matrix<T>) -> Matrix<T> {
         assert_eq!(v.nrows(), self.nrows, "congruence: V row mismatch");
         assert_eq!(w.nrows(), self.ncols, "congruence: W row mismatch");
+        let mirror = (std::ptr::eq(v, w) || v == w) && self.is_bitwise_symmetric();
         let mut out = Matrix::zeros(v.ncols(), w.ncols());
         let mut awk = vec![T::ZERO; w.ncols()];
         for k in 0..self.nrows {
@@ -293,12 +302,37 @@ impl<T: Scalar> CsrMatrix<T> {
                 if vki == T::ZERO {
                     continue;
                 }
-                for (o, &s) in out.row_mut(i).iter_mut().zip(&awk) {
+                let from = if mirror { i } else { 0 };
+                for (o, &s) in out.row_mut(i)[from..].iter_mut().zip(&awk[from..]) {
                     *o += vki * s;
                 }
             }
         }
+        if mirror {
+            for i in 1..out.nrows() {
+                for j in 0..i {
+                    out[(i, j)] = out[(j, i)];
+                }
+            }
+        }
         out
+    }
+
+    /// Whether the matrix is square, stores `(c, r)` for every stored
+    /// `(r, c)`, and holds the same bits in both (real and imaginary
+    /// parts compared by bit pattern, so `+0` and `−0` differ).
+    pub fn is_bitwise_symmetric(&self) -> bool {
+        let same = |a: T, b: T| {
+            a.real().to_bits() == b.real().to_bits() && a.imag().to_bits() == b.imag().to_bits()
+        };
+        self.nrows == self.ncols
+            && (0..self.nrows).all(|r| {
+                let (cols, vals) = self.row(r);
+                cols.iter().zip(vals).all(|(&c, &v)| {
+                    let (tc, tv) = self.row(c);
+                    tc.binary_search(&r).is_ok_and(|at| same(v, tv[at]))
+                })
+            })
     }
 
     /// Linear combination `self + k · other` (patterns may differ).
@@ -368,6 +402,61 @@ impl<T: Scalar> CsrMatrix<T> {
 }
 
 impl CsrMatrix<f64> {
+    /// Entry-wise `Σₖ |Mₖ|` of same-shape matrices in one row-by-row
+    /// merge: each entry sums its magnitudes in the order the matrices
+    /// are given, and an entry whose sum is exactly zero is dropped, as
+    /// a fold of [`CsrMatrix::add_scaled`] over the magnitudes does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mats` is empty or the shapes differ.
+    pub fn abs_sum(mats: &[&CsrMatrix<f64>]) -> CsrMatrix<f64> {
+        let (nrows, ncols) = (mats[0].nrows, mats[0].ncols);
+        assert!(
+            mats.iter().all(|m| (m.nrows, m.ncols) == (nrows, ncols)),
+            "abs_sum: dimension mismatch"
+        );
+        let stored: usize = mats.iter().map(|m| m.nnz()).sum();
+        let mut row_ptr = Vec::with_capacity(nrows + 1);
+        let mut col_idx = Vec::with_capacity(stored);
+        let mut values = Vec::with_capacity(stored);
+        row_ptr.push(0);
+        // `acc[c]` holds row `seen[c]`'s sum at column `c`.
+        let mut acc = vec![0.0f64; ncols];
+        let mut seen = vec![usize::MAX; ncols];
+        let mut cols = Vec::new();
+        for r in 0..nrows {
+            cols.clear();
+            for m in mats {
+                let (cs, vs) = m.row(r);
+                for (&c, &v) in cs.iter().zip(vs) {
+                    if seen[c] == r {
+                        acc[c] += v.abs();
+                    } else {
+                        seen[c] = r;
+                        acc[c] = v.abs();
+                        cols.push(c);
+                    }
+                }
+            }
+            cols.sort_unstable();
+            for &c in &cols {
+                if acc[c] != 0.0 {
+                    col_idx.push(c);
+                    values.push(acc[c]);
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        CsrMatrix {
+            nrows,
+            ncols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
     /// Embeds into the complex field — used to assemble `G + sC` for
     /// frequency sweeps.
     pub fn to_complex(&self) -> CsrMatrix<pmor_num::Complex64> {
@@ -468,6 +557,51 @@ mod tests {
                 assert_eq!(g.to_bits(), e.to_bits(), "{what}: {g} vs {e}");
             }
         }
+    }
+
+    /// A bitwise-symmetric `A` under `V = W`: the upper half keeps the
+    /// two-pass product's bits and the lower half mirrors it. A single
+    /// `−0` against a `+0` makes `A` asymmetric and keeps both halves.
+    #[test]
+    fn symmetric_congruence_mirrors_the_upper_half() {
+        let (n, q) = (9, 4);
+        let mut tri = Vec::new();
+        for r in 0..n {
+            tri.push((r, r, 3.0 + r as f64 * 0.29));
+            for d in [1, 3] {
+                let c = (r + d) % n;
+                let v = -0.47 * ((r * d + c) as f64).cos();
+                tri.extend([(r, c, v), (c, r, v)]);
+            }
+        }
+        let a = CsrMatrix::from_triplets(n, n, &tri);
+        assert!(a.is_bitwise_symmetric());
+        let v = Matrix::from_fn(n, q, |r, c| match (r + c) % 5 {
+            0 => -0.0,
+            _ => ((r * q + c) as f64 * 0.73).sin(),
+        });
+        let got = a.congruence(&v, &v);
+        let want = v.tr_mul_mat(&a.mul_dense(&v));
+        for i in 0..q {
+            for j in i..q {
+                assert_eq!(got[(i, j)].to_bits(), want[(i, j)].to_bits(), "({i}, {j})");
+                assert_eq!(got[(j, i)].to_bits(), got[(i, j)].to_bits(), "({j}, {i})");
+            }
+        }
+
+        // `+0` at (0, 1) against `−0` at (1, 0): asymmetric, full fold.
+        tri.extend([(0, 4, 1.0), (4, 0, -1.0)]);
+        let b =
+            CsrMatrix::from_triplets(n, n, &tri).map(|x| if x.abs() == 1.0 { x * 0.0 } else { x });
+        assert_eq!(b.get(0, 4), 0.0);
+        assert!(!b.is_bitwise_symmetric());
+        let got = b.congruence(&v, &v);
+        let want = v.tr_mul_mat(&b.mul_dense(&v));
+        for (g, e) in got.as_slice().iter().zip(want.as_slice()) {
+            assert_eq!(g.to_bits(), e.to_bits());
+        }
+        assert!(!CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0)]).is_bitwise_symmetric());
+        assert!(!CsrMatrix::<f64>::zeros(2, 3).is_bitwise_symmetric());
     }
 
     #[test]

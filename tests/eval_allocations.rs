@@ -8,8 +8,8 @@
 //! * warmed `eval_batch`: one matrix per point plus the result `Vec`;
 //! * `g_at_into` / `c_at_into` (through `assemble_affine_into`), the
 //!   dense and sparse `mul_vec_into`, `tr_mul_vec_into`,
-//!   `LuFactors::solve_into` and the `PencilLu` factor / solve /
-//!   projection kernels: nothing once sized;
+//!   `LuFactors::solve_into` and the `PencilLu` and `PencilLdl` factor /
+//!   solve / projection kernels: nothing once sized;
 //! * `EvalEngine::map_chunked` and `map` at 1, 2 and 4 threads: each
 //!   worker, counted on its own thread, allocates what a cold serial
 //!   run of the same chunk does;
@@ -33,7 +33,7 @@ use pmor_circuits::generators::{
     RlcBusConfig,
 };
 use pmor_circuits::ParametricSystem;
-use pmor_num::lu::{LuFactors, PencilLu};
+use pmor_num::lu::{LuFactors, PencilLdl, PencilLu};
 use pmor_num::{Complex64, Matrix};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -119,6 +119,33 @@ fn sized_pencil_factor_solve_and_projection_allocate_nothing() {
             let ((), allocations) = counted(|| run(s));
             assert_eq!(allocations, 0, "order {n} at s = {s}");
         }
+
+        // The pivot-free kernel on a symmetric, diagonally dominant
+        // pencil, and on one whose zero leading pivot sends it to its
+        // LU fallback.
+        let sym = |m: &Matrix<f64>, shift: f64| {
+            Matrix::from_fn(n, n, |r, k| {
+                m[(r, k)] + m[(k, r)] + if r == k { shift } else { 0.0 }
+            })
+        };
+        let (gs, cs) = (sym(&g, n as f64), sym(&c, 1.0));
+        let mut g0 = gs.clone();
+        g0[(0, 0)] = 0.0;
+        let c0 = Matrix::from_fn(n, n, |r, k| if r == 0 || k == 0 { 0.0 } else { cs[(r, k)] });
+        for (g, c, pivoted) in [(&gs, &cs, false), (&g0, &c0, true)] {
+            let mut ldl = PencilLdl::new();
+            let mut run = |s: Complex64| {
+                ldl.factor_pencil_into(g, c, s).unwrap();
+                assert_eq!(ldl.pivoted(), pivoted);
+                ldl.solve_real_into(&b).unwrap();
+                ldl.project_into(&l, &mut h).unwrap();
+            };
+            run(Complex64::jw(1.0));
+            for s in [Complex64::jw(2.5), Complex64::new(-0.3, 4.0)] {
+                let ((), allocations) = counted(|| run(s));
+                assert_eq!(allocations, 0, "LDLᵀ order {n} at s = {s}");
+            }
+        }
     }
 }
 
@@ -161,9 +188,15 @@ fn workloads() -> Vec<(&'static str, ParametricSystem)> {
     ]
 }
 
-/// The lowrank ROM of `sys`.
+/// The lowrank ROM of `sys`. The RC families' reduced matrices equal
+/// their transposes bit for bit, so their pencils run on `PencilLdl`;
+/// the RLC bus's run on `PencilLu`. The workloads cover both arms of
+/// the evaluation dispatch.
 fn reduce(sys: &ParametricSystem) -> ParametricRom {
-    ReducerKind::LowRank.build(sys).reduce_once(sys).unwrap()
+    let rom = ReducerKind::LowRank.build(sys).reduce_once(sys).unwrap();
+    let symmetric = rom.g0.is_bitwise_symmetric() && rom.c0.is_bitwise_symmetric();
+    assert_eq!(symmetric, sys.g0.is_bitwise_symmetric());
+    rom
 }
 
 /// Two 64-point batches over 10 MHz–10 GHz: a frequency sweep sharing

@@ -8,8 +8,8 @@
 use pmor::eval::FullModel;
 use pmor::{reducer_by_name, ReducerKind, ReductionContext};
 use pmor_circuits::generators::{
-    clock_tree, rc_mesh, rc_random, rlc_bus, ClockTreeConfig, RcMeshConfig, RcRandomConfig,
-    RlcBusConfig,
+    clock_tree, power_grid, rc_mesh, rc_random, rlc_bus, ClockTreeConfig, PowerGridConfig,
+    RcMeshConfig, RcRandomConfig, RlcBusConfig,
 };
 use pmor_circuits::ParametricSystem;
 use pmor_num::Complex64;
@@ -168,4 +168,43 @@ fn reducers_share_one_nominal_factorization_per_system() {
     // (its center sample is the already-cached nominal).
     assert_eq!(ctx.real_factorizations(), 1 + 8 + 6);
     assert!(ctx.cache_hits() >= 3, "hits: {}", ctx.cache_hits());
+}
+
+#[test]
+fn congruence_roms_of_rc_families_are_bitwise_symmetric() {
+    // RC systems stamp every matrix symmetrically, and congruence by one
+    // projection mirrors the reduced matrices, so each one equals its
+    // transpose bit for bit: the pencil evaluation then runs on the
+    // pivot-free LDLᵀ kernel. The RLC bus's MNA `G` is not symmetric,
+    // and its ROM keeps the pivoted LU.
+    let mut families = workloads();
+    families.push((
+        "power_grid",
+        power_grid(&PowerGridConfig {
+            cols: 8,
+            rows: 8,
+            pitch: 4,
+            ..Default::default()
+        })
+        .assemble(),
+    ));
+    for (workload, sys) in families {
+        let mut ctx = ReductionContext::new();
+        for kind in [
+            ReducerKind::LowRank,
+            ReducerKind::Prima,
+            ReducerKind::MultiPoint,
+        ] {
+            let rom = kind.build(&sys).reduce(&sys, &mut ctx).unwrap();
+            let at = format!("{workload}/{}", kind.name());
+            if workload == "rlc_bus" {
+                assert!(!rom.g0.is_bitwise_symmetric(), "{at}: G̃0");
+                continue;
+            }
+            let matrices = [&rom.g0, &rom.c0].into_iter().chain(&rom.gi).chain(&rom.ci);
+            for (i, m) in matrices.enumerate() {
+                assert!(m.is_bitwise_symmetric(), "{at}: matrix {i}");
+            }
+        }
+    }
 }

@@ -6,6 +6,10 @@
 //! `&dyn TransferModel`s. Also pins the [`EvalEngine`] determinism
 //! guarantee: results are bitwise identical for any thread count.
 
+#[path = "../crates/num/tests/support/ldl_reference.rs"]
+mod ldl_reference;
+
+use ldl_reference::ldl_reference;
 use pmor::eval::FullModel;
 use pmor::{EvalEngine, EvalPoint, ReducerKind, ReductionContext, TransferModel};
 use pmor_circuits::generators::{
@@ -153,7 +157,7 @@ fn workspace_batch_path_matches_plain_transfer_bitwise() {
     }
 }
 
-/// The generic dense path every ROM evaluation used to take:
+/// The generic dense path nonsymmetric ROM evaluations are pinned to:
 /// `LuFactors::<Complex64>` on `G̃(p).to_complex() + s·C̃(p).to_complex()`,
 /// `solve_mat` on `B̃.to_complex()`, then `L̃.to_complex().tr_mul_mat`.
 fn generic_rom_transfer(
@@ -179,13 +183,17 @@ fn assert_same_bits(a: &Matrix<Complex64>, b: &Matrix<Complex64>, what: &str) {
 
 #[test]
 fn rom_sweeps_match_the_generic_complex_lu_bitwise() {
-    // Pins ROM evaluation to the generic dense LU bit for bit: a lowrank
-    // ROM of every workload family, swept over 10 MHz–10 GHz at shared
-    // parameter points (the batch path assembles once per run of equal
-    // `p`), with the split-plane factors and permutation checked against
-    // `LuFactors` on the same pencil.
+    // Pins ROM evaluation bit for bit: a lowrank ROM of every workload
+    // family, swept over 10 MHz–10 GHz at shared parameter points (the
+    // batch path assembles once per run of equal `p`). The RLC bus's
+    // pencil is not symmetric: it runs on the split-plane LU, whose
+    // factors and permutation are checked against `LuFactors` on the
+    // same pencil. The RC families' pencils equal their transposes bit
+    // for bit: they run on the pivot-free LDLᵀ, pinned to its plain
+    // reference and held within 1e-12·max|H| of `LuFactors`.
     for (workload, sys) in workloads() {
         let rom = ReducerKind::LowRank.build(&sys).reduce_once(&sys).unwrap();
+        let symmetric = workload != "rlc_bus";
         let freqs: Vec<f64> = (0..=24).map(|i| 1e7 * 10f64.powf(i as f64 / 8.0)).collect();
         let mut points = Vec::new();
         let np = rom.num_params();
@@ -196,19 +204,35 @@ fn rom_sweeps_match_the_generic_complex_lu_bitwise() {
         let batched = EvalEngine::serial().transfer_batch(&rom, &points).unwrap();
         let mut kernel = PencilLu::new();
         for (pt, hb) in points.iter().zip(&batched) {
-            let (lu, want) = generic_rom_transfer(&rom, &pt.params, pt.s);
+            let (lu, h_lu) = generic_rom_transfer(&rom, &pt.params, pt.s);
             let at = format!("{workload} at {pt:?}");
+            let (g, c) = (rom.g_at(&pt.params), rom.c_at(&pt.params));
+            assert_eq!(
+                g.is_bitwise_symmetric() && c.is_bitwise_symmetric(),
+                symmetric,
+                "{at}"
+            );
+            let want = if symmetric {
+                let ldl = ldl_reference(&g, &c, pt.s);
+                assert!(ldl.kept, "{at}: certificate ρ = {}", ldl.certificate);
+                let h = ldl.transfer(&rom.b, &rom.l);
+                assert!(
+                    h.sub_mat(&h_lu).max_abs() <= 1e-12 * h_lu.max_abs(),
+                    "{at}: LDLᵀ vs LU"
+                );
+                h
+            } else {
+                kernel.factor_pencil_into(&g, &c, pt.s).unwrap();
+                let (re, im) = kernel.factors();
+                for (k, z) in lu.packed().as_slice().iter().enumerate() {
+                    assert_eq!(re.as_slice()[k].to_bits(), z.re.to_bits(), "{at}");
+                    assert_eq!(im.as_slice()[k].to_bits(), z.im.to_bits(), "{at}");
+                }
+                assert_eq!(kernel.perm(), lu.perm(), "{at}");
+                h_lu
+            };
             assert_same_bits(hb, &want, &at);
             assert_same_bits(&rom.transfer(&pt.params, pt.s).unwrap(), &want, &at);
-
-            let (g, c) = (rom.g_at(&pt.params), rom.c_at(&pt.params));
-            kernel.factor_pencil_into(&g, &c, pt.s).unwrap();
-            let (re, im) = kernel.factors();
-            for (k, z) in lu.packed().as_slice().iter().enumerate() {
-                assert_eq!(re.as_slice()[k].to_bits(), z.re.to_bits(), "{at}");
-                assert_eq!(im.as_slice()[k].to_bits(), z.im.to_bits(), "{at}");
-            }
-            assert_eq!(kernel.perm(), lu.perm(), "{at}");
         }
     }
 }
