@@ -12,14 +12,13 @@
 //! the experiment index.
 
 pub mod harness;
-pub mod micro;
 pub mod report;
 pub mod suite;
 pub mod toml;
 
 pub use harness::{methods_from_args, reduce_all, ReducedMethod};
 pub use report::{validate_bench_json, write_bench_json, write_bench_json_in, BenchRecord};
-pub use suite::{BenchSuite, MicroKernel, SuiteEntry, SuiteEntryKind};
+pub use suite::{BenchSuite, SuiteEntry, SuiteEntryKind};
 
 use std::time::Instant;
 

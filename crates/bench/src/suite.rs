@@ -1,5 +1,4 @@
-//! Declarative benchmark suites: the `pmor bench` file format and the
-//! micro-kernel runner.
+//! Declarative benchmark suites: the `pmor bench` file format.
 //!
 //! A suite is a TOML file (same hand-rolled [`crate::toml`] subset as
 //! scenario files) describing what to measure and how hard:
@@ -10,10 +9,6 @@
 //! warmup = 1
 //! repeats = 5
 //!
-//! [micro]                        # sparse/dense kernel timings
-//! kernels = ["csr_mul", "lu_factor", "lu_solve", "qr_orth"]
-//! sides = [16, 32]               # rc_mesh side lengths (dim ≈ side²)
-//!
 //! [scenario-rc_mesh_stress]      # macro: reduce + analysis per method
 //! file = "../rc_mesh_stress.toml"
 //!
@@ -22,35 +17,52 @@
 //! method = "multipoint"
 //! ```
 //!
-//! Entry sections are `[micro]`/`[micro-<tag>]`, `[scenario-<tag>]`,
-//! `[compare-<tag>]`, `[refactor-<tag>]` and `[serve-<tag>]`; the
-//! section-name suffix
-//! becomes the entry's **tag**, and each entry emits one
+//! Entry sections are `[scenario-<tag>]`, `[compare-<tag>]` and
+//! `[serve-<tag>]` ([`SECTION_KINDS`]); the section-name suffix becomes
+//! the entry's **tag**, and each entry emits one
 //! `BENCH_<suite>_<tag>.json` record file. Entries run in section-name
 //! order (the parser stores sections sorted), so a suite's output set
 //! is deterministic.
 //!
-//! Scenario entries can **gate accuracy**: `gate_metric = "max_rel_err"`
-//! with `gate_max = 1e-3` makes the run fail loudly when the named
-//! analysis metric exceeds the bound — the large-tier suite uses this so
-//! a 65k-unknown mesh is not just timed but also provably accurate.
-//! Refactor entries time one multi-shift reduction twice — symbolic
-//! reuse on (the default) vs off — assert the two ROMs' transfer values
-//! bitwise identical, and record the speedup.
+//! Every entry is a gate as well as a timing. Scenario entries can
+//! **gate accuracy**: `gate_metric = "max_rel_err"` with
+//! `gate_max = 1e-3` makes the run fail loudly when the named analysis
+//! metric exceeds the bound — the large-tier suite uses this so a
+//! 65k-unknown mesh is not just timed but also provably accurate.
+//! Compare entries assert serial and parallel reductions bitwise
+//! identical, and serve entries assert served responses bitwise
+//! identical to the in-process engine and gate on throughput.
 //!
-//! This module owns the schema and the micro/kernel measurements (they
-//! only need the workspace's sparse/dense kernels); the scenario and
-//! compare entries reference scenario files, which the `pmor` CLI layer
-//! knows how to load and run.
+//! This module owns the schema; every entry references a scenario file,
+//! which the `pmor` CLI layer knows how to load and run.
 
-use crate::micro::bench_case_config;
-use crate::report::BenchRecord;
 use crate::toml::{self, Document, TomlError};
-use pmor_circuits::generators::{rc_mesh, RcMeshConfig};
-use pmor_num::orth::OrthoBasis;
-use pmor_num::Matrix;
-use pmor_sparse::{ordering, CsrMatrix, SparseLu};
 use std::path::{Path, PathBuf};
+
+/// The entry-section kinds a suite accepts: `[<kind>-<tag>]`.
+pub const SECTION_KINDS: [&str; 3] = ["scenario", "compare", "serve"];
+
+/// Ceiling on a suite's `warmup` and `repeats` counts, and on the
+/// `pmor bench` flags that override them. Every timing loop
+/// preallocates one sample per repeat, so a larger count is refused
+/// before anything runs.
+pub const MAX_RUNS: usize = 10_000;
+
+/// Checks a warm-up/repeat pair against [`MAX_RUNS`]: `repeats` must lie
+/// in `1..=MAX_RUNS` and `warmup` in `0..=MAX_RUNS`.
+///
+/// # Errors
+///
+/// Names the offending count and the allowed range.
+pub fn check_runs(warmup: usize, repeats: usize) -> Result<(), String> {
+    if repeats == 0 || repeats > MAX_RUNS {
+        return Err(format!("repeats must be in 1..={MAX_RUNS}, got {repeats}"));
+    }
+    if warmup > MAX_RUNS {
+        return Err(format!("warmup must be in 0..={MAX_RUNS}, got {warmup}"));
+    }
+    Ok(())
+}
 
 /// A parsed benchmark suite.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,13 +91,6 @@ pub struct SuiteEntry {
 /// The kinds of suite entries.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SuiteEntryKind {
-    /// Sparse/dense kernel micro-benchmarks on an RC-mesh matrix.
-    Micro {
-        /// Which kernels to time.
-        kernels: Vec<MicroKernel>,
-        /// RC-mesh side lengths (matrix dimension ≈ side² + pads).
-        sides: Vec<usize>,
-    },
     /// A scenario file run end-to-end (reduce + analysis per method),
     /// timed as a whole. Executed by the CLI layer.
     Scenario {
@@ -105,18 +110,6 @@ pub enum SuiteEntryKind {
         file: PathBuf,
         /// Reduction method (registry name); multi-shift methods
         /// (`multipoint`, `fit`) are the ones with a parallel path.
-        method: String,
-    },
-    /// Symbolic-reuse-on vs symbolic-reuse-off reduction of a
-    /// scenario's system with one multi-shift method, with a bitwise
-    /// transfer-equality check — the regression gate for the
-    /// shared-symbolic refactorization path. Executed by the CLI layer.
-    Refactor {
-        /// Scenario path providing the system, resolved like `Scenario`.
-        file: PathBuf,
-        /// Reduction method (registry name); multi-shift methods
-        /// (`multipoint`, `fit`) factor many same-pattern matrices and
-        /// are the ones symbolic reuse accelerates.
         method: String,
     },
     /// A load test of the `pmor serve` daemon: reduce the scenario's
@@ -146,49 +139,6 @@ pub enum SuiteEntryKind {
     },
 }
 
-/// The micro-benchmark kernels `pmor bench` knows how to time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MicroKernel {
-    /// Sparse matrix–vector product `y = G·x`.
-    CsrMul,
-    /// Sparse LU factorization of `G` (RCM-ordered).
-    LuFactor,
-    /// Numeric refactorization of `G` replaying a recorded symbolic
-    /// analysis — the per-shift cost of the multi-shift reducers.
-    LuRefactor,
-    /// Triangular solve on precomputed LU factors.
-    LuSolve,
-    /// Block orthonormalization (modified Gram–Schmidt) of 8 vectors.
-    QrOrth,
-}
-
-impl MicroKernel {
-    /// Every kernel, in presentation order.
-    pub const ALL: [MicroKernel; 5] = [
-        MicroKernel::CsrMul,
-        MicroKernel::LuFactor,
-        MicroKernel::LuRefactor,
-        MicroKernel::LuSolve,
-        MicroKernel::QrOrth,
-    ];
-
-    /// The name used in suite files and `BENCH_*.json` records.
-    pub fn name(self) -> &'static str {
-        match self {
-            MicroKernel::CsrMul => "csr_mul",
-            MicroKernel::LuFactor => "lu_factor",
-            MicroKernel::LuRefactor => "lu_refactor",
-            MicroKernel::LuSolve => "lu_solve",
-            MicroKernel::QrOrth => "qr_orth",
-        }
-    }
-
-    /// Looks a kernel up by its suite-file name.
-    pub fn from_name(name: &str) -> Option<MicroKernel> {
-        MicroKernel::ALL.into_iter().find(|k| k.name() == name)
-    }
-}
-
 fn fail<T>(msg: impl Into<String>) -> Result<T, TomlError> {
     Err(TomlError {
         line: 0,
@@ -203,7 +153,7 @@ impl BenchSuite {
     /// # Errors
     ///
     /// Fails on I/O errors, TOML parse errors, and schema violations
-    /// (unknown section kind, unknown kernel, missing `file`, …).
+    /// (unknown section kind, missing `file`, out-of-range counts, …).
     pub fn load(path: impl AsRef<Path>) -> Result<BenchSuite, TomlError> {
         let path = path.as_ref();
         let text = std::fs::read_to_string(path).map_err(|e| TomlError {
@@ -237,9 +187,7 @@ impl BenchSuite {
             .to_string();
         let warmup = doc.usize_or("suite", "warmup", 1)?;
         let repeats = doc.usize_or("suite", "repeats", 5)?;
-        if repeats == 0 {
-            return fail("[suite] repeats must be at least 1");
-        }
+        check_runs(warmup, repeats).or_else(|msg| fail(format!("[suite] {msg}")))?;
         for key in doc
             .section("suite")
             .map(|t| t.keys().cloned().collect::<Vec<_>>())
@@ -253,13 +201,6 @@ impl BenchSuite {
         for section in doc.section_names() {
             match section {
                 "" | "suite" => continue,
-                s if s == "micro" || s.starts_with("micro-") => {
-                    let tag = s.strip_prefix("micro-").unwrap_or("micro").to_string();
-                    entries.push(SuiteEntry {
-                        tag,
-                        kind: parse_micro(&doc, s)?,
-                    });
-                }
                 s if s.starts_with("scenario-") => {
                     let tag = s["scenario-".len()..].to_string();
                     let file = parse_file(&doc, s, base, &["file", "gate_metric", "gate_max"])?;
@@ -295,18 +236,6 @@ impl BenchSuite {
                     entries.push(SuiteEntry {
                         tag,
                         kind: SuiteEntryKind::Compare { file, method },
-                    });
-                }
-                s if s.starts_with("refactor-") => {
-                    let tag = s["refactor-".len()..].to_string();
-                    let file = parse_file(&doc, s, base, &["file", "method"])?;
-                    let method = doc
-                        .str_opt(s, "method")?
-                        .unwrap_or("multipoint")
-                        .to_string();
-                    entries.push(SuiteEntry {
-                        tag,
-                        kind: SuiteEntryKind::Refactor { file, method },
                     });
                 }
                 s if s.starts_with("serve-") => {
@@ -372,11 +301,14 @@ impl BenchSuite {
                     });
                 }
                 other => {
+                    let kinds: Vec<String> = SECTION_KINDS
+                        .iter()
+                        .map(|k| format!("[{k}-<tag>]"))
+                        .collect();
                     return fail(format!(
-                        "unknown section [{other}]; suites know [suite], [micro], \
-                         [scenario-<tag>], [compare-<tag>], [refactor-<tag>] and \
-                         [serve-<tag>]"
-                    ))
+                        "unknown section [{other}]; entry sections are {}",
+                        kinds.join(", ")
+                    ));
                 }
             }
         }
@@ -409,60 +341,7 @@ impl BenchSuite {
     }
 }
 
-/// Parses a `[micro*]` section.
-fn parse_micro(doc: &Document, sec: &str) -> Result<SuiteEntryKind, TomlError> {
-    for key in doc
-        .section(sec)
-        .map(|t| t.keys().cloned().collect::<Vec<_>>())
-        .unwrap_or_default()
-    {
-        if !["kernels", "sides"].contains(&key.as_str()) {
-            return fail(format!("[{sec}]: unknown key `{key}`"));
-        }
-    }
-    let kernels = match doc.get(sec, "kernels") {
-        None => MicroKernel::ALL.to_vec(),
-        Some(_) => {
-            let names = doc.str_array_req(sec, "kernels")?;
-            if names.is_empty() {
-                return fail(format!("[{sec}] kernels must not be empty"));
-            }
-            names
-                .iter()
-                .map(|n| {
-                    MicroKernel::from_name(n).ok_or_else(|| TomlError {
-                        line: 0,
-                        msg: format!(
-                            "[{sec}] unknown kernel {n:?}; known: {}",
-                            MicroKernel::ALL.map(|k| k.name()).join(", ")
-                        ),
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?
-        }
-    };
-    let sides = match doc.f64_array_opt(sec, "sides")? {
-        None => vec![16],
-        Some(raw) => {
-            let mut sides = Vec::with_capacity(raw.len());
-            for v in raw {
-                if v < 2.0 || v.fract() != 0.0 || v > 512.0 {
-                    return fail(format!(
-                        "[{sec}] sides must be integers in 2..=512, got {v}"
-                    ));
-                }
-                sides.push(v as usize);
-            }
-            if sides.is_empty() {
-                return fail(format!("[{sec}] sides must not be empty"));
-            }
-            sides
-        }
-    };
-    Ok(SuiteEntryKind::Micro { kernels, sides })
-}
-
-/// Parses the `file` key of a scenario/compare section, checking the
+/// Parses the `file` key of an entry section, checking the
 /// section's key set against `allowed`.
 fn parse_file(
     doc: &Document,
@@ -486,81 +365,9 @@ fn parse_file(
     })
 }
 
-/// Runs one micro entry: every kernel × every mesh side, timed with the
-/// suite's warm-up and repeat counts, one [`BenchRecord`] per pair. The
-/// workload matrix is the RC mesh's nominal conductance `G0` — the same
-/// matrix family the macro scenarios factor.
-///
-/// The factorization kernels (`lu_factor`, `lu_refactor`) additionally
-/// record `factor_nnz` and `fill_ratio` plus the `ordering` label, so
-/// ordering-quality regressions show up in the bench trajectory next to
-/// the timings they explain.
-pub fn run_micro(
-    kernels: &[MicroKernel],
-    sides: &[usize],
-    warmup: usize,
-    repeats: usize,
-) -> Vec<BenchRecord> {
-    let mut records = Vec::new();
-    for &side in sides {
-        let sys = rc_mesh(&RcMeshConfig {
-            rows: side,
-            cols: side,
-            ..Default::default()
-        })
-        .assemble();
-        let g: &CsrMatrix<f64> = &sys.g0;
-        let dim = g.nrows();
-        let ord = ordering::rcm(g);
-        // pmor-lint: allow(panic-in-lib) reason="micro-bench fixture: the built-in mesh is well-posed by construction; fail-fast keeps timings honest"
-        let (lu, sym) = SparseLu::factor_symbolic(g, Some(&ord)).expect("mesh G0 factors");
-        let x: Vec<f64> = (0..dim).map(|i| (i as f64 * 0.37).sin()).collect();
-        let block = Matrix::from_fn(dim, 8, |r, c| ((r * 31 + c * 17) as f64 * 0.11).cos());
-        for &kernel in kernels {
-            let label = format!("{}/{}(n={dim})", kernel.name(), side);
-            let stats = match kernel {
-                MicroKernel::CsrMul => bench_case_config(&label, warmup, repeats, || g.mul_vec(&x)),
-                MicroKernel::LuFactor => bench_case_config(&label, warmup, repeats, || {
-                    // pmor-lint: allow(panic-in-lib) reason="micro-bench fixture: the built-in mesh is well-posed by construction; fail-fast keeps timings honest"
-                    SparseLu::factor(g, Some(&ord)).expect("factors")
-                }),
-                MicroKernel::LuRefactor => bench_case_config(&label, warmup, repeats, || {
-                    // pmor-lint: allow(panic-in-lib) reason="micro-bench fixture: the built-in mesh is well-posed by construction; fail-fast keeps timings honest"
-                    SparseLu::refactor(g, &sym).expect("refactors")
-                }),
-                MicroKernel::LuSolve => {
-                    // pmor-lint: allow(panic-in-lib) reason="micro-bench fixture: the built-in mesh is well-posed by construction; fail-fast keeps timings honest"
-                    bench_case_config(&label, warmup, repeats, || lu.solve(&x).expect("solves"))
-                }
-                MicroKernel::QrOrth => bench_case_config(&label, warmup, repeats, || {
-                    let mut basis = OrthoBasis::new(dim);
-                    basis.insert_block(&block)
-                }),
-            };
-            let mut record =
-                BenchRecord::new(kernel.name(), format!("rc_mesh({dim})"), stats.median_s)
-                    .metric("median_seconds", stats.median_s)
-                    .metric("mean_seconds", stats.mean_s)
-                    .metric("min_seconds", stats.min_s)
-                    .metric("dim", dim as f64)
-                    .metric("repeats", repeats as f64);
-            if matches!(kernel, MicroKernel::LuFactor | MicroKernel::LuRefactor) {
-                record = record
-                    .metric("factor_nnz", lu.factor_nnz() as f64)
-                    .metric("fill_ratio", lu.factor_nnz() as f64 / g.nnz() as f64)
-                    .label("ordering", "rcm");
-            }
-            records.push(record);
-        }
-    }
-    records
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::validate_bench_json;
-    use crate::report::write_bench_json_in;
 
     const SUITE: &str = r#"
 [suite]
@@ -568,20 +375,12 @@ name = "unit"
 description = "suite schema test"
 repeats = 2
 
-[micro]
-kernels = ["csr_mul", "lu_solve"]
-sides = [4]
-
 [scenario-stress]
 file = "sub/stress.toml"
 gate_metric = "max_rel_err"
 gate_max = 1e-3
 
 [compare-par]
-file = "sub/stress.toml"
-method = "multipoint"
-
-[refactor-reuse]
 file = "sub/stress.toml"
 method = "fit"
 
@@ -600,42 +399,26 @@ min_evals_per_sec = 1000.0
         assert_eq!(suite.name, "unit");
         assert_eq!(suite.warmup, 1);
         assert_eq!(suite.repeats, 2);
-        assert_eq!(suite.entries.len(), 5);
-        // Section-name order: compare-par < micro < refactor-reuse
-        // < scenario-stress < serve-daemon.
+        assert_eq!(suite.entries.len(), SECTION_KINDS.len());
+        // Section-name order: compare-par < scenario-stress < serve-daemon.
         assert_eq!(suite.entries[0].tag, "par");
-        assert_eq!(suite.entries[1].tag, "micro");
-        assert_eq!(suite.entries[2].tag, "reuse");
-        assert_eq!(suite.entries[3].tag, "stress");
-        assert_eq!(suite.entries[4].tag, "daemon");
+        assert_eq!(suite.entries[1].tag, "stress");
+        assert_eq!(suite.entries[2].tag, "daemon");
         match &suite.entries[0].kind {
             SuiteEntryKind::Compare { file, method } => {
-                assert_eq!(file, &PathBuf::from("/base/sub/stress.toml"));
-                assert_eq!(method, "multipoint");
-            }
-            other => panic!("wrong kind: {other:?}"),
-        }
-        match &suite.entries[1].kind {
-            SuiteEntryKind::Micro { kernels, sides } => {
-                assert_eq!(kernels, &[MicroKernel::CsrMul, MicroKernel::LuSolve]);
-                assert_eq!(sides, &[4]);
-            }
-            other => panic!("wrong kind: {other:?}"),
-        }
-        match &suite.entries[2].kind {
-            SuiteEntryKind::Refactor { file, method } => {
                 assert_eq!(file, &PathBuf::from("/base/sub/stress.toml"));
                 assert_eq!(method, "fit");
             }
             other => panic!("wrong kind: {other:?}"),
         }
-        match &suite.entries[3].kind {
-            SuiteEntryKind::Scenario { gate, .. } => {
+        match &suite.entries[1].kind {
+            SuiteEntryKind::Scenario { file, gate } => {
+                assert_eq!(file, &PathBuf::from("/base/sub/stress.toml"));
                 assert_eq!(gate, &Some(("max_rel_err".to_string(), 1e-3)));
             }
             other => panic!("wrong kind: {other:?}"),
         }
-        match &suite.entries[4].kind {
+        match &suite.entries[2].kind {
             SuiteEntryKind::Serve {
                 file,
                 method,
@@ -651,6 +434,12 @@ min_evals_per_sec = 1000.0
                 assert_eq!(min_evals_per_sec, &Some(1000.0));
                 assert_eq!(addr, &None);
             }
+            other => panic!("wrong kind: {other:?}"),
+        }
+        // A compare entry defaults to the multipoint method.
+        let text = SUITE.replace("method = \"fit\"\n", "");
+        match &BenchSuite::parse_at(&text, None).unwrap().entries[0].kind {
+            SuiteEntryKind::Compare { method, .. } => assert_eq!(method, "multipoint"),
             other => panic!("wrong kind: {other:?}"),
         }
     }
@@ -680,26 +469,18 @@ min_evals_per_sec = 1000.0
     }
 
     #[test]
-    fn micro_defaults_cover_all_kernels() {
-        let text = "[suite]\nname = \"m\"\n\n[micro]\n";
-        let suite = BenchSuite::parse_at(text, None).unwrap();
-        match &suite.entries[0].kind {
-            SuiteEntryKind::Micro { kernels, sides } => {
-                assert_eq!(kernels.len(), 5);
-                assert_eq!(sides, &[16]);
-            }
-            other => panic!("wrong kind: {other:?}"),
-        }
-    }
-
-    #[test]
     fn rejects_schema_violations() {
         for (mutation, what) in [
-            (SUITE.replace("csr_mul", "bogus_kernel"), "unknown kernel"),
-            (SUITE.replace("[micro]", "[macro]"), "unknown section"),
+            (
+                SUITE.replace("[compare-par]", "[bogus-par]"),
+                "unknown section",
+            ),
             (SUITE.replace("repeats = 2", "repeats = 0"), "zero repeats"),
             (
-                SUITE.replace("file = \"sub/stress.toml\"\nmethod", "method"),
+                SUITE.replace(
+                    "file = \"sub/stress.toml\"\nmethod = \"fit\"",
+                    "method = \"fit\"",
+                ),
                 "missing file",
             ),
             (
@@ -707,16 +488,8 @@ min_evals_per_sec = 1000.0
                 "unsafe name",
             ),
             (
-                SUITE.replace("sides = [4]", "sides = [1]"),
-                "side too small",
-            ),
-            (
                 SUITE.replace("repeats = 2", "repeatz = 2"),
                 "typoed suite key",
-            ),
-            (
-                SUITE.replace("sides = [4]", "dimz = [4]"),
-                "typoed micro key",
             ),
             (
                 SUITE.replace("[scenario-stress]", "[scenario-par]"),
@@ -736,7 +509,7 @@ min_evals_per_sec = 1000.0
             ),
             (
                 SUITE.replace("method = \"fit\"", "methud = \"fit\""),
-                "typoed refactor key",
+                "typoed compare key",
             ),
             (SUITE.replace("clients = 4", "clients = 0"), "zero clients"),
             (
@@ -766,38 +539,48 @@ min_evals_per_sec = 1000.0
             .unwrap_err()
             .to_string()
             .contains("no entries"));
+        // `[micro]` and `[refactor-*]` sections fail loudly, naming only
+        // the kinds a suite accepts.
+        for old in [
+            "[micro]\nsides = [4]\n",
+            "[micro-k]\nsides = [4]\n",
+            "[refactor-x]\nfile = \"sub/stress.toml\"\n",
+        ] {
+            let err = BenchSuite::parse_at(&format!("{SUITE}\n{old}"), None)
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("unknown section"), "{err}");
+            assert!(
+                err.ends_with(
+                    "entry sections are [scenario-<tag>], [compare-<tag>], [serve-<tag>]"
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]
-    fn kernel_registry_round_trips() {
-        for k in MicroKernel::ALL {
-            assert_eq!(MicroKernel::from_name(k.name()), Some(k));
+    fn warmup_and_repeats_are_bounded() {
+        assert_eq!(check_runs(0, 1), Ok(()));
+        assert_eq!(check_runs(MAX_RUNS, MAX_RUNS), Ok(()));
+        assert!(check_runs(0, 0).unwrap_err().contains("repeats"));
+        assert!(check_runs(0, MAX_RUNS + 1).unwrap_err().contains("repeats"));
+        assert!(check_runs(MAX_RUNS + 1, 1).unwrap_err().contains("warmup"));
+        assert!(check_runs(0, usize::MAX).is_err());
+        // The suite keys go through the same check: 4e9 is a valid TOML
+        // integer but would preallocate 32 GB of timing samples.
+        for (from, to, key) in [
+            ("repeats = 2", "repeats = 4000000000", "repeats"),
+            ("repeats = 2", "repeats = 10001", "repeats"),
+            ("repeats = 2", "repeats = 2\nwarmup = 10001", "warmup"),
+        ] {
+            let err = BenchSuite::parse_at(&SUITE.replace(from, to), None)
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(&format!("[suite] {key} must be in")), "{err}");
         }
-        assert_eq!(MicroKernel::from_name("nope"), None);
-    }
-
-    #[test]
-    fn micro_runner_emits_validating_records() {
-        let records = run_micro(&MicroKernel::ALL, &[4], 0, 1);
-        assert_eq!(records.len(), 5);
-        // The factorization kernels carry the fill provenance.
-        for name in ["lu_factor", "lu_refactor"] {
-            let r = records.iter().find(|r| r.method == name).unwrap();
-            assert!(r.metrics.iter().any(|(n, _)| n == "factor_nnz"));
-            assert!(r
-                .metrics
-                .iter()
-                .any(|(n, v)| n == "fill_ratio" && *v >= 1.0));
-            assert!(r.labels.iter().any(|(n, v)| n == "ordering" && v == "rcm"));
-        }
-        let dir = std::env::temp_dir().join("pmor_bench_micro_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = write_bench_json_in(&dir, "micro_unit", &records).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        validate_bench_json(&text).unwrap();
-        for r in &records {
-            assert!(r.wall_seconds >= 0.0);
-            assert!(r.metrics.iter().any(|(n, _)| n == "dim"));
-        }
+        let at_ceiling = SUITE.replace("repeats = 2", "repeats = 10000\nwarmup = 10000");
+        let suite = BenchSuite::parse_at(&at_ceiling, None).unwrap();
+        assert_eq!((suite.warmup, suite.repeats), (MAX_RUNS, MAX_RUNS));
     }
 }

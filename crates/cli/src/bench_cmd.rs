@@ -1,9 +1,10 @@
 //! The `pmor bench` subcommand: declarative performance suites.
 //!
-//! A suite file ([`pmor_bench::suite`]) names micro-kernel timings,
-//! macro scenario runs (reduce + analysis per method) and serial-vs-
-//! parallel reduction comparisons; this module resolves and executes
-//! them and emits one standardized `BENCH_<suite>_<tag>.json` per entry
+//! A suite file ([`pmor_bench::suite`]) names macro scenario runs
+//! (reduce + analysis per method), serial-vs-parallel reduction
+//! comparisons and `pmor serve` load tests; this module resolves and
+//! executes them and emits one standardized `BENCH_<suite>_<tag>.json`
+//! per entry
 //! — every record carrying the required `method` / `median_seconds` /
 //! `dim` fields ([`pmor_bench::report::REQUIRED_METRICS`]) so the CI
 //! artifact gate ([`validate_bench_json`]) can reject malformed
@@ -15,8 +16,9 @@
 //! paper amortizes) and the analysis stage separately; compare entries
 //! additionally assert that the serial (`threads = 1`) and parallel
 //! (≥ 4 workers) reduction paths produce bitwise-identical transfer
-//! values before recording the speedup; refactor entries do the same
-//! for symbolic-reuse vs from-scratch factorization.
+//! values before recording the speedup; serve entries assert every
+//! served response bitwise identical to an in-process engine and gate
+//! on throughput.
 //!
 //! Scenario entries may carry an **accuracy gate** (`gate_metric` /
 //! `gate_max`): the named analysis metric must stay at or under the
@@ -31,8 +33,7 @@ use crate::scenario::Scenario;
 use crate::CliError;
 use pmor::eval::FullModel;
 use pmor::{EvalEngine, ParametricRom, ReductionContext};
-use pmor_bench::micro::median;
-use pmor_bench::suite::{run_micro, BenchSuite, SuiteEntryKind};
+use pmor_bench::suite::{BenchSuite, SuiteEntryKind};
 use pmor_bench::{timed, validate_bench_json, write_bench_json_in, BenchRecord};
 use pmor_circuits::ParametricSystem;
 use pmor_num::Complex64;
@@ -97,8 +98,8 @@ pub fn resolve_suite(arg: &str) -> Result<PathBuf, CliError> {
 /// # Errors
 ///
 /// Fails on unresolvable scenario files, reduction/analysis failures, a
-/// bitwise mismatch (serial-vs-parallel, reuse-vs-scratch, or
-/// served-vs-in-process), a violated accuracy or throughput gate, an
+/// bitwise mismatch (serial-vs-parallel or served-vs-in-process), a
+/// violated accuracy or throughput gate, an
 /// unknown `only` tag, or unwritable output.
 pub fn run_suite(
     suite: &BenchSuite,
@@ -135,17 +136,11 @@ pub fn run_suite(
     for entry in entries {
         outln!("# entry {}", entry.tag);
         let records = match &entry.kind {
-            SuiteEntryKind::Micro { kernels, sides } => {
-                run_micro(kernels, sides, suite.warmup, suite.repeats)
-            }
             SuiteEntryKind::Scenario { file, gate } => {
                 run_scenario_entry(file, gate.as_ref(), suite.warmup, suite.repeats)?
             }
             SuiteEntryKind::Compare { file, method } => {
                 run_compare_entry(file, method, suite.warmup, suite.repeats)?
-            }
-            SuiteEntryKind::Refactor { file, method } => {
-                run_refactor_entry(file, method, suite.warmup, suite.repeats)?
             }
             SuiteEntryKind::Serve {
                 file,
@@ -182,6 +177,18 @@ pub fn run_suite(
         files,
         records: total,
     })
+}
+
+/// Median of a nonempty sample (sorts in place; even-length samples
+/// average the two central values).
+fn median(times: &mut [f64]) -> f64 {
+    times.sort_by(f64::total_cmp);
+    let n = times.len();
+    if n % 2 == 1 {
+        times[n / 2]
+    } else {
+        0.5 * (times[n / 2 - 1] + times[n / 2])
+    }
 }
 
 /// Loads the scenario a suite entry references.
@@ -427,72 +434,6 @@ fn run_compare_entry(
         base("parallel", medians[1])
             .metric("threads", workers as f64)
             .metric("speedup", speedup),
-    ])
-}
-
-/// Symbolic-reuse vs from-scratch reduction of the scenario's system
-/// with one multi-shift method: the reuse leg (the default) shares one
-/// symbolic analysis across every shift and refactorizes numerically;
-/// the scratch leg disables reuse so every shift re-runs the full
-/// Gilbert–Peierls analysis. Transfers must be bitwise identical before
-/// the speedup is recorded — symbolic reuse is a pure optimization.
-fn run_refactor_entry(
-    file: &Path,
-    method: &str,
-    warmup: usize,
-    repeats: usize,
-) -> Result<Vec<BenchRecord>, CliError> {
-    let (sc, sys) = load_entry_scenario(file)?;
-    let workload = sc.system.workload_label(&sys);
-    let mut roms: Vec<ParametricRom> = Vec::with_capacity(2);
-    let mut medians = Vec::with_capacity(2);
-    let mut prov = None;
-    for reuse in [true, false] {
-        let mut times = Vec::with_capacity(repeats);
-        let mut rom = None;
-        for i in 0..warmup + repeats {
-            let mut ctx = ReductionContext::with_threads(sc.threads);
-            ctx.set_ordering(sc.ordering);
-            ctx.set_symbolic_reuse(reuse);
-            let (r, secs, _) = crate::exec::reduce_timed(method, &sys, &sc.tuning, &mut ctx)?;
-            if i >= warmup {
-                times.push(secs);
-            }
-            if reuse {
-                // Only the reuse leg retains a symbolic analysis to
-                // report from; fill is identical on both legs anyway
-                // (that's what the bitwise gate below proves).
-                prov = ctx.provenance_ready(&sys);
-            }
-            rom = Some(r);
-        }
-        medians.push(median(&mut times));
-        // pmor-lint: allow(panic-in-lib) reason="the repeat loop runs at least once (repeats is validated >= 1), so the final ROM is always present"
-        roms.push(rom.expect("at least one repeat"));
-    }
-    // The refactorization gate: reusing the symbolic analysis must not
-    // change one bit of the reduced model's behavior.
-    assert_transfers_bitwise(&roms, sys.num_params(), "reuse/scratch")?;
-    let speedup = medians[1] / medians[0].max(1e-12);
-    outln!(
-        "#   {method}: symbolic reuse {:.3}s vs from-scratch {:.3}s \
-         (x{speedup:.2}), transfer bitwise identical",
-        medians[0],
-        medians[1]
-    );
-    let base = |label: &str, m: f64| {
-        stamp_provenance(
-            BenchRecord::new(format!("{method}_{label}"), workload.clone(), m)
-                .metric("median_seconds", m)
-                .metric("dim", sys.dim() as f64)
-                .metric("size", roms[0].size() as f64)
-                .metric("repeats", repeats as f64),
-            prov.as_ref(),
-        )
-    };
-    Ok(vec![
-        base("reuse", medians[0]).metric("speedup", speedup),
-        base("scratch", medians[1]),
     ])
 }
 
@@ -774,5 +715,17 @@ pub fn check_files(paths: &[String]) -> Result<(), CliError> {
             paths.len(),
             failures.join("\n  ")
         )))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn median_of_odd_and_even_samples() {
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [4.0, 1.0, 2.0, 3.0]), 2.5);
+        assert_eq!(median(&mut [7.0]), 7.0);
     }
 }

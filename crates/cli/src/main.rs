@@ -2,7 +2,7 @@
 //! persistence. `pmor help` prints the command reference; the library
 //! crate (`pmor_cli`) holds all the logic so it stays testable.
 
-use pmor_bench::suite::{BenchSuite, SuiteEntryKind};
+use pmor_bench::suite::{check_runs, BenchSuite, SuiteEntryKind};
 use pmor_cli::bench_cmd::{check_files, resolve_suite, run_suite, SUITE_DIR};
 use pmor_cli::{outln, reduce_scenario, run_scenario, CliError, Scenario};
 use pmor_num::Complex64;
@@ -335,18 +335,19 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     let path = resolve_suite(suite_arg)?;
     let mut suite = BenchSuite::load(&path)
         .map_err(|e| CliError::Invalid(format!("{}: {e}", path.display())))?;
-    if let Some((_, v)) = flags.iter().find(|(n, _)| n == "repeats") {
-        let r = v.parse::<usize>().ok().filter(|r| *r >= 1).ok_or_else(|| {
-            CliError::Usage(format!("--repeats: need an integer >= 1, got {v:?}"))
-        })?;
-        suite.repeats = r;
+    for (name, count) in [
+        ("repeats", &mut suite.repeats),
+        ("warmup", &mut suite.warmup),
+    ] {
+        if let Some((_, v)) = flags.iter().find(|(n, _)| n == name) {
+            *count = v
+                .parse::<usize>()
+                .map_err(|_| CliError::Usage(format!("--{name}: invalid integer {v:?}")))?;
+        }
     }
-    if let Some((_, v)) = flags.iter().find(|(n, _)| n == "warmup") {
-        let w = v
-            .parse::<usize>()
-            .map_err(|_| CliError::Usage(format!("--warmup: invalid integer {v:?}")))?;
-        suite.warmup = w;
-    }
+    // The suite's own counts passed this check at load, so a failure
+    // names a flag: the message starts with `repeats` or `warmup`.
+    check_runs(suite.warmup, suite.repeats).map_err(|msg| CliError::Usage(format!("--{msg}")))?;
     let out = flags
         .iter()
         .find(|(n, _)| n == "out")
@@ -484,15 +485,6 @@ fn list_benches(dir: &std::path::Path) -> Result<(), CliError> {
         );
         for entry in &suite.entries {
             let what = match &entry.kind {
-                SuiteEntryKind::Micro { kernels, sides } => format!(
-                    "micro kernels [{}] on rc_mesh sides {:?}",
-                    kernels
-                        .iter()
-                        .map(|k| k.name())
-                        .collect::<Vec<_>>()
-                        .join(", "),
-                    sides
-                ),
                 SuiteEntryKind::Scenario { file, gate } => match gate {
                     None => format!("scenario {}", file.display()),
                     Some((metric, max)) => {
@@ -501,10 +493,6 @@ fn list_benches(dir: &std::path::Path) -> Result<(), CliError> {
                 },
                 SuiteEntryKind::Compare { file, method } => format!(
                     "serial-vs-parallel {method} reduction of {}",
-                    file.display()
-                ),
-                SuiteEntryKind::Refactor { file, method } => format!(
-                    "symbolic-reuse vs from-scratch {method} reduction of {}",
                     file.display()
                 ),
                 SuiteEntryKind::Serve {

@@ -77,9 +77,7 @@ pub fn run_vet(root: &Path) -> Result<VetReport, CliError> {
             };
             let mut broken = 0usize;
             for entry in &suite.entries {
-                let Some(file) = entry_scenario(&entry.kind) else {
-                    continue;
-                };
+                let file = entry_scenario(&entry.kind);
                 match Scenario::load(file) {
                     Ok(_) => report.references += 1,
                     Err(e) => {
@@ -122,14 +120,12 @@ pub fn run_vet(root: &Path) -> Result<VetReport, CliError> {
     }
 }
 
-/// The scenario file a suite entry references, if its kind has one.
-fn entry_scenario(kind: &SuiteEntryKind) -> Option<&PathBuf> {
+/// The scenario file a suite entry references (every kind has one).
+fn entry_scenario(kind: &SuiteEntryKind) -> &PathBuf {
     match kind {
         SuiteEntryKind::Scenario { file, .. }
         | SuiteEntryKind::Compare { file, .. }
-        | SuiteEntryKind::Refactor { file, .. }
-        | SuiteEntryKind::Serve { file, .. } => Some(file),
-        SuiteEntryKind::Micro { .. } => None,
+        | SuiteEntryKind::Serve { file, .. } => file,
     }
 }
 

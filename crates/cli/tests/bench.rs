@@ -6,7 +6,8 @@ use pmor_bench::suite::BenchSuite;
 use pmor_bench::validate_bench_json;
 use pmor_cli::bench_cmd::{check_files, run_suite};
 use pmor_cli::{run_scenario, Scenario};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 
 /// A unique per-test directory under the system temp dir.
 fn out_dir(tag: &str) -> PathBuf {
@@ -52,10 +53,6 @@ description = "test suite"
 warmup = 0
 repeats = 2
 
-[micro]
-kernels = ["csr_mul", "lu_solve"]
-sides = [4]
-
 [scenario-e2e]
 file = "bench_e2e.toml"
 
@@ -73,10 +70,10 @@ fn suite_runs_end_to_end_with_validated_records() {
     let dir = out_dir("suite");
     let suite = BenchSuite::load(write_suite(&dir)).unwrap();
     let report = run_suite(&suite, &dir, None, None).unwrap();
-    // One BENCH file per entry: compare-par, micro, scenario-e2e.
-    assert_eq!(report.files.len(), 3);
-    // 2 (compare) + 2 (micro kernels) + 2 (methods) records.
-    assert_eq!(report.records, 6);
+    // One BENCH file per entry: compare-par, scenario-e2e.
+    assert_eq!(report.files.len(), 2);
+    // 2 (compare) + 2 (methods) records.
+    assert_eq!(report.records, 4);
     for path in &report.files {
         let name = path.file_name().unwrap().to_str().unwrap();
         assert!(name.starts_with("BENCH_unit_"), "{name}");
@@ -89,7 +86,7 @@ fn suite_runs_end_to_end_with_validated_records() {
     assert!(compare.contains("multipoint_parallel"), "{compare}");
     assert!(compare.contains("\"speedup\""), "{compare}");
     // Every reduction record carries its ordering provenance.
-    let scenario = std::fs::read_to_string(&report.files[2]).unwrap();
+    let scenario = std::fs::read_to_string(&report.files[1]).unwrap();
     assert!(scenario.contains("\"factor_nnz\""), "{scenario}");
     assert!(scenario.contains("\"ordering\": \"rcm\""), "{scenario}");
     // --check accepts what run_suite emitted.
@@ -100,8 +97,9 @@ fn suite_runs_end_to_end_with_validated_records() {
         .collect();
     check_files(&paths).unwrap();
     // --entry restricts the run to one tag; unknown tags fail loudly.
-    let one = run_suite(&suite, &dir, Some("micro"), None).unwrap();
+    let one = run_suite(&suite, &dir, Some("par"), None).unwrap();
     assert_eq!(one.files.len(), 1);
+    assert_eq!(one.records, 2);
     let err = run_suite(&suite, &dir, Some("nope"), None).unwrap_err();
     assert!(err.to_string().contains("no entry"), "{err}");
 }
@@ -232,6 +230,88 @@ fn gate_on_an_unreported_metric_fails_instead_of_silently_passing() {
     let err = run_suite(&suite, &dir, None, None).unwrap_err().to_string();
     assert!(err.contains("was not reported"), "{err}");
     assert!(err.contains("no_such_metric"), "{err}");
+}
+
+/// `pmor bench --suite <suite> --out <dir>` plus `flags`, through the
+/// real binary.
+fn bench_binary(suite: &Path, dir: &Path, flags: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_pmor"))
+        .arg("bench")
+        .arg("--suite")
+        .arg(suite)
+        .arg("--out")
+        .arg(dir)
+        .args(flags)
+        .output()
+        .unwrap()
+}
+
+/// The `BENCH_*.json` files a run left in `dir`.
+fn bench_files(dir: &Path) -> Vec<PathBuf> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| {
+            p.file_name()
+                .unwrap()
+                .to_str()
+                .unwrap()
+                .starts_with("BENCH_")
+        })
+        .collect()
+}
+
+#[test]
+fn out_of_range_repeat_flags_are_usage_errors_before_anything_runs() {
+    // An unchecked count reaches `Vec::with_capacity` in the first
+    // entry's timing loop, where `usize::MAX` aborts with a capacity
+    // overflow; every count is checked before any entry runs.
+    let dir = out_dir("run_bounds");
+    let suite = write_suite(&dir);
+    let huge = usize::MAX.to_string();
+    for (flag, value) in [
+        ("--repeats", huge.as_str()),
+        ("--warmup", huge.as_str()),
+        ("--repeats", "0"),
+        ("--repeats", "10001"),
+    ] {
+        let out = bench_binary(&suite, &dir, &[flag, value]);
+        // Exit code 2 is the CLI's usage-error status.
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("{flag} must be in")), "{stderr}");
+        assert!(bench_files(&dir).is_empty(), "{flag} {value} ran entries");
+    }
+}
+
+#[test]
+fn suites_with_retired_sections_fail_loudly() {
+    // A suite file still carrying a `[micro]` or `[refactor-*]` section
+    // is refused by name instead of being half run.
+    let dir = out_dir("retired_sections");
+    let suite = write_suite(&dir);
+    let text = std::fs::read_to_string(&suite).unwrap();
+    for (i, old) in [
+        "[micro]\nkernels = [\"csr_mul\"]\n",
+        "[refactor-reuse]\nfile = \"bench_e2e.toml\"\n",
+    ]
+    .iter()
+    .enumerate()
+    {
+        let path = dir.join(format!("retired_{i}.toml"));
+        std::fs::write(&path, format!("{text}\n{old}")).unwrap();
+        let section = old.lines().next().unwrap();
+        let err = BenchSuite::load(&path).unwrap_err().to_string();
+        assert!(err.contains(&format!("unknown section {section}")), "{err}");
+        let out = bench_binary(&path, &dir, &[]);
+        assert_eq!(out.status.code(), Some(1), "{section}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown section {section}")),
+            "{stderr}"
+        );
+        assert!(bench_files(&dir).is_empty(), "{section} ran entries");
+    }
 }
 
 #[test]

@@ -85,3 +85,23 @@ fn vet_flags_a_missing_spice_deck() {
     let err = run_vet(&root).unwrap_err().to_string();
     assert!(err.contains("deckless.toml"), "{err}");
 }
+
+#[test]
+fn vet_flags_a_suite_with_a_retired_section() {
+    // A suite file still carrying a `[micro]` or `[refactor-*]` section
+    // fails vet by name instead of vetting clean.
+    for (tag, section) in [("micro", "[micro]"), ("refactor", "[refactor-x]")] {
+        let root = scratch_tree(&format!("retired_{tag}"));
+        std::fs::write(
+            root.join("scenarios/suites/old.toml"),
+            format!(
+                "[suite]\nname = \"old\"\n\n[scenario-fig3]\nfile = \"../fig3_rc_network.toml\"\n\n\
+                 {section}\nfile = \"../fig3_rc_network.toml\"\n"
+            ),
+        )
+        .unwrap();
+        let err = run_vet(&root).unwrap_err().to_string();
+        assert!(err.contains("old.toml"), "{err}");
+        assert!(err.contains(&format!("unknown section {section}")), "{err}");
+    }
+}

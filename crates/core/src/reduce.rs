@@ -91,6 +91,13 @@ const TAG_SHIFTED: u64 = 2;
 /// * complex factors of the shifted pencil `G(p) + s·C(p)` used by
 ///   full-model frequency evaluation.
 ///
+/// Factorizations of one pattern share a symbolic analysis: the first
+/// real (and the first shifted) factorization records it, and every
+/// later one replays it numerically with [`SparseLu::refactor`], which
+/// verifies each column and falls back to a full analysis on deviation,
+/// so the factors are bitwise those of [`SparseLu::factor`] under the
+/// shared ordering.
+///
 /// The context fingerprints the system it serves; handing it a different
 /// system clears the cache (counters are lifetime counters and survive),
 /// so a context can be reused across systems without cross-contamination.
@@ -111,9 +118,6 @@ pub struct ReductionContext {
     /// Name of the resolved ordering (`Some` once any factorization
     /// resolved the policy; records `"amd"`/`"rcm"` for `"auto"`).
     ordering_used: Option<&'static str>,
-    /// Whether same-pattern factorizations share one symbolic analysis
-    /// (on by default; results are bitwise identical either way).
-    reuse_symbolic: bool,
     /// Recorded symbolic analysis of the real `G(p)` pattern.
     symbolic_real: Option<Arc<SymbolicLu>>,
     /// Recorded symbolic analysis of the shifted-pencil pattern.
@@ -131,8 +135,8 @@ impl Default for ReductionContext {
 }
 
 impl ReductionContext {
-    /// Creates an empty context (RCM ordering enabled, symbolic reuse
-    /// enabled, serial factorization).
+    /// Creates an empty context (RCM ordering enabled, serial
+    /// factorization).
     pub fn new() -> Self {
         ReductionContext {
             cache: FactorCache::new(),
@@ -140,7 +144,6 @@ impl ReductionContext {
             ordering_choice: OrderingChoice::Rcm,
             ordering: None,
             ordering_used: None,
-            reuse_symbolic: true,
             symbolic_real: None,
             symbolic_shifted: None,
             threads: 1,
@@ -200,22 +203,6 @@ impl ReductionContext {
         self.ordering_choice
     }
 
-    /// Disables (or re-enables) symbolic reuse across same-pattern
-    /// factorizations. Purely a performance knob: factors, counters and
-    /// downstream results are bitwise identical either way.
-    pub fn set_symbolic_reuse(&mut self, reuse: bool) {
-        self.reuse_symbolic = reuse;
-        if !reuse {
-            self.symbolic_real = None;
-            self.symbolic_shifted = None;
-        }
-    }
-
-    /// Whether same-pattern factorizations share one symbolic analysis.
-    pub fn symbolic_reuse(&self) -> bool {
-        self.reuse_symbolic
-    }
-
     /// Real factors of the nominal `G0` — the paper's one-time
     /// factorization.
     ///
@@ -236,22 +223,20 @@ impl ReductionContext {
         self.ensure_system(sys);
         let ord = self.shared_ordering(sys);
         let key = FactorKey::tagged(TAG_REAL_G, p);
-        let reuse = self.reuse_symbolic;
         let sym_slot = &mut self.symbolic_real;
         let lu = self.cache.real(key, || {
             let g = sys.g_at(p);
-            let ord = ord.as_deref().map(Vec::as_slice);
-            match (reuse, &*sym_slot) {
+            match &*sym_slot {
                 // Replay the recorded analysis (bitwise identical to a
                 // from-scratch factorization, verified per column).
-                (true, Some(sym)) => SparseLu::refactor(&g, sym),
-                // First factorization under reuse: record the analysis.
-                (true, None) => {
+                Some(sym) => SparseLu::refactor(&g, sym),
+                // First factorization: record the analysis.
+                None => {
+                    let ord = ord.as_deref().map(Vec::as_slice);
                     let (lu, sym) = SparseLu::factor_symbolic(&g, ord)?;
                     *sym_slot = Some(Arc::new(sym));
                     Ok(lu)
                 }
-                (false, _) => SparseLu::factor(&g, ord),
             }
         })?;
         Ok(lu)
@@ -292,37 +277,21 @@ impl ReductionContext {
         }
         self.ensure_system(sys);
         let ord = self.shared_ordering(sys);
-        if self.reuse_symbolic {
-            // One symbolic analysis serves the whole batch (and future
-            // serial requests); counters and factors stay exactly those
-            // of the plain path.
-            let jobs: Vec<_> = points
-                .iter()
-                .map(|p| (FactorKey::tagged(TAG_REAL_G, p), move || sys.g_at(p)))
-                .collect();
-            let seed = self.symbolic_real.clone();
-            let (out, sym) = self.cache.real_parallel_reusing(
-                jobs,
-                self.threads,
-                ord.as_deref().map(Vec::as_slice),
-                seed,
-            )?;
-            self.symbolic_real = sym;
-            Ok(out)
-        } else {
-            let jobs: Vec<_> = points
-                .iter()
-                .map(|p| {
-                    let ord = ord.clone();
-                    let key = FactorKey::tagged(TAG_REAL_G, p);
-                    (key, move || {
-                        let g = sys.g_at(p);
-                        SparseLu::factor(&g, ord.as_deref().map(Vec::as_slice))
-                    })
-                })
-                .collect();
-            Ok(self.cache.real_parallel(jobs, self.threads)?)
-        }
+        // One symbolic analysis serves the whole batch (and future
+        // serial requests).
+        let jobs: Vec<_> = points
+            .iter()
+            .map(|p| (FactorKey::tagged(TAG_REAL_G, p), move || sys.g_at(p)))
+            .collect();
+        let seed = self.symbolic_real.clone();
+        let (out, sym) = self.cache.real_parallel(
+            jobs,
+            self.threads,
+            ord.as_deref().map(Vec::as_slice),
+            seed,
+        )?;
+        self.symbolic_real = sym;
+        Ok(out)
     }
 
     /// Complex factors of the shifted pencil `G(p) + s·C(p)`, memoized
@@ -344,22 +313,20 @@ impl ReductionContext {
         words.push(s.im);
         words.extend_from_slice(p);
         let key = FactorKey::tagged(TAG_SHIFTED, &words);
-        let reuse = self.reuse_symbolic;
         let sym_slot = &mut self.symbolic_shifted;
         let lu = self.cache.complex(key, || {
             let a = sys
                 .g_at(p)
                 .to_complex()
                 .add_scaled(s, &sys.c_at(p).to_complex());
-            let ord = ord.as_deref().map(Vec::as_slice);
-            match (reuse, &*sym_slot) {
-                (true, Some(sym)) => SparseLu::refactor(&a, sym),
-                (true, None) => {
+            match &*sym_slot {
+                Some(sym) => SparseLu::refactor(&a, sym),
+                None => {
+                    let ord = ord.as_deref().map(Vec::as_slice);
                     let (lu, sym) = SparseLu::factor_symbolic(&a, ord)?;
                     *sym_slot = Some(Arc::new(sym));
                     Ok(lu)
                 }
-                (false, _) => SparseLu::factor(&a, ord),
             }
         })?;
         Ok(lu)
@@ -919,7 +886,7 @@ mod tests {
         let n = format!("{:?}", ReductionContext::new());
         assert_eq!(d, n);
         assert!(d.contains("ordering_choice: Rcm"), "{d}");
-        assert!(d.contains("reuse_symbolic: true"), "{d}");
+        assert!(d.contains("threads: 1"), "{d}");
     }
 
     #[test]
@@ -958,6 +925,11 @@ mod tests {
 
     #[test]
     fn symbolic_reuse_is_invisible_in_results_and_counters() {
+        // Every factorization after a pattern's first replays the recorded
+        // symbolic analysis. Its factors must solve bit for bit like
+        // `SparseLu::factor` of the same matrix under the context's shared
+        // ordering, and the counters must read one factorization per
+        // distinct matrix, serial or batched at any thread count.
         let sys = tree(35);
         let points: Vec<Vec<f64>> = vec![
             vec![0.0; 3],
@@ -968,35 +940,63 @@ mod tests {
         let s = Complex64::jw(2.0 * std::f64::consts::PI * 1e9);
         let b: Vec<f64> = (0..sys.dim()).map(|i| (i as f64).cos()).collect();
         let bc: Vec<Complex64> = b.iter().map(|&v| Complex64::new(v, 0.5)).collect();
+        let real_bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let complex_bits = |z: &[Complex64]| {
+            z.iter()
+                .map(|v| (v.re.to_bits(), v.im.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let scratch_real = |p: &[f64], ord: Option<&[usize]>| {
+            real_bits(
+                &SparseLu::factor(&sys.g_at(p), ord)
+                    .unwrap()
+                    .solve(&b)
+                    .unwrap(),
+            )
+        };
 
-        let mut plain = ReductionContext::new();
-        plain.set_symbolic_reuse(false);
-        assert!(!plain.symbolic_reuse());
-        let mut reusing = ReductionContext::new();
-        assert!(reusing.symbolic_reuse());
-
+        let mut ctx = ReductionContext::new();
         for p in &points {
-            let xp = plain.factor_g_at(&sys, p).unwrap().solve(&b).unwrap();
-            let xr = reusing.factor_g_at(&sys, p).unwrap().solve(&b).unwrap();
-            for (u, v) in xp.iter().zip(&xr) {
-                assert_eq!(u.to_bits(), v.to_bits(), "p={p:?}");
-            }
-            let zp = plain
-                .factor_shifted(&sys, p, s)
+            let x = ctx.factor_g_at(&sys, p).unwrap().solve(&b).unwrap();
+            let z = ctx.factor_shifted(&sys, p, s).unwrap().solve(&bc).unwrap();
+            let ord = ctx
+                .ordering
+                .clone()
+                .expect("the default context orders by RCM");
+            assert_eq!(real_bits(&x), scratch_real(p, Some(&ord)), "p={p:?}");
+            let a = sys
+                .g_at(p)
+                .to_complex()
+                .add_scaled(s, &sys.c_at(p).to_complex());
+            let z_scratch = SparseLu::factor(&a, Some(&ord))
                 .unwrap()
                 .solve(&bc)
                 .unwrap();
-            let zr = reusing
-                .factor_shifted(&sys, p, s)
-                .unwrap()
-                .solve(&bc)
-                .unwrap();
-            for (u, v) in zp.iter().zip(&zr) {
-                assert_eq!(u.re.to_bits(), v.re.to_bits(), "p={p:?}");
-                assert_eq!(u.im.to_bits(), v.im.to_bits(), "p={p:?}");
-            }
+            assert_eq!(complex_bits(&z), complex_bits(&z_scratch), "p={p:?}");
         }
-        assert_eq!(plain.stats(), reusing.stats());
+        assert_eq!(ctx.real_factorizations(), points.len());
+        assert_eq!(ctx.complex_factorizations(), points.len());
+        assert_eq!(ctx.cache_hits(), 0);
+
+        for threads in [1usize, 0, 4] {
+            let mut batch = ReductionContext::with_threads(threads);
+            let factors = batch.prefactor_g_at(&sys, &points).unwrap();
+            let ord = batch.ordering.clone().expect("RCM ordering resolved");
+            for (p, lu) in points.iter().zip(&factors) {
+                let x = lu.solve(&b).unwrap();
+                assert_eq!(
+                    real_bits(&x),
+                    scratch_real(p, Some(&ord)),
+                    "p={p:?}, {threads} threads"
+                );
+            }
+            assert_eq!(
+                batch.real_factorizations(),
+                points.len(),
+                "{threads} threads"
+            );
+            assert_eq!(batch.cache_hits(), 0, "{threads} threads");
+        }
     }
 
     #[test]

@@ -145,6 +145,16 @@ impl FactorCache {
     /// once, running the **missing** factorizations on up to `threads`
     /// scoped worker threads (`0` = available parallelism).
     ///
+    /// Jobs supply the assembled matrix, and the batch shares one
+    /// [`SymbolicLu`] analysis across all misses. When `symbolic` is
+    /// `None`, the first miss is factored with
+    /// [`SparseLu::factor_symbolic`] under `ordering` to seed the
+    /// analysis, and every later miss replays it via
+    /// [`SparseLu::refactor`]; pass the returned analysis back in on the
+    /// next batch to skip even that first analysis. `refactor` verifies
+    /// its replay and falls back to a full analysis, so every stored
+    /// factor is bitwise that of [`SparseLu::factor`] under `ordering`.
+    ///
     /// The returned factors line up with `jobs` order. On **success**,
     /// cache state and counters end up exactly as if the jobs had been
     /// requested serially in order: every distinct uncached key counts
@@ -164,94 +174,7 @@ impl FactorCache {
     /// accounting for the batch is skipped. Counters therefore match the
     /// serial path only on the success path; after an error they reflect
     /// the work actually performed.
-    pub fn real_parallel<F>(
-        &mut self,
-        jobs: Vec<(FactorKey, F)>,
-        threads: usize,
-    ) -> Result<Vec<Arc<SparseLu<f64>>>>
-    where
-        F: FnOnce() -> Result<SparseLu<f64>> + Send,
-    {
-        let keys: Vec<FactorKey> = jobs.iter().map(|(k, _)| k.clone()).collect();
-        // Misses only, first occurrence per key, in job order.
-        let mut pending: Vec<(FactorKey, F)> = Vec::new();
-        for (key, factor) in jobs {
-            if !self.real.contains_key(&key) && !pending.iter().any(|(k, _)| *k == key) {
-                pending.push((key, factor));
-            }
-        }
-        let workers = effective_threads(threads, pending.len());
-        let produced: Vec<(FactorKey, Result<SparseLu<f64>>)> = if workers <= 1 {
-            pending.into_iter().map(|(k, f)| (k, f())).collect()
-        } else {
-            let queue = Mutex::new(pending.into_iter().enumerate().collect::<Vec<_>>());
-            let done = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        // pmor-lint: allow(panic-in-lib) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join"
-                        let Some((slot, (key, factor))) = queue.lock().unwrap().pop() else {
-                            break;
-                        };
-                        let lu = factor();
-                        // pmor-lint: allow(panic-in-lib) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join"
-                        done.lock().unwrap().push((slot, key, lu));
-                    });
-                }
-            });
-            // pmor-lint: allow(panic-in-lib) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join"
-            let mut out = done.into_inner().unwrap();
-            out.sort_by_key(|(slot, _, _)| *slot);
-            out.into_iter().map(|(_, k, lu)| (k, lu)).collect()
-        };
-        // Insert in job order — cache state and counters are independent
-        // of worker scheduling — and surface the earliest failure.
-        let mut first_err = None;
-        let mut inserted = 0usize;
-        for (key, lu) in produced {
-            match lu {
-                Ok(lu) => {
-                    self.stats.real_factorizations += 1;
-                    inserted += 1;
-                    self.real.insert(key, Arc::new(lu));
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        self.stats.hits += keys.len() - inserted;
-        Ok(keys
-            .iter()
-            // pmor-lint: allow(panic-in-lib) reason="every key is either a prior hit or was inserted from `pending` above; factorization failures already returned Err"
-            .map(|k| Arc::clone(self.real.get(k).expect("all keys resolved")))
-            .collect())
-    }
-
-    /// [`FactorCache::real_parallel`] with **symbolic reuse**: jobs supply
-    /// the assembled matrix instead of a factorization closure, and the
-    /// batch shares one [`SymbolicLu`] analysis across all misses. When
-    /// `symbolic` is `None`, the first miss is factored with
-    /// [`SparseLu::factor_symbolic`] to seed the analysis and every later
-    /// miss replays it via [`SparseLu::refactor`]; pass the returned
-    /// analysis back in on the next batch to skip even that first DFS.
-    ///
-    /// Because `refactor` is bitwise identical to `factor` (verified
-    /// replay with fallback), the stored factors, cache state and
-    /// counters are **exactly** those of [`FactorCache::real_parallel`]
-    /// over `SparseLu::factor(&a, ordering)` closures — reuse buys
-    /// wall-clock only.
-    ///
-    /// # Errors
-    ///
-    /// As [`FactorCache::real_parallel`]: the earliest-ordered failure is
-    /// surfaced after successful siblings are kept.
-    pub fn real_parallel_reusing<M>(
+    pub fn real_parallel<M>(
         &mut self,
         jobs: Vec<(FactorKey, M)>,
         threads: usize,
@@ -317,8 +240,8 @@ impl FactorCache {
                 produced.extend(out.into_iter().map(|(_, k, lu)| (k, lu)));
             }
         }
-        // Insert in job order and surface the earliest failure — the same
-        // accounting as `real_parallel`.
+        // Insert in job order — cache state and counters are independent
+        // of worker scheduling — and surface the earliest failure.
         let mut first_err = None;
         let mut inserted = 0usize;
         for (key, lu) in produced {
@@ -456,97 +379,6 @@ mod tests {
         assert_eq!(cache.stats().real_factorizations, 1);
     }
 
-    #[test]
-    fn parallel_batch_matches_serial_cache_state() {
-        // Same jobs through real_parallel (4 workers) and a serial request
-        // loop must leave identical counters and identical factors.
-        let mats: Vec<CsrMatrix<f64>> = (0..6)
-            .map(|i| diag(&[1.0 + i as f64, 2.0 + i as f64]))
-            .collect();
-        let jobs = |mats: &[CsrMatrix<f64>]| {
-            mats.iter()
-                .enumerate()
-                .map(|(i, m)| {
-                    let m = m.clone();
-                    (FactorKey::tagged(3, &[i as f64]), move || {
-                        SparseLu::factor(&m, None)
-                    })
-                })
-                .collect::<Vec<_>>()
-        };
-        let mut par = FactorCache::new();
-        let got_par = par.real_parallel(jobs(&mats), 4).unwrap();
-        let mut ser = FactorCache::new();
-        let got_ser: Vec<_> = jobs(&mats)
-            .into_iter()
-            .map(|(k, f)| ser.real(k, f).unwrap())
-            .collect();
-        assert_eq!(par.stats(), ser.stats());
-        assert_eq!(par.stats().real_factorizations, 6);
-        for (a, b) in got_par.iter().zip(&got_ser) {
-            let x = a.solve(&[1.0, 2.0]).unwrap();
-            let y = b.solve(&[1.0, 2.0]).unwrap();
-            assert_eq!(x[0].to_bits(), y[0].to_bits());
-            assert_eq!(x[1].to_bits(), y[1].to_bits());
-        }
-    }
-
-    #[test]
-    fn parallel_batch_counts_cached_and_duplicate_keys_as_hits() {
-        let a = diag(&[2.0, 4.0]);
-        let mut cache = FactorCache::new();
-        cache
-            .real(FactorKey::tagged(0, &[0.0]), || SparseLu::factor(&a, None))
-            .unwrap();
-        // One pre-cached key, one fresh key requested twice.
-        let b = diag(&[1.0, 8.0]);
-        let jobs = vec![
-            (FactorKey::tagged(0, &[0.0]), {
-                let a = a.clone();
-                Box::new(move || SparseLu::factor(&a, None))
-                    as Box<dyn FnOnce() -> crate::Result<SparseLu<f64>> + Send>
-            }),
-            (FactorKey::tagged(0, &[1.0]), {
-                let b = b.clone();
-                Box::new(move || SparseLu::factor(&b, None)) as Box<_>
-            }),
-            (FactorKey::tagged(0, &[1.0]), {
-                let b = b.clone();
-                Box::new(move || SparseLu::factor(&b, None)) as Box<_>
-            }),
-        ];
-        let got = cache.real_parallel(jobs, 0).unwrap();
-        assert_eq!(got.len(), 3);
-        assert!(Arc::ptr_eq(&got[1], &got[2]));
-        // Serial equivalent: 1 old miss + 1 new miss, 2 hits.
-        assert_eq!(cache.stats().real_factorizations, 2);
-        assert_eq!(cache.stats().hits, 2);
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn parallel_batch_surfaces_earliest_failure_and_keeps_good_factors() {
-        let singular = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0)]);
-        let ok = diag(&[1.0, 1.0]);
-        let mut cache = FactorCache::new();
-        let jobs = vec![
-            (FactorKey::tagged(0, &[0.0]), {
-                let ok = ok.clone();
-                Box::new(move || SparseLu::factor(&ok, None))
-                    as Box<dyn FnOnce() -> crate::Result<SparseLu<f64>> + Send>
-            }),
-            (FactorKey::tagged(0, &[1.0]), {
-                let s = singular.clone();
-                Box::new(move || SparseLu::factor(&s, None)) as Box<_>
-            }),
-        ];
-        assert!(cache.real_parallel(jobs, 2).is_err());
-        // The good factor was kept (serial retry semantics), the bad key
-        // stays free.
-        assert_eq!(cache.stats().real_factorizations, 1);
-        assert_eq!(cache.len(), 1);
-    }
-
     /// Same-pattern tridiagonal family indexed by a shift value.
     fn trid(n: usize, shift: f64) -> CsrMatrix<f64> {
         let mut tri = Vec::new();
@@ -560,36 +392,85 @@ mod tests {
         CsrMatrix::from_triplets(n, n, &tri)
     }
 
+    /// Batch jobs from boxed matrix builders, so one list can mix
+    /// matrices of different patterns.
+    type Job = (FactorKey, Box<dyn FnOnce() -> CsrMatrix<f64> + Send>);
+
+    fn job(x: f64, a: CsrMatrix<f64>) -> Job {
+        (FactorKey::tagged(0, &[x]), Box::new(move || a))
+    }
+
+    #[test]
+    fn parallel_batch_matches_serial_cache_state() {
+        // Same matrices through real_parallel (4 workers) and a serial
+        // request loop must leave identical counters and identical factors.
+        let mats: Vec<CsrMatrix<f64>> = (0..6)
+            .map(|i| diag(&[1.0 + i as f64, 2.0 + i as f64]))
+            .collect();
+        let mut par = FactorCache::new();
+        let jobs: Vec<_> = mats
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                let m = m.clone();
+                (FactorKey::tagged(3, &[i as f64]), move || m)
+            })
+            .collect();
+        let (got_par, _) = par.real_parallel(jobs, 4, None, None).unwrap();
+        let mut ser = FactorCache::new();
+        let got_ser: Vec<_> = mats
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                ser.real(FactorKey::tagged(3, &[i as f64]), || {
+                    SparseLu::factor(m, None)
+                })
+                .unwrap()
+            })
+            .collect();
+        assert_eq!(par.stats(), ser.stats());
+        assert_eq!(par.stats().real_factorizations, 6);
+        for (a, b) in got_par.iter().zip(&got_ser) {
+            let x = a.solve(&[1.0, 2.0]).unwrap();
+            let y = b.solve(&[1.0, 2.0]).unwrap();
+            assert_eq!(x[0].to_bits(), y[0].to_bits());
+            assert_eq!(x[1].to_bits(), y[1].to_bits());
+        }
+    }
+
     #[test]
     fn reusing_batch_matches_plain_parallel_bitwise_across_thread_counts() {
+        // The batch replays one symbolic analysis across every miss; at
+        // any thread count its factors must solve bit for bit like plain
+        // from-scratch `SparseLu::factor`s requested serially, with
+        // identical counters.
         let n = 40;
         let shifts = [0.0, 0.5, 1.0, 1.5];
-        for threads in [1usize, 0, 4] {
-            let mut plain = FactorCache::new();
-            let jobs_plain: Vec<_> = shifts
-                .iter()
-                .map(|&s| {
-                    (FactorKey::tagged(1, &[s]), move || {
-                        SparseLu::factor(&trid(n, s), None)
-                    })
+        let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
+        let mut ser = FactorCache::new();
+        let got_ser: Vec<_> = shifts
+            .iter()
+            .map(|&s| {
+                ser.real(FactorKey::tagged(1, &[s]), || {
+                    SparseLu::factor(&trid(n, s), None)
                 })
-                .collect();
-            let got_plain = plain.real_parallel(jobs_plain, threads).unwrap();
-
-            let mut reusing = FactorCache::new();
-            let jobs: Vec<_> = shifts
-                .iter()
-                .map(|&s| (FactorKey::tagged(1, &[s]), move || trid(n, s)))
-                .collect();
-            let (got, sym) = reusing
-                .real_parallel_reusing(jobs, threads, None, None)
-                .unwrap();
+                .unwrap()
+            })
+            .collect();
+        for threads in [1usize, 0, 4] {
+            let jobs = || -> Vec<_> {
+                shifts
+                    .iter()
+                    .map(|&s| (FactorKey::tagged(1, &[s]), move || trid(n, s)))
+                    .collect()
+            };
+            let mut par = FactorCache::new();
+            let (got, sym) = par.real_parallel(jobs(), threads, None, None).unwrap();
             let sym = sym.expect("analysis seeded from the first miss");
             assert_eq!(sym.dim(), n);
-            assert_eq!(plain.stats(), reusing.stats(), "{threads} threads");
-            assert_eq!(reusing.stats().real_factorizations, shifts.len());
-            let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-            for (p, r) in got_plain.iter().zip(&got) {
+            assert_eq!(par.stats(), ser.stats(), "{threads} threads");
+            assert_eq!(par.stats().real_factorizations, shifts.len());
+            for (p, r) in got_ser.iter().zip(&got) {
                 let xp = p.solve(&b).unwrap();
                 let xr = r.solve(&b).unwrap();
                 for (u, v) in xp.iter().zip(&xr) {
@@ -598,15 +479,11 @@ mod tests {
             }
             // A second batch with the returned analysis: all hits, and the
             // analysis survives untouched.
-            let jobs2: Vec<_> = shifts
-                .iter()
-                .map(|&s| (FactorKey::tagged(1, &[s]), move || trid(n, s)))
-                .collect();
-            let (again, sym2) = reusing
-                .real_parallel_reusing(jobs2, threads, None, Some(Arc::clone(&sym)))
+            let (again, sym2) = par
+                .real_parallel(jobs(), threads, None, Some(Arc::clone(&sym)))
                 .unwrap();
-            assert_eq!(reusing.stats().real_factorizations, shifts.len());
-            assert_eq!(reusing.stats().hits, shifts.len());
+            assert_eq!(par.stats().real_factorizations, shifts.len());
+            assert_eq!(par.stats().hits, shifts.len());
             assert!(Arc::ptr_eq(&sym, sym2.as_ref().unwrap()));
             for (a, b) in got.iter().zip(&again) {
                 assert!(Arc::ptr_eq(a, b));
@@ -615,18 +492,62 @@ mod tests {
     }
 
     #[test]
+    fn parallel_batch_counts_cached_and_duplicate_keys_as_hits() {
+        let a = diag(&[2.0, 4.0]);
+        let mut cache = FactorCache::new();
+        cache
+            .real(FactorKey::tagged(0, &[0.0]), || SparseLu::factor(&a, None))
+            .unwrap();
+        // One pre-cached key, one fresh key requested twice.
+        let b = diag(&[1.0, 8.0]);
+        let jobs = vec![job(0.0, a), job(1.0, b.clone()), job(1.0, b)];
+        let (got, _) = cache.real_parallel(jobs, 0, None, None).unwrap();
+        assert_eq!(got.len(), 3);
+        assert!(Arc::ptr_eq(&got[1], &got[2]));
+        // Serial equivalent: 1 old miss + 1 new miss, 2 hits.
+        assert_eq!(cache.stats().real_factorizations, 2);
+        assert_eq!(cache.stats().hits, 2);
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn parallel_batch_surfaces_earliest_failure_and_keeps_good_factors() {
+        // Column 1, then column 0, stores nothing: both jobs fail, and the
+        // earlier one's error is the batch's.
+        let empty_col1 = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 0, 1.0)]);
+        let empty_col0 = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 1, 1.0)]);
+        let ok = diag(&[1.0, 1.0]);
+        let mut cache = FactorCache::new();
+        let jobs = vec![
+            job(0.0, ok.clone()),
+            job(1.0, empty_col1.clone()),
+            job(2.0, empty_col0.clone()),
+        ];
+        let err = cache.real_parallel(jobs, 2, None, None).unwrap_err();
+        assert!(matches!(err, crate::SparseError::EmptyColumn(1)), "{err}");
+        // The good factor was kept (serial retry semantics), the bad keys
+        // stay free.
+        assert_eq!(cache.stats().real_factorizations, 1);
+        assert_eq!(cache.len(), 1);
+        // A failing first miss seeds no analysis: the later misses are
+        // factored from scratch, and the good one is still kept.
+        let mut cache = FactorCache::new();
+        let jobs = vec![job(0.0, empty_col0), job(1.0, ok)];
+        let err = cache.real_parallel(jobs, 2, None, None).unwrap_err();
+        assert!(matches!(err, crate::SparseError::EmptyColumn(0)), "{err}");
+        assert_eq!(cache.stats().real_factorizations, 1);
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
     fn reusing_batch_surfaces_failure_and_keeps_good_factors() {
         // First job seeds the analysis, second is structurally singular.
         let mut cache = FactorCache::new();
         let jobs = vec![
-            (FactorKey::tagged(0, &[0.0]), {
-                Box::new(move || trid(6, 0.0)) as Box<dyn FnOnce() -> CsrMatrix<f64> + Send>
-            }),
-            (FactorKey::tagged(0, &[1.0]), {
-                Box::new(move || CsrMatrix::from_triplets(6, 6, &[(0, 0, 1.0)])) as Box<_>
-            }),
+            job(0.0, trid(6, 0.0)),
+            job(1.0, CsrMatrix::from_triplets(6, 6, &[(0, 0, 1.0)])),
         ];
-        assert!(cache.real_parallel_reusing(jobs, 2, None, None).is_err());
+        assert!(cache.real_parallel(jobs, 2, None, None).is_err());
         assert_eq!(cache.stats().real_factorizations, 1);
         assert_eq!(cache.len(), 1);
     }

@@ -4,7 +4,7 @@
 //! doctests. Adding a scenario or a suite entry without documenting it
 //! fails CI here.
 
-use pmor_bench::suite::BenchSuite;
+use pmor_bench::suite::{BenchSuite, SECTION_KINDS};
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> PathBuf {
@@ -73,6 +73,45 @@ fn guide_references_every_scenario_deck_and_suite() {
             );
         }
     }
+}
+
+#[test]
+fn guide_suite_table_names_exactly_the_accepted_section_kinds() {
+    // The §6 "Suite files" table has one row per entry-section kind,
+    // each starting "| `[<kind>-<tag>]`". Every documented kind must
+    // parse in a minimal suite, and every kind the parser accepts must
+    // have a row, so a retired kind cannot linger in the docs.
+    let guide = std::fs::read_to_string(repo_root().join("docs/GUIDE.md")).expect("docs/GUIDE.md");
+    let section = guide
+        .split("### Suite files")
+        .nth(1)
+        .and_then(|rest| rest.split("\n### ").next())
+        .expect("docs/GUIDE.md has a \"### Suite files\" subsection");
+    let documented: Vec<&str> = section
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `["))
+        .map(|row| {
+            row.split_once("-<tag>]`")
+                .unwrap_or_else(|| {
+                    panic!("suite table row without a `[<kind>-<tag>]` section: {row}")
+                })
+                .0
+        })
+        .collect();
+    for kind in &documented {
+        let text = format!("[suite]\nname = \"d\"\n\n[{kind}-t]\nfile = \"x.toml\"\n");
+        if let Err(e) = BenchSuite::parse_at(&text, None) {
+            panic!("docs/GUIDE.md documents [{kind}-<tag>], which suites refuse: {e}");
+        }
+    }
+    let mut documented_sorted = documented.clone();
+    documented_sorted.sort_unstable();
+    let mut accepted = SECTION_KINDS.to_vec();
+    accepted.sort_unstable();
+    assert_eq!(
+        documented_sorted, accepted,
+        "docs/GUIDE.md's suite-section table and the section kinds BenchSuite accepts differ"
+    );
 }
 
 #[test]

@@ -4,10 +4,11 @@
 //! — parallelism buys wall-clock, never a different number.
 
 use pmor::multipoint::{MultiPointOptions, MultiPointPmor};
-use pmor::{Reducer, ReducerKind, ReducerTuning, ReductionContext};
+use pmor::{OrderingChoice, Reducer, ReducerKind, ReducerTuning, ReductionContext};
 use pmor_circuits::generators::{clock_tree, rc_mesh, ClockTreeConfig, RcMeshConfig};
 use pmor_circuits::ParametricSystem;
 use pmor_num::Complex64;
+use pmor_sparse::SparseLu;
 
 fn workloads() -> Vec<(&'static str, ParametricSystem)> {
     vec![
@@ -95,50 +96,65 @@ fn multishift_methods_are_bitwise_identical_across_thread_counts() {
 
 #[test]
 fn symbolic_reuse_is_bitwise_identical_to_from_scratch_at_any_thread_count() {
-    // The refactorization contract: reusing one symbolic analysis
-    // across every shift (the default) must produce bit-for-bit the
-    // same reduced models as re-running the full Gilbert–Peierls
-    // analysis per shift, serial or parallel, and the factor-cache
-    // counters must not depend on the reuse knob either (reuse changes
-    // *how* a factorization is computed, never whether one happens).
+    // The refactorization contract: the context records one symbolic
+    // analysis per pattern and replays it for every later shift, serial
+    // or batched. Its factors must solve bit for bit like a from-scratch
+    // `SparseLu::factor` of the same matrix, and the counters must read
+    // one factorization per distinct matrix (reuse changes *how* a
+    // factorization is computed, never whether one happens). The natural
+    // order makes the reference's ordering visible here; the RCM-ordered
+    // case is a unit test beside the context's shared ordering.
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for (name, sys) in workloads() {
-        for kind in [ReducerKind::MultiPoint, ReducerKind::Fit] {
-            let reducer = kind.build_tuned(&sys, &ReducerTuning::default());
-            let mut scratch_ctx = ReductionContext::with_threads(1);
-            scratch_ctx.set_symbolic_reuse(false);
-            let scratch = reducer.reduce(&sys, &mut scratch_ctx).unwrap();
-            for threads in [1usize, 0, 4] {
-                let mut ctx = ReductionContext::with_threads(threads);
-                let reused = reducer.reduce(&sys, &mut ctx).unwrap();
+        let np = sys.num_params();
+        let samples = MultiPointOptions::grid(&vec![(-0.3, 0.3); np], 2, 2).samples;
+        let b: Vec<f64> = (0..sys.dim()).map(|i| (i as f64 * 0.37).sin()).collect();
+        let scratch = |p: &[f64]| {
+            bits(
+                &SparseLu::factor(&sys.g_at(p), None)
+                    .unwrap()
+                    .solve(&b)
+                    .unwrap(),
+            )
+        };
+        for threads in [1usize, 0, 4] {
+            let mut ctx = ReductionContext::with_ordering(OrderingChoice::Natural);
+            ctx.set_threads(threads);
+            let factors = ctx.prefactor_g_at(&sys, &samples).unwrap();
+            for (p, lu) in samples.iter().zip(&factors) {
                 assert_eq!(
-                    scratch_ctx.real_factorizations(),
-                    ctx.real_factorizations(),
-                    "{name}/{}: reuse changed the factorization count at {threads} threads",
-                    kind.name()
+                    bits(&lu.solve(&b).unwrap()),
+                    scratch(p),
+                    "{name}: prefactor at p={p:?} ({threads} threads)"
                 );
-                assert_eq!(scratch_ctx.cache_hits(), ctx.cache_hits());
-                for (p, s) in probes(sys.num_params()) {
-                    let hs = scratch.transfer(&p, s).unwrap();
-                    let hr = reused.transfer(&p, s).unwrap();
-                    for r in 0..hs.nrows() {
-                        for c in 0..hs.ncols() {
-                            assert_eq!(
-                                hs[(r, c)].re.to_bits(),
-                                hr[(r, c)].re.to_bits(),
-                                "{name}/{} re at p={p:?} ({threads} threads)",
-                                kind.name()
-                            );
-                            assert_eq!(
-                                hs[(r, c)].im.to_bits(),
-                                hr[(r, c)].im.to_bits(),
-                                "{name}/{} im at p={p:?} ({threads} threads)",
-                                kind.name()
-                            );
-                        }
-                    }
-                }
+            }
+            assert_eq!(ctx.real_factorizations(), samples.len(), "{name}");
+            assert_eq!(ctx.cache_hits(), 0, "{name}");
+            // A serial request after the batch replays the same analysis.
+            let p = vec![0.1; np];
+            let x = ctx.factor_g_at(&sys, &p).unwrap().solve(&b).unwrap();
+            assert_eq!(
+                bits(&x),
+                scratch(&p),
+                "{name}: factor_g_at ({threads} threads)"
+            );
+            assert_eq!(ctx.real_factorizations(), samples.len() + 1, "{name}");
+        }
+        let mut ctx = ReductionContext::with_ordering(OrderingChoice::Natural);
+        let bc: Vec<Complex64> = b.iter().map(|&v| Complex64::new(v, -0.25)).collect();
+        for (p, s) in probes(np) {
+            let z = ctx.factor_shifted(&sys, &p, s).unwrap().solve(&bc).unwrap();
+            let a = sys
+                .g_at(&p)
+                .to_complex()
+                .add_scaled(s, &sys.c_at(&p).to_complex());
+            let z_scratch = SparseLu::factor(&a, None).unwrap().solve(&bc).unwrap();
+            for (u, v) in z.iter().zip(&z_scratch) {
+                assert_eq!(u.re.to_bits(), v.re.to_bits(), "{name}: p={p:?}, s={s:?}");
+                assert_eq!(u.im.to_bits(), v.im.to_bits(), "{name}: p={p:?}, s={s:?}");
             }
         }
+        assert_eq!(ctx.complex_factorizations(), probes(np).len(), "{name}");
     }
 }
 
