@@ -35,8 +35,10 @@ use std::path::{Path, PathBuf};
 /// start producing different bytes for the same inputs (invalidates all
 /// old entries without having to delete them). Version 2: congruence
 /// mirrors the reduced matrices of symmetric systems, so their ROMs
-/// evaluate on the pivot-free `LDLᵀ` kernel.
-const CACHE_SCHEMA_VERSION: u64 = 2;
+/// evaluate on the pivot-free `LDLᵀ` kernel. Version 3: the pruned reach
+/// search reorders the sparse LU's updates and the supervariable AMD
+/// gives another permutation, so factors and ROMs move in the last bits.
+const CACHE_SCHEMA_VERSION: u64 = 3;
 
 /// A directory of content-addressed ROM files.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,9 +165,11 @@ mod tests {
         assert_ne!(RomCache::key(1, "prima", &zeroed), base);
         assert_eq!(base, RomCache::key(1, "prima", &ReducerTuning::default()));
         // Entries written under an older schema must miss: schema 1
-        // cached unmirrored ROMs of symmetric systems.
-        assert_eq!(CACHE_SCHEMA_VERSION, 2);
-        assert_eq!(base, RomCache::key_at_schema(2, 1, "prima", &t));
+        // cached unmirrored ROMs of symmetric systems, schema 2 ROMs from
+        // the unpruned factorization and the old AMD.
+        assert_eq!(CACHE_SCHEMA_VERSION, 3);
+        assert_eq!(base, RomCache::key_at_schema(3, 1, "prima", &t));
+        assert_ne!(base, RomCache::key_at_schema(2, 1, "prima", &t));
         assert_ne!(base, RomCache::key_at_schema(1, 1, "prima", &t));
         // Every adaptive knob separates keys too: a model reduced to a
         // loose tolerance must never be served for a tight one.

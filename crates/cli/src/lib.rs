@@ -35,6 +35,15 @@ macro_rules! outln {
     };
 }
 
+/// `eprintln!` for the `pmor` binary: every stderr line goes through
+/// [`write_err_line`].
+#[macro_export]
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        $crate::write_err_line(format_args!($($arg)*))
+    };
+}
+
 pub mod bench_cmd;
 pub mod cache;
 pub mod exec;
@@ -60,9 +69,17 @@ pub fn write_line(line: fmt::Arguments<'_>) {
         if e.kind() == io::ErrorKind::BrokenPipe {
             std::process::exit(0);
         }
-        eprintln!("error: writing to stdout: {e}");
+        errln!("error: writing to stdout: {e}");
         std::process::exit(1);
     }
+}
+
+/// Writes `line` and a newline to stderr. `eprintln!` panics when stderr
+/// is a closed pipe (`pmor … 2>&1 | head -c 10`); here a failed write is
+/// dropped, since there is nowhere left to report it, and the exit status
+/// still says how the command ended.
+pub fn write_err_line(line: fmt::Arguments<'_>) {
+    let _ = writeln!(io::stderr().lock(), "{line}");
 }
 
 /// Top-level CLI error: every failure the binary reports.

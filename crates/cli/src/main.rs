@@ -4,7 +4,7 @@
 
 use pmor_bench::suite::{check_runs, BenchSuite, SuiteEntryKind};
 use pmor_cli::bench_cmd::{check_files, resolve_suite, run_suite, SUITE_DIR};
-use pmor_cli::{outln, reduce_scenario, run_scenario, CliError, Scenario};
+use pmor_cli::{errln, outln, reduce_scenario, run_scenario, CliError, Scenario};
 use pmor_num::Complex64;
 use pmor_variation::dist::ParameterDistribution;
 use pmor_variation::stats::Summary;
@@ -60,11 +60,11 @@ fn main() {
     match dispatch(&args) {
         Ok(()) => {}
         Err(CliError::Usage(msg)) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
+            errln!("error: {msg}\n\n{USAGE}");
             std::process::exit(2);
         }
         Err(e) => {
-            eprintln!("error: {e}");
+            errln!("error: {e}");
             std::process::exit(1);
         }
     }

@@ -360,10 +360,40 @@ impl<T: Scalar> CsrMatrix<T> {
         out
     }
 
-    /// Explicit transpose.
+    /// Explicit transpose, by one counting pass, so its rows come out
+    /// sorted in O(nnz). Stored exact zeros are dropped, as
+    /// [`CsrMatrix::from_triplets`] drops them.
     pub fn transposed(&self) -> CsrMatrix<T> {
-        let triplets: Vec<(usize, usize, T)> = self.iter().map(|(r, c, v)| (c, r, v)).collect();
-        CsrMatrix::from_triplets(self.ncols, self.nrows, &triplets)
+        let mut row_ptr = vec![0usize; self.ncols + 1];
+        for (&c, &v) in self.col_idx.iter().zip(&self.values) {
+            if v != T::ZERO {
+                row_ptr[c + 1] += 1;
+            }
+        }
+        for c in 0..self.ncols {
+            row_ptr[c + 1] += row_ptr[c];
+        }
+        let nnz = row_ptr[self.ncols];
+        let mut col_idx = vec![0usize; nnz];
+        let mut values = vec![T::ZERO; nnz];
+        let mut next = row_ptr[..self.ncols].to_vec();
+        for r in 0..self.nrows {
+            let (cols, vals) = self.row(r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                if v != T::ZERO {
+                    col_idx[next[c]] = r;
+                    values[next[c]] = v;
+                    next[c] += 1;
+                }
+            }
+        }
+        CsrMatrix {
+            nrows: self.ncols,
+            ncols: self.nrows,
+            row_ptr,
+            col_idx,
+            values,
+        }
     }
 
     /// Converts to a dense matrix.
@@ -621,6 +651,40 @@ mod tests {
     fn transpose_involution() {
         let m = sample();
         assert_eq!(m.transposed().transposed(), m);
+    }
+
+    #[test]
+    fn counting_transpose_matches_the_triplet_transpose() {
+        // A rectangular pattern with stored zeros (`map` keeps them, and
+        // both transposes must drop them), `−0` among them.
+        let m = CsrMatrix::from_triplets(
+            3,
+            4,
+            &[
+                (0, 1, 2.0),
+                (0, 3, -1.0),
+                (1, 0, 4.0),
+                (1, 2, 0.5),
+                (2, 1, -3.0),
+                (2, 2, 7.0),
+                (2, 3, 1.5),
+            ],
+        )
+        .map(|v| {
+            if v == 0.5 {
+                0.0
+            } else if v == 1.5 {
+                -0.0
+            } else {
+                v
+            }
+        });
+        assert_eq!(m.nnz(), 7, "map keeps the zeros stored");
+        let triplets: Vec<(usize, usize, f64)> = m.iter().map(|(r, c, v)| (c, r, v)).collect();
+        let want = CsrMatrix::from_triplets(4, 3, &triplets);
+        let got = m.transposed();
+        assert_eq!(got, want);
+        assert_eq!(got.nnz(), 5);
     }
 
     #[test]
