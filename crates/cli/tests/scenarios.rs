@@ -1,8 +1,10 @@
 //! End-to-end tests of the scenario pipeline: parse → reduce → analyze →
 //! BENCH record → ROM persistence → reload.
 
+use pmor::OrderingChoice;
 use pmor_cli::{reduce_scenario, run_scenario, Scenario};
 use pmor_num::Complex64;
+use pmor_sparse::{CsrMatrix, SparseLu};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
@@ -334,6 +336,71 @@ fn reduce_scenario_persists_roms_without_analysis() {
     // Reduction-only records still carry size + wall time.
     let json = std::fs::read_to_string(&report.bench_path).unwrap();
     assert!(json.contains("\"size\""), "{json}");
+}
+
+#[test]
+fn multipoint_record_carries_the_fill_of_its_first_sample() {
+    // A pure 2-per-axis multipoint grid never factors p = 0, so the
+    // record's fill provenance is that of the first sample's `G(p)`.
+    let dir = out_dir("mp_fill");
+    let text = format!(
+        r#"
+[scenario]
+name = "mp_fill"
+description = "test scenario"
+
+[system]
+generator = "rc_mesh"
+rows = 10
+cols = 10
+
+[reduce]
+methods = ["multipoint"]
+ordering = "amd"
+samples_per_axis = 2
+
+[analysis]
+kind = "frequency_sweep"
+points = 3
+
+[output]
+dir = "{}"
+rom_cache = false
+"#,
+        dir.display()
+    );
+    let sc = Scenario::parse(&text).unwrap();
+    let report = run_scenario(&sc).unwrap();
+    let sys = sc.system.assemble();
+    let np = sys.num_params();
+    assert_eq!(report.real_factorizations, 1 << np, "one per grid sample");
+
+    let union = CsrMatrix::abs_sum(
+        &[&sys.g0, &sys.c0]
+            .into_iter()
+            .chain(&sys.gi)
+            .chain(&sys.ci)
+            .collect::<Vec<_>>(),
+    );
+    let (order, name) = OrderingChoice::Amd.resolve(&union);
+    let first = vec![-0.3; np];
+    let want = SparseLu::factor(&sys.g_at(&first), order.as_deref())
+        .unwrap()
+        .factor_nnz();
+
+    let json = std::fs::read_to_string(&report.bench_path).unwrap();
+    let doc = pmor_json::parse_json(&json).unwrap();
+    let records = doc.get("records").unwrap().items();
+    assert_eq!(records.len(), 1);
+    let metric = |key: &str| match records[0].get("metrics").and_then(|m| m.get(key)) {
+        Some(pmor_json::Json::Num(v)) => *v,
+        other => panic!("metric {key}: {other:?}\n{json}"),
+    };
+    assert_eq!(metric("factor_nnz"), want as f64, "{json}");
+    let matrix_nnz = sys.g_at(&first).nnz() as f64;
+    assert_eq!(metric("fill_ratio"), want as f64 / matrix_nnz, "{json}");
+    let ordering = records[0].get("labels").and_then(|l| l.get("ordering"));
+    assert_eq!(ordering.map(|o| o.text()), Some(name), "{json}");
 }
 
 #[test]

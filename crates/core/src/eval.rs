@@ -7,7 +7,7 @@
 //! nodes).
 
 use crate::engine::{EvalWorkspace, TransferModel};
-use crate::reduce::{system_fingerprint, union_pattern, ReductionContext};
+use crate::reduce::{system_fingerprint, union_pattern};
 use crate::rom::pencil_poles;
 use crate::Result;
 use pmor_circuits::ParametricSystem;
@@ -114,37 +114,6 @@ impl<'a> FullModel<'a> {
         let x = lu.solve_dense(ws.full_b.as_ref().expect("converted above"))?;
         // pmor-lint: allow(panic-in-lib) reason="the workspace caches are populated by the key checks immediately above"
         Ok(ws.full_l.as_ref().expect("converted above").tr_mul_mat(&x))
-    }
-
-    /// [`FullModel::transfer`] drawing (and memoizing) factorizations
-    /// through the shared [`ReductionContext`]: repeated evaluations at
-    /// the same `(p, s)` reuse the complex factors, and the DC point
-    /// `s = 0` reuses the **real** `G(p)` factors shared with the
-    /// reduction methods — at the nominal point, that is the paper's
-    /// one-time `G0` factorization.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `G(p) + sC(p)` is singular.
-    pub fn transfer_in(
-        &self,
-        p: &[f64],
-        s: Complex64,
-        ctx: &mut ReductionContext,
-    ) -> Result<Matrix<Complex64>> {
-        if s == Complex64::ZERO {
-            // Real path: H(0, p) = Lᵀ G(p)⁻¹ B on the shared real factors.
-            let lu = ctx.factor_g_at(self.sys, p)?;
-            let mut x = Matrix::zeros(self.sys.dim(), self.sys.num_inputs());
-            for j in 0..self.sys.b.ncols() {
-                x.set_col(j, &lu.solve(&self.sys.b.col(j))?);
-            }
-            return Ok(self.sys.l.tr_mul_mat(&x).to_complex());
-        }
-        let lu = ctx.factor_shifted(self.sys, p, s)?;
-        let bc = self.sys.b.to_complex();
-        let x = lu.solve_dense(&bc)?;
-        Ok(self.sys.l.to_complex().tr_mul_mat(&x))
     }
 
     /// Frequency sweep: one transfer matrix per frequency (`s = j·2πf`).

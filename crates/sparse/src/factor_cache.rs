@@ -3,21 +3,19 @@
 //! The paper's cost model (§4.2) revolves around a **one-time**
 //! factorization of the nominal conductance matrix `G0`: PRIMA's Krylov
 //! recurrence, the sensitivity SVDs of Algorithm 1 (forward *and*
-//! transpose solves), multi-point expansion's nominal sample and
-//! full-model evaluation all reuse those factors. Before this cache, each
-//! consumer factored `G0` for itself; [`FactorCache`] memoizes factors
-//! under caller-chosen keys so a whole pipeline shares one factorization
-//! per distinct matrix.
+//! transpose solves) and multi-point expansion's nominal sample all
+//! reuse those factors. [`FactorCache`] memoizes real factors under
+//! caller-chosen keys so a whole pipeline shares one factorization per
+//! distinct matrix.
 //!
 //! Keys are opaque to this crate: callers (see `pmor::ReductionContext`)
 //! derive them from whatever identifies the matrix in their domain — a
-//! parameter point, a complex frequency shift, a matrix role tag. Factors
-//! are handed out as [`Arc`]s, so held factors stay valid across later
-//! cache insertions and can be shared across worker threads.
+//! parameter point, a matrix role tag. Factors are handed out as
+//! [`Arc`]s, so held factors stay valid across later cache insertions
+//! and can be shared across worker threads.
 
-use crate::lu::{SparseLu, SymbolicLu};
+use crate::lu::SparseLu;
 use crate::Result;
-use pmor_num::Complex64;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -41,20 +39,11 @@ impl FactorKey {
 pub struct FactorCacheStats {
     /// Real factorizations actually performed (cache misses).
     pub real_factorizations: usize,
-    /// Complex factorizations actually performed (cache misses).
-    pub complex_factorizations: usize,
     /// Requests served from the cache without factoring.
     pub hits: usize,
 }
 
-impl FactorCacheStats {
-    /// Total factorizations performed (real + complex).
-    pub fn factorizations(&self) -> usize {
-        self.real_factorizations + self.complex_factorizations
-    }
-}
-
-/// A memoizing store of real and complex sparse LU factors.
+/// A memoizing store of real sparse LU factors.
 ///
 /// # Example
 ///
@@ -79,7 +68,6 @@ impl FactorCacheStats {
 #[derive(Debug, Clone, Default)]
 pub struct FactorCache {
     real: HashMap<FactorKey, Arc<SparseLu<f64>>>,
-    complex: HashMap<FactorKey, Arc<SparseLu<Complex64>>>,
     stats: FactorCacheStats,
 }
 
@@ -111,27 +99,6 @@ impl FactorCache {
         Ok(lu)
     }
 
-    /// Complex-valued counterpart of [`FactorCache::real`] (frequency
-    /// shifts `G + sC`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the error returned by `factor`.
-    pub fn complex(
-        &mut self,
-        key: FactorKey,
-        factor: impl FnOnce() -> Result<SparseLu<Complex64>>,
-    ) -> Result<Arc<SparseLu<Complex64>>> {
-        if let Some(lu) = self.complex.get(&key) {
-            self.stats.hits += 1;
-            return Ok(Arc::clone(lu));
-        }
-        let lu = Arc::new(factor()?);
-        self.stats.complex_factorizations += 1;
-        self.complex.insert(key, Arc::clone(&lu));
-        Ok(lu)
-    }
-
     /// Returns the real factors stored under `key` without factoring
     /// anything and **without touching the usage counters** — a
     /// read-only inspection hook for provenance reporting, where a
@@ -145,15 +112,8 @@ impl FactorCache {
     /// once, running the **missing** factorizations on up to `threads`
     /// scoped worker threads (`0` = available parallelism).
     ///
-    /// Jobs supply the assembled matrix, and the batch shares one
-    /// [`SymbolicLu`] analysis across all misses. When `symbolic` is
-    /// `None`, the first miss is factored with
-    /// [`SparseLu::factor_symbolic`] under `ordering` to seed the
-    /// analysis, and every later miss replays it via
-    /// [`SparseLu::refactor`]; pass the returned analysis back in on the
-    /// next batch to skip even that first analysis. `refactor` verifies
-    /// its replay and falls back to a full analysis, so every stored
-    /// factor is bitwise that of [`SparseLu::factor`] under `ordering`.
+    /// Jobs supply the assembled matrix, and every miss is factored by
+    /// [`SparseLu::factor`] under `ordering` on the workers.
     ///
     /// The returned factors line up with `jobs` order. On **success**,
     /// cache state and counters end up exactly as if the jobs had been
@@ -170,7 +130,7 @@ impl FactorCache {
     /// a serial request loop (which would stop at the failure), the
     /// whole batch was already dispatched: every *successful* sibling is
     /// kept in the cache and counted as a factorization — so a retry
-    /// after fixing the bad matrix only refactors that one — while hit
+    /// after fixing the bad matrix only factors that one — while hit
     /// accounting for the batch is skipped. Counters therefore match the
     /// serial path only on the success path; after an error they reflect
     /// the work actually performed.
@@ -179,8 +139,7 @@ impl FactorCache {
         jobs: Vec<(FactorKey, M)>,
         threads: usize,
         ordering: Option<&[usize]>,
-        symbolic: Option<Arc<SymbolicLu>>,
-    ) -> Result<(Vec<Arc<SparseLu<f64>>>, Option<Arc<SymbolicLu>>)>
+    ) -> Result<Vec<Arc<SparseLu<f64>>>>
     where
         M: FnOnce() -> crate::CsrMatrix<f64> + Send,
     {
@@ -192,54 +151,33 @@ impl FactorCache {
                 pending.push((key, assemble));
             }
         }
-        let mut sym = symbolic;
-        let mut produced: Vec<(FactorKey, Result<SparseLu<f64>>)> =
-            Vec::with_capacity(pending.len());
-        if sym.is_none() && !pending.is_empty() {
-            // Seed the analysis from the first miss; later misses replay it.
-            let (key, assemble) = pending.remove(0);
-            match SparseLu::factor_symbolic(&assemble(), ordering) {
-                Ok((lu, s)) => {
-                    sym = Some(Arc::new(s));
-                    produced.push((key, Ok(lu)));
-                }
-                Err(e) => produced.push((key, Err(e))),
-            }
-        }
         let workers = effective_threads(threads, pending.len());
-        {
-            let sym_ref = sym.as_deref();
-            let run = |a: &crate::CsrMatrix<f64>| match sym_ref {
-                Some(s) => SparseLu::refactor(a, s),
-                None => SparseLu::factor(a, ordering),
-            };
-            if workers <= 1 {
-                produced.extend(pending.into_iter().map(|(k, assemble)| {
-                    let lu = run(&assemble());
-                    (k, lu)
-                }));
-            } else {
-                let queue = Mutex::new(pending.into_iter().enumerate().collect::<Vec<_>>());
-                let done = Mutex::new(Vec::new());
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(|| loop {
-                            // pmor-lint: allow(panic-in-lib) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join"
-                            let Some((slot, (key, assemble))) = queue.lock().unwrap().pop() else {
-                                break;
-                            };
-                            let lu = run(&assemble());
-                            // pmor-lint: allow(panic-in-lib) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join"
-                            done.lock().unwrap().push((slot, key, lu));
-                        });
-                    }
-                });
-                // pmor-lint: allow(panic-in-lib) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join"
-                let mut out = done.into_inner().unwrap();
-                out.sort_by_key(|(slot, _, _)| *slot);
-                produced.extend(out.into_iter().map(|(_, k, lu)| (k, lu)));
-            }
-        }
+        let produced: Vec<(FactorKey, Result<SparseLu<f64>>)> = if workers <= 1 {
+            pending
+                .into_iter()
+                .map(|(k, assemble)| (k, SparseLu::factor(&assemble(), ordering)))
+                .collect()
+        } else {
+            let queue = Mutex::new(pending.into_iter().enumerate().collect::<Vec<_>>());
+            let done = Mutex::new(Vec::new());
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|| loop {
+                        // pmor-lint: allow(panic-in-lib) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join"
+                        let Some((slot, (key, assemble))) = queue.lock().unwrap().pop() else {
+                            break;
+                        };
+                        let lu = SparseLu::factor(&assemble(), ordering);
+                        // pmor-lint: allow(panic-in-lib) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join"
+                        done.lock().unwrap().push((slot, key, lu));
+                    });
+                }
+            });
+            // pmor-lint: allow(panic-in-lib) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join"
+            let mut out = done.into_inner().unwrap();
+            out.sort_by_key(|(slot, _, _)| *slot);
+            out.into_iter().map(|(_, k, lu)| (k, lu)).collect()
+        };
         // Insert in job order — cache state and counters are independent
         // of worker scheduling — and surface the earliest failure.
         let mut first_err = None;
@@ -267,7 +205,7 @@ impl FactorCache {
             // pmor-lint: allow(panic-in-lib) reason="every key is either a prior hit or was inserted from `pending` above; factorization failures already returned Err"
             .map(|k| Arc::clone(self.real.get(k).expect("all keys resolved")))
             .collect();
-        Ok((out, sym))
+        Ok(out)
     }
 
     /// Usage counters (misses are factorizations, hits are reuses).
@@ -275,21 +213,10 @@ impl FactorCache {
         self.stats
     }
 
-    /// Number of distinct factors currently held.
-    pub fn len(&self) -> usize {
-        self.real.len() + self.complex.len()
-    }
-
-    /// Whether the cache holds no factors.
-    pub fn is_empty(&self) -> bool {
-        self.real.is_empty() && self.complex.is_empty()
-    }
-
     /// Drops every stored factor. Counters are preserved: they describe
     /// lifetime usage, not current contents.
     pub fn clear(&mut self) {
         self.real.clear();
-        self.complex.clear();
     }
 }
 
@@ -327,7 +254,6 @@ mod tests {
         assert!(Arc::ptr_eq(&lu1, &lu2));
         assert_eq!(cache.stats().real_factorizations, 1);
         assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -346,22 +272,6 @@ mod tests {
         // Each key solves its own system.
         assert!((lu_a.solve(&[2.0, 4.0]).unwrap()[0] - 1.0).abs() < 1e-15);
         assert!((lu_b.solve(&[2.0, 4.0]).unwrap()[0] - 2.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn real_and_complex_caches_are_separate() {
-        let a = diag(&[3.0]);
-        let ac = a.map(|v| Complex64::new(v, 1.0));
-        let mut cache = FactorCache::new();
-        let key = FactorKey::tagged(7, &[]);
-        cache
-            .real(key.clone(), || SparseLu::factor(&a, None))
-            .unwrap();
-        cache.complex(key, || SparseLu::factor(&ac, None)).unwrap();
-        assert_eq!(cache.stats().real_factorizations, 1);
-        assert_eq!(cache.stats().complex_factorizations, 1);
-        assert_eq!(cache.stats().factorizations(), 2);
-        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -400,58 +310,36 @@ mod tests {
         (FactorKey::tagged(0, &[x]), Box::new(move || a))
     }
 
-    #[test]
-    fn parallel_batch_matches_serial_cache_state() {
-        // Same matrices through real_parallel (4 workers) and a serial
-        // request loop must leave identical counters and identical factors.
-        let mats: Vec<CsrMatrix<f64>> = (0..6)
-            .map(|i| diag(&[1.0 + i as f64, 2.0 + i as f64]))
-            .collect();
-        let mut par = FactorCache::new();
-        let jobs: Vec<_> = mats
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                let m = m.clone();
-                (FactorKey::tagged(3, &[i as f64]), move || m)
-            })
-            .collect();
-        let (got_par, _) = par.real_parallel(jobs, 4, None, None).unwrap();
-        let mut ser = FactorCache::new();
-        let got_ser: Vec<_> = mats
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                ser.real(FactorKey::tagged(3, &[i as f64]), || {
-                    SparseLu::factor(m, None)
-                })
-                .unwrap()
-            })
-            .collect();
-        assert_eq!(par.stats(), ser.stats());
-        assert_eq!(par.stats().real_factorizations, 6);
-        for (a, b) in got_par.iter().zip(&got_ser) {
-            let x = a.solve(&[1.0, 2.0]).unwrap();
-            let y = b.solve(&[1.0, 2.0]).unwrap();
-            assert_eq!(x[0].to_bits(), y[0].to_bits());
-            assert_eq!(x[1].to_bits(), y[1].to_bits());
+    /// Asserts that two factorizations solve bit for bit alike, forward
+    /// and transposed.
+    fn assert_solves_bitwise_equal(a: &SparseLu<f64>, b: &SparseLu<f64>, what: &str) {
+        let rhs: Vec<f64> = (0..a.dim()).map(|i| (i as f64).sin() + 0.5).collect();
+        let pairs = [
+            (a.solve(&rhs).unwrap(), b.solve(&rhs).unwrap()),
+            (
+                a.solve_transpose(&rhs).unwrap(),
+                b.solve_transpose(&rhs).unwrap(),
+            ),
+        ];
+        for (x, y) in &pairs {
+            for (u, v) in x.iter().zip(y) {
+                assert_eq!(u.to_bits(), v.to_bits(), "{what}");
+            }
         }
     }
 
     #[test]
-    fn reusing_batch_matches_plain_parallel_bitwise_across_thread_counts() {
-        // The batch replays one symbolic analysis across every miss; at
-        // any thread count its factors must solve bit for bit like plain
-        // from-scratch `SparseLu::factor`s requested serially, with
-        // identical counters.
+    fn parallel_batch_matches_serial_cache_state() {
+        // Same matrices through real_parallel and a serial request loop
+        // must leave identical counters and bitwise-identical factors at
+        // any thread count, and a second batch must only hit.
         let n = 40;
-        let shifts = [0.0, 0.5, 1.0, 1.5];
-        let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
+        let shifts = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5];
         let mut ser = FactorCache::new();
         let got_ser: Vec<_> = shifts
             .iter()
             .map(|&s| {
-                ser.real(FactorKey::tagged(1, &[s]), || {
+                ser.real(FactorKey::tagged(3, &[s]), || {
                     SparseLu::factor(&trid(n, s), None)
                 })
                 .unwrap()
@@ -461,30 +349,19 @@ mod tests {
             let jobs = || -> Vec<_> {
                 shifts
                     .iter()
-                    .map(|&s| (FactorKey::tagged(1, &[s]), move || trid(n, s)))
+                    .map(|&s| (FactorKey::tagged(3, &[s]), move || trid(n, s)))
                     .collect()
             };
             let mut par = FactorCache::new();
-            let (got, sym) = par.real_parallel(jobs(), threads, None, None).unwrap();
-            let sym = sym.expect("analysis seeded from the first miss");
-            assert_eq!(sym.dim(), n);
+            let got = par.real_parallel(jobs(), threads, None).unwrap();
             assert_eq!(par.stats(), ser.stats(), "{threads} threads");
             assert_eq!(par.stats().real_factorizations, shifts.len());
-            for (p, r) in got_ser.iter().zip(&got) {
-                let xp = p.solve(&b).unwrap();
-                let xr = r.solve(&b).unwrap();
-                for (u, v) in xp.iter().zip(&xr) {
-                    assert_eq!(u.to_bits(), v.to_bits(), "{threads} threads");
-                }
+            for (a, b) in got.iter().zip(&got_ser) {
+                assert_solves_bitwise_equal(a, b, &format!("{threads} threads"));
             }
-            // A second batch with the returned analysis: all hits, and the
-            // analysis survives untouched.
-            let (again, sym2) = par
-                .real_parallel(jobs(), threads, None, Some(Arc::clone(&sym)))
-                .unwrap();
+            let again = par.real_parallel(jobs(), threads, None).unwrap();
             assert_eq!(par.stats().real_factorizations, shifts.len());
             assert_eq!(par.stats().hits, shifts.len());
-            assert!(Arc::ptr_eq(&sym, sym2.as_ref().unwrap()));
             for (a, b) in got.iter().zip(&again) {
                 assert!(Arc::ptr_eq(a, b));
             }
@@ -501,13 +378,12 @@ mod tests {
         // One pre-cached key, one fresh key requested twice.
         let b = diag(&[1.0, 8.0]);
         let jobs = vec![job(0.0, a), job(1.0, b.clone()), job(1.0, b)];
-        let (got, _) = cache.real_parallel(jobs, 0, None, None).unwrap();
+        let got = cache.real_parallel(jobs, 0, None).unwrap();
         assert_eq!(got.len(), 3);
         assert!(Arc::ptr_eq(&got[1], &got[2]));
         // Serial equivalent: 1 old miss + 1 new miss, 2 hits.
         assert_eq!(cache.stats().real_factorizations, 2);
         assert_eq!(cache.stats().hits, 2);
-        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -517,50 +393,44 @@ mod tests {
         let empty_col1 = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 0, 1.0)]);
         let empty_col0 = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 1, 1.0)]);
         let ok = diag(&[1.0, 1.0]);
-        let mut cache = FactorCache::new();
-        let jobs = vec![
-            job(0.0, ok.clone()),
-            job(1.0, empty_col1.clone()),
-            job(2.0, empty_col0.clone()),
-        ];
-        let err = cache.real_parallel(jobs, 2, None, None).unwrap_err();
-        assert!(matches!(err, crate::SparseError::EmptyColumn(1)), "{err}");
-        // The good factor was kept (serial retry semantics), the bad keys
-        // stay free.
-        assert_eq!(cache.stats().real_factorizations, 1);
-        assert_eq!(cache.len(), 1);
-        // A failing first miss seeds no analysis: the later misses are
-        // factored from scratch, and the good one is still kept.
-        let mut cache = FactorCache::new();
-        let jobs = vec![job(0.0, empty_col0), job(1.0, ok)];
-        let err = cache.real_parallel(jobs, 2, None, None).unwrap_err();
-        assert!(matches!(err, crate::SparseError::EmptyColumn(0)), "{err}");
-        assert_eq!(cache.stats().real_factorizations, 1);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn reusing_batch_surfaces_failure_and_keeps_good_factors() {
-        // First job seeds the analysis, second is structurally singular.
-        let mut cache = FactorCache::new();
-        let jobs = vec![
-            job(0.0, trid(6, 0.0)),
-            job(1.0, CsrMatrix::from_triplets(6, 6, &[(0, 0, 1.0)])),
-        ];
-        assert!(cache.real_parallel(jobs, 2, None, None).is_err());
-        assert_eq!(cache.stats().real_factorizations, 1);
-        assert_eq!(cache.len(), 1);
+        let key = |x: f64| FactorKey::tagged(0, &[x]);
+        for threads in [1usize, 0, 4] {
+            let mut cache = FactorCache::new();
+            let jobs = vec![
+                job(0.0, ok.clone()),
+                job(1.0, empty_col1.clone()),
+                job(2.0, empty_col0.clone()),
+            ];
+            let err = cache.real_parallel(jobs, threads, None).unwrap_err();
+            assert!(matches!(err, crate::SparseError::EmptyColumn(1)), "{err}");
+            // The good factor was kept (serial retry semantics), the bad
+            // keys stay free.
+            assert_eq!(cache.stats().real_factorizations, 1);
+            let kept = cache.peek_real(&key(0.0)).expect("good factor kept");
+            assert_solves_bitwise_equal(&kept, &SparseLu::factor(&ok, None).unwrap(), "kept");
+            assert!(cache.peek_real(&key(1.0)).is_none());
+            assert!(cache.peek_real(&key(2.0)).is_none());
+            // A failing first job keeps a later good one too.
+            let mut cache = FactorCache::new();
+            let jobs = vec![job(0.0, empty_col0.clone()), job(1.0, trid(6, 0.0))];
+            let err = cache.real_parallel(jobs, threads, None).unwrap_err();
+            assert!(matches!(err, crate::SparseError::EmptyColumn(0)), "{err}");
+            assert_eq!(cache.stats().real_factorizations, 1);
+            assert!(cache.peek_real(&key(0.0)).is_none());
+            assert!(cache.peek_real(&key(1.0)).is_some());
+        }
     }
 
     #[test]
     fn clear_preserves_lifetime_counters() {
         let a = diag(&[1.0]);
         let mut cache = FactorCache::new();
+        let key = FactorKey::tagged(0, &[]);
         cache
-            .real(FactorKey::tagged(0, &[]), || SparseLu::factor(&a, None))
+            .real(key.clone(), || SparseLu::factor(&a, None))
             .unwrap();
         cache.clear();
-        assert!(cache.is_empty());
+        assert!(cache.peek_real(&key).is_none());
         assert_eq!(cache.stats().real_factorizations, 1);
     }
 }

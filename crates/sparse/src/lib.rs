@@ -46,7 +46,7 @@ pub use coo::CooBuilder;
 pub use csr::CsrMatrix;
 pub use factor_cache::{FactorCache, FactorCacheStats, FactorKey};
 pub use linop::LinearOperator;
-pub use lu::{SparseLu, SymbolicLu};
+pub use lu::SparseLu;
 pub use ordering::OrderingChoice;
 
 use std::fmt;

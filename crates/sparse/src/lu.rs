@@ -36,32 +36,14 @@
 //!
 //! The search reads pruned rows from a side list. The stored `L` columns
 //! stay sorted by row: `solve_transpose` and `solve_transpose_block` sum
-//! each `L` column in storage order, and `refactor` builds its columns
-//! sorted, so that order is part of the factor's bits.
-//!
-//! # Symbolic reuse
-//!
-//! Factorization splits into a value-independent **symbolic** phase (the
-//! per-column reach sets found by depth-first search, the fill pattern and
-//! the pivot assignment) and a **numeric** phase (the sparse triangular
-//! solves). Multi-shift pipelines factor many matrices `G0 + sᵢ·C0` sharing
-//! one sparsity pattern; [`SparseLu::factor_symbolic`] records the symbolic
-//! byproducts of one factorization as a [`SymbolicLu`], and
-//! [`SparseLu::refactor`] replays them on the next same-pattern matrix,
-//! skipping the DFS entirely and pre-sizing every column from the recorded
-//! fill. The replay *verifies* as it goes — if threshold pivoting or exact
-//! numeric cancellation would deviate from the recorded run, it falls back
-//! to a from-scratch factorization — so `refactor` is **bitwise identical**
-//! to [`SparseLu::factor`] on every input, just faster on the common path.
-//! With the pruned search that gain is small: on the AMD-ordered 128×128
-//! mesh, `refactor` takes 1/1.2–1/1.3 of `factor`'s time, for `G0` and for
-//! `G0 + σ·C0` at σ = 10⁸…10¹¹.
+//! each `L` column in storage order, so that order is part of the factor's
+//! bits.
 //!
 //! # Storage and block solves
 //!
 //! Each column of `L` and `U` is one vector of `(index, value)` entries,
 //! sized exactly: a factorization counts a column's entries before it
-//! gathers them, and a replay takes the counts from the recorded fill.
+//! gathers them.
 //! (One packed array per factor was measured too. Its large short-lived
 //! allocations raised peak memory under glibc's dynamic mmap threshold,
 //! for no measurable end-to-end speed.)
@@ -111,60 +93,6 @@ pub struct SparseLu<T = f64> {
 
 const UNASSIGNED: usize = usize::MAX;
 
-/// The value-independent byproducts of one [`SparseLu::factor_symbolic`]
-/// run: the analyzed sparsity pattern, the column ordering, the per-column
-/// reach sets (elimination order of the triangular solves), the pivot
-/// assignment and the fill pattern of `L`.
-///
-/// A `SymbolicLu` is scalar-type-free: recorded from a real factorization
-/// it can drive complex refactorizations of the same pattern and vice
-/// versa. [`SparseLu::refactor`] consumes it.
-#[derive(Debug, Clone)]
-pub struct SymbolicLu {
-    n: usize,
-    q: Vec<usize>,
-    /// CSR pattern of the analyzed matrix (row pointers + column indices).
-    pat_row_ptr: Vec<usize>,
-    pat_col_idx: Vec<usize>,
-    /// Flattened per-step reach sets, in the DFS post-order the numeric
-    /// phase consumes.
-    topo_ptr: Vec<usize>,
-    topo_rows: Vec<usize>,
-    /// Pivot row (original index) assigned at each step.
-    pivot_rows: Vec<usize>,
-    /// Flattened per-step `L`-column row patterns (sorted, as stored).
-    l_ptr: Vec<usize>,
-    l_rows: Vec<usize>,
-    /// Per-step `U`-column lengths, for workspace pre-sizing.
-    u_len: Vec<usize>,
-}
-
-impl SymbolicLu {
-    /// Dimension of the analyzed matrix.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// The column ordering the analysis (and every replay) eliminates in.
-    pub fn column_order(&self) -> &[usize] {
-        &self.q
-    }
-
-    /// Recorded nonzeros of `L + U` — what a faithful replay will fill.
-    pub fn factor_nnz(&self) -> usize {
-        self.l_rows.len() + self.u_len.iter().sum::<usize>() + self.n
-    }
-
-    /// Whether `a` has exactly the sparsity structure this analysis was
-    /// recorded from (the precondition for replaying it).
-    pub fn matches_pattern<T: Scalar>(&self, a: &CsrMatrix<T>) -> bool {
-        a.nrows() == self.n
-            && a.ncols() == self.n
-            && a.row_ptr() == self.pat_row_ptr.as_slice()
-            && a.col_indices() == self.pat_col_idx.as_slice()
-    }
-}
-
 impl<T: Scalar> SparseLu<T> {
     /// Factors a square sparse matrix with threshold partial pivoting.
     ///
@@ -179,64 +107,6 @@ impl<T: Scalar> SparseLu<T> {
     /// usable pivot, and [`SparseError::DimensionMismatch`] for non-square
     /// matrices or a malformed ordering.
     pub fn factor(a: &CsrMatrix<T>, col_order: Option<&[usize]>) -> Result<Self> {
-        Ok(Self::factor_inner(a, col_order, false)?.0)
-    }
-
-    /// [`SparseLu::factor`] additionally recording the symbolic analysis
-    /// (reach sets, fill pattern, pivot assignment) for reuse by
-    /// [`SparseLu::refactor`] on later matrices with the same pattern.
-    /// The returned factors are bitwise identical to `factor`'s.
-    ///
-    /// # Errors
-    ///
-    /// As [`SparseLu::factor`].
-    pub fn factor_symbolic(
-        a: &CsrMatrix<T>,
-        col_order: Option<&[usize]>,
-    ) -> Result<(Self, SymbolicLu)> {
-        let (lu, sym) = Self::factor_inner(a, col_order, true)?;
-        // pmor-lint: allow(panic-in-lib) reason="`factor_inner` always records the symbolic analysis when its third argument is true"
-        Ok((lu, sym.expect("recording was requested")))
-    }
-
-    /// Numerically refactors `a` under a previously recorded symbolic
-    /// analysis: the per-column DFS is skipped and every column workspace
-    /// is pre-sized from the recorded fill. The replay verifies its
-    /// assumptions column by column (same pattern, same pivot choices,
-    /// same exact-zero cancellations) and **falls back to a from-scratch
-    /// factorization** when any deviate, so the result is bitwise
-    /// identical to `SparseLu::factor(a, Some(symbolic.column_order()))`
-    /// on every input.
-    ///
-    /// # Errors
-    ///
-    /// As [`SparseLu::factor`], plus [`SparseError::DimensionMismatch`]
-    /// when `a`'s dimension differs from the analyzed matrix's.
-    pub fn refactor(a: &CsrMatrix<T>, symbolic: &SymbolicLu) -> Result<Self> {
-        if a.nrows() != symbolic.n || a.ncols() != symbolic.n {
-            return Err(SparseError::DimensionMismatch {
-                context: "SparseLu::refactor (dimension differs from analysis)",
-                expected: symbolic.n,
-                actual: if a.nrows() != symbolic.n {
-                    a.nrows()
-                } else {
-                    a.ncols()
-                },
-            });
-        }
-        if symbolic.matches_pattern(a) {
-            if let Some(lu) = Self::refactor_attempt(a, symbolic)? {
-                return Ok(lu);
-            }
-        }
-        Self::factor(a, Some(&symbolic.q))
-    }
-
-    fn factor_inner(
-        a: &CsrMatrix<T>,
-        col_order: Option<&[usize]>,
-        record: bool,
-    ) -> Result<(Self, Option<SymbolicLu>)> {
         let n = a.nrows();
         if a.ncols() != n {
             return Err(SparseError::DimensionMismatch {
@@ -272,19 +142,6 @@ impl<T: Scalar> SparseLu<T> {
 
         // Column-major copy of A for fast column access.
         let acsc = a.transposed(); // rows of acsc are columns of a
-
-        let mut rec = record.then(|| SymbolicLu {
-            n,
-            q: q.clone(),
-            pat_row_ptr: a.row_ptr().to_vec(),
-            pat_col_idx: a.col_indices().to_vec(),
-            topo_ptr: vec![0],
-            topo_rows: Vec::new(),
-            pivot_rows: Vec::with_capacity(n),
-            l_ptr: vec![0],
-            l_rows: Vec::new(),
-            u_len: Vec::with_capacity(n),
-        });
 
         let mut l_cols: Vec<Vec<(usize, T)>> = Vec::with_capacity(n);
         let mut u_cols: Vec<Vec<(usize, T)>> = Vec::with_capacity(n);
@@ -430,15 +287,6 @@ impl<T: Scalar> SparseLu<T> {
             ucol.sort_unstable_by_key(|&(kp, _)| kp);
             lcol.sort_unstable_by_key(|&(i, _)| i);
 
-            if let Some(rec) = rec.as_mut() {
-                rec.topo_rows.extend_from_slice(&topo);
-                rec.topo_ptr.push(rec.topo_rows.len());
-                rec.pivot_rows.push(piv_row);
-                rec.l_rows.extend(lcol.iter().map(|&(i, _)| i));
-                rec.l_ptr.push(rec.l_rows.len());
-                rec.u_len.push(ucol.len());
-            }
-
             pinv[piv_row] = k;
             row_of_pos[k] = piv_row;
 
@@ -472,139 +320,15 @@ impl<T: Scalar> SparseLu<T> {
             u_diag.push(pivot);
         }
 
-        Ok((
-            SparseLu {
-                n,
-                l_cols,
-                u_cols,
-                u_diag,
-                pinv,
-                row_of_pos,
-                q,
-            },
-            rec,
-        ))
-    }
-
-    /// Replays a recorded symbolic analysis on `a` (which already passed
-    /// the pattern check). Returns `Ok(None)` when the replay detects a
-    /// deviation from the recorded run — a different pivot choice or a
-    /// different exact-cancellation pattern — in which case the caller
-    /// falls back to a from-scratch factorization.
-    fn refactor_attempt(a: &CsrMatrix<T>, sym: &SymbolicLu) -> Result<Option<Self>> {
-        let n = sym.n;
-        let acsc = a.transposed();
-
-        let mut l_cols: Vec<Vec<(usize, T)>> = Vec::with_capacity(n);
-        let mut u_cols: Vec<Vec<(usize, T)>> = Vec::with_capacity(n);
-        let mut u_diag: Vec<T> = Vec::with_capacity(n);
-        let mut pinv = vec![UNASSIGNED; n];
-        let mut row_of_pos = vec![UNASSIGNED; n];
-        let mut x = vec![T::ZERO; n];
-
-        for k in 0..n {
-            let col = sym.q[k];
-            let (b_rows, b_vals) = acsc.row(col);
-            if b_rows.is_empty() {
-                return Err(SparseError::EmptyColumn(col));
-            }
-            // Recorded reach set replaces the DFS.
-            let topo = &sym.topo_rows[sym.topo_ptr[k]..sym.topo_ptr[k + 1]];
-
-            // --- Numeric: identical operations in identical order to
-            // `factor_inner`, so results are bitwise equal.
-            for &i in topo {
-                x[i] = T::ZERO;
-            }
-            for (&i, &v) in b_rows.iter().zip(b_vals.iter()) {
-                x[i] = v;
-            }
-            for idx in (0..topo.len()).rev() {
-                let i = topo[idx];
-                let kp = pinv[i];
-                if kp == UNASSIGNED {
-                    continue;
-                }
-                let xi = x[i];
-                if xi == T::ZERO {
-                    continue;
-                }
-                for &(r, lv) in &l_cols[kp] {
-                    x[r] -= lv * xi;
-                }
-            }
-
-            // --- Pivot selection, verified against the recorded choice.
-            let mut best_row = UNASSIGNED;
-            let mut best_mag = 0.0f64;
-            let mut diag_row = UNASSIGNED;
-            for &i in topo {
-                if pinv[i] == UNASSIGNED {
-                    let m = x[i].modulus();
-                    if m > best_mag {
-                        best_mag = m;
-                        best_row = i;
-                    }
-                    if i == col {
-                        diag_row = i;
-                    }
-                }
-            }
-            if best_row == UNASSIGNED || best_mag == 0.0 {
-                return Err(SparseError::Singular(col));
-            }
-            let piv_row =
-                if diag_row != UNASSIGNED && x[diag_row].modulus() >= PIVOT_THRESHOLD * best_mag {
-                    diag_row
-                } else {
-                    best_row
-                };
-            if piv_row != sym.pivot_rows[k] {
-                return Ok(None); // threshold pivoting deviated — replay invalid
-            }
-            let pivot = x[piv_row];
-
-            // --- Gather, pre-sized from the recorded fill.
-            let l_pat = &sym.l_rows[sym.l_ptr[k]..sym.l_ptr[k + 1]];
-            let mut lcol: Vec<(usize, T)> = Vec::with_capacity(l_pat.len());
-            let mut ucol: Vec<(usize, T)> = Vec::with_capacity(sym.u_len[k]);
-            let pivot_inv = pivot.recip();
-            for &i in topo {
-                let v = x[i];
-                if v == T::ZERO || i == piv_row {
-                    continue;
-                }
-                let kp = pinv[i];
-                if kp == UNASSIGNED {
-                    lcol.push((i, v * pivot_inv));
-                } else {
-                    ucol.push((kp, v));
-                }
-            }
-            ucol.sort_unstable_by_key(|&(kp, _)| kp);
-            lcol.sort_unstable_by_key(|&(i, _)| i);
-            // The downstream DFS reach depends on L's pattern; verify it
-            // matches the record (exact cancellation can shrink it).
-            if lcol.len() != l_pat.len() || lcol.iter().zip(l_pat).any(|(&(i, _), &r)| i != r) {
-                return Ok(None);
-            }
-
-            pinv[piv_row] = k;
-            row_of_pos[k] = piv_row;
-            l_cols.push(lcol);
-            u_cols.push(ucol);
-            u_diag.push(pivot);
-        }
-
-        Ok(Some(SparseLu {
+        Ok(SparseLu {
             n,
             l_cols,
             u_cols,
             u_diag,
             pinv,
             row_of_pos,
-            q: sym.q.clone(),
-        }))
+            q,
+        })
     }
 
     /// Dimension of the factored matrix.
@@ -1050,137 +774,6 @@ mod tests {
         let a = CsrMatrix::<f64>::identity(3);
         assert!(SparseLu::factor(&a, Some(&[0, 0, 1])).is_err());
         assert!(SparseLu::factor(&a, Some(&[0, 1])).is_err());
-    }
-
-    /// Bitwise comparison of two factorizations, field by field.
-    fn assert_factors_bitwise_equal(a: &SparseLu<f64>, b: &SparseLu<f64>, what: &str) {
-        assert_eq!(a.n, b.n, "{what}: dim");
-        assert_eq!(a.pinv, b.pinv, "{what}: row permutation");
-        assert_eq!(a.row_of_pos, b.row_of_pos, "{what}: row_of_pos");
-        assert_eq!(a.q, b.q, "{what}: column order");
-        for k in 0..a.n {
-            assert_eq!(a.l_cols[k].len(), b.l_cols[k].len(), "{what}: L col {k}");
-            for (&(ri, rv), &(si, sv)) in a.l_cols[k].iter().zip(&b.l_cols[k]) {
-                assert_eq!(ri, si, "{what}: L row in col {k}");
-                assert_eq!(rv.to_bits(), sv.to_bits(), "{what}: L value in col {k}");
-            }
-            assert_eq!(a.u_cols[k].len(), b.u_cols[k].len(), "{what}: U col {k}");
-            for (&(rp, rv), &(sp, sv)) in a.u_cols[k].iter().zip(&b.u_cols[k]) {
-                assert_eq!(rp, sp, "{what}: U pos in col {k}");
-                assert_eq!(rv.to_bits(), sv.to_bits(), "{what}: U value in col {k}");
-            }
-            assert_eq!(
-                a.u_diag[k].to_bits(),
-                b.u_diag[k].to_bits(),
-                "{what}: pivot {k}"
-            );
-        }
-    }
-
-    /// Same-pattern "shifted" family: values perturbed, structure fixed.
-    fn shifted_family(n: usize, seed: u64, shifts: &[f64]) -> Vec<CsrMatrix<f64>> {
-        let base = random_spd_like(n, seed);
-        shifts
-            .iter()
-            .map(|&s| base.map(|v| v * (1.0 + 0.07 * s) + 0.01 * s * v.signum()))
-            .collect()
-    }
-
-    #[test]
-    fn refactor_is_bitwise_identical_to_factor_across_shifts() {
-        let n = 120;
-        let mats = shifted_family(n, 42, &[0.0, 0.5, 1.3, -0.7]);
-        let order: Vec<usize> = crate::ordering::rcm(&mats[0]);
-        let (first, sym) = SparseLu::factor_symbolic(&mats[0], Some(&order)).unwrap();
-        let first_scratch = SparseLu::factor(&mats[0], Some(&order)).unwrap();
-        assert_factors_bitwise_equal(&first, &first_scratch, "recording run");
-        assert_eq!(sym.factor_nnz(), first.factor_nnz());
-        assert_eq!(sym.dim(), n);
-        assert_eq!(sym.column_order(), order.as_slice());
-        for (i, a) in mats.iter().enumerate().skip(1) {
-            let via_reuse = SparseLu::refactor(a, &sym).unwrap();
-            let scratch = SparseLu::factor(a, Some(&order)).unwrap();
-            assert_factors_bitwise_equal(&via_reuse, &scratch, &format!("shift {i}"));
-            let b: Vec<f64> = (0..n).map(|j| ((j * 5) as f64).sin()).collect();
-            let xr = via_reuse.solve(&b).unwrap();
-            let xs = scratch.solve(&b).unwrap();
-            for (u, v) in xr.iter().zip(&xs) {
-                assert_eq!(u.to_bits(), v.to_bits(), "shift {i}: solve");
-            }
-            let tr = via_reuse.solve_transpose(&b).unwrap();
-            let ts = scratch.solve_transpose(&b).unwrap();
-            for (u, v) in tr.iter().zip(&ts) {
-                assert_eq!(u.to_bits(), v.to_bits(), "shift {i}: transpose solve");
-            }
-        }
-    }
-
-    #[test]
-    fn refactor_falls_back_when_pivoting_deviates() {
-        // Recorded run keeps the diagonal pivot (passes the 0.1 threshold);
-        // the replayed matrix's diagonal is too small, forcing row pivoting.
-        let a1 =
-            CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (0, 1, 1.0), (1, 0, 5.0), (1, 1, 2.0)]);
-        let a2 = CsrMatrix::from_triplets(
-            2,
-            2,
-            &[(0, 0, 0.05), (0, 1, 1.0), (1, 0, 10.0), (1, 1, 2.0)],
-        );
-        let (_, sym) = SparseLu::factor_symbolic(&a1, None).unwrap();
-        let via_reuse = SparseLu::refactor(&a2, &sym).unwrap();
-        let scratch = SparseLu::factor(&a2, None).unwrap();
-        assert_factors_bitwise_equal(&via_reuse, &scratch, "pivot deviation fallback");
-        assert_eq!(
-            via_reuse.row_of_position()[0],
-            1,
-            "off-diagonal pivot taken"
-        );
-    }
-
-    #[test]
-    fn refactor_falls_back_on_different_pattern() {
-        let a1 = random_spd_like(50, 9);
-        let mut tri: Vec<(usize, usize, f64)> = a1.iter().collect();
-        tri.push((0, 49, 0.25));
-        let a2 = CsrMatrix::from_triplets(50, 50, &tri);
-        let (_, sym) = SparseLu::factor_symbolic(&a1, None).unwrap();
-        assert!(!sym.matches_pattern(&a2));
-        let via_reuse = SparseLu::refactor(&a2, &sym).unwrap();
-        let scratch = SparseLu::factor(&a2, Some(sym.column_order())).unwrap();
-        assert_factors_bitwise_equal(&via_reuse, &scratch, "pattern fallback");
-    }
-
-    #[test]
-    fn real_symbolic_drives_complex_refactor() {
-        let n = 60;
-        let g = random_spd_like(n, 21);
-        let (_, sym) = SparseLu::factor_symbolic(&g, None).unwrap();
-        let a = g.map(|v| Complex64::new(v, 0.2 * v));
-        assert!(sym.matches_pattern(&a), "map() preserves the pattern");
-        let lu = SparseLu::refactor(&a, &sym).unwrap();
-        let b: Vec<Complex64> = (0..n)
-            .map(|i| Complex64::new((i as f64).cos(), 0.5))
-            .collect();
-        let x = lu.solve(&b).unwrap();
-        let r = vecops::sub(&a.mul_vec(&x), &b);
-        assert!(vecops::norm2(&r) < 1e-9);
-        let scratch = SparseLu::factor(&a, Some(sym.column_order())).unwrap();
-        let xs = scratch.solve(&b).unwrap();
-        for (u, v) in x.iter().zip(&xs) {
-            assert_eq!(u.re.to_bits(), v.re.to_bits());
-            assert_eq!(u.im.to_bits(), v.im.to_bits());
-        }
-    }
-
-    #[test]
-    fn refactor_rejects_dimension_mismatch() {
-        let a = random_spd_like(30, 3);
-        let (_, sym) = SparseLu::factor_symbolic(&a, None).unwrap();
-        let smaller = random_spd_like(20, 3);
-        assert!(matches!(
-            SparseLu::refactor(&smaller, &sym),
-            Err(SparseError::DimensionMismatch { .. })
-        ));
     }
 
     #[test]
