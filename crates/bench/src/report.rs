@@ -1,7 +1,7 @@
 //! Machine-readable experiment records.
 //!
-//! Every figure/table binary emits, next to its human-oriented CSV/ASCII
-//! stdout, a `BENCH_<tag>.json` file in the working directory so the
+//! `pmor run` and `pmor bench` emit, next to their human-oriented
+//! stdout, a `BENCH_<tag>.json` file in their output directory so the
 //! performance and accuracy trajectory of the workspace can be tracked
 //! across changes without parsing log text. The format is deliberately
 //! flat: one record per (method × workload) with wall-clock seconds and a
@@ -58,17 +58,8 @@ impl BenchRecord {
     }
 }
 
-/// Serializes `records` to `BENCH_<tag>.json` in the current directory
-/// and returns the path written.
-///
-/// # Errors
-///
-/// Propagates file-creation and write failures.
-pub fn write_bench_json(tag: &str, records: &[BenchRecord]) -> std::io::Result<PathBuf> {
-    write_bench_json_in(std::path::Path::new("."), tag, records)
-}
-
-/// [`write_bench_json`] into an explicit directory.
+/// Serializes `records` to `BENCH_<tag>.json` in `dir` and returns the
+/// path written.
 ///
 /// # Errors
 ///
@@ -142,7 +133,7 @@ pub const FILL_METRICS: [&str; 2] = ["factor_nnz", "fill_ratio"];
 pub const ADAPTIVE_METRICS: [&str; 3] = ["estimated_error", "final_order", "expansion_points_used"];
 
 /// Checks that `text` is a `BENCH_*.json` file produced by
-/// [`write_bench_json`]: it must parse as JSON, carry a file-level
+/// [`write_bench_json_in`]: it must parse as JSON, carry a file-level
 /// `tag`, and hold at least one record, each with a string `method` and
 /// `workload`, a numeric `wall_seconds`, and a `metrics` object of
 /// numbers that includes the [`REQUIRED_METRICS`] (`median_seconds`,
@@ -211,15 +202,19 @@ pub fn validate_bench_json(text: &str) -> Result<(), String> {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/temp_dir.rs"]
+mod temp_dir;
+
+#[cfg(test)]
 mod tests {
+    use super::temp_dir::TempDir;
     use super::*;
 
     #[test]
     fn json_escaping_and_numbers() {
         // Names are escaped and non-finite numbers written as null, and
         // the result still validates.
-        let dir = std::env::temp_dir().join("pmor_bench_escape_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("bench_escape_test");
         let rec = BenchRecord::new("a\"b\\c\n", "w", f64::NAN)
             .metric("median_seconds", 1.5)
             .metric("dim", 3.0)
@@ -236,8 +231,7 @@ mod tests {
         let good = vec![BenchRecord::new("lowrank", "rc_mesh(1089)", 0.5)
             .metric("median_seconds", 0.5)
             .metric("dim", 1089.0)];
-        let dir = std::env::temp_dir().join("pmor_bench_validate_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("bench_validate_test");
         let path = write_bench_json_in(&dir, "v", &good).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         validate_bench_json(&text).unwrap();
@@ -326,8 +320,7 @@ mod tests {
 
     #[test]
     fn writes_wellformed_file() {
-        let dir = std::env::temp_dir().join("pmor_bench_json_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("bench_json_test");
         let records = vec![
             BenchRecord::new("lowrank", "rc_random(767)", 0.25)
                 .metric("size", 37.0)

@@ -141,7 +141,12 @@ impl RomCache {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/temp_dir.rs"]
+mod temp_dir;
+
+#[cfg(test)]
 mod tests {
+    use super::temp_dir::TempDir;
     use super::*;
     use pmor::{reducer_by_name, ReducerTuning};
     use pmor_circuits::generators::{clock_tree, ClockTreeConfig};
@@ -223,10 +228,8 @@ mod tests {
         // function): two runs identical except for one `[reduce]` tuning
         // knob — including the adaptive tolerance — must hit distinct
         // files and never serve each other's models.
-        let dir =
-            std::env::temp_dir().join(format!("pmor_rom_cache_collision_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = RomCache::new(&dir);
+        let dir = TempDir::new("rom_cache_collision");
+        let cache = RomCache::new(&*dir);
         let sys = clock_tree(&ClockTreeConfig {
             num_nodes: 20,
             ..Default::default()
@@ -274,7 +277,6 @@ mod tests {
                 );
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -315,9 +317,8 @@ mod tests {
         // model — the serialization checksum would catch a torn file,
         // but the point is that rename makes torn files impossible, so
         // ALL loads after the first successful store must hit.
-        let dir = std::env::temp_dir().join(format!("pmor_rom_cache_race_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = RomCache::new(&dir);
+        let dir = TempDir::new("rom_cache_race");
+        let cache = RomCache::new(&*dir);
         let sys = clock_tree(&ClockTreeConfig {
             num_nodes: 20,
             ..Default::default()
@@ -356,20 +357,18 @@ mod tests {
             }
         });
         // No temp droppings left behind once the dust settles.
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        let leftovers: Vec<_> = std::fs::read_dir(&*dir)
             .unwrap()
             .filter_map(|e| e.ok())
             .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp_"))
             .collect();
         assert!(leftovers.is_empty(), "temp files leaked: {leftovers:?}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn store_then_load_round_trips_and_corruption_misses() {
-        let dir = std::env::temp_dir().join(format!("pmor_rom_cache_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = RomCache::new(&dir);
+        let dir = TempDir::new("rom_cache");
+        let cache = RomCache::new(&*dir);
         let sys = clock_tree(&ClockTreeConfig {
             num_nodes: 20,
             ..Default::default()

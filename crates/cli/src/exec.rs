@@ -8,11 +8,10 @@
 //! serial path), run the scenario's registered analysis — built by
 //! [`pmor_variation::AnalysisKind::build`] and executed through the
 //! [`pmor::TransferModel`] trait on a batched [`pmor::EvalEngine`], with
-//! independent method×analysis jobs running concurrently — emit the same
-//! machine-readable `BENCH_<tag>.json` records the figure binaries write
-//! (stamped with the analysis's provenance metrics), and optionally
-//! persist every reduced model with [`pmor::rom::save`] for later
-//! `pmor eval` / `pmor mc` runs.
+//! independent method×analysis jobs running concurrently — emit
+//! machine-readable `BENCH_<tag>.json` records (stamped with the
+//! analysis's provenance metrics), and optionally persist every reduced
+//! model with [`pmor::rom::save`] for later `pmor eval` / `pmor mc` runs.
 //!
 //! Two caches cut repeated work: the in-process factor cache above, and
 //! the on-disk content-addressed **ROM cache** ([`crate::cache`]) that

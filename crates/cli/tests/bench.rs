@@ -9,14 +9,13 @@ use pmor_cli::{run_scenario, Scenario};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+#[path = "../../../tests/support/temp_dir.rs"]
+mod temp_dir;
+use temp_dir::TempDir;
+
 /// A unique per-test directory under the system temp dir.
-fn out_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pmor_bench_test_{tag}_{}", std::process::id()));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn out_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("bench_test_{tag}"))
 }
 
 /// Writes a small scenario + suite pair into `dir`, returning the suite

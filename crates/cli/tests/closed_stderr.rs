@@ -6,6 +6,10 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
+#[path = "../../../tests/support/temp_dir.rs"]
+mod temp_dir;
+use temp_dir::TempDir;
+
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
@@ -37,8 +41,7 @@ fn a_usage_error_exits_2_with_stderr_closed() {
 #[test]
 fn a_failed_check_exits_1_with_stderr_closed() {
     // A suite that still carries a retired `[micro]` section fails vet.
-    let root = std::env::temp_dir().join(format!("pmor_closed_stderr_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = TempDir::new("closed_stderr");
     std::fs::create_dir_all(root.join("scenarios/suites")).unwrap();
     std::fs::copy(
         repo_root().join("scenarios/fig3_rc_network.toml"),
@@ -51,6 +54,5 @@ fn a_failed_check_exits_1_with_stderr_closed() {
     )
     .unwrap();
     let code = exit_code_with_stderr_closed(&root, &["vet", root.to_str().unwrap()]);
-    let _ = std::fs::remove_dir_all(&root);
     assert_eq!(code, Some(1));
 }

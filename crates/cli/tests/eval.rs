@@ -7,11 +7,15 @@ use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
-/// A small lowrank ROM saved under the system temp dir as `<tag>.rom`
-/// (one file per test, so parallel tests never share one).
-fn rom_file(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pmor_eval_test_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+#[path = "../../../tests/support/temp_dir.rs"]
+mod temp_dir;
+use temp_dir::TempDir;
+
+/// A small lowrank ROM saved as `net.rom` in a per-test directory under
+/// the system temp dir (one per test, so parallel tests never share
+/// one); the directory goes when the returned guard drops.
+fn rom_file(tag: &str) -> (TempDir, PathBuf) {
+    let dir = TempDir::new(&format!("eval_test_{tag}"));
     let sys = clock_tree(&ClockTreeConfig {
         num_nodes: 20,
         ..Default::default()
@@ -21,9 +25,9 @@ fn rom_file(tag: &str) -> PathBuf {
         .unwrap()
         .reduce_once(&sys)
         .unwrap();
-    let path = dir.join(format!("{tag}.rom"));
+    let path = dir.join("net.rom");
     pmor::rom::save(&rom, &path).unwrap();
-    path
+    (dir, path)
 }
 
 fn eval(rom: &PathBuf, flags: &[&str]) -> Output {
@@ -37,7 +41,7 @@ fn eval(rom: &PathBuf, flags: &[&str]) -> Output {
 
 #[test]
 fn eval_rejects_non_finite_inputs() {
-    let rom = rom_file("non_finite");
+    let (_dir, rom) = rom_file("non_finite");
     let ok = eval(&rom, &["--params", "0.1,0,0", "--points", "3"]);
     assert!(ok.status.success(), "{ok:?}");
 
@@ -54,7 +58,6 @@ fn eval_rejects_non_finite_inputs() {
         assert!(stderr.contains("finite"), "{flags:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{flags:?} printed rows");
     }
-    let _ = std::fs::remove_file(&rom);
 }
 
 #[test]
@@ -62,7 +65,7 @@ fn eval_exits_cleanly_when_the_reader_closes_the_pipe() {
     // `pmor eval … | head -1`: about 2.2 MB of CSV against a reader that
     // takes one line and goes. The closed pipe is a normal end, not a
     // panic.
-    let rom = rom_file("closed_pipe");
+    let (_dir, rom) = rom_file("closed_pipe");
     let mut child = Command::new(env!("CARGO_BIN_EXE_pmor"))
         .arg("eval")
         .arg(&rom)
@@ -80,5 +83,4 @@ fn eval_exits_cleanly_when_the_reader_closes_the_pipe() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
-    let _ = std::fs::remove_file(&rom);
 }

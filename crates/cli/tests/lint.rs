@@ -7,12 +7,13 @@ use pmor_lint::{validate_lint_json, write_lint_json_in, LintReport};
 use std::path::PathBuf;
 use std::process::Command;
 
+#[path = "../../../tests/support/temp_dir.rs"]
+mod temp_dir;
+use temp_dir::TempDir;
+
 /// A unique per-test directory under the system temp dir.
-fn out_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pmor_lint_test_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn out_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("lint_test_{tag}"))
 }
 
 fn repo_root() -> PathBuf {

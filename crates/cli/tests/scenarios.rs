@@ -9,14 +9,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 
+#[path = "../../../tests/support/temp_dir.rs"]
+mod temp_dir;
+use temp_dir::TempDir;
+
 /// A unique per-test output directory under the system temp dir.
-fn out_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pmor_cli_test_{tag}_{}", std::process::id()));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn out_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("cli_test_{tag}"))
 }
 
 /// A small clock-tree scenario writing all outputs into `dir`.

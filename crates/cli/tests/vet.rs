@@ -6,15 +6,18 @@
 use pmor_cli::vet_cmd::run_vet;
 use std::path::PathBuf;
 
+#[path = "../../../tests/support/temp_dir.rs"]
+mod temp_dir;
+use temp_dir::TempDir;
+
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// A scratch tree `<tmp>/<tag>/scenarios[/suites]` seeded with one
 /// known-good scenario copied from the repository.
-fn scratch_tree(tag: &str) -> PathBuf {
-    let root = std::env::temp_dir().join(format!("pmor_vet_test_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+fn scratch_tree(tag: &str) -> TempDir {
+    let root = TempDir::new(&format!("vet_test_{tag}"));
     std::fs::create_dir_all(root.join("scenarios/suites")).unwrap();
     std::fs::copy(
         repo_root().join("scenarios/fig3_rc_network.toml"),
@@ -37,9 +40,7 @@ fn the_shipped_scenarios_and_suites_vet_clean() {
 
 #[test]
 fn vet_needs_a_scenarios_directory() {
-    let root = std::env::temp_dir().join(format!("pmor_vet_empty_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).unwrap();
+    let root = TempDir::new("vet_empty");
     let err = run_vet(&root).unwrap_err().to_string();
     assert!(err.contains("scenarios"), "{err}");
 }

@@ -8,7 +8,7 @@
 //! * [`TransferModel`] is implemented by both the sparse full-order
 //!   reference ([`crate::eval::FullModel`]) and the dense reduced model
 //!   ([`crate::rom::ParametricRom`]), so every analysis, CLI subcommand
-//!   and figure binary is written once against `&dyn TransferModel` and
+//!   and daemon request is written once against `&dyn TransferModel` and
 //!   compares models without knowing which side is which.
 //! * [`EvalWorkspace`] carries the per-thread scratch that makes batch
 //!   evaluation cheap: dense assembly and split-plane `LDLᵀ`/LU buffers

@@ -726,7 +726,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/temp_dir.rs"]
+mod temp_dir;
+
+#[cfg(test)]
 mod tests {
+    use super::temp_dir::TempDir;
     use super::*;
     use pmor_sparse::CooBuilder;
 
@@ -936,8 +941,7 @@ mod tests {
     fn save_and_load_files() {
         // Unique per process: concurrent `cargo test` runs must not race
         // on the same file.
-        let dir = std::env::temp_dir().join(format!("pmor_rom_io_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("rom_io_test");
         let path = dir.join("rc2.rom");
         let rom = identity_rom(&rc2());
         rom.save(&path).unwrap();

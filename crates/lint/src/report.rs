@@ -221,7 +221,12 @@ fn record_end(i: usize, len: usize) -> &'static str {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/temp_dir.rs"]
+mod temp_dir;
+
+#[cfg(test)]
 mod tests {
+    use super::temp_dir::TempDir;
     use super::*;
 
     fn sample() -> LintReport {
@@ -246,8 +251,7 @@ mod tests {
 
     #[test]
     fn written_reports_validate() {
-        let dir = std::env::temp_dir().join("pmor_lint_json_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("lint_json_test");
         let path = write_lint_json_in(&dir, "unit", &sample()).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"tag\": \"unit\""));
@@ -282,8 +286,7 @@ mod tests {
 
     #[test]
     fn validator_rejects_structural_damage() {
-        let dir = std::env::temp_dir().join("pmor_lint_json_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("lint_json_validator_test");
         let path = write_lint_json_in(&dir, "v", &sample()).unwrap();
         let good = std::fs::read_to_string(&path).unwrap();
 

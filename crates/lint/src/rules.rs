@@ -397,8 +397,9 @@ impl LintRule for DetWallclock {
 /// (`SparseError` and friends); `unwrap`/`expect`/`panic!` outside
 /// `#[cfg(test)]` either hides a genuinely fallible path (convert it)
 /// or encodes a provable invariant (annotate it with the proof as the
-/// allow reason). Binaries (`src/bin/`, `main.rs`) may panic — their
-/// output is a terminal, not a caller.
+/// allow reason). A crate's `main.rs` may panic — its output is a
+/// terminal, not a caller. No other file is exempt: the workspace ships
+/// its one binary from `main.rs` and has no `src/bin/` targets.
 struct PanicInLib;
 
 /// Panic spellings the rule recognizes.
@@ -419,7 +420,7 @@ impl LintRule for PanicInLib {
     }
 
     fn in_scope(&self, path: &str) -> bool {
-        !path.contains("/src/bin/") && !path.ends_with("/main.rs")
+        !path.ends_with("/main.rs")
     }
 
     fn check(&self, file: &SourceFile) -> Vec<Finding> {

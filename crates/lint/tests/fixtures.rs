@@ -151,8 +151,10 @@ pub fn last(xs: &[f64]) -> f64 {
 }
 "#;
     fires(LintKind::PanicInLib, "crates/core/src/fixture.rs", dirty);
-    // main.rs / bin targets may panic: that is the CLI's error boundary.
+    // main.rs may panic: that is the CLI's error boundary. It is the only
+    // exempt file; a `src/bin/` target is checked like library code.
     silent(LintKind::PanicInLib, "crates/cli/src/main.rs", dirty);
+    fires(LintKind::PanicInLib, "crates/x/src/bin/y.rs", dirty);
 
     // Test code panics freely.
     let in_test = r#"

@@ -11,6 +11,10 @@ use pmor_num::Complex64;
 use pmor_serve::{Client, FaultCode, ServeAddr, ServeConfig, ServeError, Server};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use temp_dir::TempDir;
+
+#[path = "../../../tests/support/temp_dir.rs"]
+mod temp_dir;
 
 /// A small but real ROM: RC mesh, 2 variational parameters.
 fn test_rom() -> ParametricRom {
@@ -90,14 +94,12 @@ fn ping_info_load_eval_round_trip() {
         }
     }
     // Provenance converts to a validator-clean bench record.
-    let dir = std::env::temp_dir().join(format!("pmor_serve_prov_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let dir = TempDir::new("serve_prov");
     let path =
         pmor_bench::write_bench_json_in(&dir, "serve_probe", &[reply.provenance.to_record()])
             .expect("write record");
     let text = std::fs::read_to_string(&path).expect("read record");
     pmor_bench::validate_bench_json(&text).expect("provenance record validates");
-    let _ = std::fs::remove_dir_all(&dir);
 
     handle.shutdown_and_join().expect("shutdown");
 }
@@ -434,8 +436,7 @@ fn graceful_shutdown_drains_in_flight_batches() {
 
 #[test]
 fn unix_socket_transport_works() {
-    let dir = std::env::temp_dir().join(format!("pmor_serve_test_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let dir = TempDir::new("serve_test");
     let sock = dir.join("daemon.sock");
     let handle = Server::start(ServeConfig {
         addr: ServeAddr::Unix(sock.clone()),
@@ -451,7 +452,6 @@ fn unix_socket_transport_works() {
         .expect("eval over unix");
     handle.shutdown_and_join().expect("shutdown");
     assert!(!sock.exists(), "socket file should be removed on shutdown");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! Every analysis is written once against two [`TransferModel`]s (the
 //! full-order reference and a reduced model) and one [`EvalEngine`], so
 //! parallel, workspace-reusing, deterministic evaluation comes for free
-//! and front ends (the `pmor` CLI, figure binaries, future services)
+//! and front ends (the `pmor` CLI, `pmor serve`, library users)
 //! dispatch by registry name instead of matching over kinds:
 //!
 //! | name | analysis | reports |

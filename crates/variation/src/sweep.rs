@@ -109,6 +109,14 @@ mod tests {
     }
 
     #[test]
+    fn logspace_endpoints_and_monotone() {
+        let f = logspace(1e7, 1e10, 31);
+        assert_eq!(f.len(), 31);
+        assert!((f[0] - 1e7).abs() < 1.0 && (f[30] - 1e10).abs() < 1e4);
+        assert!(f.windows(2).all(|w| w[1] > w[0]));
+    }
+
+    #[test]
     fn points_cover_grid_and_pin_base() {
         let sweep = Sweep2d {
             param_a: 0,

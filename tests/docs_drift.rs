@@ -211,23 +211,37 @@ fn guide_documents_the_serve_surface() {
 }
 
 #[test]
-fn readme_names_only_shipped_figure_binaries() {
-    // Every `--bin <name>` the README tells a reader to run must exist,
-    // so retiring a binary without updating the README fails here.
+fn readme_maps_the_paper_claims_to_their_tests() {
+    // The paper is reproduced by scenarios and checked by
+    // `tests/paper_claims.rs`; there are no figure binaries to run. Every
+    // `paper_claims::<name>` the README names must be a test there, and
+    // every test there must be named, so a renamed or added claim fails
+    // here until the README follows.
     let root = repo_root();
     let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
-    let bin_dir = root.join("crates/bench/src/bin");
-    let mut named = 0;
-    for rest in readme.split("--bin ").skip(1) {
-        let name: String = rest
-            .chars()
+    assert!(
+        !readme.contains("--bin"),
+        "README.md tells a reader to run a `--bin` target; the workspace has none"
+    );
+    let claims = std::fs::read_to_string(root.join("tests/paper_claims.rs")).unwrap();
+    let ident = |rest: &str| -> String {
+        rest.chars()
             .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
+            .collect()
+    };
+    let named: Vec<String> = readme.split("paper_claims::").skip(1).map(ident).collect();
+    let tests: Vec<String> = claims.split("#[test]\nfn ").skip(1).map(ident).collect();
+    assert!(!tests.is_empty(), "tests/paper_claims.rs holds no tests");
+    for name in &named {
         assert!(
-            bin_dir.join(format!("{name}.rs")).is_file(),
-            "README.md runs `--bin {name}`, but crates/bench/src/bin/{name}.rs does not exist"
+            tests.contains(name),
+            "README.md names paper_claims::{name}, but tests/paper_claims.rs has no such test"
         );
-        named += 1;
     }
-    assert!(named > 0, "README.md names no figure binaries");
+    for test in &tests {
+        assert!(
+            named.contains(test),
+            "README.md does not map a claim to paper_claims::{test}"
+        );
+    }
 }

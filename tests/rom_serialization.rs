@@ -19,6 +19,10 @@ use pmor_num::Complex64;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use temp_dir::TempDir;
+
+#[path = "support/temp_dir.rs"]
+mod temp_dir;
 
 /// Small instances of every generator family.
 fn workloads() -> Vec<(&'static str, ParametricSystem)> {
@@ -90,8 +94,7 @@ fn assert_transfer_bitwise_identical(a: &ParametricRom, b: &ParametricRom, seed:
 
 #[test]
 fn round_trip_is_bitwise_for_every_generator_and_method() {
-    let dir = std::env::temp_dir().join(format!("pmor_rom_rt_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("rom_rt");
     for (wname, sys) in workloads() {
         for method in ["prima", "lowrank"] {
             let rom = reducer_by_name(method, &sys)
