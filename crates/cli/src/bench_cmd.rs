@@ -29,6 +29,7 @@
 //! an `ordering` label) so trajectories across machines stay
 //! attributable to the ordering policy that produced them.
 
+use crate::exec::{base_record, stamp_provenance, Reduced};
 use crate::scenario::Scenario;
 use crate::CliError;
 use pmor::eval::FullModel;
@@ -198,19 +199,6 @@ fn load_entry_scenario(file: &Path) -> Result<(Scenario, ParametricSystem), CliE
     Ok((sc, sys))
 }
 
-/// Stamps the ordering/fill provenance onto a record when the reduction
-/// actually factored something (`None` means nothing real was factored,
-/// e.g. a ROM-cache replay — then the fill metrics are honestly absent).
-fn stamp_provenance(rec: BenchRecord, prov: Option<&pmor::FactorProvenance>) -> BenchRecord {
-    match prov {
-        None => rec,
-        Some(p) => rec
-            .metric("factor_nnz", p.factor_nnz as f64)
-            .metric("fill_ratio", p.fill_ratio())
-            .label("ordering", p.ordering),
-    }
-}
-
 /// Macro benchmark: per method, reduction from a cold context (median
 /// over repeats) plus the scenario's analysis stage (median over
 /// repeats). The ROM cache is deliberately bypassed — `pmor bench`
@@ -237,8 +225,8 @@ fn run_scenario_entry(
         for i in 0..warmup + repeats {
             // Cold context each repeat: the measured number is the real
             // multi-shift reduction cost, not a cache replay.
-            let mut ctx = ReductionContext::with_threads(sc.threads);
-            ctx.set_ordering(sc.ordering);
+            let mut ctx = ReductionContext::with_ordering(sc.ordering);
+            ctx.set_threads(sc.threads);
             let (r, secs, rep) = crate::exec::reduce_timed(name, &sys, &sc.tuning, &mut ctx)?;
             if i >= warmup {
                 reduce_times.push(secs);
@@ -287,19 +275,17 @@ fn run_scenario_entry(
             "#   {name}: reduce {reduce_median:.3}s + {} {analysis_median:.3}s (median of {repeats})",
             analysis.name()
         );
-        let mut rec = BenchRecord::new(name.clone(), workload.clone(), total)
-            .metric("median_seconds", total)
+        let reduced = Reduced {
+            name: name.clone(),
+            rom,
+            seconds: total,
+            cached: false,
+            adaptive,
+        };
+        let mut rec = base_record(&reduced, &workload, sys.dim())
             .metric("reduce_median_seconds", reduce_median)
             .metric("analysis_median_seconds", analysis_median)
-            .metric("dim", sys.dim() as f64)
-            .metric("size", rom.size() as f64)
             .metric("repeats", repeats as f64);
-        if let Some(rep) = &adaptive {
-            rec = rec
-                .metric("estimated_error", rep.estimated_error)
-                .metric("final_order", rep.final_order as f64)
-                .metric("expansion_points_used", rep.expansion_points_used as f64);
-        }
         for (metric, value) in &metrics {
             rec = rec.metric(metric.clone(), *value);
         }
@@ -342,15 +328,16 @@ fn probe_points(num_params: usize) -> Vec<(Vec<f64>, Complex64)> {
 /// Asserts two reduced models produce bitwise-identical transfer values
 /// at the probe points. `what` names the two legs in the error.
 fn assert_transfers_bitwise(
-    legs: &[ParametricRom],
+    first: &ParametricRom,
+    second: &ParametricRom,
     num_params: usize,
     what: &str,
 ) -> Result<(), CliError> {
     for (p, s) in probe_points(num_params) {
-        let ha = legs[0]
+        let ha = first
             .transfer(&p, s)
             .map_err(|e| CliError::Pmor(format!("{what} transfer: {e}")))?;
-        let hb = legs[1]
+        let hb = second
             .transfer(&p, s)
             .map_err(|e| CliError::Pmor(format!("{what} transfer: {e}")))?;
         for r in 0..ha.nrows() {
@@ -387,51 +374,59 @@ fn run_compare_entry(
     let workers = std::thread::available_parallelism()
         .map_or(1, |n| n.get())
         .max(4);
-    let mut roms: Vec<ParametricRom> = Vec::with_capacity(2);
-    let mut medians = Vec::with_capacity(2);
+    let mut legs: Vec<Reduced> = Vec::with_capacity(2);
     let mut prov = None;
-    for threads in [1usize, workers] {
+    for (label, threads) in [("serial", 1usize), ("parallel", workers)] {
         let mut times = Vec::with_capacity(repeats);
-        let mut rom = None;
+        let mut last = None;
         for i in 0..warmup + repeats {
-            let mut ctx = ReductionContext::with_threads(threads);
-            ctx.set_ordering(sc.ordering);
-            let (r, secs, _) = crate::exec::reduce_timed(method, &sys, &sc.tuning, &mut ctx)?;
+            let mut ctx = ReductionContext::with_ordering(sc.ordering);
+            ctx.set_threads(threads);
+            let (rom, secs, adaptive) =
+                crate::exec::reduce_timed(method, &sys, &sc.tuning, &mut ctx)?;
             if i >= warmup {
                 times.push(secs);
             }
             if prov.is_none() {
                 prov = ctx.provenance_ready(&sys);
             }
-            rom = Some(r);
+            last = Some((rom, adaptive));
         }
-        medians.push(median(&mut times));
         // pmor-lint: allow(panic-in-lib) reason="the repeat loop runs at least once (repeats is validated >= 1), so the final ROM is always present"
-        roms.push(rom.expect("at least one repeat"));
+        let (rom, adaptive) = last.expect("at least one repeat");
+        legs.push(Reduced {
+            name: format!("{method}_{label}"),
+            rom,
+            seconds: median(&mut times),
+            cached: false,
+            adaptive,
+        });
     }
     // The determinism gate: parallel factorization must not change one
     // bit of the reduced model's behavior.
-    assert_transfers_bitwise(&roms, sys.num_params(), "serial/parallel")?;
-    let speedup = medians[0] / medians[1].max(1e-12);
+    let (serial, parallel) = (&legs[0], &legs[1]);
+    assert_transfers_bitwise(
+        &serial.rom,
+        &parallel.rom,
+        sys.num_params(),
+        "serial/parallel",
+    )?;
+    let speedup = serial.seconds / parallel.seconds.max(1e-12);
     outln!(
         "#   {method}: serial {:.3}s, parallel {:.3}s on {workers} threads \
          (x{speedup:.2}), transfer bitwise identical",
-        medians[0],
-        medians[1]
+        serial.seconds,
+        parallel.seconds
     );
-    let base = |label: &str, m: f64| {
+    let record = |leg: &Reduced| {
         stamp_provenance(
-            BenchRecord::new(format!("{method}_{label}"), workload.clone(), m)
-                .metric("median_seconds", m)
-                .metric("dim", sys.dim() as f64)
-                .metric("size", roms[0].size() as f64)
-                .metric("repeats", repeats as f64),
+            base_record(leg, &workload, sys.dim()).metric("repeats", repeats as f64),
             prov.as_ref(),
         )
     };
     Ok(vec![
-        base("serial", medians[0]).metric("threads", 1.0),
-        base("parallel", medians[1])
+        record(serial).metric("threads", 1.0),
+        record(parallel)
             .metric("threads", workers as f64)
             .metric("speedup", speedup),
     ])
@@ -501,8 +496,8 @@ fn run_serve_entry(spec: &ServeEntrySpec<'_>) -> Result<Vec<BenchRecord>, CliErr
 
     let (sc, sys) = load_entry_scenario(spec.file)?;
     let workload = sc.system.workload_label(&sys);
-    let mut ctx = ReductionContext::with_threads(sc.threads);
-    ctx.set_ordering(sc.ordering);
+    let mut ctx = ReductionContext::with_ordering(sc.ordering);
+    ctx.set_threads(sc.threads);
     let (rom, _, _) = crate::exec::reduce_timed(spec.method, &sys, &sc.tuning, &mut ctx)?;
     let fingerprint = pmor::rom::fingerprint(&rom);
 

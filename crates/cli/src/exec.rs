@@ -56,14 +56,14 @@ pub struct ExecReport {
 }
 
 /// One reduced method inside a run.
-struct Reduced {
-    name: String,
-    rom: ParametricRom,
-    seconds: f64,
-    cached: bool,
+pub(crate) struct Reduced {
+    pub(crate) name: String,
+    pub(crate) rom: ParametricRom,
+    pub(crate) seconds: f64,
+    pub(crate) cached: bool,
     /// Convergence provenance when the method ran under the adaptive
     /// driver (`None` for fixed-order reductions and ROM-cache hits).
-    adaptive: Option<pmor::AdaptiveReport>,
+    pub(crate) adaptive: Option<pmor::AdaptiveReport>,
 }
 
 /// Executes a scenario end-to-end. See the module docs for the stages.
@@ -135,8 +135,8 @@ fn run(sc: &Scenario, save_roms: bool, analyze: bool) -> Result<ExecReport, CliE
         .rom_cache
         .then(|| RomCache::new(sc.output.dir.join(".pmor_cache")));
     let fingerprint = pmor::system_fingerprint(&sys);
-    let mut ctx = ReductionContext::with_threads(sc.threads);
-    ctx.set_ordering(sc.ordering);
+    let mut ctx = ReductionContext::with_ordering(sc.ordering);
+    ctx.set_threads(sc.threads);
     let mut reduced = Vec::with_capacity(sc.methods.len());
     for name in &sc.methods {
         // Unregistered names fail loudly even when a stale cache entry
@@ -220,11 +220,7 @@ fn run(sc: &Scenario, save_roms: bool, analyze: bool) -> Result<ExecReport, CliE
         // available parallelism, matching the knob's meaning everywhere
         // else); results land in their method's slot, so output order is
         // scheduling-independent.
-        let configured = match sc.threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        };
-        let workers = configured.min(reduced.len());
+        let workers = EvalEngine::new(sc.threads).worker_count(reduced.len());
         // An auto engine (`[analysis] threads` unset or 0) divides the
         // machine across the concurrent jobs instead of multiplying with
         // them (jobs × all-cores would oversubscribe); an explicit value
@@ -233,7 +229,7 @@ fn run(sc: &Scenario, save_roms: bool, analyze: bool) -> Result<ExecReport, CliE
         let engine = EvalEngine::new(match sc.analysis.config.threads {
             None | Some(0) => {
                 let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-                (avail / workers.max(1)).max(1)
+                (avail / workers).max(1)
             }
             Some(n) => n,
         });
@@ -304,7 +300,8 @@ fn run(sc: &Scenario, save_roms: bool, analyze: bool) -> Result<ExecReport, CliE
     // came out of the ROM cache and no nominal factorization exists.
     // `provenance_ready` never factors or bumps counters, so the counts
     // printed below stay exactly the reduction's own.
-    if let Some(prov) = ctx.provenance_ready(&sys) {
+    let prov = ctx.provenance_ready(&sys);
+    if let Some(prov) = &prov {
         outln!(
             "# ordering {}: factor nnz {} ({:.2}x fill over {} matrix nnz)",
             prov.ordering,
@@ -312,15 +309,11 @@ fn run(sc: &Scenario, save_roms: bool, analyze: bool) -> Result<ExecReport, CliE
             prov.fill_ratio(),
             prov.matrix_nnz
         );
-        records = records
-            .into_iter()
-            .map(|r| {
-                r.metric("factor_nnz", prov.factor_nnz as f64)
-                    .metric("fill_ratio", prov.fill_ratio())
-                    .label("ordering", prov.ordering)
-            })
-            .collect();
     }
+    let records: Vec<BenchRecord> = records
+        .into_iter()
+        .map(|r| stamp_provenance(r, prov.as_ref()))
+        .collect();
     outln!(
         "# sparse factorizations across all methods: {} real, {} cache hits",
         ctx.real_factorizations(),
@@ -353,12 +346,13 @@ fn run(sc: &Scenario, save_roms: bool, analyze: bool) -> Result<ExecReport, CliE
     })
 }
 
-/// The per-method record shared by the analyze and reduce-only paths.
-/// `wall_seconds` is the reduction time (or cache-load time), duplicated
-/// as the standardized `median_seconds` metric — a single `pmor run` is
-/// one repeat, so the median is the observation itself ([`crate::
-/// bench_cmd`] overrides it with a true median over repeats).
-fn base_record(m: &Reduced, workload: &str, dim: usize) -> BenchRecord {
+/// The per-method record shared by the analyze and reduce-only paths
+/// and the `pmor bench` entry runners. `wall_seconds` is `m.seconds`,
+/// duplicated as the standardized `median_seconds` metric: a single
+/// `pmor run` is one repeat, so the median is the observation itself
+/// (the reduction or cache-load time), while [`crate::bench_cmd`] passes
+/// its true median over repeats.
+pub(crate) fn base_record(m: &Reduced, workload: &str, dim: usize) -> BenchRecord {
     let mut rec = BenchRecord::new(m.name.clone(), workload, m.seconds)
         .metric("median_seconds", m.seconds)
         .metric("dim", dim as f64)
@@ -374,6 +368,22 @@ fn base_record(m: &Reduced, workload: &str, dim: usize) -> BenchRecord {
             .metric("adaptive_converged", if rep.converged { 1.0 } else { 0.0 });
     }
     rec
+}
+
+/// Stamps the ordering/fill provenance onto a record when the context
+/// actually factored something (`None` means nothing real was factored,
+/// e.g. a ROM-cache replay — then the fill metrics are honestly absent).
+pub(crate) fn stamp_provenance(
+    rec: BenchRecord,
+    prov: Option<&pmor::FactorProvenance>,
+) -> BenchRecord {
+    match prov {
+        None => rec,
+        Some(p) => rec
+            .metric("factor_nnz", p.factor_nnz as f64)
+            .metric("fill_ratio", p.fill_ratio())
+            .label("ordering", p.ordering),
+    }
 }
 
 /// Runs one method's analysis, returning its buffered stdout block and

@@ -15,7 +15,7 @@
 //!
 //! [reduce]
 //! methods = ["prima", "lowrank", "multipoint"]
-//! ordering = "rcm"          # | amd | auto | natural (fill-reducing ordering)
+//! ordering = "rcm"          # | amd (fill-reducing ordering)
 //!
 //! [analysis]
 //! kind = "frequency_sweep"  # | montecarlo | corner_sweep | yield
@@ -60,10 +60,9 @@ pub struct Scenario {
     /// are bitwise identical for every value.
     pub threads: usize,
     /// Fill-reducing ordering policy for every sparse factorization of
-    /// the run (`[reduce] ordering`): `"rcm"` (the backward-compatible
-    /// default), `"amd"` (best on mesh/grid-structured systems),
-    /// `"auto"` (fill-estimate pick between the two) or `"natural"`.
-    /// Orderings change fill-in — memory and wall-clock — never
+    /// the run (`[reduce] ordering`): `"rcm"` (the default, best on
+    /// tree/ladder interconnect) or `"amd"` (best on mesh/grid-structured
+    /// systems). Orderings change fill-in — memory and wall-clock — never
     /// solution values.
     pub ordering: OrderingChoice,
     /// The analysis stage applied to every reduced model: a registry
@@ -322,7 +321,7 @@ impl Scenario {
             None => OrderingChoice::Rcm,
             Some(s) => OrderingChoice::parse(s).ok_or_else(|| TomlError {
                 line: 0,
-                msg: format!("[reduce] unknown ordering {s:?}; known: rcm, amd, auto, natural"),
+                msg: format!("[reduce] unknown ordering {s:?}; known: rcm, amd"),
             })?,
         };
         let analysis = parse_analysis(&doc)?;
@@ -1029,24 +1028,20 @@ methods = ["prima"]
     fn ordering_knob_parses_and_rejects_unknown_policies() {
         let sc = Scenario::parse(MINIMAL).unwrap();
         assert_eq!(sc.ordering, OrderingChoice::Rcm, "default stays RCM");
-        for (spelled, expected) in [
-            ("rcm", OrderingChoice::Rcm),
-            ("amd", OrderingChoice::Amd),
-            ("auto", OrderingChoice::Auto),
-            ("natural", OrderingChoice::Natural),
-        ] {
-            let text = MINIMAL.replace(
+        let with = |spelled: &str| {
+            MINIMAL.replace(
                 "methods = [\"prima\"]",
                 &format!("methods = [\"prima\"]\nordering = \"{spelled}\""),
-            );
-            assert_eq!(Scenario::parse(&text).unwrap().ordering, expected);
+            )
+        };
+        for (spelled, expected) in [("rcm", OrderingChoice::Rcm), ("amd", OrderingChoice::Amd)] {
+            assert_eq!(Scenario::parse(&with(spelled)).unwrap().ordering, expected);
         }
-        let bad = MINIMAL.replace(
-            "methods = [\"prima\"]",
-            "methods = [\"prima\"]\nordering = \"metis\"",
-        );
-        let err = Scenario::parse(&bad).unwrap_err().to_string();
-        assert!(err.contains("unknown ordering"), "{err}");
+        for bad in ["metis", "auto", "natural"] {
+            let err = Scenario::parse(&with(bad)).unwrap_err().to_string();
+            assert!(err.contains("unknown ordering"), "{err}");
+            assert!(err.contains("known: rcm, amd"), "{err}");
+        }
     }
 
     #[test]

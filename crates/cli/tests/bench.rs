@@ -104,6 +104,63 @@ fn suite_runs_end_to_end_with_validated_records() {
 }
 
 #[test]
+fn adaptive_entries_record_convergence_like_pmor_run() {
+    let dir = out_dir("adaptive");
+    let scenario = format!(
+        r#"
+[scenario]
+name = "bench_adaptive"
+
+[system]
+generator = "clock_tree"
+num_nodes = 30
+
+[reduce]
+methods = ["multipoint"]
+adaptive = true
+tolerance = 1e-4
+
+[analysis]
+kind = "frequency_sweep"
+points = 3
+
+[output]
+dir = "{}"
+"#,
+        dir.display()
+    );
+    std::fs::write(dir.join("bench_adaptive.toml"), scenario).unwrap();
+    let suite = r#"
+[suite]
+name = "adaptive"
+description = "adaptive records"
+warmup = 0
+repeats = 1
+
+[scenario-run]
+file = "bench_adaptive.toml"
+
+[compare-par]
+file = "bench_adaptive.toml"
+method = "multipoint"
+"#;
+    std::fs::write(dir.join("adaptive.toml"), suite).unwrap();
+    let suite = BenchSuite::load(dir.join("adaptive.toml")).unwrap();
+    let report = run_suite(&suite, &dir, None, None).unwrap();
+    assert_eq!(report.files.len(), 2);
+    for path in &report.files {
+        let text = std::fs::read_to_string(path).unwrap();
+        for metric in [
+            "estimated_error",
+            "expansion_points_used",
+            "adaptive_converged",
+        ] {
+            assert!(text.contains(&format!("\"{metric}\"")), "{metric}: {text}");
+        }
+    }
+}
+
+#[test]
 fn check_rejects_nonconforming_files() {
     let dir = out_dir("check");
     let bad = dir.join("BENCH_bad.json");

@@ -12,19 +12,21 @@ use crate::rom::pencil_poles;
 use crate::Result;
 use pmor_circuits::ParametricSystem;
 use pmor_num::{Complex64, Matrix};
-use pmor_sparse::{ordering, OrderingChoice, SparseLu};
+use pmor_sparse::{OrderingChoice, SparseLu};
 
 /// Reference evaluator wrapping a full parametric system.
 ///
-/// Construction precomputes (once per model) the RCM fill-reducing
-/// ordering of the **union** sparsity pattern of every system matrix —
+/// Construction precomputes (once per model) the fill-reducing ordering
+/// (RCM unless [`FullModel::with_ordering`] picks another policy) of the
+/// **union** sparsity pattern of every system matrix —
 /// valid at any `(p, s)` since an ordering only affects fill-in, never
 /// values — so repeated [`FullModel::transfer`] calls stop paying a
 /// per-call ordering pass.
 #[derive(Debug, Clone)]
 pub struct FullModel<'a> {
     sys: &'a ParametricSystem,
-    /// RCM ordering of the union pattern, shared by every evaluation.
+    /// Fill-reducing ordering of the union pattern, shared by every
+    /// evaluation.
     perm: Vec<usize>,
     /// Content fingerprint keying per-model caches in [`EvalWorkspace`].
     fingerprint: u64,
@@ -34,11 +36,7 @@ impl<'a> FullModel<'a> {
     /// Wraps a system for evaluation (computes the shared fill-reducing
     /// ordering once).
     pub fn new(sys: &'a ParametricSystem) -> Self {
-        FullModel {
-            sys,
-            perm: ordering::rcm(&union_pattern(sys)),
-            fingerprint: system_fingerprint(sys),
-        }
+        FullModel::with_ordering(sys, OrderingChoice::Rcm)
     }
 
     /// Like [`FullModel::new`] but with an explicit ordering policy —
@@ -48,12 +46,9 @@ impl<'a> FullModel<'a> {
     /// transfer values (though floating-point summation order — and so
     /// the low-order bits — can differ between policies).
     pub fn with_ordering(sys: &'a ParametricSystem, choice: OrderingChoice) -> Self {
-        let (perm, _) = choice.resolve(&union_pattern(sys));
         FullModel {
             sys,
-            // The natural order is the identity permutation here: the
-            // evaluation paths below always pass `Some(&self.perm)`.
-            perm: perm.unwrap_or_else(|| (0..sys.dim()).collect()),
+            perm: choice.resolve(&union_pattern(sys)),
             fingerprint: system_fingerprint(sys),
         }
     }
@@ -290,12 +285,7 @@ mod tests {
         let s = Complex64::jw(2.0 * std::f64::consts::PI * 1e9);
         let reference = FullModel::new(&sys);
         let href = reference.transfer(&p, s).unwrap();
-        for choice in [
-            OrderingChoice::Natural,
-            OrderingChoice::Rcm,
-            OrderingChoice::Amd,
-            OrderingChoice::Auto,
-        ] {
+        for choice in [OrderingChoice::Rcm, OrderingChoice::Amd] {
             let full = FullModel::with_ordering(&sys, choice);
             let h = full.transfer(&p, s).unwrap();
             let err = (h[(0, 0)] - href[(0, 0)]).abs() / href[(0, 0)].abs();

@@ -78,8 +78,8 @@ pub use adaptive::{AdaptiveDriver, AdaptiveOptions, AdaptiveReport, ErrorEstimat
 pub use engine::{EvalEngine, EvalPoint, EvalWorkspace, TransferModel};
 pub use pmor_sparse::OrderingChoice;
 pub use reduce::{
-    reducer_by_name, system_fingerprint, FactorProvenance, Reducer, ReducerKind, ReducerTuning,
-    ReductionContext,
+    reducer_by_name, system_fingerprint, FactorProvenance, FactorStats, Reducer, ReducerKind,
+    ReducerTuning, ReductionContext,
 };
 pub use rom::ParametricRom;
 

@@ -40,10 +40,12 @@
 //! # }
 //! ```
 
+use crate::engine::EvalEngine;
 use crate::rom::ParametricRom;
 use crate::Result;
 use pmor_circuits::ParametricSystem;
-use pmor_sparse::{CsrMatrix, FactorCache, FactorCacheStats, FactorKey, OrderingChoice, SparseLu};
+use pmor_sparse::{CsrMatrix, OrderingChoice, SparseLu};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A model-order-reduction method producing a [`ParametricRom`].
@@ -73,8 +75,14 @@ pub trait Reducer {
     }
 }
 
-/// Role tag of the [`FactorKey`]s used by the context.
-const TAG_REAL_G: u64 = 1;
+/// Lifetime usage counters of a [`ReductionContext`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FactorStats {
+    /// Real factorizations actually performed (misses).
+    pub real_factorizations: usize,
+    /// Requests served from stored factors without factoring.
+    pub hits: usize,
+}
 
 /// The shared solver cache threaded through a reduction pipeline.
 ///
@@ -83,31 +91,33 @@ const TAG_REAL_G: u64 = 1;
 /// single-factorization claim is about, and perturbed samples being
 /// shared across multi-point / fitting reducers using the same sample
 /// grid. Every factor is [`SparseLu::factor`] of `G(p)` under the
-/// context's shared ordering.
+/// context's shared ordering, handed out as an [`Arc`] so held factors
+/// stay valid across later requests and can be shared across worker
+/// threads.
 ///
 /// The context fingerprints the system it serves; handing it a different
-/// system clears the cache (counters are lifetime counters and survive),
-/// so a context can be reused across systems without cross-contamination.
+/// system clears the stored factors (counters are lifetime counters and
+/// survive), so a context can be reused across systems without
+/// cross-contamination.
 #[derive(Debug, Clone)]
 pub struct ReductionContext {
-    cache: FactorCache,
+    /// Factors of `G(p)`, keyed by the bit patterns of `p`. Only ever
+    /// looked up by key, never iterated.
+    factors: HashMap<Vec<u64>, Arc<SparseLu<f64>>>,
+    stats: FactorStats,
     fingerprint: Option<u64>,
     /// Fill-reducing ordering policy ([`OrderingChoice::Rcm`] by default;
-    /// `"amd"`/`"auto"` scale better on mesh- and grid-structured
-    /// systems — see `docs/GUIDE.md` §6).
+    /// `"amd"` scales better on mesh- and grid-structured systems — see
+    /// `docs/GUIDE.md` §6).
     ordering_choice: OrderingChoice,
-    /// The resolved ordering of the served system's union sparsity
+    /// The policy's ordering of the served system's union sparsity
     /// pattern, computed once per system and shared by every
     /// factorization (orderings only affect fill-in, never solution
-    /// values). `None` until resolved, and stays `None` for the natural
-    /// order.
-    ordering: Option<Arc<Vec<usize>>>,
-    /// Name of the resolved ordering (`Some` once any factorization
-    /// resolved the policy; records `"amd"`/`"rcm"` for `"auto"`).
-    ordering_used: Option<&'static str>,
+    /// values). `None` until first needed.
+    ordering: Option<Vec<usize>>,
     /// Fill (`L + U` nonzeros) of the first factors the context handed
-    /// out for the served system under the current ordering — the
-    /// provenance of pipelines that never factor `p = 0`.
+    /// out for the served system — the provenance of pipelines that
+    /// never factor `p = 0`.
     first_factor_nnz: Option<usize>,
     /// Worker threads for [`ReductionContext::prefactor_g_at`] batches
     /// (`0` = available parallelism, `1` = serial).
@@ -125,21 +135,13 @@ impl ReductionContext {
     /// Creates an empty context (RCM ordering enabled, serial
     /// factorization).
     pub fn new() -> Self {
-        ReductionContext {
-            cache: FactorCache::new(),
-            fingerprint: None,
-            ordering_choice: OrderingChoice::Rcm,
-            ordering: None,
-            ordering_used: None,
-            first_factor_nnz: None,
-            threads: 1,
-        }
+        ReductionContext::with_ordering(OrderingChoice::Rcm)
     }
 
     /// Creates a context whose batched factorizations
     /// ([`ReductionContext::prefactor_g_at`]) run on up to `threads`
     /// worker threads (`0` = available parallelism). The thread count
-    /// affects wall-clock only: cached factors, counters and every
+    /// affects wall-clock only: stored factors, counters and every
     /// downstream numeric result are bitwise identical to the serial
     /// context.
     pub fn with_threads(threads: usize) -> Self {
@@ -160,31 +162,19 @@ impl ReductionContext {
         self.threads
     }
 
-    /// Creates a context with an explicit fill-reducing ordering policy.
-    /// Orderings only affect fill-in (memory and wall-clock), never
-    /// solution values.
-    pub fn with_ordering(choice: OrderingChoice) -> Self {
+    /// Creates a serial context with an explicit fill-reducing ordering
+    /// policy. Orderings only affect fill-in (memory and wall-clock),
+    /// never solution values.
+    pub fn with_ordering(ordering_choice: OrderingChoice) -> Self {
         ReductionContext {
-            ordering_choice: choice,
-            ..ReductionContext::new()
+            factors: HashMap::new(),
+            stats: FactorStats::default(),
+            fingerprint: None,
+            ordering_choice,
+            ordering: None,
+            first_factor_nnz: None,
+            threads: 1,
         }
-    }
-
-    /// Changes the ordering policy. Cached factors and their fill are
-    /// dropped (they embed the old ordering); lifetime counters survive.
-    pub fn set_ordering(&mut self, choice: OrderingChoice) {
-        if choice != self.ordering_choice {
-            self.ordering_choice = choice;
-            self.cache.clear();
-            self.ordering = None;
-            self.ordering_used = None;
-            self.first_factor_nnz = None;
-        }
-    }
-
-    /// The configured ordering policy.
-    pub fn ordering_choice(&self) -> OrderingChoice {
-        self.ordering_choice
     }
 
     /// Real factors of the nominal `G0` — the paper's one-time
@@ -198,42 +188,39 @@ impl ReductionContext {
     }
 
     /// Real factors of `G(p)` at an arbitrary parameter point, memoized
-    /// per point.
+    /// per point: a one-point [`ReductionContext::prefactor_g_at`].
     ///
     /// # Errors
     ///
     /// Fails when `G(p)` is singular or `p` has the wrong length.
     pub fn factor_g_at(&mut self, sys: &ParametricSystem, p: &[f64]) -> Result<Arc<SparseLu<f64>>> {
-        check_point(sys, p)?;
-        self.ensure_system(sys);
-        let ord = self.shared_ordering(sys);
-        let key = FactorKey::tagged(TAG_REAL_G, p);
-        let lu = self.cache.real(key, || {
-            SparseLu::factor(&sys.g_at(p), ord.as_deref().map(Vec::as_slice))
-        })?;
-        self.first_factor_nnz.get_or_insert(lu.factor_nnz());
-        Ok(lu)
+        let mut lu = self.prefactor_g_at(sys, &[p.to_vec()])?;
+        Ok(lu.swap_remove(0))
     }
 
     /// Factors `G(p)` at every point of `points` that is not already
-    /// cached, running the missing factorizations on the context's
+    /// stored, running the missing factorizations on the context's
     /// worker threads (see [`ReductionContext::with_threads`]) — the
     /// parallel multi-shift path behind the multi-point and fitting
     /// reducers. Returns the factors in `points` order, so callers
     /// consume them directly instead of re-requesting each point
-    /// (which would double-count cache hits).
+    /// (which would double-count hits).
     ///
-    /// Cache contents, counters and all solve results are bitwise
-    /// identical to requesting each point through
-    /// [`ReductionContext::factor_g_at`] in order: each matrix is
-    /// factored by exactly one worker with the same shared ordering, and
-    /// results are committed to the cache in `points` order.
+    /// The misses are the first occurrence of each unstored point, in
+    /// `points` order; each is factored by exactly one worker with the
+    /// shared ordering, and the results are stored in `points` order.
+    /// Stored factors, counters and all solve results are therefore
+    /// bitwise identical to requesting each point through
+    /// [`ReductionContext::factor_g_at`] in order: every miss counts one
+    /// factorization, every other request one hit.
     ///
     /// # Errors
     ///
-    /// Fails when any `G(p)` is singular or any point has the wrong
-    /// length; the earliest failing point's error is returned (factors
-    /// of the other points are kept, as in serial retries).
+    /// Fails when any point has the wrong length (nothing is factored)
+    /// or any `G(p)` is singular. The earliest failing point's error is
+    /// returned; the other misses were already factored, so they are
+    /// kept and counted (a retry only factors the failures), while the
+    /// batch's hits go uncounted.
     pub fn prefactor_g_at(
         &mut self,
         sys: &ParametricSystem,
@@ -243,14 +230,37 @@ impl ReductionContext {
             check_point(sys, p)?;
         }
         self.ensure_system(sys);
-        let ord = self.shared_ordering(sys);
-        let jobs: Vec<_> = points
-            .iter()
-            .map(|p| (FactorKey::tagged(TAG_REAL_G, p), move || sys.g_at(p)))
-            .collect();
-        let out =
-            self.cache
-                .real_parallel(jobs, self.threads, ord.as_deref().map(Vec::as_slice))?;
+        let keys: Vec<Vec<u64>> = points.iter().map(|p| point_key(p)).collect();
+        let mut misses: Vec<usize> = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            if !self.factors.contains_key(key) && !misses.iter().any(|&m| keys[m] == *key) {
+                misses.push(i);
+            }
+        }
+        let threads = self.threads;
+        let perm = self.shared_ordering(sys);
+        let produced = EvalEngine::new(threads).map(&misses, |&i, _| {
+            Ok(SparseLu::factor(&sys.g_at(&points[i]), Some(perm)))
+        })?;
+        let mut first_err = None;
+        for (&i, lu) in misses.iter().zip(produced) {
+            match lu {
+                Ok(lu) => {
+                    self.stats.real_factorizations += 1;
+                    self.factors.insert(keys[i].clone(), Arc::new(lu));
+                }
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        if let Some(e) = first_err {
+            return Err(e.into());
+        }
+        self.stats.hits += points.len() - misses.len();
+        // Every key was either stored before the batch or is a miss
+        // stored above (a failed miss returned early).
+        let out: Vec<_> = keys.iter().map(|k| Arc::clone(&self.factors[k])).collect();
         if let Some(lu) = out.first() {
             self.first_factor_nnz.get_or_insert(lu.factor_nnz());
         }
@@ -259,87 +269,57 @@ impl ReductionContext {
 
     /// The context's shared fill-reducing ordering, resolved once per
     /// served system from the configured [`OrderingChoice`] on the union
-    /// sparsity pattern ([`None`] for the natural order).
-    fn shared_ordering(&mut self, sys: &ParametricSystem) -> Option<Arc<Vec<usize>>> {
-        if self.ordering_used.is_none() {
-            let (perm, name) = self.ordering_choice.resolve(&union_pattern(sys));
-            self.ordering = perm.map(Arc::new);
-            self.ordering_used = Some(name);
-        }
-        self.ordering.clone()
-    }
-
-    /// Resolves (if needed) and names the ordering this context factors
-    /// with: `"natural"`, `"rcm"` or `"amd"` — the `"auto"` policy
-    /// reports whichever it picked for the served system.
-    pub fn ordering_used(&mut self, sys: &ParametricSystem) -> &'static str {
-        self.ensure_system(sys);
-        self.shared_ordering(sys);
-        self.ordering_used.unwrap_or("natural")
-    }
-
-    /// Factors the nominal `G0` (memoized) and reports where its cost
-    /// went: the resolved ordering and the fill it produced.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `G0` is singular.
-    pub fn provenance(&mut self, sys: &ParametricSystem) -> Result<FactorProvenance> {
-        let lu = self.factor_g0(sys)?;
-        let matrix_nnz = sys.g_at(&vec![0.0; sys.num_params()]).nnz();
-        Ok(FactorProvenance {
-            ordering: self.ordering_used.unwrap_or("natural"),
-            factor_nnz: lu.factor_nnz(),
-            matrix_nnz,
-        })
+    /// sparsity pattern.
+    fn shared_ordering(&mut self, sys: &ParametricSystem) -> &[usize] {
+        let choice = self.ordering_choice;
+        self.ordering
+            .get_or_insert_with(|| choice.resolve(&union_pattern(sys)))
     }
 
     /// Provenance of the real factors this context has **already**
     /// produced for `sys`, without factoring anything and without
-    /// touching the cache counters — the inspection hook bench/scenario
-    /// records use after a pipeline ran, where
-    /// [`ReductionContext::provenance`] would perturb the hit counts
-    /// those records also report.
+    /// touching the counters — the inspection hook bench/scenario
+    /// records use after a pipeline ran, so the hit counts those records
+    /// also report stay the pipeline's own.
     ///
     /// Returns [`None`] until some real factorization happened for this
     /// system (or when the context last served a different system).
-    /// Prefers the cached nominal `G0` factors; pipelines that never
+    /// Prefers the stored nominal `G0` factors; pipelines that never
     /// factor `p = 0` (e.g. a pure multi-point sample grid) report the
     /// fill of the first factors the context handed out for the system.
     pub fn provenance_ready(&self, sys: &ParametricSystem) -> Option<FactorProvenance> {
         if self.fingerprint != Some(system_fingerprint(sys)) {
             return None;
         }
-        let ordering = self.ordering_used?;
         let p0 = vec![0.0; sys.num_params()];
-        let factor_nnz = match self.cache.peek_real(&FactorKey::tagged(TAG_REAL_G, &p0)) {
+        let factor_nnz = match self.factors.get(&point_key(&p0)) {
             Some(lu) => lu.factor_nnz(),
             None => self.first_factor_nnz?,
         };
         Some(FactorProvenance {
-            ordering,
+            ordering: self.ordering_choice.name(),
             factor_nnz,
             matrix_nnz: sys.g_at(&p0).nnz(),
         })
     }
 
     /// Number of **real** sparse factorizations actually performed over
-    /// this context's lifetime (cache misses; the paper's headline count).
+    /// this context's lifetime (misses; the paper's headline count).
     pub fn real_factorizations(&self) -> usize {
-        self.cache.stats().real_factorizations
+        self.stats.real_factorizations
     }
 
-    /// Requests served from the cache without factoring.
+    /// Requests served from stored factors without factoring.
     pub fn cache_hits(&self) -> usize {
-        self.cache.stats().hits
+        self.stats.hits
     }
 
-    /// Full usage counters of the backing [`FactorCache`].
-    pub fn stats(&self) -> FactorCacheStats {
-        self.cache.stats()
+    /// Both lifetime usage counters.
+    pub fn stats(&self) -> FactorStats {
+        self.stats
     }
 
-    /// Clears cached factors if `sys` differs from the system this
+    /// Drops the stored factors if `sys` differs from the system this
     /// context last served.
     ///
     /// The content fingerprint is recomputed on every request — O(total
@@ -351,15 +331,18 @@ impl ReductionContext {
     fn ensure_system(&mut self, sys: &ParametricSystem) {
         let fp = system_fingerprint(sys);
         if self.fingerprint != Some(fp) {
-            if self.fingerprint.is_some() {
-                self.cache.clear();
-            }
+            self.factors.clear();
             self.ordering = None;
-            self.ordering_used = None;
             self.first_factor_nnz = None;
             self.fingerprint = Some(fp);
         }
     }
+}
+
+/// The key a parameter point's factors are stored under: the bit
+/// patterns of its coordinates.
+fn point_key(p: &[f64]) -> Vec<u64> {
+    p.iter().map(|v| v.to_bits()).collect()
 }
 
 /// Refuses a parameter point whose length is not the system's
@@ -376,13 +359,13 @@ fn check_point(sys: &ParametricSystem, p: &[f64]) -> Result<()> {
     }
 }
 
-/// Where a factorization's cost went: the resolved fill-reducing
-/// ordering and the fill it produced, as recorded by
-/// [`ReductionContext::provenance`] and surfaced in scenario/bench
+/// Where a factorization's cost went: the fill-reducing ordering and
+/// the fill it produced, as reported by
+/// [`ReductionContext::provenance_ready`] and surfaced in scenario/bench
 /// metrics (`factor_nnz`, `fill_ratio`, `ordering`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FactorProvenance {
-    /// Resolved ordering name: `"natural"`, `"rcm"` or `"amd"`.
+    /// Ordering name: `"rcm"` or `"amd"`.
     pub ordering: &'static str,
     /// Stored nonzeros of `L + U`.
     pub factor_nnz: usize,
@@ -426,6 +409,12 @@ pub fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// [`fnv1a_words`] over a byte stream, one byte per word: the checksum of
+/// `.rom` files, of ROM fingerprints and of `pmor serve` frames.
+pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
+    fnv1a_words(bytes.iter().map(|&b| u64::from(b)))
 }
 
 /// FNV-1a content fingerprint over the **whole** system identity: dims,
@@ -759,6 +748,13 @@ mod tests {
     }
 
     #[test]
+    fn fnv1a_bytes_matches_the_published_test_vectors() {
+        assert_eq!(fnv1a_bytes(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a_bytes(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_bytes(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
     fn registry_round_trips_names() {
         for kind in ReducerKind::ALL {
             assert_eq!(ReducerKind::from_name(kind.name()), Some(kind));
@@ -834,26 +830,14 @@ mod tests {
         let sys = tree(30);
         let b: Vec<f64> = (0..sys.dim()).map(|i| (i as f64).sin()).collect();
         let mut reference: Option<Vec<f64>> = None;
-        for choice in [
-            OrderingChoice::Natural,
-            OrderingChoice::Rcm,
-            OrderingChoice::Amd,
-            OrderingChoice::Auto,
-        ] {
+        for choice in [OrderingChoice::Rcm, OrderingChoice::Amd] {
             let mut ctx = ReductionContext::with_ordering(choice);
-            assert_eq!(ctx.ordering_choice(), choice);
             let lu = ctx.factor_g0(&sys).unwrap();
-            let prov = ctx.provenance(&sys).unwrap();
+            let prov = ctx.provenance_ready(&sys).expect("G0 is stored");
             assert_eq!(prov.factor_nnz, lu.factor_nnz());
             assert!(prov.fill_ratio() >= 1.0);
-            let expected: &[&str] = match choice {
-                OrderingChoice::Natural => &["natural"],
-                OrderingChoice::Rcm => &["rcm"],
-                OrderingChoice::Amd => &["amd"],
-                OrderingChoice::Auto => &["rcm", "amd"],
-            };
-            assert!(expected.contains(&prov.ordering), "{:?}", prov);
-            assert_eq!(ctx.ordering_used(&sys), prov.ordering);
+            assert_eq!(prov.ordering, choice.name());
+            assert_eq!(lu.column_order(), choice.resolve(&union_pattern(&sys)));
             // Solutions are ordering-independent.
             let x = lu.solve(&b).unwrap();
             match &reference {
@@ -863,12 +847,17 @@ mod tests {
         }
     }
 
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn context_factors_match_sparse_lu_factor_and_count_once() {
         // The context's factors must solve bit for bit like
         // `SparseLu::factor` of the same matrix under the context's shared
         // ordering, and the counters must read one factorization per
-        // distinct matrix, serial or batched at any thread count.
+        // distinct matrix, serial or batched at any thread count; a
+        // repeated batch only hits and hands out the stored factors.
         let sys = tree(35);
         let points: Vec<Vec<f64>> = vec![
             vec![0.0; 3],
@@ -877,46 +866,218 @@ mod tests {
             vec![0.3, -0.3, 0.2],
         ];
         let b: Vec<f64> = (0..sys.dim()).map(|i| (i as f64).cos()).collect();
-        let real_bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let scratch_real = |p: &[f64], ord: Option<&[usize]>| {
-            real_bits(
-                &SparseLu::factor(&sys.g_at(p), ord)
+        let scratch = |p: &[f64], ord: &[usize]| {
+            bits(
+                &SparseLu::factor(&sys.g_at(p), Some(ord))
                     .unwrap()
                     .solve(&b)
                     .unwrap(),
             )
         };
 
-        let mut ctx = ReductionContext::new();
+        let mut serial = ReductionContext::new();
         for p in &points {
-            let x = ctx.factor_g_at(&sys, p).unwrap().solve(&b).unwrap();
-            let ord = ctx
-                .ordering
-                .clone()
-                .expect("the default context orders by RCM");
-            assert_eq!(real_bits(&x), scratch_real(p, Some(&ord)), "p={p:?}");
+            let x = serial.factor_g_at(&sys, p).unwrap().solve(&b).unwrap();
+            let ord = serial.ordering.clone().expect("RCM ordering resolved");
+            assert_eq!(bits(&x), scratch(p, &ord), "p={p:?}");
         }
-        assert_eq!(ctx.real_factorizations(), points.len());
-        assert_eq!(ctx.cache_hits(), 0);
+        assert_eq!(serial.real_factorizations(), points.len());
+        assert_eq!(serial.cache_hits(), 0);
 
         for threads in [1usize, 0, 4] {
             let mut batch = ReductionContext::with_threads(threads);
             let factors = batch.prefactor_g_at(&sys, &points).unwrap();
+            assert_eq!(batch.stats(), serial.stats(), "{threads} threads");
             let ord = batch.ordering.clone().expect("RCM ordering resolved");
             for (p, lu) in points.iter().zip(&factors) {
                 let x = lu.solve(&b).unwrap();
+                assert_eq!(bits(&x), scratch(p, &ord), "p={p:?}, {threads} threads");
+            }
+            let again = batch.prefactor_g_at(&sys, &points).unwrap();
+            assert_eq!(batch.real_factorizations(), points.len());
+            assert_eq!(batch.cache_hits(), points.len(), "{threads} threads");
+            for (a, b) in factors.iter().zip(&again) {
+                assert!(Arc::ptr_eq(a, b));
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_batch_counts_cached_and_duplicate_keys_as_hits() {
+        let sys = tree(25);
+        let (stored, fresh) = (vec![0.0; 3], vec![0.1, 0.0, 0.0]);
+        for threads in [1usize, 0, 4] {
+            let mut ctx = ReductionContext::with_threads(threads);
+            ctx.factor_g_at(&sys, &stored).unwrap();
+            // One stored point, one fresh point requested twice.
+            let got = ctx
+                .prefactor_g_at(&sys, &[stored.clone(), fresh.clone(), fresh.clone()])
+                .unwrap();
+            assert_eq!(got.len(), 3);
+            assert!(Arc::ptr_eq(&got[1], &got[2]));
+            // Serial equivalent: 1 old miss + 1 new miss, 2 hits.
+            assert_eq!(ctx.real_factorizations(), 2, "{threads} threads");
+            assert_eq!(ctx.cache_hits(), 2, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn second_request_hits_and_reuses_the_same_factors() {
+        // A perturbed point, requested alone and then inside a batch, is
+        // factored once and handed out as the same factors every time.
+        let sys = tree(25);
+        let p = vec![0.1, -0.2, 0.05];
+        for threads in [1usize, 0, 4] {
+            let mut ctx = ReductionContext::with_threads(threads);
+            let first = ctx.factor_g_at(&sys, &p).unwrap();
+            let second = ctx.factor_g_at(&sys, &p).unwrap();
+            let batched = ctx.prefactor_g_at(&sys, std::slice::from_ref(&p)).unwrap();
+            assert!(Arc::ptr_eq(&first, &second));
+            assert!(Arc::ptr_eq(&first, &batched[0]));
+            let want = FactorStats {
+                real_factorizations: 1,
+                hits: 2,
+            };
+            assert_eq!(ctx.stats(), want, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn distinct_points_factor_independently() {
+        // Each point's factors solve its own G(p), not a neighbour's.
+        let sys = tree(25);
+        let points = [vec![0.3, 0.0, 0.0], vec![0.0, -0.3, 0.0]];
+        let b: Vec<f64> = (0..sys.dim()).map(|i| (i as f64).sin() + 0.5).collect();
+        let mut ctx = ReductionContext::new();
+        let lus: Vec<_> = points
+            .iter()
+            .map(|p| ctx.factor_g_at(&sys, p).unwrap())
+            .collect();
+        let want = FactorStats {
+            real_factorizations: 2,
+            hits: 0,
+        };
+        assert_eq!(ctx.stats(), want);
+        let xs: Vec<_> = lus.iter().map(|lu| lu.solve(&b).unwrap()).collect();
+        for (p, x) in points.iter().zip(&xs) {
+            let r = pmor_num::vecops::sub(&sys.g_at(p).mul_vec(x), &b);
+            let rel = pmor_num::vecops::norm2(&r) / pmor_num::vecops::norm2(&b);
+            assert!(rel < 1e-12, "p={p:?}: residual {rel:e}");
+        }
+        assert!(pmor_num::vecops::rel_err(&xs[0], &xs[1]) > 1e-6);
+    }
+
+    #[test]
+    fn parallel_batch_matches_serial_context_state() {
+        // A batch with a repeated point leaves, at any thread count, the
+        // counters of a serial request loop over the same points, and
+        // factors that solve bit for bit like the serial ones, forward
+        // and transposed.
+        let sys = rc_random(&RcRandomConfig::default()).assemble();
+        let np = sys.num_params();
+        let mut points: Vec<Vec<f64>> = (0..5)
+            .map(|k| {
+                let mut p = vec![0.0; np];
+                p[k % np] = 0.05 * (k as f64 + 1.0);
+                p
+            })
+            .collect();
+        points.push(points[2].clone());
+        let mut serial = ReductionContext::new();
+        let want: Vec<_> = points
+            .iter()
+            .map(|p| serial.factor_g_at(&sys, p).unwrap())
+            .collect();
+        let duplicates = FactorStats {
+            real_factorizations: 5,
+            hits: 1,
+        };
+        assert_eq!(serial.stats(), duplicates);
+        let rhs: Vec<f64> = (0..sys.dim()).map(|i| (i as f64).sin() + 0.5).collect();
+        for threads in [1usize, 0, 4] {
+            let mut batch = ReductionContext::with_threads(threads);
+            let got = batch.prefactor_g_at(&sys, &points).unwrap();
+            assert_eq!(batch.stats(), serial.stats(), "{threads} threads");
+            assert!(Arc::ptr_eq(&got[2], &got[5]));
+            for (a, b) in got.iter().zip(&want) {
+                assert_eq!(bits(&a.solve(&rhs).unwrap()), bits(&b.solve(&rhs).unwrap()));
                 assert_eq!(
-                    real_bits(&x),
-                    scratch_real(p, Some(&ord)),
-                    "p={p:?}, {threads} threads"
+                    bits(&a.solve_transpose(&rhs).unwrap()),
+                    bits(&b.solve_transpose(&rhs).unwrap()),
+                    "{threads} threads"
                 );
             }
-            assert_eq!(
-                batch.real_factorizations(),
-                points.len(),
-                "{threads} threads"
-            );
-            assert_eq!(batch.cache_hits(), 0, "{threads} threads");
+        }
+    }
+
+    /// `tree(n)` whose `G(p)` loses column `k + 1` entirely at the unit
+    /// point `p = e_k` (`Gₖ` is minus that column of `G0`), so each unit
+    /// point fails with its own `EmptyColumn`.
+    fn singular_at_unit_points(n: usize) -> ParametricSystem {
+        let mut sys = tree(n);
+        for (k, gk) in sys.gi.iter_mut().enumerate() {
+            let col: Vec<_> = sys
+                .g0
+                .iter()
+                .filter(|&(_, c, _)| c == k + 1)
+                .map(|(r, c, v)| (r, c, -v))
+                .collect();
+            *gk = CsrMatrix::from_triplets(sys.g0.nrows(), sys.g0.ncols(), &col);
+        }
+        sys
+    }
+
+    fn unit(k: usize) -> Vec<f64> {
+        let mut p = vec![0.0; 3];
+        p[k] = 1.0;
+        p
+    }
+
+    #[test]
+    fn failed_factorization_is_not_cached() {
+        let sys = singular_at_unit_points(25);
+        let mut ctx = ReductionContext::new();
+        for _ in 0..2 {
+            let err = ctx.factor_g_at(&sys, &unit(0)).unwrap_err();
+            assert!(err.to_string().contains("column"), "{err}");
+            assert_eq!(ctx.stats(), FactorStats::default());
+            assert_eq!(ctx.provenance_ready(&sys), None);
+        }
+        // The context still serves the regular points.
+        ctx.factor_g0(&sys).unwrap();
+        assert_eq!(ctx.real_factorizations(), 1);
+    }
+
+    #[test]
+    fn parallel_batch_surfaces_earliest_failure_and_keeps_good_factors() {
+        let sys = singular_at_unit_points(25);
+        let ord = ReductionContext::new().shared_ordering(&sys).to_vec();
+        let scratch_err = |p: &[f64]| {
+            crate::PmorError::from(SparseLu::factor(&sys.g_at(p), Some(&ord)).unwrap_err())
+        };
+        assert_ne!(scratch_err(&unit(0)), scratch_err(&unit(1)));
+        let good = vec![0.0; 3];
+        for threads in [1usize, 0, 4] {
+            // A good point, then two failing ones: the earlier failure is
+            // the batch's error, and the good factor is kept and counted.
+            let mut ctx = ReductionContext::with_threads(threads);
+            let err = ctx
+                .prefactor_g_at(&sys, &[good.clone(), unit(1), unit(0)])
+                .unwrap_err();
+            assert_eq!(err, scratch_err(&unit(1)), "{threads} threads");
+            assert_eq!(ctx.stats().real_factorizations, 1);
+            assert_eq!(ctx.stats().hits, 0, "hits of a failed batch go uncounted");
+            ctx.factor_g0(&sys).unwrap();
+            assert_eq!(ctx.stats().real_factorizations, 1, "kept G0 factor");
+            assert_eq!(ctx.stats().hits, 1);
+            // A failing first point keeps a later good one too.
+            let mut ctx = ReductionContext::with_threads(threads);
+            let err = ctx
+                .prefactor_g_at(&sys, &[unit(0), good.clone()])
+                .unwrap_err();
+            assert_eq!(err, scratch_err(&unit(0)), "{threads} threads");
+            assert_eq!(ctx.stats().real_factorizations, 1);
+            assert!(ctx.provenance_ready(&sys).is_some(), "G0 was kept");
         }
     }
 
@@ -928,11 +1089,12 @@ mod tests {
         assert_eq!(ctx.provenance_ready(&sys), None);
 
         let mut ctx = ReductionContext::new();
-        ctx.factor_g0(&sys).unwrap();
+        let g0_nnz = ctx.factor_g0(&sys).unwrap().factor_nnz();
         let stats = ctx.stats();
-        let ready = ctx.provenance_ready(&sys).expect("G0 is cached");
+        let ready = ctx.provenance_ready(&sys).expect("G0 is stored");
         assert_eq!(ctx.stats(), stats, "peek must not count");
-        assert_eq!(ready, ctx.provenance(&sys).unwrap());
+        assert_eq!(ready.factor_nnz, g0_nnz);
+        assert_eq!(ready.ordering, "rcm");
 
         // A batch that never factors p = 0 still reports the fill of its
         // first factorization, at any thread count.
@@ -949,22 +1111,12 @@ mod tests {
             // A later request does not move the first fill.
             ctx.factor_g_at(&sys, &[0.0, 0.3, 0.0]).unwrap();
             assert_eq!(ctx.provenance_ready(&sys), Some(ready));
-            // A new ordering, or a new system, forgets it until
-            // something is factored.
-            ctx.set_ordering(OrderingChoice::Amd);
-            assert_eq!(ctx.ordering_used(&sys), "amd");
-            assert_eq!(ctx.provenance_ready(&sys), None);
-            ctx.set_ordering(OrderingChoice::Rcm);
-            ctx.prefactor_g_at(&sys, &points).unwrap();
+            // A new system forgets it until something is factored.
             let other = tree(20);
-            assert_eq!(ctx.ordering_used(&other), "rcm");
+            ctx.prefactor_g_at(&other, &[]).unwrap();
             assert_eq!(ctx.provenance_ready(&other), None);
+            assert_eq!(ctx.provenance_ready(&sys), None);
         }
-        let mut ctx = ReductionContext::new();
-        ctx.prefactor_g_at(&sys, &points).unwrap();
-
-        // A different system invalidates the report.
-        assert_eq!(ctx.provenance_ready(&tree(20)), None);
     }
 
     #[test]
@@ -1002,5 +1154,27 @@ mod tests {
         // if not maximally economical; contexts are meant per pipeline.
         ctx.factor_g0(&sys_a).unwrap();
         assert_eq!(ctx.real_factorizations(), 3);
+    }
+
+    #[test]
+    fn system_switch_drops_factors_and_keeps_lifetime_counters() {
+        let (sys_a, sys_b) = (tree(20), tree(30));
+        let p = vec![0.1, 0.0, 0.0];
+        let stats = |real_factorizations, hits| FactorStats {
+            real_factorizations,
+            hits,
+        };
+        let mut ctx = ReductionContext::new();
+        ctx.factor_g0(&sys_a).unwrap();
+        ctx.factor_g_at(&sys_a, &p).unwrap();
+        ctx.factor_g_at(&sys_a, &p).unwrap();
+        assert_eq!(ctx.stats(), stats(2, 1));
+        // Serving sys_b drops sys_a's factors; the counters keep counting.
+        ctx.factor_g0(&sys_b).unwrap();
+        assert_eq!(ctx.stats(), stats(3, 1));
+        assert_eq!(ctx.provenance_ready(&sys_a), None);
+        // sys_a's point, stored before the switch, is a miss again.
+        ctx.factor_g_at(&sys_a, &p).unwrap();
+        assert_eq!(ctx.stats(), stats(4, 1));
     }
 }

@@ -18,6 +18,7 @@
 //! runs (see the `pmor-cli` crate) without re-reducing.
 
 use crate::engine::{batch_results, EvalPoint, EvalWorkspace, TransferModel};
+use crate::reduce::fnv1a_bytes;
 use crate::{PmorError, Result};
 use pmor_circuits::ParametricSystem;
 use pmor_num::lu::{LuFactors, PencilLdl, PencilLu};
@@ -520,7 +521,7 @@ pub fn to_bytes(rom: &ParametricRom) -> Vec<u8> {
     out.extend_from_slice(&ROM_MAGIC);
     out.extend_from_slice(&ROM_FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&payload);
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+    out.extend_from_slice(&fnv1a_bytes(&payload).to_le_bytes());
     out
 }
 
@@ -549,7 +550,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<ParametricRom> {
     let payload = &bytes[12..bytes.len() - 8];
     // pmor-lint: allow(panic-in-lib) reason="the slice range is exactly 8 bytes by construction, so the array conversion cannot fail"
     let stored_sum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    if fnv1a(payload) != stored_sum {
+    if fnv1a_bytes(payload) != stored_sum {
         return Err(err("checksum mismatch (corrupted file)"));
     }
 
@@ -712,17 +713,7 @@ impl ParametricRom {
 /// they are bitwise identical — the key the `pmor serve` in-memory ROM
 /// store and its `Eval` requests address models by.
 pub fn fingerprint(rom: &ParametricRom) -> u64 {
-    fnv1a(&to_bytes(rom))
-}
-
-/// FNV-1a over a byte slice (the payload checksum).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a_bytes(&to_bytes(rom))
 }
 
 #[cfg(test)]

@@ -158,8 +158,8 @@ fn finding(kind: LintKind, file: &SourceFile, line: usize, message: String) -> F
 
 /// `det-hash-iter`: flags iteration over hash containers in
 /// result-producing crates. Storage and point lookups are fine —
-/// `FactorCache` keeps its factors in a `HashMap` and never iterates it
-/// — but `.keys()`/`.values()`/`.iter()`/`.drain()`/`for … in` walk the
+/// `ReductionContext` keeps its factors in a `HashMap` and never
+/// iterates it — but `.keys()`/`.values()`/`.iter()`/`.drain()`/`for … in` walk the
 /// container in an order that varies with insertion history and hasher
 /// seed, and any numeric fold over that order is a determinism bug.
 struct DetHashIter;

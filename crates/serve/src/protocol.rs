@@ -29,6 +29,7 @@
 
 use crate::ServeError;
 use pmor::engine::EvalPoint;
+use pmor::reduce::fnv1a_bytes;
 use pmor::ParametricRom;
 use pmor_bench::BenchRecord;
 use pmor_num::{Complex64, Matrix};
@@ -673,7 +674,7 @@ fn seal_frame(tag: u8, req_id: u32, body: Vec<u8>) -> Vec<u8> {
     out.extend_from_slice(&req_id.to_le_bytes());
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
     out.extend_from_slice(&body);
-    out.extend_from_slice(&fnv1a(&body).to_le_bytes());
+    out.extend_from_slice(&fnv1a_bytes(&body).to_le_bytes());
     out
 }
 
@@ -698,7 +699,7 @@ fn open_frame(frame: &[u8]) -> Result<(FrameHeader, &[u8]), ServeError> {
     let body = &frame[HEADER_LEN..frame.len() - CHECKSUM_LEN];
     let mut sum = [0u8; CHECKSUM_LEN];
     sum.copy_from_slice(&frame[frame.len() - CHECKSUM_LEN..]);
-    if fnv1a(body) != u64::from_le_bytes(sum) {
+    if fnv1a_bytes(body) != u64::from_le_bytes(sum) {
         return Err(ServeError::Protocol(
             "frame checksum mismatch (corrupted body)".into(),
         ));
@@ -796,17 +797,6 @@ impl<'a> ByteReader<'a> {
             )))
         }
     }
-}
-
-/// FNV-1a over a byte slice (the frame checksum — same function the
-/// ROM file format uses for its payload).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -475,7 +475,7 @@ fn serve_json_message(conn: &mut Conn, first: u8, idle_ms: &mut u64, shared: &Sh
             break;
         }
         if line.len() as u64 >= shared.max_frame as u64 {
-            let _ = conn.write_all(json::malformed_line("json line exceeds max-frame").as_bytes());
+            write_json_line(conn, &json::malformed_line("json line exceeds max-frame"));
             return false;
         }
         line.push(byte[0]);
@@ -483,8 +483,7 @@ fn serve_json_message(conn: &mut Conn, first: u8, idle_ms: &mut u64, shared: &Sh
     let text = match std::str::from_utf8(&line) {
         Ok(t) => t,
         Err(_) => {
-            let _ = conn.write_all(json::malformed_line("json line is not UTF-8").as_bytes());
-            let _ = conn.write_all(b"\n");
+            write_json_line(conn, &json::malformed_line("json line is not UTF-8"));
             return false;
         }
     };
@@ -495,8 +494,13 @@ fn serve_json_message(conn: &mut Conn, first: u8, idle_ms: &mut u64, shared: &Sh
         }
         Err(detail) => (json::malformed_line(&detail), true),
     };
-    let ok = conn.write_all(reply_line.as_bytes()).is_ok() && conn.write_all(b"\n").is_ok();
-    ok && keep_open
+    write_json_line(conn, &reply_line) && keep_open
+}
+
+/// Writes one newline-terminated JSON-dialect line; `false` when the
+/// peer is gone.
+fn write_json_line(conn: &mut Conn, line: &str) -> bool {
+    conn.write_all(line.as_bytes()).is_ok() && conn.write_all(b"\n").is_ok()
 }
 
 fn respond_fault(conn: &mut Conn, req_id: u32, code: FaultCode, message: &str) {

@@ -384,6 +384,34 @@ fn json_fallback_speaks_line_protocol() {
 }
 
 #[test]
+fn json_line_over_max_frame_gets_a_newline_terminated_fault() {
+    let handle = Server::start(ServeConfig {
+        max_frame: 64,
+        ..ServeConfig::default()
+    })
+    .expect("server");
+    let ServeAddr::Tcp(hp) = handle.addr().clone() else {
+        panic!("default config is TCP")
+    };
+    // The server reads one byte past max-frame before it gives up, so
+    // these 65 bytes are consumed whole (a clean close, no TCP reset).
+    let line = format!("{{\"op\":\"ping\",\"pad\":\"{}\"}}", "x".repeat(43));
+    assert_eq!(line.len(), 65);
+    let mut sock = TcpStream::connect(&hp).expect("connect");
+    sock.write_all(line.as_bytes()).expect("write long line");
+    let mut reply = String::new();
+    sock.read_to_string(&mut reply)
+        .expect("fault line, then close");
+    assert!(reply.contains("\"error\":\"malformed\""), "{reply:?}");
+    assert!(reply.contains("max-frame"), "{reply:?}");
+    assert!(reply.ends_with('\n'), "{reply:?}");
+    // The daemon survives.
+    let mut client = Client::connect(handle.addr()).expect("connect after fault");
+    client.ping().expect("ping after fault");
+    handle.shutdown_and_join().expect("shutdown");
+}
+
+#[test]
 fn graceful_shutdown_drains_in_flight_batches() {
     let model = test_rom();
     let handle = start_default();

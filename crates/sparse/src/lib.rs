@@ -37,14 +37,12 @@
 
 pub mod coo;
 pub mod csr;
-pub mod factor_cache;
 pub mod linop;
 pub mod lu;
 pub mod ordering;
 
 pub use coo::CooBuilder;
 pub use csr::CsrMatrix;
-pub use factor_cache::{FactorCache, FactorCacheStats, FactorKey};
 pub use linop::LinearOperator;
 pub use lu::SparseLu;
 pub use ordering::OrderingChoice;

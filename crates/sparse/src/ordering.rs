@@ -6,8 +6,7 @@
 //! better served by approximate minimum degree ([`amd`]), whose fill grows
 //! near-linearly where a banded ordering grows like `n·bandwidth`. Both
 //! orderings operate on the symmetrized pattern `A + Aᵀ`; [`OrderingChoice`]
-//! selects between them, with [`OrderingChoice::Auto`] deciding by the exact
-//! symbolic-Cholesky fill count ([`fill_estimate`]).
+//! selects between them.
 
 use crate::csr::CsrMatrix;
 use pmor_num::Scalar;
@@ -16,8 +15,6 @@ use pmor_num::Scalar;
 /// pipelines (`[reduce] ordering` in scenario files).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OrderingChoice {
-    /// No reordering: columns are eliminated in natural order.
-    Natural,
     /// Reverse Cuthill–McKee ([`rcm`]) — the workspace default, best on
     /// tree/ladder interconnect.
     #[default]
@@ -25,53 +22,34 @@ pub enum OrderingChoice {
     /// Approximate minimum degree ([`amd`]) — best on 2-D meshes and
     /// irregular power-grid-class patterns.
     Amd,
-    /// Compute both RCM and AMD and keep whichever the symbolic fill
-    /// estimate ([`fill_estimate`]) scores lower.
-    Auto,
 }
 
 impl OrderingChoice {
-    /// Parses a scenario-file spelling (`"natural" | "rcm" | "amd" |
-    /// "auto"`, case-insensitive).
+    /// Parses a scenario-file spelling (`"rcm" | "amd"`,
+    /// case-insensitive).
     pub fn parse(name: &str) -> Option<OrderingChoice> {
         match name.to_ascii_lowercase().as_str() {
-            "natural" => Some(OrderingChoice::Natural),
             "rcm" => Some(OrderingChoice::Rcm),
             "amd" => Some(OrderingChoice::Amd),
-            "auto" => Some(OrderingChoice::Auto),
             _ => None,
         }
     }
 
     /// The canonical spelling of the policy (what [`OrderingChoice::parse`]
-    /// accepts). `Auto` reports `"auto"`; the resolved pick comes from
-    /// [`OrderingChoice::resolve`].
+    /// accepts).
     pub fn name(self) -> &'static str {
         match self {
-            OrderingChoice::Natural => "natural",
             OrderingChoice::Rcm => "rcm",
             OrderingChoice::Amd => "amd",
-            OrderingChoice::Auto => "auto",
         }
     }
 
-    /// Resolves the policy on a concrete pattern: the permutation to hand
-    /// to [`crate::SparseLu::factor`] (`None` = natural order) plus the
-    /// name of the ordering actually chosen (`Auto` reports its pick).
-    pub fn resolve<T: Scalar>(self, a: &CsrMatrix<T>) -> (Option<Vec<usize>>, &'static str) {
+    /// The policy's column permutation of a concrete pattern, to hand to
+    /// [`crate::SparseLu::factor`].
+    pub fn resolve<T: Scalar>(self, a: &CsrMatrix<T>) -> Vec<usize> {
         match self {
-            OrderingChoice::Natural => (None, "natural"),
-            OrderingChoice::Rcm => (Some(rcm(a)), "rcm"),
-            OrderingChoice::Amd => (Some(amd(a)), "amd"),
-            OrderingChoice::Auto => {
-                let r = rcm(a);
-                let m = amd(a);
-                if fill_estimate(a, &m) < fill_estimate(a, &r) {
-                    (Some(m), "amd")
-                } else {
-                    (Some(r), "rcm")
-                }
-            }
+            OrderingChoice::Rcm => rcm(a),
+            OrderingChoice::Amd => amd(a),
         }
     }
 }
@@ -506,75 +484,6 @@ impl DegreeLists {
     }
 }
 
-/// Exact nonzero count (lower triangle, diagonal included) of the
-/// Cholesky factor of the **symmetrized** pattern of `a` under `perm` —
-/// the fill estimate behind [`OrderingChoice::Auto`]. Computed without
-/// forming the factor, via the elimination tree and row-subtree counting
-/// (`O(nnz(L))` time, `O(n)` extra memory). LU partial pivoting can
-/// deviate from this count, but the *ranking* between two candidate
-/// orderings is what the auto policy needs.
-///
-/// # Panics
-///
-/// Panics if `a` is not square or `perm` is not a permutation of `0..n`.
-pub fn fill_estimate<T: Scalar>(a: &CsrMatrix<T>, perm: &[usize]) -> usize {
-    let n = a.nrows();
-    assert_eq!(n, a.ncols(), "fill_estimate: square matrix required");
-    assert_eq!(perm.len(), n, "fill_estimate: permutation length");
-    const NONE: usize = usize::MAX;
-    let mut pos = vec![NONE; n];
-    for (k, &j) in perm.iter().enumerate() {
-        assert!(j < n && pos[j] == NONE, "fill_estimate: not a permutation");
-        pos[j] = k;
-    }
-    // Strict lower-triangle adjacency in permuted positions.
-    let mut lower: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (r, c, _) in a.iter() {
-        if r != c {
-            let (i, j) = (pos[r], pos[c]);
-            lower[i.max(j)].push(i.min(j));
-        }
-    }
-    for list in lower.iter_mut() {
-        list.sort_unstable();
-        list.dedup();
-    }
-    // Elimination tree via path-compressed ancestors.
-    let mut parent = vec![NONE; n];
-    let mut anc = vec![NONE; n];
-    for k in 0..n {
-        for &j in &lower[k] {
-            let mut r = j;
-            while anc[r] != NONE && anc[r] != k {
-                let next = anc[r];
-                anc[r] = k;
-                r = next;
-            }
-            if anc[r] == NONE {
-                anc[r] = k;
-                parent[r] = k;
-            }
-        }
-    }
-    // nnz(L) = n diagonals + Σ row-subtree sizes: walk each lower
-    // neighbor up the etree until hitting the row node or a node already
-    // counted for this row.
-    let mut row_mark = vec![NONE; n];
-    let mut count = n;
-    for k in 0..n {
-        row_mark[k] = k;
-        for &j in &lower[k] {
-            let mut r = j;
-            while r != NONE && r != k && row_mark[r] != k {
-                row_mark[r] = k;
-                count += 1;
-                r = parent[r];
-            }
-        }
-    }
-    count
-}
-
 /// Bandwidth of a matrix under a permutation — a proxy for expected fill.
 pub fn bandwidth_under<T: Scalar>(a: &CsrMatrix<T>, perm: &[usize]) -> usize {
     let n = a.nrows();
@@ -733,42 +642,20 @@ mod tests {
     }
 
     #[test]
-    fn fill_estimate_ranks_orderings_like_actual_lu_fill() {
-        let a = shuffled_grid(12);
-        let natural: Vec<usize> = (0..a.nrows()).collect();
-        let p = amd(&a);
-        let est_amd = fill_estimate(&a, &p);
-        let est_nat = fill_estimate(&a, &natural);
-        assert!(est_amd < est_nat, "amd {est_amd} vs natural {est_nat}");
-        // The estimate is exact for symmetric patterns when pivoting
-        // stays on the diagonal: L and U then mirror each other, so
-        // factor_nnz = 2·est − n.
-        let lu = crate::SparseLu::factor(&a, Some(&p)).unwrap();
-        assert_eq!(lu.factor_nnz(), 2 * est_amd - a.nrows());
-    }
-
-    #[test]
     fn ordering_choice_parses_and_resolves() {
         assert_eq!(OrderingChoice::parse("AMD"), Some(OrderingChoice::Amd));
         assert_eq!(OrderingChoice::parse("rcm"), Some(OrderingChoice::Rcm));
-        assert_eq!(OrderingChoice::parse("auto"), Some(OrderingChoice::Auto));
-        assert_eq!(
-            OrderingChoice::parse("natural"),
-            Some(OrderingChoice::Natural)
-        );
-        assert_eq!(OrderingChoice::parse("bogus"), None);
+        for retired in ["auto", "natural", "bogus"] {
+            assert_eq!(OrderingChoice::parse(retired), None, "{retired}");
+        }
         assert_eq!(OrderingChoice::default(), OrderingChoice::Rcm);
+        for choice in [OrderingChoice::Rcm, OrderingChoice::Amd] {
+            assert_eq!(OrderingChoice::parse(choice.name()), Some(choice));
+        }
 
         let a = shuffled_grid(10);
-        let (perm, name) = OrderingChoice::Auto.resolve(&a);
-        let perm = perm.unwrap();
-        assert_permutation(&perm, a.nrows());
-        // Auto must report whichever candidate its estimate prefers.
-        let est_rcm = fill_estimate(&a, &rcm(&a));
-        let est_amd = fill_estimate(&a, &amd(&a));
-        let expect = if est_amd < est_rcm { "amd" } else { "rcm" };
-        assert_eq!(name, expect);
-        assert_eq!(OrderingChoice::Natural.resolve(&a), (None, "natural"));
+        assert_eq!(OrderingChoice::Rcm.resolve(&a), rcm(&a));
+        assert_eq!(OrderingChoice::Amd.resolve(&a), amd(&a));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Determinism guarantee of the parallel multi-shift reduction path:
 //! a [`ReductionContext`] with any worker-thread count must produce
-//! bitwise-identical reduced models and identical factor-cache counters
+//! bitwise-identical reduced models and identical factorization counters
 //! — parallelism buys wall-clock, never a different number.
 
 use pmor::multipoint::{MultiPointOptions, MultiPointPmor};
-use pmor::{OrderingChoice, Reducer, ReducerKind, ReducerTuning, ReductionContext};
+use pmor::{Reducer, ReducerKind, ReducerTuning, ReductionContext};
 use pmor_circuits::generators::{clock_tree, rc_mesh, ClockTreeConfig, RcMeshConfig};
 use pmor_circuits::ParametricSystem;
 use pmor_num::Complex64;
@@ -97,31 +97,29 @@ fn multishift_methods_are_bitwise_identical_across_thread_counts() {
 #[test]
 fn context_factors_are_sparse_lu_factor_bits_at_any_thread() {
     // The context's factors, serial or batched, must solve bit for bit
-    // like `SparseLu::factor` of the same matrix, and the counters must
-    // read one factorization per distinct matrix. The natural order
-    // makes the reference's ordering visible here; the RCM-ordered case
-    // is a unit test beside the context's shared ordering.
+    // like `SparseLu::factor` of the same matrix under the same column
+    // order, and the counters must read one factorization per distinct
+    // matrix.
     let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for (name, sys) in workloads() {
         let np = sys.num_params();
         let samples = MultiPointOptions::grid(&vec![(-0.3, 0.3); np], 2, 2).samples;
         let b: Vec<f64> = (0..sys.dim()).map(|i| (i as f64 * 0.37).sin()).collect();
-        let scratch = |p: &[f64]| {
+        let scratch = |p: &[f64], lu: &SparseLu<f64>| {
             bits(
-                &SparseLu::factor(&sys.g_at(p), None)
+                &SparseLu::factor(&sys.g_at(p), Some(lu.column_order()))
                     .unwrap()
                     .solve(&b)
                     .unwrap(),
             )
         };
         for threads in [1usize, 0, 4] {
-            let mut ctx = ReductionContext::with_ordering(OrderingChoice::Natural);
-            ctx.set_threads(threads);
+            let mut ctx = ReductionContext::with_threads(threads);
             let factors = ctx.prefactor_g_at(&sys, &samples).unwrap();
             for (p, lu) in samples.iter().zip(&factors) {
                 assert_eq!(
                     bits(&lu.solve(&b).unwrap()),
-                    scratch(p),
+                    scratch(p, lu),
                     "{name}: prefactor at p={p:?} ({threads} threads)"
                 );
             }
@@ -129,10 +127,10 @@ fn context_factors_are_sparse_lu_factor_bits_at_any_thread() {
             assert_eq!(ctx.cache_hits(), 0, "{name}");
             // A serial request after the batch factors the same way.
             let p = vec![0.1; np];
-            let x = ctx.factor_g_at(&sys, &p).unwrap().solve(&b).unwrap();
+            let lu = ctx.factor_g_at(&sys, &p).unwrap();
             assert_eq!(
-                bits(&x),
-                scratch(&p),
+                bits(&lu.solve(&b).unwrap()),
+                scratch(&p, &lu),
                 "{name}: factor_g_at ({threads} threads)"
             );
             assert_eq!(ctx.real_factorizations(), samples.len() + 1, "{name}");

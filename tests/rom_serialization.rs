@@ -8,6 +8,7 @@
 //! can send) must be rejected by the parser itself, without a panic
 //! and without a reservation the payload cannot back.
 
+use pmor::reduce::fnv1a_bytes;
 use pmor::rom::{from_bytes, to_bytes, ROM_FORMAT_VERSION, ROM_MAGIC};
 use pmor::{reducer_by_name, ParametricRom, PmorError};
 use pmor_circuits::generators::{
@@ -132,20 +133,13 @@ fn byte_level_round_trip_preserves_exact_payload() {
     assert_eq!(to_bytes(&back), bytes);
 }
 
-/// FNV-1a, the format's payload checksum (private in `pmor::rom`).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// A ROM file around `payload` with a matching checksum, so damage in
 /// the payload gets past the checksum into the parser.
 fn reseal(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::from(ROM_MAGIC);
     out.extend_from_slice(&ROM_FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(&fnv1a_bytes(payload).to_le_bytes());
     out
 }
 
