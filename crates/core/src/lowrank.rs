@@ -29,15 +29,24 @@
 //! `V̂_Gi/V̂_Ci` directly — halves the model size at some accuracy cost; it is
 //! selected by [`LowRankOptions::include_transpose_subspaces`].
 
-use crate::opsvd::{operator_svd, GeneralizedSensitivity, OperatorSvdOptions};
-use crate::prima::{krylov_blocks, krylov_from};
+use crate::opsvd::{
+    lockstep_svd, solve_each, solve_transpose_each, GeneralizedSensitivities, OperatorSvdOptions,
+};
+use crate::prima::{krylov_blocks, krylov_lockstep, Action};
 use crate::reduce::{Reducer, ReductionContext};
 use crate::rom::ParametricRom;
 use crate::Result;
 use pmor_circuits::ParametricSystem;
 use pmor_num::orth::OrthoBasis;
+use pmor_num::svd::Svd;
 use pmor_num::Matrix;
-use pmor_sparse::{CsrMatrix, SparseLu};
+use pmor_sparse::{CsrMatrix, LinearOperator, SparseLu};
+
+/// Sensitivities whose randomized SVDs, Krylov starts and Krylov steps
+/// share each solve pass. Two keep the default rank-2 sketch blocks at
+/// 12 columns; all eight of a four-parameter mesh in one 48-column block
+/// raised peak memory by a quarter and ran no faster.
+const LOCKSTEP_SENSITIVITIES: usize = 2;
 
 /// Options for [`LowRankPmor`].
 #[derive(Debug, Clone, PartialEq)]
@@ -88,6 +97,10 @@ pub struct LowRankStats {
     pub param_size: usize,
     /// Final reduced model size.
     pub size: usize,
+    /// Solve passes on the `G0` factors: each column solve and each block
+    /// solve streams the factors once. Deterministic for a given system
+    /// and options.
+    pub solve_passes: usize,
 }
 
 /// The low-rank parametric reducer (Algorithm 1).
@@ -142,6 +155,13 @@ impl LowRankPmor {
     /// of Algorithm 1 — Krylov recurrences, randomized SVD sketches and
     /// the transpose subspaces of step 2.2 — reuses those factors).
     ///
+    /// The sensitivities are taken two at a time. Within such a group
+    /// every stage is one solve pass for both: each sketch, power
+    /// iteration and `Bᵀ` stage of the randomized SVDs, the Krylov
+    /// starts, and each Krylov step. The group's subspaces then merge
+    /// into the basis in Algorithm 1's order, so the projection is bit
+    /// for bit the one-sensitivity-at-a-time result.
+    ///
     /// # Errors
     ///
     /// Fails when `G0` is singular.
@@ -157,19 +177,14 @@ impl LowRankPmor {
         let mut basis = OrthoBasis::new(sys.dim());
 
         // Step 2.1: the frequency subspace V0.
-        let v0_size = krylov_blocks(&lu, &sys.c0, &sys.b, o.s_order, &mut basis)?;
+        let (v0_size, mut solve_passes) =
+            krylov_blocks(&lu, &sys.c0, &sys.b, o.s_order, &mut basis)?;
 
         // Steps 1 + 2.2 for every sensitivity matrix.
         let mut param_size = 0;
-        let mut svd_seed = o.svd.seed;
-        for i in 0..sys.num_params() {
-            for mat in [&sys.gi[i], &sys.ci[i]] {
-                if mat.nnz() == 0 {
-                    continue;
-                }
-                svd_seed = svd_seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                param_size += self.add_parameter_subspaces(&lu, sys, mat, svd_seed, &mut basis)?;
-            }
+        for group in self.sensitivities(sys).chunks(LOCKSTEP_SENSITIVITIES) {
+            param_size +=
+                self.add_parameter_subspaces(&lu, sys, group, &mut basis, &mut solve_passes)?;
         }
 
         let v = basis.to_matrix();
@@ -178,93 +193,109 @@ impl LowRankPmor {
             v0_size,
             param_size,
             size: v.ncols(),
+            solve_passes,
         };
         Ok((v, stats))
     }
 
-    /// Step 1 (low-rank SVD) and step 2.2 (Krylov subspaces) for one
-    /// sensitivity matrix; returns the number of directions added.
+    /// The nonzero sensitivity matrices in Algorithm 1's order (`G₁, C₁,
+    /// G₂, …`), each with its position in that order (`2i` for `Gᵢ`,
+    /// `2i + 1` for `Cᵢ`) and its own sketch seed.
+    fn sensitivities<'s>(&self, sys: &'s ParametricSystem) -> Vec<Sensitivity<'s>> {
+        let mut seed = self.options.svd.seed;
+        (0..sys.num_params())
+            .flat_map(|i| [&sys.gi[i], &sys.ci[i]])
+            .enumerate()
+            .filter(|(_, mat)| mat.nnz() > 0)
+            .map(|(at, mat)| {
+                seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                Sensitivity { at, mat, seed }
+            })
+            .collect()
+    }
+
+    /// Step 1 for a group of sensitivities: the rank-`k_svd` randomized
+    /// SVDs of `G0⁻¹M` (or of the raw `M` in the ablation), in lockstep.
+    /// Adds the solve passes made on `lu` to `passes`.
+    fn group_svds(
+        &self,
+        lu: &SparseLu<f64>,
+        group: &[Sensitivity<'_>],
+        raw: bool,
+        passes: &mut usize,
+    ) -> Result<Vec<Svd>> {
+        let opts = OperatorSvdOptions {
+            rank: self.options.rank,
+            ..self.options.svd.clone()
+        };
+        let seeds: Vec<u64> = group.iter().map(|s| s.seed).collect();
+        if raw {
+            let ops: Vec<&dyn LinearOperator> =
+                group.iter().map(|s| s.mat as &dyn LinearOperator).collect();
+            lockstep_svd(&ops[..], &opts, &seeds)
+        } else {
+            let family = GeneralizedSensitivities::new(lu, group.iter().map(|s| s.mat).collect());
+            let svds = lockstep_svd(&family, &opts, &seeds)?;
+            *passes += family.passes();
+            Ok(svds)
+        }
+    }
+
+    /// Step 1 (low-rank SVD) and step 2.2 (Krylov subspaces) for a group
+    /// of sensitivity matrices; returns the number of directions added
+    /// and adds the solve passes made on `lu` to `passes`.
     fn add_parameter_subspaces(
         &self,
         lu: &SparseLu<f64>,
         sys: &ParametricSystem,
-        mat: &CsrMatrix<f64>,
-        seed: u64,
+        group: &[Sensitivity<'_>],
         basis: &mut OrthoBasis<f64>,
+        passes: &mut usize,
     ) -> Result<usize> {
         let o = &self.options;
-        let svd_opts = OperatorSvdOptions {
-            seed,
-            rank: o.rank,
-            ..o.svd.clone()
-        };
-        let svd = if o.approximate_raw_sensitivities {
-            // Ablation: approximate the raw sensitivity matrix. The left
-            // vectors must still be mapped into moment space through G0⁻¹
-            // to seed the A0-Krylov recurrence.
-            let raw = operator_svd(mat, &svd_opts)?;
-            pmor_num::svd::Svd {
-                u: lu.solve_block(&raw.u)?,
-                sigma: raw.sigma,
-                v: raw.v,
-            }
-        } else {
-            let op = GeneralizedSensitivity::new(lu, mat);
-            operator_svd(&op, &svd_opts)?
-        };
-
-        let mut added = 0;
-        // Forward subspace: Kr(A0, Û, k).
-        added += krylov_from(
-            |v| {
-                let cv = sys.c0.mul_vec(v);
-                let mut w = lu.solve(&cv)?;
-                for x in w.iter_mut() {
-                    *x = -*x;
-                }
-                Ok(w)
-            },
-            &svd.u,
-            o.param_order,
-            basis,
-        )?;
-
-        if o.include_transpose_subspaces {
-            // Ṽ = -G0⁻ᵀ·V̂, then Kr(Ã0ᵀ, Ṽ, k) with Ã0ᵀ = -G0⁻ᵀC0ᵀ; both use
-            // transpose solves on the same factors.
-            let mut vt = lu.solve_transpose_block(&svd.v)?;
-            for x in vt.as_mut_slice() {
-                *x = -*x;
-            }
-            added += krylov_from(
-                |v| {
-                    let ctv = sys.c0.tr_mul_vec(v);
-                    let mut w = lu.solve_transpose(&ctv)?;
-                    for x in w.iter_mut() {
-                        *x = -*x;
-                    }
-                    Ok(w)
-                },
-                &vt,
-                o.param_order,
-                basis,
-            )?;
-        } else {
-            // Simplified §4.1 variant: add the right singular vectors
-            // directly.
-            let mut block = Matrix::zeros(sys.dim(), svd.v.ncols());
-            for j in 0..svd.v.ncols() {
-                block.set_col(j, &svd.v.col(j));
-            }
-            let mut b = 0;
-            for j in 0..block.ncols() {
-                if basis.insert(&block.col(j)) {
-                    b += 1;
-                }
-            }
-            added += b;
+        let raw = o.approximate_raw_sensitivities;
+        let (mut us, vs): (Vec<Matrix<f64>>, Vec<Matrix<f64>>) = self
+            .group_svds(lu, group, raw, passes)?
+            .into_iter()
+            .map(|svd| (svd.u, svd.v))
+            .unzip();
+        if raw {
+            // Ablation: the left vectors of the raw sensitivities must
+            // still be mapped into moment space through G0⁻¹ to seed the
+            // A0-Krylov recurrence.
+            us = solve_each(lu, &us, passes)?;
         }
-        Ok(added)
+
+        // Forward subspaces Kr(A0, Û, k), and with the transpose
+        // subspaces Kr(Ã0ᵀ, Ṽ, k), Ṽ = -G0⁻ᵀ·V̂, Ã0ᵀ = -G0⁻ᵀC0ᵀ, by
+        // transpose solves on the same factors.
+        let mut starts: Vec<(Action, Matrix<f64>)> = Vec::with_capacity(2 * group.len());
+        let vts = if o.include_transpose_subspaces {
+            solve_transpose_each(lu, &vs, passes)?
+        } else {
+            Vec::new()
+        };
+        for (j, u) in us.into_iter().enumerate() {
+            starts.push((Action::Forward, u));
+            if let Some(vt) = vts.get(j) {
+                starts.push((Action::Transpose, vt.map(|x| -x)));
+            }
+        }
+        let spaces = krylov_lockstep(lu, &sys.c0, &starts, o.param_order, passes)?;
+
+        // Merge in Algorithm 1's order: each sensitivity's forward space,
+        // then its transpose space or (simplified §4.1 variant) its right
+        // singular vectors directly.
+        let blocks: Vec<Matrix<f64>> = if o.include_transpose_subspaces {
+            spaces
+        } else {
+            spaces
+                .into_iter()
+                .zip(vs)
+                .flat_map(|(space, v)| [space, v])
+                .collect()
+        };
+        Ok(basis.insert_block(&Matrix::hcat(sys.dim(), &blocks)))
     }
 
     /// Reduces and returns size diagnostics.
@@ -291,33 +322,16 @@ impl LowRankPmor {
     ///
     /// Fails when `G0` is singular.
     pub fn nearby_system(&self, sys: &ParametricSystem) -> Result<ParametricSystem> {
-        let o = &self.options;
         let lu = ReductionContext::new().factor_g0(sys)?;
-        let mut svd_seed = o.svd.seed;
-        let mut approximate = |mat: &CsrMatrix<f64>| -> Result<CsrMatrix<f64>> {
-            if mat.nnz() == 0 {
-                return Ok(mat.clone());
+        let (mut gi, mut ci) = (sys.gi.clone(), sys.ci.clone());
+        for group in self.sensitivities(sys).chunks(LOCKSTEP_SENSITIVITIES) {
+            let svds = self.group_svds(&lu, group, false, &mut 0)?;
+            for (s, svd) in group.iter().zip(svds) {
+                // M̂ = G0 · (Û Σ V̂ᵀ): dense product re-sparsified.
+                let g0_usv = sys.g0.mul_dense(&svd.reconstruct());
+                let slot = if s.at % 2 == 0 { &mut gi } else { &mut ci };
+                slot[s.at / 2] = CsrMatrix::from_dense(&g0_usv, 0.0);
             }
-            svd_seed = svd_seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let op = GeneralizedSensitivity::new(&lu, mat);
-            let svd = operator_svd(
-                &op,
-                &OperatorSvdOptions {
-                    seed: svd_seed,
-                    rank: o.rank,
-                    ..o.svd.clone()
-                },
-            )?;
-            // M̂ = G0 · (Û Σ V̂ᵀ): dense product re-sparsified.
-            let usv = svd.reconstruct();
-            let g0_usv = sys.g0.mul_dense(&usv);
-            Ok(CsrMatrix::from_dense(&g0_usv, 0.0))
-        };
-        let mut gi = Vec::with_capacity(sys.num_params());
-        let mut ci = Vec::with_capacity(sys.num_params());
-        for i in 0..sys.num_params() {
-            gi.push(approximate(&sys.gi[i])?);
-            ci.push(approximate(&sys.ci[i])?);
         }
         Ok(ParametricSystem {
             g0: sys.g0.clone(),
@@ -328,6 +342,14 @@ impl LowRankPmor {
             l: sys.l.clone(),
         })
     }
+}
+
+/// One nonzero sensitivity matrix of Algorithm 1 (see
+/// [`LowRankPmor::sensitivities`]).
+struct Sensitivity<'s> {
+    at: usize,
+    mat: &'s CsrMatrix<f64>,
+    seed: u64,
 }
 
 impl Reducer for LowRankPmor {

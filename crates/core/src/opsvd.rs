@@ -7,15 +7,18 @@
 //! (§4.2, refs \[14\]\[15\]) proposes iterative sparse SVD via subspace
 //! iteration / Lanczos bidiagonalization; here we use the equivalent-cost
 //! randomized subspace iteration: Gaussian sketch, a few power iterations,
-//! then a small dense SVD.
+//! then a small dense SVD. [`lockstep_svd`] runs it for several operators
+//! at once, so the sensitivities of Algorithm 1 share each stage's pass
+//! over the `G0` factors.
 
 use crate::Result;
 use pmor_num::orth::orthonormalize_columns;
 use pmor_num::svd::{svd, Svd};
 use pmor_num::Matrix;
-use pmor_sparse::{LinearOperator, SparseLu};
+use pmor_sparse::{CsrMatrix, LinearOperator, SparseLu};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::Cell;
 
 /// Options for [`operator_svd`].
 #[derive(Debug, Clone, PartialEq)]
@@ -44,63 +47,186 @@ impl Default for OperatorSvdOptions {
 
 /// Computes a rank-`opts.rank` approximate SVD of `op` by randomized
 /// subspace iteration. Only `op.apply` / `op.apply_transpose` are used.
+/// This is the one-operator case of [`lockstep_svd`].
 ///
 /// # Errors
 ///
 /// Propagates small dense SVD failures (practically unreachable).
 pub fn operator_svd(op: &dyn LinearOperator, opts: &OperatorSvdOptions) -> Result<Svd> {
-    let m = op.nrows();
-    let n = op.ncols();
-    let l = (opts.rank + opts.oversample).min(m.min(n)).max(1);
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let mut svds = lockstep_svd(&[op][..], opts, &[opts.seed])?;
+    Ok(svds.swap_remove(0))
+}
 
-    // Gaussian sketch (Box–Muller from the uniform generator).
-    let omega = Matrix::from_fn(n, l, |_, _| gaussian(&mut rng));
-    let mut y = op.apply_dense(&omega);
-    for _ in 0..opts.power_iterations {
-        let q = orthonormalize_columns(&y);
-        let z = op.apply_transpose_dense(&q);
-        let qz = orthonormalize_columns(&z);
-        y = op.apply_dense(&qz);
+/// Operators of one shape whose actions are applied together: member `i`
+/// acts on block `i`. [`lockstep_svd`] hands each stage's blocks to one
+/// call, so members that share `G0` factors
+/// ([`GeneralizedSensitivities`]) are served by one solve pass.
+pub trait OperatorFamily {
+    /// Number of members.
+    fn members(&self) -> usize;
+
+    /// Output dimension of every member.
+    fn nrows(&self) -> usize;
+
+    /// Input dimension of every member.
+    fn ncols(&self) -> usize;
+
+    /// `Aᵢ·Xᵢ` for every member `i`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failed solve.
+    fn apply_each(&self, xs: &[Matrix<f64>]) -> Result<Vec<Matrix<f64>>>;
+
+    /// `Aᵢᵀ·Xᵢ` for every member `i`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failed solve.
+    fn apply_transpose_each(&self, xs: &[Matrix<f64>]) -> Result<Vec<Matrix<f64>>>;
+}
+
+/// Independent operators, each applied through its own block actions.
+impl OperatorFamily for [&dyn LinearOperator] {
+    fn members(&self) -> usize {
+        self.len()
     }
-    let q = orthonormalize_columns(&y); // m × l', range of op
+
+    fn nrows(&self) -> usize {
+        self.first().map_or(0, |op| op.nrows())
+    }
+
+    fn ncols(&self) -> usize {
+        self.first().map_or(0, |op| op.ncols())
+    }
+
+    fn apply_each(&self, xs: &[Matrix<f64>]) -> Result<Vec<Matrix<f64>>> {
+        Ok(self
+            .iter()
+            .zip(xs)
+            .map(|(op, x)| op.apply_dense(x))
+            .collect())
+    }
+
+    fn apply_transpose_each(&self, xs: &[Matrix<f64>]) -> Result<Vec<Matrix<f64>>> {
+        Ok(self
+            .iter()
+            .zip(xs)
+            .map(|(op, x)| op.apply_transpose_dense(x))
+            .collect())
+    }
+}
+
+/// Randomized SVDs of every member of `family`, run in lockstep. Member
+/// `i` gets, bit for bit, the rank-`opts.rank` approximation that
+/// randomized subspace iteration with seed `seeds[i]` computes for it
+/// alone: a Gaussian sketch, `opts.power_iterations` power iterations,
+/// then a small dense SVD of `Bᵀ = Aᵀ·Q`. Each of those stages hands
+/// all members' blocks to one family call. The members' sketches may
+/// deflate to different widths.
+///
+/// # Errors
+///
+/// Propagates a failed family action or small dense SVD (practically
+/// unreachable).
+///
+/// # Panics
+///
+/// Panics unless there is one seed per member.
+pub fn lockstep_svd<F: OperatorFamily + ?Sized>(
+    family: &F,
+    opts: &OperatorSvdOptions,
+    seeds: &[u64],
+) -> Result<Vec<Svd>> {
+    assert_eq!(
+        family.members(),
+        seeds.len(),
+        "lockstep_svd: one seed per member"
+    );
+    let m = family.nrows();
+    let n = family.ncols();
+    let l = (opts.rank + opts.oversample).min(m.min(n)).max(1);
+
+    // Gaussian sketches (Box–Muller from the uniform generator).
+    let omegas: Vec<Matrix<f64>> = seeds
+        .iter()
+        .map(|&seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            Matrix::from_fn(n, l, |_, _| gaussian(&mut rng))
+        })
+        .collect();
+    let mut y = family.apply_each(&omegas)?;
+    drop(omegas);
+    for _ in 0..opts.power_iterations {
+        let z = family.apply_transpose_each(&orthonormalize_each(&y))?;
+        y = family.apply_each(&orthonormalize_each(&z))?;
+    }
+    let q = orthonormalize_each(&y); // m × l', range of each member
 
     // B = Qᵀ·A  (l' × n); factor its transpose (tall) with the dense SVD:
     // Bᵀ = W Σ Zᵀ  ⇒  A ≈ Q·B = (Q·Z) Σ Wᵀ.
-    let bt = op.apply_transpose_dense(&q); // n × l'
-    let s = svd(&bt)?;
-    let u = q.mul_mat(&s.v);
-    Ok(Svd {
-        u,
-        sigma: s.sigma,
-        v: s.u,
-    }
-    .truncated(opts.rank))
+    let bt = family.apply_transpose_each(&q)?; // n × l'
+    q.iter()
+        .zip(&bt)
+        .map(|(q, bt)| {
+            let s = svd(bt)?;
+            Ok(Svd {
+                u: q.mul_mat(&s.v),
+                sigma: s.sigma,
+                v: s.u,
+            }
+            .truncated(opts.rank))
+        })
+        .collect()
 }
 
-/// The generalized sensitivity operator `x ↦ G0⁻¹(M·x)` of Algorithm 1,
-/// applied matrix-implicitly through the shared `G0` factorization. The
-/// transpose action `x ↦ Mᵀ(G0⁻ᵀx)` reuses the same factors (paper §4.2).
-pub struct GeneralizedSensitivity<'a> {
+fn orthonormalize_each(blocks: &[Matrix<f64>]) -> Vec<Matrix<f64>> {
+    blocks.iter().map(orthonormalize_columns).collect()
+}
+
+/// The generalized sensitivities `x ↦ G0⁻¹(Mᵢ·x)` of Algorithm 1 for
+/// several matrices `Mᵢ` (some `Gᵢ` or `Cᵢ`), applied matrix-implicitly
+/// through one shared `G0` factorization; the transpose actions
+/// `x ↦ Mᵢᵀ(G0⁻ᵀx)` reuse the same factors (paper §4.2). Each action
+/// forms every member's `Mᵢ·Xᵢ` (or takes every `Xᵢ`), solves them side
+/// by side in one block solve and splits the result, so each member's
+/// block is bit for bit the column solves of its own block.
+pub struct GeneralizedSensitivities<'a> {
     g0_lu: &'a SparseLu<f64>,
-    m: &'a pmor_sparse::CsrMatrix<f64>,
+    mats: Vec<&'a CsrMatrix<f64>>,
+    passes: Cell<usize>,
 }
 
-impl<'a> GeneralizedSensitivity<'a> {
-    /// Wraps the factored `G0` and a sensitivity matrix `M` (some `Gᵢ` or
-    /// `Cᵢ`).
+impl<'a> GeneralizedSensitivities<'a> {
+    /// Wraps the factored `G0` and the sensitivity matrices `Mᵢ`.
     ///
     /// # Panics
     ///
     /// Panics when dimensions disagree.
-    pub fn new(g0_lu: &'a SparseLu<f64>, m: &'a pmor_sparse::CsrMatrix<f64>) -> Self {
-        assert_eq!(g0_lu.dim(), m.nrows(), "GeneralizedSensitivity: dim");
-        assert_eq!(m.nrows(), m.ncols(), "GeneralizedSensitivity: square");
-        GeneralizedSensitivity { g0_lu, m }
+    pub fn new(g0_lu: &'a SparseLu<f64>, mats: Vec<&'a CsrMatrix<f64>>) -> Self {
+        for m in &mats {
+            assert_eq!(g0_lu.dim(), m.nrows(), "GeneralizedSensitivities: dim");
+            assert_eq!(m.nrows(), m.ncols(), "GeneralizedSensitivities: square");
+        }
+        GeneralizedSensitivities {
+            g0_lu,
+            mats,
+            passes: Cell::new(0),
+        }
+    }
+
+    /// Solve passes made on the `G0` factors so far: one per action that
+    /// solved any column.
+    pub fn passes(&self) -> usize {
+        self.passes.get()
     }
 }
 
-impl LinearOperator for GeneralizedSensitivity<'_> {
+impl OperatorFamily for GeneralizedSensitivities<'_> {
+    fn members(&self) -> usize {
+        self.mats.len()
+    }
+
     fn nrows(&self) -> usize {
         self.g0_lu.dim()
     }
@@ -109,38 +235,74 @@ impl LinearOperator for GeneralizedSensitivity<'_> {
         self.g0_lu.dim()
     }
 
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        solved(self.g0_lu.solve(&self.m.mul_vec(x)))
+    fn apply_each(&self, xs: &[Matrix<f64>]) -> Result<Vec<Matrix<f64>>> {
+        let mx: Vec<Matrix<f64>> = self
+            .mats
+            .iter()
+            .zip(xs)
+            .map(|(m, x)| m.mul_dense(x))
+            .collect();
+        let mut passes = self.passes.get();
+        let ys = solve_each(self.g0_lu, &mx, &mut passes)?;
+        self.passes.set(passes);
+        Ok(ys)
     }
 
-    fn apply_transpose(&self, x: &[f64]) -> Vec<f64> {
-        self.m.tr_mul_vec(&solved(self.g0_lu.solve_transpose(x)))
-    }
-
-    /// Block form of [`Self::apply`], bitwise equal to it per column.
-    fn apply_dense(&self, x: &Matrix<f64>) -> Matrix<f64> {
-        solved(self.g0_lu.solve_block(&self.m.mul_dense(x)))
-    }
-
-    /// Block form of [`Self::apply_transpose`], bitwise equal to it per
-    /// column.
-    fn apply_transpose_dense(&self, x: &Matrix<f64>) -> Matrix<f64> {
-        assert_eq!(
-            x.nrows(),
-            self.nrows(),
-            "apply_transpose_dense: dimension mismatch"
-        );
-        self.m
-            .tr_mul_dense(&solved(self.g0_lu.solve_transpose_block(x)))
+    fn apply_transpose_each(&self, xs: &[Matrix<f64>]) -> Result<Vec<Matrix<f64>>> {
+        let mut passes = self.passes.get();
+        let ys = solve_transpose_each(self.g0_lu, xs, &mut passes)?;
+        self.passes.set(passes);
+        Ok(self
+            .mats
+            .iter()
+            .zip(&ys)
+            .map(|(m, y)| m.tr_mul_dense(y))
+            .collect())
     }
 }
 
-/// Unwraps a solve on the operator's own `G0` factors, whose only error
-/// is a dimension mismatch that [`GeneralizedSensitivity::new`] rules
-/// out.
-fn solved<T>(r: pmor_sparse::Result<T>) -> T {
-    // pmor-lint: allow(panic-in-lib) reason="the operator is built from a successful G0 factorization of matching dimension"
-    r.expect("G0 factors valid by construction")
+/// Solves every block of `bs` at once: the blocks side by side through
+/// one [`SparseLu::solve_block`], split back. Each result is bit for bit
+/// its own block's solve. Adds the pass to `passes` unless every block
+/// is empty.
+///
+/// # Panics
+///
+/// Panics unless every block has `lu.dim()` rows.
+pub(crate) fn solve_each(
+    lu: &SparseLu<f64>,
+    bs: &[Matrix<f64>],
+    passes: &mut usize,
+) -> Result<Vec<Matrix<f64>>> {
+    let joined = Matrix::hcat(lu.dim(), bs);
+    *passes += usize::from(joined.ncols() > 0);
+    Ok(split_like(&lu.solve_block(&joined)?, bs))
+}
+
+/// [`solve_each`] for `G0ᵀ`, through [`SparseLu::solve_transpose_block`].
+///
+/// # Panics
+///
+/// Panics unless every block has `lu.dim()` rows.
+pub(crate) fn solve_transpose_each(
+    lu: &SparseLu<f64>,
+    bs: &[Matrix<f64>],
+    passes: &mut usize,
+) -> Result<Vec<Matrix<f64>>> {
+    let joined = Matrix::hcat(lu.dim(), bs);
+    *passes += usize::from(joined.ncols() > 0);
+    Ok(split_like(&lu.solve_transpose_block(&joined)?, bs))
+}
+
+/// Splits `joined` into blocks as wide as those of `like`, in order.
+fn split_like(joined: &Matrix<f64>, like: &[Matrix<f64>]) -> Vec<Matrix<f64>> {
+    let mut at = 0;
+    like.iter()
+        .map(|b| {
+            at += b.ncols();
+            joined.columns(at - b.ncols()..at)
+        })
+        .collect()
 }
 
 fn gaussian(rng: &mut StdRng) -> f64 {
@@ -153,7 +315,7 @@ fn gaussian(rng: &mut StdRng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmor_sparse::{CooBuilder, CsrMatrix};
+    use pmor_sparse::CooBuilder;
 
     fn dense_op(rows: usize, cols: usize, f: impl Fn(usize, usize) -> f64) -> Matrix<f64> {
         Matrix::from_fn(rows, cols, f)
@@ -246,17 +408,18 @@ mod tests {
         }
         let m = m.build_csr();
         let lu = SparseLu::factor(&g, None).unwrap();
-        let op = GeneralizedSensitivity::new(&lu, &m);
+        let op = GeneralizedSensitivities::new(&lu, vec![&m]);
 
         let explicit = Matrix::from_fn(n, n, |r, c| m.get(r, c) / (r + 1) as f64);
-        let x: Vec<f64> = (0..n).map(|i| ((i * 5) as f64).sin()).collect();
-        let got = op.apply(&x);
-        let want = explicit.mul_vec(&x);
-        assert!(pmor_num::vecops::rel_err(&got, &want) < 1e-12);
+        let x = Matrix::from_fn(n, 2, |i, j| ((i * 5 + j) as f64).sin());
+        let got = op.apply_each(std::slice::from_ref(&x)).unwrap();
+        let want = explicit.mul_mat(&x);
+        assert!(got[0].approx_eq(&want, 1e-12 * want.max_abs()));
 
-        let gt = op.apply_transpose(&x);
-        let wt = explicit.tr_mul_vec(&x);
-        assert!(pmor_num::vecops::rel_err(&gt, &wt) < 1e-12);
+        let gt = op.apply_transpose_each(std::slice::from_ref(&x)).unwrap();
+        let wt = explicit.tr_mul_mat(&x);
+        assert!(gt[0].approx_eq(&wt, 1e-12 * wt.max_abs()));
+        assert_eq!(op.passes(), 2, "one solve pass per action");
     }
 
     #[test]
@@ -279,19 +442,15 @@ mod tests {
         }
         let m = m.build_csr();
         let lu = SparseLu::factor(&g, None).unwrap();
-        let op = GeneralizedSensitivity::new(&lu, &m);
-        let s = operator_svd(&op, &OperatorSvdOptions::default()).unwrap();
+        let op = GeneralizedSensitivities::new(&lu, vec![&m]);
+        let o = OperatorSvdOptions::default();
+        let s = lockstep_svd(&op, &o, &[o.seed]).unwrap().swap_remove(0);
         assert_eq!(s.sigma.len(), 1);
         // Reconstruction check against the explicitly assembled product.
-        let explicit = {
-            let mut cols = Vec::new();
-            for c in 0..n {
-                let mut e = vec![0.0; n];
-                e[c] = 1.0;
-                cols.push(op.apply(&e));
-            }
-            Matrix::from_cols(&cols)
-        };
+        let explicit = op
+            .apply_each(&[Matrix::identity(n)])
+            .unwrap()
+            .swap_remove(0);
         assert!(s
             .reconstruct()
             .approx_eq(&explicit, 1e-8 * explicit.max_abs()));

@@ -21,7 +21,8 @@ use crate::Result;
 use pmor_circuits::ParametricSystem;
 use pmor_num::orth::OrthoBasis;
 use pmor_num::Matrix;
-use pmor_sparse::SparseLu;
+use pmor_sparse::{CsrMatrix, SparseLu};
+use std::ops::Range;
 
 /// Options for a PRIMA reduction.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,85 +104,104 @@ impl Reducer for Prima {
     }
 }
 
-/// Builds the block Krylov subspace `{S, A·S, …, A^(blocks-1)·S}` for an
-/// arbitrary operator action `apply`, starting from the dense block
-/// `start`, **in its own orthonormal basis**, then merges the result into
-/// `basis`. Returns the number of *new* directions contributed to `basis`.
+/// The operator a Krylov recurrence of [`krylov_lockstep`] applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Action {
+    /// `A0 = -G⁻¹C` (the moment recurrence).
+    Forward,
+    /// `Ã0ᵀ = -G⁻ᵀCᵀ` (Algorithm 1 step 2.2), by transpose solves on the
+    /// same factors.
+    Transpose,
+}
+
+/// Builds the block Krylov subspaces `{S, A·S, …, A^(blocks-1)·S}`, one
+/// per `(action, start)` pair, each **in its own orthonormal basis**, and
+/// returns those bases in input order.
 ///
-/// Building each subspace independently matters: when several subspaces are
-/// combined (multi-point samples, Algorithm 1's per-parameter spaces), a
-/// starting block that happens to overlap the directions already in `basis`
-/// must still seed its own Krylov recurrence — deflating it against the
-/// shared basis up front would silently truncate the subspace.
-pub(crate) fn krylov_from<F>(
-    apply: F,
-    start: &Matrix<f64>,
+/// Building each subspace independently matters: when several subspaces
+/// are combined (multi-point samples, Algorithm 1's per-parameter
+/// spaces), a starting block that happens to overlap the directions
+/// already in the shared basis must still seed its own Krylov recurrence —
+/// deflating it against the shared basis up front would silently truncate
+/// the subspace.
+///
+/// The recurrences advance in lockstep: each step applies the current
+/// vectors of every forward recurrence as one block (one
+/// [`SparseLu::solve_block`]) and those of every transpose recurrence as
+/// another. A vector's image needs only that vector, and block solves
+/// and block products are bitwise their column forms, so every basis is
+/// bit for bit the one a column-at-a-time recurrence builds. Each block
+/// solve adds one to `passes`.
+pub(crate) fn krylov_lockstep(
+    lu: &SparseLu<f64>,
+    c: &CsrMatrix<f64>,
+    starts: &[(Action, Matrix<f64>)],
     blocks: usize,
-    basis: &mut OrthoBasis<f64>,
-) -> Result<usize>
-where
-    F: Fn(&[f64]) -> Result<Vec<f64>>,
-{
-    let mut local = OrthoBasis::new(start.nrows());
-    let mut current: Vec<Vec<f64>> = Vec::with_capacity(start.ncols());
-    for j in 0..start.ncols() {
-        let col = start.col(j);
-        if local.insert(&col) {
-            current.push(local.vector(local.len() - 1).to_vec());
-        }
+    passes: &mut usize,
+) -> Result<Vec<Matrix<f64>>> {
+    let n = lu.dim();
+    let mut locals = Vec::with_capacity(starts.len());
+    // The range of each basis that the next step applies.
+    let mut current: Vec<Range<usize>> = Vec::with_capacity(starts.len());
+    for (_, start) in starts {
+        let mut local = OrthoBasis::new(n);
+        local.insert_block(start);
+        current.push(0..local.len());
+        locals.push(local);
     }
     for _block in 1..blocks {
-        if current.is_empty() {
-            break; // Krylov space exhausted (deflation).
+        if current.iter().all(Range::is_empty) {
+            break; // Krylov spaces exhausted (deflation).
         }
-        let mut next: Vec<Vec<f64>> = Vec::with_capacity(current.len());
-        for v in &current {
-            let w = apply(v)?;
-            if local.insert(&w) {
-                next.push(local.vector(local.len() - 1).to_vec());
+        for action in [Action::Forward, Action::Transpose] {
+            let members: Vec<usize> = (0..starts.len())
+                .filter(|&r| starts[r].0 == action && !current[r].is_empty())
+                .collect();
+            if members.is_empty() {
+                continue;
+            }
+            let mut cols: Vec<&[f64]> = Vec::new();
+            for &r in &members {
+                cols.extend(current[r].clone().map(|k| locals[r].vector(k)));
+            }
+            let x = Matrix::from_fn(n, cols.len(), |i, j| cols[j][i]);
+            *passes += 1;
+            let mut w = match action {
+                Action::Forward => lu.solve_block(&c.mul_dense(&x))?,
+                Action::Transpose => lu.solve_transpose_block(&c.tr_mul_dense(&x))?,
+            };
+            for v in w.as_mut_slice() {
+                *v = -*v;
+            }
+            let mut at = 0;
+            for &r in &members {
+                let width = current[r].len();
+                let before = locals[r].len();
+                locals[r].insert_block(&w.columns(at..at + width));
+                at += width;
+                current[r] = before..locals[r].len();
             }
         }
-        current = next;
     }
-    // Merge into the shared basis.
-    let mut added_total = 0;
-    for v in local.into_columns() {
-        if basis.insert(&v) {
-            added_total += 1;
-        }
-    }
-    Ok(added_total)
+    Ok(locals.iter().map(OrthoBasis::to_matrix).collect())
 }
 
 /// Builds the PRIMA block Krylov subspace `{R0, A0 R0, …, A0^(blocks-1) R0}`
-/// (own basis, then merged into `basis`), where `A0 = -G0⁻¹C0` and
-/// `R0 = G0⁻¹B`. Returns the number of new directions contributed.
+/// (own basis, then merged into `basis`), where `A0 = -G⁻¹C` and
+/// `R0 = G⁻¹B`. Returns the number of new directions contributed and the
+/// solve passes made on `lu` (one per column of `B`, one per step).
 pub(crate) fn krylov_blocks(
-    g0_lu: &SparseLu<f64>,
-    c0: &pmor_sparse::CsrMatrix<f64>,
+    lu: &SparseLu<f64>,
+    c: &CsrMatrix<f64>,
     b: &Matrix<f64>,
     blocks: usize,
     basis: &mut OrthoBasis<f64>,
-) -> Result<usize> {
-    // R0 = G0⁻¹ B.
-    let mut r0 = Matrix::zeros(b.nrows(), b.ncols());
-    for j in 0..b.ncols() {
-        r0.set_col(j, &g0_lu.solve(&b.col(j))?);
-    }
-    krylov_from(
-        |v| {
-            // A0 v = -G0⁻¹ (C0 v).
-            let cv = c0.mul_vec(v);
-            let mut w = g0_lu.solve(&cv)?;
-            for x in w.iter_mut() {
-                *x = -*x;
-            }
-            Ok(w)
-        },
-        &r0,
-        blocks,
-        basis,
-    )
+) -> Result<(usize, usize)> {
+    // R0 = G⁻¹ B, per column: B's columns are sparse.
+    let r0 = lu.solve_dense(b)?;
+    let mut passes = b.ncols();
+    let local = krylov_lockstep(lu, c, &[(Action::Forward, r0)], blocks, &mut passes)?;
+    Ok((basis.insert_block(&local[0]), passes))
 }
 
 #[cfg(test)]

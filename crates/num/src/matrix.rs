@@ -173,7 +173,35 @@ impl<T: Scalar> Matrix<T> {
     /// Returns a new matrix consisting of the selected column range.
     pub fn columns(&self, range: std::ops::Range<usize>) -> Matrix<T> {
         let ncols = range.len();
-        Matrix::from_fn(self.nrows, ncols, |r, c| self[(r, range.start + c)])
+        let mut data = Vec::with_capacity(self.nrows * ncols);
+        for r in 0..self.nrows {
+            data.extend_from_slice(&self.row(r)[range.clone()]);
+        }
+        Matrix {
+            nrows: self.nrows,
+            ncols,
+            data,
+        }
+    }
+
+    /// Concatenates blocks of equal height side by side (`[A | B | …]`),
+    /// one sweep over their rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the blocks have different heights.
+    pub fn hcat(nrows: usize, blocks: &[Matrix<T>]) -> Matrix<T> {
+        let ncols = blocks.iter().map(Matrix::ncols).sum();
+        let mut data = Vec::with_capacity(nrows * ncols);
+        for b in blocks {
+            assert_eq!(b.nrows, nrows, "hcat: inconsistent block heights");
+        }
+        for r in 0..nrows {
+            for b in blocks {
+                data.extend_from_slice(b.row(r));
+            }
+        }
+        Matrix { nrows, ncols, data }
     }
 
     /// Matrix transpose.

@@ -72,12 +72,7 @@ impl<T: Scalar> OrthoBasis<T> {
     pub fn orthogonalize(&self, v: &mut [T]) -> f64 {
         assert_eq!(v.len(), self.dim, "orthogonalize: dimension mismatch");
         for _pass in 0..2 {
-            for q in &self.cols {
-                let h = vecops::dot(q, v);
-                if h != T::ZERO {
-                    vecops::axpy(-h, q, v);
-                }
-            }
+            mgs_pass(&self.cols, v);
         }
         vecops::norm2(v)
     }
@@ -86,11 +81,78 @@ impl<T: Scalar> OrthoBasis<T> {
     /// and `false` when `v` was deflated as linearly dependent.
     pub fn insert(&mut self, v: &[T]) -> bool {
         let orig = vecops::norm2(v);
-        if orig == 0.0 || !orig.is_finite() {
+        if !accepted(orig) {
             return false;
         }
-        let mut w = v.to_vec();
-        let rem = self.orthogonalize(&mut w);
+        assert_eq!(v.len(), self.dim, "insert: dimension mismatch");
+        self.finish_insert(v.to_vec(), orig, 0)
+    }
+
+    /// Inserts every column of `block`, in order, returning how many
+    /// survived deflation. The result is bit for bit that of one
+    /// [`OrthoBasis::insert`] per column.
+    ///
+    /// Column `j`'s first MGS pass starts with the vectors that were in
+    /// the basis before the block, and that part needs nothing from
+    /// columns `< j`. So it runs for all columns at once, one sweep per
+    /// basis vector with the updates and dot products side by side
+    /// ([`vecops::axpy_dot_each`]). The rest of the first pass (against the
+    /// block's own earlier survivors) and the second pass run per column.
+    pub fn insert_block(&mut self, block: &Matrix<T>) -> usize {
+        assert_eq!(block.nrows(), self.dim, "insert_block: dimension mismatch");
+        // The columns `insert` would take, gathered in one sweep over the
+        // rows; a zero or non-finite column is rejected before any work.
+        let mut cols: Vec<Vec<T>> = (0..block.ncols())
+            .map(|_| Vec::with_capacity(self.dim))
+            .collect();
+        for r in 0..self.dim {
+            for (col, &x) in cols.iter_mut().zip(block.row(r)) {
+                col.push(x);
+            }
+        }
+        let mut origs = Vec::with_capacity(cols.len());
+        cols.retain(|c| {
+            let orig = vecops::norm2(c);
+            origs.push(orig);
+            accepted(orig)
+        });
+        origs.retain(|&orig| accepted(orig));
+        // Each sweep applies the previous basis vector's updates and forms
+        // the next one's inner products.
+        let mut h = Vec::with_capacity(cols.len());
+        let mut neg_h: Vec<T> = Vec::with_capacity(cols.len());
+        let mut prev: Option<&[T]> = None;
+        for q in &self.cols {
+            vecops::axpy_dot_each(prev.map(|p| (p, &neg_h[..])), q, &mut cols, &mut h);
+            neg_h.clear();
+            neg_h.extend(h.iter().map(|&hj| -hj));
+            prev = Some(q);
+        }
+        if let Some(p) = prev {
+            for (v, &a) in cols.iter_mut().zip(&neg_h) {
+                if a != T::ZERO {
+                    vecops::axpy(a, p, v);
+                }
+            }
+        }
+        let before = self.cols.len();
+        let mut added = 0;
+        for (w, orig) in cols.into_iter().zip(origs) {
+            if self.finish_insert(w, orig, before) {
+                added += 1;
+            }
+        }
+        added
+    }
+
+    /// The end of [`OrthoBasis::insert`] for a `w` whose first MGS pass
+    /// already covers the basis vectors before `from`: the rest of that
+    /// pass, the second pass, the deflation test against `orig` (the
+    /// candidate's norm before projection) and the normalized push.
+    fn finish_insert(&mut self, mut w: Vec<T>, orig: f64, from: usize) -> bool {
+        mgs_pass(&self.cols[from..], &mut w);
+        mgs_pass(&self.cols, &mut w);
+        let rem = vecops::norm2(&w);
         if rem <= self.tol * orig {
             return false;
         }
@@ -99,22 +161,14 @@ impl<T: Scalar> OrthoBasis<T> {
         true
     }
 
-    /// Inserts every column of `block`, returning how many survived
-    /// deflation.
-    pub fn insert_block(&mut self, block: &Matrix<T>) -> usize {
-        assert_eq!(block.nrows(), self.dim, "insert_block: dimension mismatch");
-        let mut added = 0;
-        for j in 0..block.ncols() {
-            if self.insert(&block.col(j)) {
-                added += 1;
-            }
-        }
-        added
-    }
-
-    /// Assembles the basis into a dense `dim × len` matrix.
+    /// Assembles the basis into a dense `dim × len` matrix (`dim × 0`
+    /// when empty).
     pub fn to_matrix(&self) -> Matrix<T> {
-        Matrix::from_cols(&self.cols)
+        if self.cols.is_empty() {
+            Matrix::zeros(self.dim, 0)
+        } else {
+            Matrix::from_cols(&self.cols)
+        }
     }
 
     /// Consumes the basis, returning its columns.
@@ -132,6 +186,33 @@ impl<T: Scalar> OrthoBasis<T> {
             }
         }
         worst
+    }
+}
+
+/// Whether a candidate of norm `orig` gets projected at all: zero and
+/// non-finite candidates are dropped untouched.
+fn accepted(orig: f64) -> bool {
+    orig != 0.0 && orig.is_finite()
+}
+
+/// One modified Gram–Schmidt pass of `v` against `qs`, in order: for each
+/// `q`, `h = ⟨q, v⟩` and, unless `h` is zero, `v -= h·q`. Each update is
+/// applied in the same sweep as the next inner product
+/// ([`vecops::axpy_dot`]), which reads the updated entries, so the bits
+/// are those of separate [`vecops::axpy`] and [`vecops::dot`] calls.
+fn mgs_pass<T: Scalar>(qs: &[Vec<T>], v: &mut [T]) {
+    let mut pending: Option<(T, &[T])> = None;
+    for q in qs {
+        let h = match pending.take() {
+            Some((a, p)) => vecops::axpy_dot(a, p, v, q),
+            None => vecops::dot(q, v),
+        };
+        if h != T::ZERO {
+            pending = Some((-h, q));
+        }
+    }
+    if let Some((a, p)) = pending {
+        vecops::axpy(a, p, v);
     }
 }
 

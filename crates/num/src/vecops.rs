@@ -18,6 +18,78 @@ pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
         .fold(T::ZERO, |acc, (&a, &b)| acc + a.conj() * b)
 }
 
+/// For every `yⱼ`: `yⱼ += aⱼ·p` (skipped where `aⱼ` is zero), then
+/// `out[j] = ⟨x, yⱼ⟩` of the updated `yⱼ`, all in one sweep over the
+/// entries; with no `(p, a)` only the inner products are formed. Each
+/// `yⱼ` and `out[j]` are bit for bit [`axpy`] followed by [`dot`]: every
+/// inner product is its own element-order chain. The chains run side by
+/// side, four at a time, so no add waits on the one before it, and each
+/// `yⱼ` is read once per sweep instead of twice.
+///
+/// # Panics
+///
+/// Panics if the lengths differ, or if `a` has fewer entries than `ys`.
+pub fn axpy_dot_each<T: Scalar>(
+    update: Option<(&[T], &[T])>,
+    x: &[T],
+    ys: &mut [Vec<T>],
+    out: &mut Vec<T>,
+) {
+    out.clear();
+    let mut at = 0;
+    for four in ys.chunks_mut(4) {
+        let k = four.len();
+        let upd = update.map(|(p, a)| (p, &a[at..at + k]));
+        at += k;
+        match four {
+            [a, b, c, d] => out.extend(chains(upd, x, [a, b, c, d])),
+            [a, b, c] => out.extend(chains(upd, x, [a, b, c])),
+            [a, b] => out.extend(chains(upd, x, [a, b])),
+            [a] => out.extend(chains(upd, x, [a])),
+            _ => {}
+        }
+    }
+}
+
+/// `K` interleaved [`axpy`]-then-[`dot`] chains (see [`axpy_dot_each`]).
+fn chains<T: Scalar, const K: usize>(
+    update: Option<(&[T], &[T])>,
+    x: &[T],
+    ys: [&mut Vec<T>; K],
+) -> [T; K] {
+    let n = x.len();
+    let ys = ys.map(|y| {
+        assert_eq!(y.len(), n, "dot: length mismatch");
+        &mut y[..n]
+    });
+    let mut acc = [T::ZERO; K];
+    match update {
+        None => {
+            for i in 0..n {
+                let xi = x[i].conj();
+                for k in 0..K {
+                    acc[k] += xi * ys[k][i];
+                }
+            }
+        }
+        Some((p, a)) => {
+            assert_eq!(p.len(), n, "axpy: length mismatch");
+            let a: [T; K] = std::array::from_fn(|k| a[k]);
+            let live = a.map(|ak| ak != T::ZERO);
+            for i in 0..n {
+                let (xi, pi) = (x[i].conj(), p[i]);
+                for k in 0..K {
+                    if live[k] {
+                        ys[k][i] += a[k] * pi;
+                    }
+                    acc[k] += xi * ys[k][i];
+                }
+            }
+        }
+    }
+    acc
+}
+
 /// Euclidean norm `‖x‖₂`.
 pub fn norm2<T: Scalar>(x: &[T]) -> f64 {
     x.iter()
@@ -39,6 +111,23 @@ pub fn axpy<T: Scalar>(a: T, x: &[T], y: &mut [T]) {
     for (yi, &xi) in y.iter_mut().zip(x.iter()) {
         *yi += a * xi;
     }
+}
+
+/// In-place `y += a * x`, then `⟨q, y⟩` of the updated `y`, in one
+/// sweep: bit for bit [`axpy`] followed by [`dot`]`(q, y)`.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn axpy_dot<T: Scalar>(a: T, x: &[T], y: &mut [T], q: &[T]) -> T {
+    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
+    assert_eq!(q.len(), y.len(), "dot: length mismatch");
+    let mut acc = T::ZERO;
+    for ((yi, &xi), &qi) in y.iter_mut().zip(x).zip(q) {
+        *yi += a * xi;
+        acc += qi.conj() * *yi;
+    }
+    acc
 }
 
 /// In-place `x *= a`.

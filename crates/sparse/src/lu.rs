@@ -468,7 +468,9 @@ impl<T: Scalar> SparseLu<T> {
             0 => Matrix::zeros(self.n, 0),
             1 => Matrix::from_col(&self.solve(b.as_slice())?),
             2 => self.solve_block_of::<2>(b),
+            4 => self.solve_block_of::<4>(b),
             6 => self.solve_block_of::<6>(b),
+            12 => self.solve_block_of::<12>(b),
             _ => self.solve_block_of::<0>(b),
         })
     }
@@ -487,7 +489,9 @@ impl<T: Scalar> SparseLu<T> {
             0 => Matrix::zeros(self.n, 0),
             1 => Matrix::from_col(&self.solve_transpose(b.as_slice())?),
             2 => self.solve_transpose_block_of::<2>(b),
+            4 => self.solve_transpose_block_of::<4>(b),
             6 => self.solve_transpose_block_of::<6>(b),
+            12 => self.solve_transpose_block_of::<12>(b),
             _ => self.solve_transpose_block_of::<0>(b),
         })
     }
@@ -506,24 +510,32 @@ impl<T: Scalar> SparseLu<T> {
 
     /// [`SparseLu::solve_block`]'s kernel. `M = 0` reads the width from
     /// `b`; a nonzero `M` is the width as a constant, so the row updates
-    /// compile to fixed-length loops. Only widths 6 and 2 get such a copy:
-    /// they are the sketch (`rank + oversample`) and `Ṽ` (`rank`) blocks
-    /// of a rank-2 low-rank reduction, where the fixed widths made
-    /// perfbench's `reduce_mesh` 8% faster than the run-time width.
+    /// compile to fixed-length loops. Only widths 2, 4, 6 and 12 get such
+    /// a copy: they are the blocks of the registry's rank-2 low-rank
+    /// reduction, which takes the sensitivities two at a time — sketch
+    /// stages of `2 × (rank + oversample 4)` columns (6 for a lone last
+    /// sensitivity), `Ṽ` starts and Krylov steps of `2 × rank` (2 alone),
+    /// and a two-port `V0`'s steps (2). On the 128×128 mesh's `G0`
+    /// factors a fixed width 4 or 12 solved about 20% faster than the
+    /// run-time width (best of 40 solves each).
     fn solve_block_of<const M: usize>(&self, b: &Matrix<T>) -> Matrix<T> {
         let (n, m) = (self.n, if M == 0 { b.ncols() } else { M });
-        // Forward: L Y = P B, Y by pivot position, W on original rows.
-        let mut w = b.as_slice().to_vec();
+        // Forward: L Y = P B in place, Y by pivot position. Row `r`'s
+        // updates all come from steps before its own, `pinv[r]`, so
+        // applying them at that position is the column solve's order.
         let mut y = vec![T::ZERO; n * m];
+        for (k, yk) in y.chunks_exact_mut(m).enumerate() {
+            yk.copy_from_slice(b.row(self.row_of_pos[k]));
+        }
         for k in 0..n {
-            let src = self.row_of_pos[k] * m;
-            let yk = &mut y[k * m..(k + 1) * m];
-            yk.copy_from_slice(&w[src..src + m]);
+            let (upto, below) = y.split_at_mut((k + 1) * m);
+            let yk = &upto[k * m..];
             if yk.iter().all(|&v| v == T::ZERO) {
                 continue;
             }
             for &(r, lv) in &self.l_cols[k] {
-                sub_masked(&mut w[r * m..(r + 1) * m], lv, yk);
+                let p = self.pinv[r] - k - 1;
+                sub_masked(&mut below[p * m..(p + 1) * m], lv, yk);
             }
         }
         // Backward: U Z = Y in place; U's entries of step k sit above it.

@@ -10,7 +10,7 @@
 use pmor_num::{Complex64, Matrix};
 use pmor_sparse::{ordering, CooBuilder, CsrMatrix, SparseLu};
 
-const WIDTHS: [usize; 5] = [1, 2, 5, 6, 13];
+const WIDTHS: [usize; 8] = [1, 2, 4, 5, 6, 12, 13, 16];
 
 /// Deterministic values in `[-1, 1)` (xorshift), no RNG crate needed.
 struct Stream(u64);
