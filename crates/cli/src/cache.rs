@@ -389,5 +389,11 @@ mod tests {
         bytes[last] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
         assert!(cache.load(key, "prima").is_none(), "corrupt entry served");
+        // A version-1 file at the entry path (intact checksum, old
+        // version word) is a miss too, so the entry is rebuilt.
+        let mut old = pmor::rom::to_bytes(&rom);
+        old[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &old).unwrap();
+        assert!(cache.load(key, "prima").is_none(), "version-1 entry served");
     }
 }

@@ -292,7 +292,7 @@ fn cmd_info(args: &[String]) -> Result<(), CliError> {
     outln!("  parameters:   {}", rom.num_params());
     outln!("  inputs:       {}", rom.num_inputs());
     outln!("  outputs:      {}", rom.num_outputs());
-    outln!("  full dim:     {}", rom.projection.nrows());
+    outln!("  full dim:     {}", rom.full_dim);
     let p0 = vec![0.0; rom.num_params()];
     if let Ok(poles) = rom.dominant_poles(&p0, 3) {
         outln!("  nominal dominant poles (rad/s):");

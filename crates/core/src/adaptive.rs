@@ -33,7 +33,7 @@ use pmor_num::{Complex64, Matrix};
 
 /// Residual-based a-posteriori error estimator for a reduced model.
 ///
-/// For a candidate ROM with projection `V` and reduced solution
+/// For a candidate ROM reduced with the basis `V` and reduced solution
 /// `x_r = (G̃ + sC̃)⁻¹ B̃`, the lifted solution `x̂ = V x_r` leaves the
 /// full-system residual `r = b − (G(p) + sC(p)) x̂`. Two views of `r`
 /// are combined (the estimate is their maximum, per input column):
@@ -79,19 +79,35 @@ impl<'a> ErrorEstimator<'a> {
     }
 
     /// Worst combined error estimate (see the type docs) over input
-    /// columns at one probe `(p, s)`.
+    /// columns at one probe `(p, s)`, for `rom` reduced with the basis `v`
+    /// (`n × q`; the model itself does not keep it).
     ///
     /// # Errors
     ///
     /// Fails when the *reduced* pencil `G̃(p) + sC̃(p)` is singular.
-    pub fn relative_residual(&self, rom: &ParametricRom, p: &[f64], s: Complex64) -> Result<f64> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not `sys.dim() × rom.size()`.
+    pub fn relative_residual(
+        &self,
+        rom: &ParametricRom,
+        v: &Matrix<f64>,
+        p: &[f64],
+        s: Complex64,
+    ) -> Result<f64> {
+        assert_eq!(
+            (v.nrows(), v.ncols()),
+            (self.sys.dim(), rom.size()),
+            "relative_residual: basis shape"
+        );
         let mut ws = EvalWorkspace::new();
         rom.assemble(p, &mut ws)?;
         // Small dense reduced solve, on the kernel `ParametricRom::transfer`
         // dispatches to.
         let x_red = rom.solve_pencil(s, &mut ws)?.solution();
         // Lift back to the full space: x̂ = V x_red.
-        let x_hat = rom.projection.to_complex().mul_mat(&x_red);
+        let x_hat = v.to_complex().mul_mat(&x_red);
         // Sparse residual — assembly and mat-vecs only, no factorization.
         let a_full = self
             .sys
@@ -131,6 +147,7 @@ impl<'a> ErrorEstimator<'a> {
     pub fn probe_errors(
         &self,
         rom: &ParametricRom,
+        v: &Matrix<f64>,
         probes: &[Vec<f64>],
         freqs_hz: &[f64],
     ) -> Result<Vec<f64>> {
@@ -140,7 +157,7 @@ impl<'a> ErrorEstimator<'a> {
                 let mut worst = 0.0f64;
                 for &f in freqs_hz {
                     let s = Complex64::jw(2.0 * std::f64::consts::PI * f);
-                    worst = worst.max(self.relative_residual(rom, p, s)?);
+                    worst = worst.max(self.relative_residual(rom, v, p, s)?);
                 }
                 Ok(worst)
             })
@@ -158,10 +175,11 @@ impl<'a> ErrorEstimator<'a> {
     pub fn worst_over(
         &self,
         rom: &ParametricRom,
+        v: &Matrix<f64>,
         probes: &[Vec<f64>],
         freqs_hz: &[f64],
     ) -> Result<(f64, usize)> {
-        let errs = self.probe_errors(rom, probes, freqs_hz)?;
+        let errs = self.probe_errors(rom, v, probes, freqs_hz)?;
         Ok(argmax(&errs, |_| true).map_or((0.0, 0), |i| (errs[i], i)))
     }
 }
@@ -300,6 +318,22 @@ impl AdaptiveDriver {
         sys: &ParametricSystem,
         ctx: &mut ReductionContext,
     ) -> Result<(ParametricRom, AdaptiveReport)> {
+        self.reduce_with_basis(sys, ctx)
+            .map(|(rom, _, report)| (rom, report))
+    }
+
+    /// [`AdaptiveDriver::reduce_with_report`] that also returns the final
+    /// `n × q` basis the model was reduced with — what
+    /// [`ErrorEstimator`] needs to re-probe the model.
+    ///
+    /// # Errors
+    ///
+    /// See [`AdaptiveDriver::reduce_with_report`].
+    pub fn reduce_with_basis(
+        &self,
+        sys: &ParametricSystem,
+        ctx: &mut ReductionContext,
+    ) -> Result<(ParametricRom, Matrix<f64>, AdaptiveReport)> {
         self.validate(sys)?;
         let o = &self.options;
         let probes = probe_grid(sys.num_params(), o.probe_points, o.range);
@@ -328,8 +362,9 @@ impl AdaptiveDriver {
             krylov_blocks(&lus[0], &sys.c_at(&point), &sys.b, depth[next], &mut basis)?;
             let grew = basis.len() > before;
 
-            let rom = ParametricRom::by_congruence(sys, &basis.to_matrix());
-            let errs = estimator.probe_errors(&rom, &probes, &o.probe_freqs_hz)?;
+            let v = basis.to_matrix();
+            let rom = ParametricRom::by_congruence(sys, &v);
+            let errs = estimator.probe_errors(&rom, &v, &probes, &o.probe_freqs_hz)?;
             let worst_idx = argmax(&errs, |_| true).unwrap_or(0);
             let est = errs[worst_idx];
             let converged = est <= o.tolerance;
@@ -353,7 +388,7 @@ impl AdaptiveDriver {
                     expansion_points,
                     converged,
                 };
-                return Ok((rom, report));
+                return Ok((rom, v, report));
             }
             // pmor-lint: allow(panic-in-lib) reason="`candidate` was checked `is_some` by the loop guard right above"
             next = candidate.expect("checked above");
@@ -504,7 +539,7 @@ mod tests {
         let mut ctx = ReductionContext::new();
         let est = ErrorEstimator::new(&sys, &mut ctx).unwrap();
         let r = est
-            .relative_residual(&rom, &[0.1, 0.0, -0.1], Complex64::jw(1e9))
+            .relative_residual(&rom, &v, &[0.1, 0.0, -0.1], Complex64::jw(1e9))
             .unwrap();
         assert!(r < 1e-10, "exact ROM residual {r}");
     }
@@ -521,6 +556,7 @@ mod tests {
         let r = est
             .relative_residual(
                 &rom,
+                &v,
                 &[0.0; 3],
                 Complex64::jw(2.0 * std::f64::consts::PI * 1e9),
             )
@@ -635,6 +671,9 @@ mod tests {
         let reducer = AdaptiveReducer::new("multipoint", driver);
         assert_eq!(reducer.name(), "multipoint");
         let rom = reducer.reduce_once(&sys).unwrap();
-        assert_eq!(rom.projection.as_slice(), rom_direct.projection.as_slice());
+        assert_eq!(
+            crate::rom::to_bytes(&rom),
+            crate::rom::to_bytes(&rom_direct)
+        );
     }
 }

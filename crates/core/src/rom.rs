@@ -41,15 +41,18 @@ pub struct ParametricRom {
     pub b: Matrix<f64>,
     /// Reduced output map `L̃`.
     pub l: Matrix<f64>,
-    /// The projection matrix used for the reduction (kept for diagnostics
-    /// and for expanding reduced states back to node voltages).
-    pub projection: Matrix<f64>,
+    /// Dimension of the full system the model was reduced from. The
+    /// `n × q` basis itself is not kept: nothing evaluates through it
+    /// once congruence has run (the reducers' `projection` methods return
+    /// it when a caller needs to lift reduced states).
+    pub full_dim: usize,
 }
 
 impl ParametricRom {
     /// Reduces a full parametric system by congruence with the projection
     /// `v`: every matrix, including all sensitivities, maps through
-    /// `M̃ = VᵀMV` (paper Eq. (2) and Algorithm 1 step 4).
+    /// `M̃ = VᵀMV` (paper Eq. (2) and Algorithm 1 step 4). `v` is only
+    /// borrowed; the model keeps its row count as [`ParametricRom::full_dim`].
     ///
     /// # Panics
     ///
@@ -63,7 +66,7 @@ impl ParametricRom {
             ci: sys.ci.iter().map(|m| m.congruence(v, v)).collect(),
             b: v.tr_mul_mat(&sys.b),
             l: v.tr_mul_mat(&sys.l),
-            projection: v.clone(),
+            full_dim: v.nrows(),
         }
     }
 
@@ -469,8 +472,10 @@ pub fn pencil_poles(g: &Matrix<f64>, c: &Matrix<f64>) -> Result<Vec<Complex64>> 
 /// Magic bytes opening every serialized ROM file.
 pub const ROM_MAGIC: [u8; 8] = *b"PMORROM\n";
 
-/// Current ROM format version. Readers refuse any other version.
-pub const ROM_FORMAT_VERSION: u32 = 1;
+/// Current ROM format version. Readers refuse any other version, naming
+/// it in the error. Version 1 also stored the `n × q` projection after
+/// `L̃`; it has no decoder.
+pub const ROM_FORMAT_VERSION: u32 = 2;
 
 /// Serializes `rom` into the versioned binary ROM format.
 ///
@@ -478,13 +483,17 @@ pub const ROM_FORMAT_VERSION: u32 = 1;
 ///
 /// ```text
 /// magic     8 B   b"PMORROM\n"
-/// version   4 B   u32, currently 1
+/// version   4 B   u32, ROM_FORMAT_VERSION
 /// payload         5×u64 header (size, full dim, #params, #inputs, #outputs)
 ///                 then each matrix as nrows:u64, ncols:u64, row-major
 ///                 f64 bit patterns as u64 — order: G̃0, C̃0, G̃ᵢ…, C̃ᵢ…, B̃,
-///                 L̃, projection
+///                 L̃
 /// checksum  8 B   FNV-1a over the payload bytes
 /// ```
+///
+/// A file's length is therefore `12 + 40 + Σ(16 + 8·rows·cols) + 8` over
+/// the stored matrices: it depends on the reduced size, the parameter
+/// count and the ports, never on the full dimension.
 ///
 /// Floats travel as exact bit patterns, so deserializing reproduces the
 /// model bit-for-bit (see [`load`]).
@@ -492,7 +501,7 @@ pub fn to_bytes(rom: &ParametricRom) -> Vec<u8> {
     let mut payload = Vec::new();
     let push_u64 = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
     push_u64(&mut payload, rom.size() as u64);
-    push_u64(&mut payload, rom.projection.nrows() as u64);
+    push_u64(&mut payload, rom.full_dim as u64);
     push_u64(&mut payload, rom.num_params() as u64);
     push_u64(&mut payload, rom.num_inputs() as u64);
     push_u64(&mut payload, rom.num_outputs() as u64);
@@ -515,7 +524,6 @@ pub fn to_bytes(rom: &ParametricRom) -> Vec<u8> {
     }
     push_mat(&mut payload, &rom.b);
     push_mat(&mut payload, &rom.l);
-    push_mat(&mut payload, &rom.projection);
 
     let mut out = Vec::with_capacity(payload.len() + 20);
     out.extend_from_slice(&ROM_MAGIC);
@@ -529,9 +537,10 @@ pub fn to_bytes(rom: &ParametricRom) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Rejects files with a wrong magic, an unsupported format version, a
-/// checksum mismatch (corruption), truncation, a parameter count the
-/// payload cannot hold, or inconsistent matrix dimensions.
+/// Rejects files with a wrong magic, an unsupported format version
+/// (version 1 included), a checksum mismatch (corruption), truncation, a
+/// parameter count the payload cannot hold, a full dimension below the
+/// reduced size, or inconsistent matrix dimensions.
 pub fn from_bytes(bytes: &[u8]) -> Result<ParametricRom> {
     let err = |msg: &str| PmorError::Invalid(format!("ROM deserialization: {msg}"));
     if bytes.len() < ROM_MAGIC.len() + 4 + 8 {
@@ -577,6 +586,11 @@ pub fn from_bytes(bytes: &[u8]) -> Result<ParametricRom> {
     };
     let size = as_dim(next_u64(payload)?)?;
     let full_dim = as_dim(next_u64(payload)?)?;
+    if full_dim < size {
+        return Err(err(&format!(
+            "full dimension {full_dim} is below the reduced size {size}"
+        )));
+    }
     let np = param_count(as_dim(next_u64(payload)?)?, payload.len())?;
     let ni = as_dim(next_u64(payload)?)?;
     let no = as_dim(next_u64(payload)?)?;
@@ -631,7 +645,6 @@ pub fn from_bytes(bytes: &[u8]) -> Result<ParametricRom> {
     }
     let b = read_mat(payload, size, ni)?;
     let l = read_mat(payload, size, no)?;
-    let projection = read_mat(payload, full_dim, size)?;
     if cursor != payload.len() {
         return Err(err("trailing bytes after payload"));
     }
@@ -642,7 +655,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<ParametricRom> {
         ci,
         b,
         l,
-        projection,
+        full_dim,
     })
 }
 
@@ -937,10 +950,8 @@ mod tests {
         let rom = identity_rom(&rc2());
         rom.save(&path).unwrap();
         let back = ParametricRom::load(&path).unwrap();
-        assert_eq!(
-            format!("{:?}", back.projection),
-            format!("{:?}", rom.projection)
-        );
+        assert_eq!(to_bytes(&back), to_bytes(&rom));
+        assert_eq!(back.full_dim, 2);
         assert!(ParametricRom::load(dir.join("missing.rom")).is_err());
     }
 }

@@ -132,7 +132,7 @@ impl RomStamp {
         RomStamp {
             fingerprint,
             states: rom.size() as u32,
-            full_dim: rom.projection.nrows() as u32,
+            full_dim: rom.full_dim as u32,
             num_params: rom.num_params() as u32,
             num_inputs: rom.num_inputs() as u32,
             num_outputs: rom.num_outputs() as u32,

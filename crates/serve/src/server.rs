@@ -591,7 +591,7 @@ fn request_eval(rom_fingerprint: u64, points: &[pmor::EvalPoint], shared: &Share
                 threads: shared.engine.worker_count(points.len()) as u32,
                 eval_seconds,
                 states: model.size() as u32,
-                full_dim: model.projection.nrows() as u32,
+                full_dim: model.full_dim as u32,
             };
             match EvalReply::from_matrices(provenance, &mats) {
                 Ok(reply) => Response::Eval(reply),
@@ -686,7 +686,7 @@ mod tests {
             ci: vec![],
             b: Matrix::from_fn(2, 1, |_, _| 1.0),
             l: Matrix::from_fn(2, 1, |_, _| 1.0),
-            projection: Matrix::identity(2),
+            full_dim: 2,
         }
     }
 

@@ -6,7 +6,7 @@
 use pmor::engine::{EvalEngine, EvalPoint};
 use pmor::lowrank::{LowRankOptions, LowRankPmor};
 use pmor::{rom, ParametricRom, Reducer};
-use pmor_circuits::generators::{rc_random, RcRandomConfig};
+use pmor_circuits::generators::{rc_mesh, rc_random, RcMeshConfig, RcRandomConfig};
 use pmor_num::Complex64;
 use pmor_serve::{Client, FaultCode, ServeAddr, ServeConfig, ServeError, Server};
 use std::io::{Read, Write};
@@ -510,5 +510,40 @@ fn lru_evicts_and_reload_restores() {
     client
         .request_eval(first.fingerprint, &points)
         .expect("eval after reload");
+    handle.shutdown_and_join().expect("shutdown");
+}
+
+#[test]
+fn rom_without_its_projection_fits_a_frame_its_projection_would_overflow() {
+    // A 64×64 mesh (4096 unknowns) reduced by lowrank: the ROM on the
+    // wire is the reduced matrices only. A frame limit between that size
+    // and the size with the `n × q` projection appended (16 + 8·n·q more
+    // bytes) admits it, and the stamp still reports the full dimension.
+    let sys = rc_mesh(&RcMeshConfig {
+        rows: 64,
+        cols: 64,
+        ..Default::default()
+    })
+    .assemble();
+    let model = LowRankPmor::with_defaults()
+        .reduce_once(&sys)
+        .expect("reduction");
+    let bytes = rom::to_bytes(&model).len();
+    let with_projection = bytes + 16 + 8 * sys.dim() * model.size();
+    let max_frame = (bytes + with_projection) / 2;
+    let handle = Server::start(ServeConfig {
+        max_frame: max_frame as u32,
+        ..ServeConfig::default()
+    })
+    .expect("server");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let stamp = client.load_rom(&model).expect("load under the frame limit");
+    assert_eq!(stamp.full_dim, 4096);
+    assert_eq!(stamp.states as usize, model.size());
+    let points = batches(model.num_params(), 1, 4).remove(0);
+    let reply = client
+        .request_eval(stamp.fingerprint, &points)
+        .expect("eval");
+    assert_eq!(reply.provenance.full_dim, 4096);
     handle.shutdown_and_join().expect("shutdown");
 }

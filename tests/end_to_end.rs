@@ -5,7 +5,7 @@ use pmor::eval::FullModel;
 use pmor::lowrank::{LowRankOptions, LowRankPmor};
 use pmor::multipoint::{MultiPointOptions, MultiPointPmor};
 use pmor::prima::{Prima, PrimaOptions};
-use pmor::Reducer;
+use pmor::{ParametricRom, Reducer, ReductionContext};
 use pmor_circuits::generators::{
     clock_tree, rc_random, rlc_bus, ClockTreeConfig, RcRandomConfig, RlcBusConfig,
 };
@@ -127,19 +127,27 @@ fn reduced_poles_are_stable_across_corners() {
 
 #[test]
 fn projection_expands_reduced_states_to_node_voltages() {
-    // The stored projection maps reduced DC solutions back to physical
-    // node voltages.
+    // The reducer's projection maps reduced DC solutions back to
+    // physical node voltages.
     let sys = clock_tree(&ClockTreeConfig {
         num_nodes: 40,
         ..Default::default()
     })
     .assemble();
-    let rom = LowRankPmor::with_defaults().reduce_once(&sys).unwrap();
+    let reducer = LowRankPmor::with_defaults();
+    let v = reducer
+        .projection(&sys, &mut ReductionContext::new())
+        .unwrap();
+    let rom = ParametricRom::by_congruence(&sys, &v);
+    // The same basis the registry path reduces with, bit for bit.
+    let bytes = pmor::rom::to_bytes(&reducer.reduce_once(&sys).unwrap());
+    assert!(pmor::rom::to_bytes(&rom) == bytes);
+    assert_eq!(rom.full_dim, sys.dim());
     let p = vec![0.0; 3];
     // Reduced DC solve: G̃ x̃ = B̃.
     let lu = pmor_num::lu::LuFactors::factor(&rom.g_at(&p)).unwrap();
     let xr = lu.solve(&rom.b.col(0)).unwrap();
-    let x_nodes = rom.projection.mul_vec(&xr);
+    let x_nodes = v.mul_vec(&xr);
     // Full DC solve.
     let slu = pmor_sparse::SparseLu::factor(&sys.g0, None).unwrap();
     let xf = slu.solve(&sys.b.col(0)).unwrap();

@@ -16,7 +16,7 @@ use pmor_circuits::generators::{
     RlcBusConfig,
 };
 use pmor_circuits::ParametricSystem;
-use pmor_num::Complex64;
+use pmor_num::{Complex64, Matrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -144,11 +144,14 @@ fn reseal(payload: &[u8]) -> Vec<u8> {
 }
 
 /// Byte offsets (into the payload) of every header and matrix
-/// dimension word: the five header words, then each matrix's
-/// `nrows`/`ncols` pair, walked by the stored dimensions.
+/// dimension word that the stored matrices cross-check: the size,
+/// parameter, input and output header words, then each matrix's
+/// `nrows`/`ncols` pair, walked by the stored dimensions. The full
+/// dimension (word 1) sizes no stored matrix, so it is a value like a
+/// matrix entry; `from_bytes` only checks that it is not below the size.
 fn structure_words(payload: &[u8]) -> Vec<usize> {
     let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize;
-    let mut offsets: Vec<usize> = (0..5).map(|i| 8 * i).collect();
+    let mut offsets: Vec<usize> = [0, 2, 3, 4].iter().map(|i| 8 * i).collect();
     let mut at = 40;
     while at < payload.len() {
         offsets.extend([at, at + 8]);
@@ -215,6 +218,13 @@ fn corrupted_bytes_are_rejected_everywhere() {
     // The pristine bytes still load, and so does their reseal.
     assert!(from_bytes(&good).is_ok());
     assert_eq!(reseal(payload), good);
+    // A full dimension below the reduced size is refused under reseal.
+    let mut bad = payload.to_vec();
+    bad[8..16].copy_from_slice(&(rom.size() as u64 - 1).to_le_bytes());
+    match from_bytes(&reseal(&bad)) {
+        Err(PmorError::Invalid(msg)) => assert!(msg.contains("full dimension"), "{msg}"),
+        other => panic!("full dimension below the size accepted: {other:?}"),
+    }
 }
 
 #[test]
@@ -258,6 +268,86 @@ fn old_and_future_format_versions_are_rejected() {
             }
             other => panic!("version {version} accepted: {other:?}"),
         }
+    }
+}
+
+/// The 32×32 `rc_mesh_stress` system reduced by lowrank.
+fn mesh_32() -> (ParametricSystem, ParametricRom) {
+    let sys = rc_mesh(&RcMeshConfig {
+        rows: 32,
+        cols: 32,
+        ..Default::default()
+    })
+    .assemble();
+    let rom = reducer_by_name("lowrank", &sys)
+        .unwrap()
+        .reduce_once(&sys)
+        .unwrap();
+    (sys, rom)
+}
+
+/// The matrices a ROM file stores, in file order.
+fn stored(rom: &ParametricRom) -> Vec<&Matrix<f64>> {
+    let mut all = vec![&rom.g0, &rom.c0];
+    all.extend(&rom.gi);
+    all.extend(&rom.ci);
+    all.extend([&rom.b, &rom.l]);
+    all
+}
+
+#[test]
+fn file_length_is_the_reduced_matrices_only() {
+    let (sys, rom) = mesh_32();
+    assert_eq!(rom.full_dim, sys.dim());
+    let matrices: usize = stored(&rom)
+        .iter()
+        .map(|m| 16 + 8 * m.nrows() * m.ncols())
+        .sum();
+    assert_eq!(to_bytes(&rom).len(), 12 + 40 + matrices + 8);
+    // The full dimension is one header word: changing it moves no length.
+    let mut wider = rom.clone();
+    wider.full_dim = 16 * sys.dim();
+    assert_eq!(to_bytes(&wider).len(), to_bytes(&rom).len());
+}
+
+#[test]
+fn round_trip_keeps_full_dim_and_every_reduced_bit() {
+    let (sys, rom) = mesh_32();
+    let back = from_bytes(&to_bytes(&rom)).unwrap();
+    assert_eq!(back.full_dim, sys.dim());
+    let bits = |r: &ParametricRom| -> Vec<u64> {
+        stored(r)
+            .iter()
+            .flat_map(|m| {
+                [m.nrows() as u64, m.ncols() as u64]
+                    .into_iter()
+                    .chain(m.as_slice().iter().map(|x| x.to_bits()))
+            })
+            .collect()
+    };
+    assert!(bits(&back) == bits(&rom), "reduced matrices changed bits");
+}
+
+#[test]
+fn version_1_files_are_refused_by_name() {
+    // A version-1 file is the version-2 payload with the `n × q`
+    // projection appended after `L̃`, under a valid checksum.
+    assert_eq!(ROM_FORMAT_VERSION, 2);
+    let (sys, rom) = mesh_32();
+    let v2 = to_bytes(&rom);
+    let mut payload = v2[12..v2.len() - 8].to_vec();
+    payload.extend_from_slice(&(sys.dim() as u64).to_le_bytes());
+    payload.extend_from_slice(&(rom.size() as u64).to_le_bytes());
+    for k in 0..sys.dim() * rom.size() {
+        payload.extend_from_slice(&((k % 7) as f64).to_bits().to_le_bytes());
+    }
+    let mut v1 = Vec::from(ROM_MAGIC);
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&payload);
+    v1.extend_from_slice(&fnv1a_bytes(&payload).to_le_bytes());
+    match from_bytes(&v1) {
+        Err(PmorError::Invalid(msg)) => assert!(msg.contains("version 1"), "{msg}"),
+        other => panic!("version-1 file accepted: {other:?}"),
     }
 }
 
