@@ -38,7 +38,9 @@ use std::path::{Path, PathBuf};
 /// evaluate on the pivot-free `LDLᵀ` kernel. Version 3: the pruned reach
 /// search reorders the sparse LU's updates and the supervariable AMD
 /// gives another permutation, so factors and ROMs move in the last bits.
-const CACHE_SCHEMA_VERSION: u64 = 3;
+/// Version 4: the RC families' `G(p)` take the sparse `L·D·Lᵀ` factor in
+/// place of LU, so their solves, bases and ROMs move in the last bits.
+const CACHE_SCHEMA_VERSION: u64 = 4;
 
 /// A directory of content-addressed ROM files.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,9 +173,11 @@ mod tests {
         assert_eq!(base, RomCache::key(1, "prima", &ReducerTuning::default()));
         // Entries written under an older schema must miss: schema 1
         // cached unmirrored ROMs of symmetric systems, schema 2 ROMs from
-        // the unpruned factorization and the old AMD.
-        assert_eq!(CACHE_SCHEMA_VERSION, 3);
-        assert_eq!(base, RomCache::key_at_schema(3, 1, "prima", &t));
+        // the unpruned factorization and the old AMD, schema 3 ROMs of RC
+        // systems reduced on sparse LU rather than `L·D·Lᵀ`.
+        assert_eq!(CACHE_SCHEMA_VERSION, 4);
+        assert_eq!(base, RomCache::key_at_schema(4, 1, "prima", &t));
+        assert_ne!(base, RomCache::key_at_schema(3, 1, "prima", &t));
         assert_ne!(base, RomCache::key_at_schema(2, 1, "prima", &t));
         assert_ne!(base, RomCache::key_at_schema(1, 1, "prima", &t));
         // Every adaptive knob separates keys too: a model reduced to a

@@ -302,8 +302,13 @@ fn run(sc: &Scenario, save_roms: bool, analyze: bool) -> Result<ExecReport, CliE
     // printed below stay exactly the reduction's own.
     let prov = ctx.provenance_ready(&sys);
     if let Some(prov) = &prov {
+        let (factor, entries) = if prov.symmetric {
+            ("L·D·Lᵀ", "entries of one triangle")
+        } else {
+            ("LU", "matrix entries")
+        };
         outln!(
-            "# ordering {}: factor nnz {} ({:.2}x fill over {} matrix nnz)",
+            "# ordering {}: {factor} factor nnz {} ({:.2}x fill over {} {entries})",
             prov.ordering,
             prov.factor_nnz,
             prov.fill_ratio(),

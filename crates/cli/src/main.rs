@@ -163,8 +163,19 @@ fn check_flags(flags: &[(String, String)], known: &[&str]) -> Result<(), CliErro
     Ok(())
 }
 
+/// Reads a `.rom` file. One in another format version is refused with
+/// its own message: the file, its version and how to rebuild it.
 fn load_rom(path: &str) -> Result<pmor::ParametricRom, CliError> {
-    pmor::rom::load(path).map_err(|e| CliError::Pmor(e.to_string()))
+    use pmor::rom::{format_version, from_bytes, ROM_FORMAT_VERSION};
+    let bytes = std::fs::read(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
+    match format_version(&bytes) {
+        Some(version) if version != ROM_FORMAT_VERSION => Err(CliError::Invalid(format!(
+            "{path} is a .rom file of format version {version}, which this build \
+             cannot read (it reads version {ROM_FORMAT_VERSION}); rebuild it with \
+             `pmor reduce` on its scenario"
+        ))),
+        _ => from_bytes(&bytes).map_err(|e| CliError::Pmor(format!("{path}: {e}"))),
+    }
 }
 
 fn cmd_eval(args: &[String]) -> Result<(), CliError> {

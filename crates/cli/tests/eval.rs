@@ -1,6 +1,9 @@
 //! `pmor eval` driven through the real binary: a non-finite parameter or
 //! frequency is a usage error with a non-zero exit, never a CSV of
 //! `NaN`/`inf` rows, and a reader that stops early ends the sweep cleanly.
+//! A `.rom` of an older format version is refused by `pmor info`,
+//! `eval` and `mc` with a message that names the file, its version and
+//! the rebuild.
 
 use pmor_circuits::generators::{clock_tree, ClockTreeConfig};
 use std::io::{BufRead, BufReader};
@@ -83,4 +86,35 @@ fn eval_exits_cleanly_when_the_reader_closes_the_pipe() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn an_old_format_rom_is_refused_by_name_with_the_rebuild() {
+    let (dir, rom) = rom_file("old_format");
+    // A version-1 file: the current bytes with the header's version word
+    // set to 1 (the format check comes before anything else is read).
+    let mut bytes = std::fs::read(&rom).unwrap();
+    assert_eq!(pmor::rom::format_version(&bytes), Some(2));
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let old = dir.join("old.rom");
+    std::fs::write(&old, &bytes).unwrap();
+    for cmd in ["info", "eval", "mc"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pmor"))
+            .arg(cmd)
+            .arg(&old)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        for needle in [
+            old.to_str().unwrap(),
+            "format version 1",
+            "reads version 2",
+            "pmor reduce",
+        ] {
+            assert!(stderr.contains(needle), "{cmd}: no {needle:?} in {stderr}");
+        }
+        assert!(!stderr.contains("computation failed"), "{cmd}: {stderr}");
+        assert!(out.stdout.is_empty(), "{cmd} printed output");
+    }
 }

@@ -4,7 +4,7 @@
 use pmor::OrderingChoice;
 use pmor_cli::{reduce_scenario, run_scenario, Scenario};
 use pmor_num::Complex64;
-use pmor_sparse::{CsrMatrix, SparseLu};
+use pmor_sparse::{CsrMatrix, RealFactor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
@@ -383,9 +383,10 @@ rom_cache = false
     );
     let order = OrderingChoice::Amd.resolve(&union);
     let first = vec![-0.3; np];
-    let want = SparseLu::factor(&sys.g_at(&first), Some(&order))
-        .unwrap()
-        .factor_nnz();
+    let g_first = sys.g_at(&first);
+    let factor = RealFactor::factor(&g_first, Some(&order)).unwrap();
+    assert!(factor.is_symmetric(), "an RC G(p) takes the L·D·Lᵀ factor");
+    let want = factor.factor_nnz();
 
     let json = std::fs::read_to_string(&report.bench_path).unwrap();
     let doc = pmor_json::parse_json(&json).unwrap();
@@ -396,8 +397,14 @@ rom_cache = false
         other => panic!("metric {key}: {other:?}\n{json}"),
     };
     assert_eq!(metric("factor_nnz"), want as f64, "{json}");
-    let matrix_nnz = sys.g_at(&first).nnz() as f64;
-    assert_eq!(metric("fill_ratio"), want as f64 / matrix_nnz, "{json}");
+    // The symmetric factor stores one triangle, so its fill is over the
+    // matrix's stored triangle (diagonal included).
+    let triangle = g_first.iter().filter(|&(r, c, _)| c <= r).count();
+    assert_eq!(
+        metric("fill_ratio"),
+        want as f64 / triangle as f64,
+        "{json}"
+    );
     let ordering = records[0].get("labels").and_then(|l| l.get("ordering"));
     assert_eq!(ordering.map(|o| o.text()), Some("amd"), "{json}");
 }

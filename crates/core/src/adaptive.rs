@@ -59,7 +59,7 @@ pub struct ErrorEstimator<'a> {
     /// `L` converted to complex once per estimator.
     l: Matrix<Complex64>,
     /// Cached nominal real factors backing the output correction.
-    g0: std::sync::Arc<pmor_sparse::SparseLu<f64>>,
+    g0: std::sync::Arc<pmor_sparse::RealFactor>,
 }
 
 impl<'a> ErrorEstimator<'a> {

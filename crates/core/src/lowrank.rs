@@ -40,7 +40,7 @@ use pmor_circuits::ParametricSystem;
 use pmor_num::orth::OrthoBasis;
 use pmor_num::svd::Svd;
 use pmor_num::Matrix;
-use pmor_sparse::{CsrMatrix, LinearOperator, SparseLu};
+use pmor_sparse::{CsrMatrix, LinearOperator, RealFactor};
 
 /// Sensitivities whose randomized SVDs, Krylov starts and Krylov steps
 /// share each solve pass. Two keep the default rank-2 sketch blocks at
@@ -219,7 +219,7 @@ impl LowRankPmor {
     /// Adds the solve passes made on `lu` to `passes`.
     fn group_svds(
         &self,
-        lu: &SparseLu<f64>,
+        lu: &RealFactor,
         group: &[Sensitivity<'_>],
         raw: bool,
         passes: &mut usize,
@@ -246,7 +246,7 @@ impl LowRankPmor {
     /// and adds the solve passes made on `lu` to `passes`.
     fn add_parameter_subspaces(
         &self,
-        lu: &SparseLu<f64>,
+        lu: &RealFactor,
         sys: &ParametricSystem,
         group: &[Sensitivity<'_>],
         basis: &mut OrthoBasis<f64>,

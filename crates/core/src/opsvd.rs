@@ -15,7 +15,7 @@ use crate::Result;
 use pmor_num::orth::orthonormalize_columns;
 use pmor_num::svd::{svd, Svd};
 use pmor_num::Matrix;
-use pmor_sparse::{CsrMatrix, LinearOperator, SparseLu};
+use pmor_sparse::{CsrMatrix, LinearOperator, RealFactor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::Cell;
@@ -192,7 +192,7 @@ fn orthonormalize_each(blocks: &[Matrix<f64>]) -> Vec<Matrix<f64>> {
 /// by side in one block solve and splits the result, so each member's
 /// block is bit for bit the column solves of its own block.
 pub struct GeneralizedSensitivities<'a> {
-    g0_lu: &'a SparseLu<f64>,
+    g0_lu: &'a RealFactor,
     mats: Vec<&'a CsrMatrix<f64>>,
     passes: Cell<usize>,
 }
@@ -203,7 +203,7 @@ impl<'a> GeneralizedSensitivities<'a> {
     /// # Panics
     ///
     /// Panics when dimensions disagree.
-    pub fn new(g0_lu: &'a SparseLu<f64>, mats: Vec<&'a CsrMatrix<f64>>) -> Self {
+    pub fn new(g0_lu: &'a RealFactor, mats: Vec<&'a CsrMatrix<f64>>) -> Self {
         for m in &mats {
             assert_eq!(g0_lu.dim(), m.nrows(), "GeneralizedSensitivities: dim");
             assert_eq!(m.nrows(), m.ncols(), "GeneralizedSensitivities: square");
@@ -262,7 +262,7 @@ impl OperatorFamily for GeneralizedSensitivities<'_> {
 }
 
 /// Solves every block of `bs` at once: the blocks side by side through
-/// one [`SparseLu::solve_block`], split back. Each result is bit for bit
+/// one [`RealFactor::solve_block`], split back. Each result is bit for bit
 /// its own block's solve. Adds the pass to `passes` unless every block
 /// is empty.
 ///
@@ -270,7 +270,7 @@ impl OperatorFamily for GeneralizedSensitivities<'_> {
 ///
 /// Panics unless every block has `lu.dim()` rows.
 pub(crate) fn solve_each(
-    lu: &SparseLu<f64>,
+    lu: &RealFactor,
     bs: &[Matrix<f64>],
     passes: &mut usize,
 ) -> Result<Vec<Matrix<f64>>> {
@@ -279,13 +279,13 @@ pub(crate) fn solve_each(
     Ok(split_like(&lu.solve_block(&joined)?, bs))
 }
 
-/// [`solve_each`] for `G0ᵀ`, through [`SparseLu::solve_transpose_block`].
+/// [`solve_each`] for `G0ᵀ`, through [`RealFactor::solve_transpose_block`].
 ///
 /// # Panics
 ///
 /// Panics unless every block has `lu.dim()` rows.
 pub(crate) fn solve_transpose_each(
-    lu: &SparseLu<f64>,
+    lu: &RealFactor,
     bs: &[Matrix<f64>],
     passes: &mut usize,
 ) -> Result<Vec<Matrix<f64>>> {
@@ -407,7 +407,7 @@ mod tests {
             }
         }
         let m = m.build_csr();
-        let lu = SparseLu::factor(&g, None).unwrap();
+        let lu = RealFactor::factor(&g, None).unwrap();
         let op = GeneralizedSensitivities::new(&lu, vec![&m]);
 
         let explicit = Matrix::from_fn(n, n, |r, c| m.get(r, c) / (r + 1) as f64);
@@ -441,7 +441,7 @@ mod tests {
             m.add(3, c, 1.0 + c as f64 * 0.1);
         }
         let m = m.build_csr();
-        let lu = SparseLu::factor(&g, None).unwrap();
+        let lu = RealFactor::factor(&g, None).unwrap();
         let op = GeneralizedSensitivities::new(&lu, vec![&m]);
         let o = OperatorSvdOptions::default();
         let s = lockstep_svd(&op, &o, &[o.seed]).unwrap().swap_remove(0);

@@ -21,7 +21,7 @@ use crate::Result;
 use pmor_circuits::ParametricSystem;
 use pmor_num::orth::OrthoBasis;
 use pmor_num::Matrix;
-use pmor_sparse::{CsrMatrix, SparseLu};
+use pmor_sparse::{CsrMatrix, RealFactor};
 use std::ops::Range;
 
 /// Options for a PRIMA reduction.
@@ -127,13 +127,13 @@ pub(crate) enum Action {
 ///
 /// The recurrences advance in lockstep: each step applies the current
 /// vectors of every forward recurrence as one block (one
-/// [`SparseLu::solve_block`]) and those of every transpose recurrence as
+/// [`RealFactor::solve_block`]) and those of every transpose recurrence as
 /// another. A vector's image needs only that vector, and block solves
 /// and block products are bitwise their column forms, so every basis is
 /// bit for bit the one a column-at-a-time recurrence builds. Each block
 /// solve adds one to `passes`.
 pub(crate) fn krylov_lockstep(
-    lu: &SparseLu<f64>,
+    lu: &RealFactor,
     c: &CsrMatrix<f64>,
     starts: &[(Action, Matrix<f64>)],
     blocks: usize,
@@ -191,7 +191,7 @@ pub(crate) fn krylov_lockstep(
 /// `R0 = G⁻¹B`. Returns the number of new directions contributed and the
 /// solve passes made on `lu` (one per column of `B`, one per step).
 pub(crate) fn krylov_blocks(
-    lu: &SparseLu<f64>,
+    lu: &RealFactor,
     c: &CsrMatrix<f64>,
     b: &Matrix<f64>,
     blocks: usize,

@@ -11,7 +11,7 @@
 //! [`reducer_by_name`].
 //!
 //! The [`ReductionContext`] realizes the paper's §4.2 cost model as an
-//! explicit object: the sparse LU factorization of the nominal `G0` (and,
+//! explicit object: the sparse factorization of the nominal `G0` (and,
 //! more generally, of `G(p)` at any expansion point) is performed **once
 //! per system** and memoized, so PRIMA's Krylov recurrence, the
 //! sensitivity SVDs of Algorithm 1 (forward and transpose solves on the
@@ -44,7 +44,7 @@ use crate::engine::EvalEngine;
 use crate::rom::ParametricRom;
 use crate::Result;
 use pmor_circuits::ParametricSystem;
-use pmor_sparse::{CsrMatrix, OrderingChoice, SparseLu};
+use pmor_sparse::{CsrMatrix, OrderingChoice, RealFactor};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -80,6 +80,9 @@ pub trait Reducer {
 pub struct FactorStats {
     /// Real factorizations actually performed (misses).
     pub real_factorizations: usize,
+    /// How many of those took the symmetric `L·D·Lᵀ` factor
+    /// ([`RealFactor::is_symmetric`]); the rest took sparse LU.
+    pub symmetric_factorizations: usize,
     /// Requests served from stored factors without factoring.
     pub hits: usize,
 }
@@ -90,10 +93,11 @@ pub struct FactorStats {
 /// point — the nominal `G0` (`p = 0`) being the one the paper's
 /// single-factorization claim is about, and perturbed samples being
 /// shared across multi-point / fitting reducers using the same sample
-/// grid. Every factor is [`SparseLu::factor`] of `G(p)` under the
-/// context's shared ordering, handed out as an [`Arc`] so held factors
-/// stay valid across later requests and can be shared across worker
-/// threads.
+/// grid. Every factor is [`RealFactor::factor`] of `G(p)` under the
+/// context's shared ordering (`L·D·Lᵀ` for the RC families, whose `G(p)`
+/// is symmetric positive definite; sparse LU otherwise), handed out as an
+/// [`Arc`] so held factors stay valid across later requests and can be
+/// shared across worker threads.
 ///
 /// The context fingerprints the system it serves; handing it a different
 /// system clears the stored factors (counters are lifetime counters and
@@ -103,7 +107,7 @@ pub struct FactorStats {
 pub struct ReductionContext {
     /// Factors of `G(p)`, keyed by the bit patterns of `p`. Only ever
     /// looked up by key, never iterated.
-    factors: HashMap<Vec<u64>, Arc<SparseLu<f64>>>,
+    factors: HashMap<Vec<u64>, Arc<RealFactor>>,
     stats: FactorStats,
     fingerprint: Option<u64>,
     /// Fill-reducing ordering policy ([`OrderingChoice::Rcm`] by default;
@@ -115,10 +119,10 @@ pub struct ReductionContext {
     /// factorization (orderings only affect fill-in, never solution
     /// values). `None` until first needed.
     ordering: Option<Vec<usize>>,
-    /// Fill (`L + U` nonzeros) of the first factors the context handed
-    /// out for the served system — the provenance of pipelines that
-    /// never factor `p = 0`.
-    first_factor_nnz: Option<usize>,
+    /// Provenance of the first factors the context handed out for the
+    /// served system — the one reported by pipelines that never factor
+    /// `p = 0`.
+    first_provenance: Option<FactorProvenance>,
     /// Worker threads for [`ReductionContext::prefactor_g_at`] batches
     /// (`0` = available parallelism, `1` = serial).
     threads: usize,
@@ -172,7 +176,7 @@ impl ReductionContext {
             fingerprint: None,
             ordering_choice,
             ordering: None,
-            first_factor_nnz: None,
+            first_provenance: None,
             threads: 1,
         }
     }
@@ -183,7 +187,7 @@ impl ReductionContext {
     /// # Errors
     ///
     /// Fails when `G0` is singular.
-    pub fn factor_g0(&mut self, sys: &ParametricSystem) -> Result<Arc<SparseLu<f64>>> {
+    pub fn factor_g0(&mut self, sys: &ParametricSystem) -> Result<Arc<RealFactor>> {
         self.factor_g_at(sys, &vec![0.0; sys.num_params()])
     }
 
@@ -193,7 +197,7 @@ impl ReductionContext {
     /// # Errors
     ///
     /// Fails when `G(p)` is singular or `p` has the wrong length.
-    pub fn factor_g_at(&mut self, sys: &ParametricSystem, p: &[f64]) -> Result<Arc<SparseLu<f64>>> {
+    pub fn factor_g_at(&mut self, sys: &ParametricSystem, p: &[f64]) -> Result<Arc<RealFactor>> {
         let mut lu = self.prefactor_g_at(sys, &[p.to_vec()])?;
         Ok(lu.swap_remove(0))
     }
@@ -225,7 +229,7 @@ impl ReductionContext {
         &mut self,
         sys: &ParametricSystem,
         points: &[Vec<f64>],
-    ) -> Result<Vec<Arc<SparseLu<f64>>>> {
+    ) -> Result<Vec<Arc<RealFactor>>> {
         for p in points {
             check_point(sys, p)?;
         }
@@ -240,13 +244,14 @@ impl ReductionContext {
         let threads = self.threads;
         let perm = self.shared_ordering(sys);
         let produced = EvalEngine::new(threads).map(&misses, |&i, _| {
-            Ok(SparseLu::factor(&sys.g_at(&points[i]), Some(perm)))
+            Ok(RealFactor::factor(&sys.g_at(&points[i]), Some(perm)))
         })?;
         let mut first_err = None;
         for (&i, lu) in misses.iter().zip(produced) {
             match lu {
                 Ok(lu) => {
                     self.stats.real_factorizations += 1;
+                    self.stats.symmetric_factorizations += usize::from(lu.is_symmetric());
                     self.factors.insert(keys[i].clone(), Arc::new(lu));
                 }
                 Err(e) => {
@@ -262,7 +267,9 @@ impl ReductionContext {
         // stored above (a failed miss returned early).
         let out: Vec<_> = keys.iter().map(|k| Arc::clone(&self.factors[k])).collect();
         if let Some(lu) = out.first() {
-            self.first_factor_nnz.get_or_insert(lu.factor_nnz());
+            let ordering = self.ordering_choice.name();
+            self.first_provenance
+                .get_or_insert_with(|| FactorProvenance::of(ordering, lu));
         }
         Ok(out)
     }
@@ -292,15 +299,10 @@ impl ReductionContext {
             return None;
         }
         let p0 = vec![0.0; sys.num_params()];
-        let factor_nnz = match self.factors.get(&point_key(&p0)) {
-            Some(lu) => lu.factor_nnz(),
-            None => self.first_factor_nnz?,
-        };
-        Some(FactorProvenance {
-            ordering: self.ordering_choice.name(),
-            factor_nnz,
-            matrix_nnz: sys.g_at(&p0).nnz(),
-        })
+        match self.factors.get(&point_key(&p0)) {
+            Some(lu) => Some(FactorProvenance::of(self.ordering_choice.name(), lu)),
+            None => self.first_provenance,
+        }
     }
 
     /// Number of **real** sparse factorizations actually performed over
@@ -333,7 +335,7 @@ impl ReductionContext {
         if self.fingerprint != Some(fp) {
             self.factors.clear();
             self.ordering = None;
-            self.first_factor_nnz = None;
+            self.first_provenance = None;
             self.fingerprint = Some(fp);
         }
     }
@@ -367,13 +369,28 @@ fn check_point(sys: &ParametricSystem, p: &[f64]) -> Result<()> {
 pub struct FactorProvenance {
     /// Ordering name: `"rcm"` or `"amd"`.
     pub ordering: &'static str,
-    /// Stored nonzeros of `L + U`.
+    /// Whether the factor is the symmetric `L·D·Lᵀ` one
+    /// ([`RealFactor::is_symmetric`]) rather than sparse LU.
+    pub symmetric: bool,
+    /// Stored factor entries ([`RealFactor::factor_nnz`]): one triangle
+    /// and `D` for the symmetric factor, `L + U` for LU.
     pub factor_nnz: usize,
-    /// Stored nonzeros of the factored matrix.
+    /// The factored matrix's entries that the factor stands for
+    /// ([`RealFactor::matrix_nnz`]): its stored triangle for the symmetric
+    /// factor, all of them for LU.
     pub matrix_nnz: usize,
 }
 
 impl FactorProvenance {
+    fn of(ordering: &'static str, factor: &RealFactor) -> Self {
+        FactorProvenance {
+            ordering,
+            symmetric: factor.is_symmetric(),
+            factor_nnz: factor.factor_nnz(),
+            matrix_nnz: factor.matrix_nnz(),
+        }
+    }
+
     /// Fill ratio `factor_nnz / matrix_nnz` (≥ 1 in practice; lower is
     /// better).
     pub fn fill_ratio(&self) -> f64 {
@@ -852,9 +869,9 @@ mod tests {
     }
 
     #[test]
-    fn context_factors_match_sparse_lu_factor_and_count_once() {
+    fn context_factors_match_the_front_door_factor_and_count_once() {
         // The context's factors must solve bit for bit like
-        // `SparseLu::factor` of the same matrix under the context's shared
+        // `RealFactor::factor` of the same matrix under the context's shared
         // ordering, and the counters must read one factorization per
         // distinct matrix, serial or batched at any thread count; a
         // repeated batch only hits and hands out the stored factors.
@@ -868,7 +885,7 @@ mod tests {
         let b: Vec<f64> = (0..sys.dim()).map(|i| (i as f64).cos()).collect();
         let scratch = |p: &[f64], ord: &[usize]| {
             bits(
-                &SparseLu::factor(&sys.g_at(p), Some(ord))
+                &RealFactor::factor(&sys.g_at(p), Some(ord))
                     .unwrap()
                     .solve(&b)
                     .unwrap(),
@@ -936,6 +953,7 @@ mod tests {
             assert!(Arc::ptr_eq(&first, &batched[0]));
             let want = FactorStats {
                 real_factorizations: 1,
+                symmetric_factorizations: 1,
                 hits: 2,
             };
             assert_eq!(ctx.stats(), want, "{threads} threads");
@@ -955,6 +973,7 @@ mod tests {
             .collect();
         let want = FactorStats {
             real_factorizations: 2,
+            symmetric_factorizations: 2,
             hits: 0,
         };
         assert_eq!(ctx.stats(), want);
@@ -990,6 +1009,7 @@ mod tests {
             .collect();
         let duplicates = FactorStats {
             real_factorizations: 5,
+            symmetric_factorizations: 5,
             hits: 1,
         };
         assert_eq!(serial.stats(), duplicates);
@@ -1053,7 +1073,7 @@ mod tests {
         let sys = singular_at_unit_points(25);
         let ord = ReductionContext::new().shared_ordering(&sys).to_vec();
         let scratch_err = |p: &[f64]| {
-            crate::PmorError::from(SparseLu::factor(&sys.g_at(p), Some(&ord)).unwrap_err())
+            crate::PmorError::from(RealFactor::factor(&sys.g_at(p), Some(&ord)).unwrap_err())
         };
         assert_ne!(scratch_err(&unit(0)), scratch_err(&unit(1)));
         let good = vec![0.0; 3];
@@ -1162,6 +1182,7 @@ mod tests {
         let p = vec![0.1, 0.0, 0.0];
         let stats = |real_factorizations, hits| FactorStats {
             real_factorizations,
+            symmetric_factorizations: real_factorizations,
             hits,
         };
         let mut ctx = ReductionContext::new();

@@ -533,6 +533,14 @@ pub fn to_bytes(rom: &ParametricRom) -> Vec<u8> {
     out
 }
 
+/// The format version a `.rom` file's header declares, or `None` when
+/// the bytes do not start with [`ROM_MAGIC`] and a version word. Lets a
+/// front end name an old file's version before [`from_bytes`] refuses it.
+pub fn format_version(bytes: &[u8]) -> Option<u32> {
+    let word = bytes.strip_prefix(&ROM_MAGIC)?.get(..4)?;
+    Some(u32::from_le_bytes([word[0], word[1], word[2], word[3]]))
+}
+
 /// Deserializes a ROM written by [`to_bytes`].
 ///
 /// # Errors
@@ -549,8 +557,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<ParametricRom> {
     if bytes[..8] != ROM_MAGIC {
         return Err(err("not a pmor ROM file (bad magic)"));
     }
-    // pmor-lint: allow(panic-in-lib) reason="the slice range is exactly 8 bytes by construction, so the array conversion cannot fail"
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let version = format_version(bytes).unwrap_or(0);
     if version != ROM_FORMAT_VERSION {
         return Err(err(&format!(
             "unsupported format version {version} (this build reads version {ROM_FORMAT_VERSION})"

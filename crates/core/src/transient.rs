@@ -27,7 +27,7 @@ use crate::{PmorError, Result};
 use pmor_circuits::ParametricSystem;
 use pmor_num::lu::LuFactors;
 use pmor_num::{vecops, Matrix};
-use pmor_sparse::{ordering, SparseLu};
+use pmor_sparse::{ordering, RealFactor};
 
 /// Input stimulus applied to one input port.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -290,7 +290,7 @@ pub fn simulate_full_ordered(
             &owned_perm
         }
     };
-    let lu = SparseLu::factor(&a, Some(perm))?;
+    let lu = RealFactor::factor(&a, Some(perm))?;
 
     let n = sys.dim();
     let steps = (opts.t_stop / h).round() as usize;

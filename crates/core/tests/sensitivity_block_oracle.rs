@@ -11,7 +11,7 @@
 use pmor::opsvd::{GeneralizedSensitivities, OperatorFamily};
 use pmor_circuits::generators::{rc_mesh, RcMeshConfig};
 use pmor_num::Matrix;
-use pmor_sparse::{ordering, CsrMatrix, SparseLu};
+use pmor_sparse::{ordering, CsrMatrix, RealFactor};
 
 /// Deterministic values in `[-1, 1)` (xorshift), no RNG crate needed.
 fn stream(seed: u64) -> impl FnMut() -> f64 {
@@ -45,16 +45,12 @@ fn sparse_block(n: usize, m: usize, seed: u64) -> Matrix<f64> {
 }
 
 /// `G0⁻¹(M·X)` one column at a time.
-fn apply_per_column(lu: &SparseLu<f64>, m: &CsrMatrix<f64>, x: &Matrix<f64>) -> Matrix<f64> {
+fn apply_per_column(lu: &RealFactor, m: &CsrMatrix<f64>, x: &Matrix<f64>) -> Matrix<f64> {
     per_column(x, |col| lu.solve(&m.mul_vec(col)).unwrap())
 }
 
 /// `Mᵀ(G0⁻ᵀX)` one column at a time.
-fn apply_transpose_per_column(
-    lu: &SparseLu<f64>,
-    m: &CsrMatrix<f64>,
-    x: &Matrix<f64>,
-) -> Matrix<f64> {
+fn apply_transpose_per_column(lu: &RealFactor, m: &CsrMatrix<f64>, x: &Matrix<f64>) -> Matrix<f64> {
     per_column(x, |col| m.tr_mul_vec(&lu.solve_transpose(col).unwrap()))
 }
 
@@ -90,7 +86,7 @@ fn generalized_sensitivity_block_actions_match_per_column_default() {
     })
     .assemble();
     let n = sys.dim();
-    let lu = SparseLu::factor(&sys.g0, Some(&ordering::amd(&sys.g0))).unwrap();
+    let lu = RealFactor::factor(&sys.g0, Some(&ordering::amd(&sys.g0))).unwrap();
     for (name, m) in [("G1", &sys.gi[0]), ("C2", &sys.ci[1])] {
         assert!(
             m.nnz() > 0 && m.nnz() < sys.g0.nnz(),
@@ -128,7 +124,7 @@ fn sensitivity_family_actions_match_each_members_column_actions() {
     })
     .assemble();
     let n = sys.dim();
-    let lu = SparseLu::factor(&sys.g0, Some(&ordering::amd(&sys.g0))).unwrap();
+    let lu = RealFactor::factor(&sys.g0, Some(&ordering::amd(&sys.g0))).unwrap();
     let mats = [&sys.gi[0], &sys.ci[1], &sys.gi[1]];
     let family = GeneralizedSensitivities::new(&lu, mats.to_vec());
     // Uneven widths, an empty member block, and a sparse block beside

@@ -1,13 +1,16 @@
 //! Left-looking sparse LU factorization (Gilbert–Peierls).
 //!
-//! This is the workspace's "one-time factorization of `G0`" (paper §4.2):
-//! every Krylov vector of PRIMA/Algorithm 1, every subspace iteration of the
-//! low-rank SVD and every full-model frequency point reuses a factorization
-//! produced here. Partial pivoting keeps the factorization robust on
-//! unsymmetric MNA matrices (inductor branches make `G` unsymmetric in
-//! general); an optional fill-reducing column ordering (see
-//! [`crate::ordering`]) keeps fill-in low on tree- and ladder-structured
-//! interconnect.
+//! Every complex factorization (the full model's `G + sC` at each
+//! frequency point) is made here. A real one goes through
+//! [`crate::RealFactor::factor`], which applies one rule: a bitwise
+//! symmetric matrix whose pivots all come out finite and positive (the
+//! `G(p)` of every RC family) takes the symmetric `L·D·Lᵀ` factor of
+//! [`crate::ldl`]; any other real matrix comes here. So `rlc_bus`, whose
+//! MNA `G` is unsymmetric (inductor branches), and indefinite or singular
+//! symmetric matrices are factored by this LU. Partial pivoting keeps it
+//! robust on unsymmetric matrices; an optional fill-reducing column
+//! ordering (see [`crate::ordering`]) keeps fill-in low on tree- and
+//! ladder-structured interconnect.
 //!
 //! Both `solve` (`A x = b`) and `solve_transpose` (`Aᵀ x = b`) are provided;
 //! the latter implements the paper's observation that with `G0 = L·U` one
@@ -115,30 +118,7 @@ impl<T: Scalar> SparseLu<T> {
                 actual: a.ncols(),
             });
         }
-        let q: Vec<usize> = match col_order {
-            Some(ord) => {
-                if ord.len() != n {
-                    return Err(SparseError::DimensionMismatch {
-                        context: "SparseLu::factor (ordering length)",
-                        expected: n,
-                        actual: ord.len(),
-                    });
-                }
-                ord.to_vec()
-            }
-            None => (0..n).collect(),
-        };
-        let mut qinv = vec![UNASSIGNED; n];
-        for (k, &j) in q.iter().enumerate() {
-            if j >= n || qinv[j] != UNASSIGNED {
-                return Err(SparseError::DimensionMismatch {
-                    context: "SparseLu::factor (ordering must be a permutation)",
-                    expected: n,
-                    actual: j,
-                });
-            }
-            qinv[j] = k;
-        }
+        let q = check_order(n, col_order, "SparseLu::factor (ordering)")?;
 
         // Column-major copy of A for fast column access.
         let acsc = a.transposed(); // rows of acsc are columns of a
@@ -467,11 +447,7 @@ impl<T: Scalar> SparseLu<T> {
         Ok(match b.ncols() {
             0 => Matrix::zeros(self.n, 0),
             1 => Matrix::from_col(&self.solve(b.as_slice())?),
-            2 => self.solve_block_of::<2>(b),
-            4 => self.solve_block_of::<4>(b),
-            6 => self.solve_block_of::<6>(b),
-            12 => self.solve_block_of::<12>(b),
-            _ => self.solve_block_of::<0>(b),
+            _ => self.solve_block_of(b),
         })
     }
 
@@ -488,11 +464,7 @@ impl<T: Scalar> SparseLu<T> {
         Ok(match b.ncols() {
             0 => Matrix::zeros(self.n, 0),
             1 => Matrix::from_col(&self.solve_transpose(b.as_slice())?),
-            2 => self.solve_transpose_block_of::<2>(b),
-            4 => self.solve_transpose_block_of::<4>(b),
-            6 => self.solve_transpose_block_of::<6>(b),
-            12 => self.solve_transpose_block_of::<12>(b),
-            _ => self.solve_transpose_block_of::<0>(b),
+            _ => self.solve_transpose_block_of(b),
         })
     }
 
@@ -508,18 +480,9 @@ impl<T: Scalar> SparseLu<T> {
         }
     }
 
-    /// [`SparseLu::solve_block`]'s kernel. `M = 0` reads the width from
-    /// `b`; a nonzero `M` is the width as a constant, so the row updates
-    /// compile to fixed-length loops. Only widths 2, 4, 6 and 12 get such
-    /// a copy: they are the blocks of the registry's rank-2 low-rank
-    /// reduction, which takes the sensitivities two at a time — sketch
-    /// stages of `2 × (rank + oversample 4)` columns (6 for a lone last
-    /// sensitivity), `Ṽ` starts and Krylov steps of `2 × rank` (2 alone),
-    /// and a two-port `V0`'s steps (2). On the 128×128 mesh's `G0`
-    /// factors a fixed width 4 or 12 solved about 20% faster than the
-    /// run-time width (best of 40 solves each).
-    fn solve_block_of<const M: usize>(&self, b: &Matrix<T>) -> Matrix<T> {
-        let (n, m) = (self.n, if M == 0 { b.ncols() } else { M });
+    /// [`SparseLu::solve_block`]'s kernel.
+    fn solve_block_of(&self, b: &Matrix<T>) -> Matrix<T> {
+        let (n, m) = (self.n, b.ncols());
         // Forward: L Y = P B in place, Y by pivot position. Row `r`'s
         // updates all come from steps before its own, `pinv[r]`, so
         // applying them at that position is the column solve's order.
@@ -560,10 +523,9 @@ impl<T: Scalar> SparseLu<T> {
         out
     }
 
-    /// [`SparseLu::solve_transpose_block`]'s kernel; `M` as in
-    /// [`SparseLu::solve_block_of`].
-    fn solve_transpose_block_of<const M: usize>(&self, b: &Matrix<T>) -> Matrix<T> {
-        let (n, m) = (self.n, if M == 0 { b.ncols() } else { M });
+    /// [`SparseLu::solve_transpose_block`]'s kernel.
+    fn solve_transpose_block_of(&self, b: &Matrix<T>) -> Matrix<T> {
+        let (n, m) = (self.n, b.ncols());
         let mut y = vec![T::ZERO; n * m];
         for (k, yk) in y.chunks_exact_mut(m).enumerate() {
             yk.copy_from_slice(b.row(self.q[k]));
@@ -625,6 +587,34 @@ impl<T: Scalar> SparseLu<T> {
         }
         Ok(out)
     }
+}
+
+/// Checks a caller's fill-reducing ordering of an `n × n` matrix and
+/// returns it (the identity for `None`).
+pub(crate) fn check_order(
+    n: usize,
+    col_order: Option<&[usize]>,
+    context: &'static str,
+) -> Result<Vec<usize>> {
+    let Some(ord) = col_order else {
+        return Ok((0..n).collect());
+    };
+    let malformed = |actual| SparseError::DimensionMismatch {
+        context,
+        expected: n,
+        actual,
+    };
+    if ord.len() != n {
+        return Err(malformed(ord.len()));
+    }
+    let mut seen = vec![false; n];
+    for &j in ord {
+        if j >= n || seen[j] {
+            return Err(malformed(j));
+        }
+        seen[j] = true;
+    }
+    Ok(ord.to_vec())
 }
 
 /// `dst[j] -= f·src[j]`, except that a zero `src[j]` subtracts `+0`: the

@@ -5,10 +5,13 @@
 
 use pmor::multipoint::{MultiPointOptions, MultiPointPmor};
 use pmor::{Reducer, ReducerKind, ReducerTuning, ReductionContext};
-use pmor_circuits::generators::{clock_tree, rc_mesh, ClockTreeConfig, RcMeshConfig};
+use pmor_circuits::generators::{
+    clock_tree, power_grid, rc_mesh, rc_random, rlc_bus, ClockTreeConfig, PowerGridConfig,
+    RcMeshConfig, RcRandomConfig, RlcBusConfig,
+};
 use pmor_circuits::ParametricSystem;
 use pmor_num::Complex64;
-use pmor_sparse::SparseLu;
+use pmor_sparse::RealFactor;
 
 fn workloads() -> Vec<(&'static str, ParametricSystem)> {
     vec![
@@ -95,9 +98,9 @@ fn multishift_methods_are_bitwise_identical_across_thread_counts() {
 }
 
 #[test]
-fn context_factors_are_sparse_lu_factor_bits_at_any_thread() {
+fn context_factors_are_front_door_factor_bits_at_any_thread() {
     // The context's factors, serial or batched, must solve bit for bit
-    // like `SparseLu::factor` of the same matrix under the same column
+    // like `RealFactor::factor` of the same matrix under the same column
     // order, and the counters must read one factorization per distinct
     // matrix.
     let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -105,9 +108,9 @@ fn context_factors_are_sparse_lu_factor_bits_at_any_thread() {
         let np = sys.num_params();
         let samples = MultiPointOptions::grid(&vec![(-0.3, 0.3); np], 2, 2).samples;
         let b: Vec<f64> = (0..sys.dim()).map(|i| (i as f64 * 0.37).sin()).collect();
-        let scratch = |p: &[f64], lu: &SparseLu<f64>| {
+        let scratch = |p: &[f64], lu: &RealFactor| {
             bits(
-                &SparseLu::factor(&sys.g_at(p), Some(lu.column_order()))
+                &RealFactor::factor(&sys.g_at(p), Some(lu.column_order()))
                     .unwrap()
                     .solve(&b)
                     .unwrap(),
@@ -134,6 +137,92 @@ fn context_factors_are_sparse_lu_factor_bits_at_any_thread() {
                 "{name}: factor_g_at ({threads} threads)"
             );
             assert_eq!(ctx.real_factorizations(), samples.len() + 1, "{name}");
+        }
+    }
+}
+
+/// Every factor of the four RC families takes the symmetric `L·D·Lᵀ`
+/// path, counted exactly and bitwise identically at any thread count;
+/// `rlc_bus`'s asymmetric `G` and a symmetric `G` with a negative pivot
+/// fall back to sparse LU.
+#[test]
+fn rc_families_take_the_symmetric_factor_and_the_rest_fall_back_to_lu() {
+    let rc_families = [
+        clock_tree(&ClockTreeConfig {
+            num_nodes: 40,
+            ..Default::default()
+        })
+        .assemble(),
+        rc_random(&RcRandomConfig {
+            num_nodes: 60,
+            ..Default::default()
+        })
+        .assemble(),
+        rc_mesh(&RcMeshConfig {
+            rows: 8,
+            cols: 8,
+            ..Default::default()
+        })
+        .assemble(),
+        power_grid(&PowerGridConfig {
+            rows: 10,
+            cols: 10,
+            pitch: 4,
+            ..Default::default()
+        })
+        .assemble(),
+    ];
+    let bus = rlc_bus(&RlcBusConfig {
+        segments: 10,
+        ..Default::default()
+    })
+    .assemble();
+    // Every conductance negated: still bitwise symmetric, but the first
+    // pivot is negative.
+    let mut negated = rc_families[0].clone();
+    for g in std::iter::once(&mut negated.g0).chain(&mut negated.gi) {
+        *g = g.scaled(-1.0);
+    }
+    let cases = rc_families
+        .iter()
+        .map(|sys| (sys, true))
+        .chain([(&bus, false), (&negated, false)]);
+    for (k, (sys, symmetric)) in cases.enumerate() {
+        let np = sys.num_params();
+        let samples = MultiPointOptions::grid(&vec![(-0.3, 0.3); np], 2, 2).samples;
+        let mut serial = None;
+        for threads in [1usize, 0, 4] {
+            let mut ctx = ReductionContext::with_threads(threads);
+            let factors = ctx.prefactor_g_at(sys, &samples).unwrap();
+            let g0 = ctx.factor_g0(sys).unwrap();
+            for f in factors.iter().chain([&g0]) {
+                assert_eq!(f.is_symmetric(), symmetric, "system {k}");
+            }
+            let stats = ctx.stats();
+            let want = if symmetric { samples.len() + 1 } else { 0 };
+            assert_eq!(stats.real_factorizations, samples.len() + 1, "system {k}");
+            assert_eq!(stats.symmetric_factorizations, want, "system {k}");
+            let b: Vec<f64> = (0..sys.dim()).map(|i| (i as f64 * 0.61).cos()).collect();
+            let x: Vec<u64> = g0.solve(&b).unwrap().iter().map(|v| v.to_bits()).collect();
+            let rom = pmor::rom::to_bytes(
+                &ReducerKind::LowRank
+                    .build(sys)
+                    .reduce(sys, &mut ctx)
+                    .unwrap(),
+            );
+            let after = ctx.stats();
+            assert_eq!(
+                (after.real_factorizations, after.hits),
+                (stats.real_factorizations, stats.hits + 1),
+                "system {k}: lowrank reuses G0"
+            );
+            match &serial {
+                None => serial = Some((after, x, rom)),
+                Some(want) => assert!(
+                    *want == (after, x, rom),
+                    "system {k}: {threads} threads differ from serial"
+                ),
+            }
         }
     }
 }

@@ -9,7 +9,7 @@ use pmor::lowrank::LowRankOptions;
 use pmor_circuits::ParametricSystem;
 use pmor_num::svd::{svd, Svd};
 use pmor_num::Matrix;
-use pmor_sparse::{CsrMatrix, SparseLu};
+use pmor_sparse::{CsrMatrix, RealFactor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -18,7 +18,7 @@ type Action<'a> = &'a dyn Fn(&[f64]) -> Vec<f64>;
 
 /// The Algorithm-1 projection basis of `sys` on the factors `lu` of
 /// `G0`.
-pub fn projection(sys: &ParametricSystem, lu: &SparseLu<f64>, o: &LowRankOptions) -> Matrix<f64> {
+pub fn projection(sys: &ParametricSystem, lu: &RealFactor, o: &LowRankOptions) -> Matrix<f64> {
     let n = sys.dim();
     let mut basis = Basis::default();
     let a0 = |v: &[f64]| negated(lu.solve(&sys.c0.mul_vec(v)).unwrap());
@@ -67,7 +67,7 @@ pub fn projection(sys: &ParametricSystem, lu: &SparseLu<f64>, o: &LowRankOptions
 
 /// The rank-`o.rank` randomized SVD of `G0⁻¹M` with sketch seed `seed`.
 pub fn sensitivity_svd(
-    lu: &SparseLu<f64>,
+    lu: &RealFactor,
     mat: &CsrMatrix<f64>,
     o: &LowRankOptions,
     seed: u64,
