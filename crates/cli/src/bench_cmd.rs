@@ -38,6 +38,7 @@ use pmor_bench::suite::{BenchSuite, SuiteEntryKind};
 use pmor_bench::{timed, validate_bench_json, write_bench_json_in, BenchRecord};
 use pmor_circuits::ParametricSystem;
 use pmor_num::Complex64;
+use pmor_variation::Summary;
 use std::path::{Path, PathBuf};
 
 /// Where `pmor bench --suite <name>` looks for shipped suites when the
@@ -180,18 +181,6 @@ pub fn run_suite(
     })
 }
 
-/// Median of a nonempty sample (sorts in place; even-length samples
-/// average the two central values).
-fn median(times: &mut [f64]) -> f64 {
-    times.sort_by(f64::total_cmp);
-    let n = times.len();
-    if n % 2 == 1 {
-        times[n / 2]
-    } else {
-        0.5 * (times[n / 2 - 1] + times[n / 2])
-    }
-}
-
 /// Loads the scenario a suite entry references.
 fn load_entry_scenario(file: &Path) -> Result<(Scenario, ParametricSystem), CliError> {
     let sc = Scenario::load(file)?;
@@ -215,6 +204,11 @@ fn run_scenario_entry(
     let workload = sc.system.workload_label(&sys);
     let full = FullModel::with_ordering(&sys, sc.ordering);
     let engine = EvalEngine::new(sc.analysis.config.threads.unwrap_or(0));
+    let analysis = sc
+        .analysis
+        .kind
+        .build(&sc.analysis.config)
+        .map_err(|e| CliError::Invalid(format!("[analysis] {e}")))?;
     let mut records = Vec::new();
     let mut gate_seen = false;
     for name in &sc.methods {
@@ -237,15 +231,10 @@ fn run_scenario_entry(
         }
         // pmor-lint: allow(panic-in-lib) reason="the repeat loop runs at least once (repeats is validated >= 1), so the final ROM is always present"
         let rom = rom.expect("at least one repeat");
-        let analysis = sc
-            .analysis
-            .kind
-            .build(&sc.analysis.config)
-            .map_err(|e| CliError::Invalid(format!("[analysis] {e}")))?;
         let mut analysis_times = Vec::with_capacity(repeats);
         let mut metrics = Vec::new();
         for i in 0..warmup + repeats {
-            let (rep, secs) = timed(|| analysis.run(&engine, &full, &rom));
+            let (rep, secs) = timed(|| analysis.run(&engine, Some(&full), &rom));
             let rep =
                 rep.map_err(|e| CliError::Pmor(format!("{name} {}: {e}", analysis.name())))?;
             if i >= warmup {
@@ -268,8 +257,8 @@ fn run_scenario_entry(
                 outln!("#   {name}: gate {metric} = {value:.3e} <= {max:.3e}");
             }
         }
-        let reduce_median = median(&mut reduce_times);
-        let analysis_median = median(&mut analysis_times);
+        let reduce_median = Summary::of(&reduce_times).median;
+        let analysis_median = Summary::of(&analysis_times).median;
         let total = reduce_median + analysis_median;
         outln!(
             "#   {name}: reduce {reduce_median:.3}s + {} {analysis_median:.3}s (median of {repeats})",
@@ -286,9 +275,7 @@ fn run_scenario_entry(
             .metric("reduce_median_seconds", reduce_median)
             .metric("analysis_median_seconds", analysis_median)
             .metric("repeats", repeats as f64);
-        for (metric, value) in &metrics {
-            rec = rec.metric(metric.clone(), *value);
-        }
+        rec.metrics.extend(metrics);
         records.push(stamp_provenance(rec, prov.as_ref()));
     }
     if let Some((metric, _)) = gate {
@@ -397,7 +384,7 @@ fn run_compare_entry(
         legs.push(Reduced {
             name: format!("{method}_{label}"),
             rom,
-            seconds: median(&mut times),
+            seconds: Summary::of(&times).median,
             cached: false,
             adaptive,
         });
@@ -632,7 +619,7 @@ fn run_serve_entry(spec: &ServeEntrySpec<'_>) -> Result<Vec<BenchRecord>, CliErr
             .map_err(|e| CliError::Pmor(format!("in-process daemon shutdown: {e}")))?;
     }
 
-    let median_s = median(&mut times);
+    let median_s = Summary::of(&times).median;
     let total_evals = (spec.clients * spec.batches * spec.batch_points) as f64;
     let evals_per_sec = total_evals / median_s.max(1e-12);
     outln!(
@@ -710,17 +697,5 @@ pub fn check_files(paths: &[String]) -> Result<(), CliError> {
             paths.len(),
             failures.join("\n  ")
         )))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn median_of_odd_and_even_samples() {
-        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&mut [4.0, 1.0, 2.0, 3.0]), 2.5);
-        assert_eq!(median(&mut [7.0]), 7.0);
     }
 }

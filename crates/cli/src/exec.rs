@@ -6,9 +6,9 @@
 //! spans the CLI boundary; the context's worker threads factor
 //! independent expansion points concurrently, bitwise-identically to the
 //! serial path), run the scenario's registered analysis — built by
-//! [`pmor_variation::AnalysisKind::build`] and executed through the
+//! [`pmor_variation::AnalysisKind::build`] once and executed through the
 //! [`pmor::TransferModel`] trait on a batched [`pmor::EvalEngine`], with
-//! independent method×analysis jobs running concurrently — emit
+//! independent method×analysis jobs sharing it concurrently — emit
 //! machine-readable `BENCH_<tag>.json` records (stamped with the
 //! analysis's provenance metrics), and optionally persist every reduced
 //! model with [`pmor::rom::save`] for later `pmor eval` / `pmor mc` runs.
@@ -29,6 +29,7 @@ use crate::CliError;
 use pmor::eval::FullModel;
 use pmor::{EvalEngine, ParametricRom, ReducerKind, ReductionContext};
 use pmor_bench::{format_csv, format_grid, timed, write_bench_json_in, BenchRecord};
+use pmor_variation::{Analysis, AnalysisReport};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -200,17 +201,19 @@ fn run(sc: &Scenario, save_roms: bool, analyze: bool) -> Result<ExecReport, CliE
 
     // --- Analysis: registry dispatch over the TransferModel trait ----------
     // Method×analysis jobs are independent, so they run concurrently on
-    // up to `[reduce] threads` scoped workers (0 = one per method);
+    // up to `[reduce] threads` workers (0 = available parallelism);
     // output is buffered per method and printed in method order, and
     // every job is deterministic, so concurrency never changes a byte.
     let mut records = Vec::new();
     if analyze {
-        // Parse-time eager build ensures this cannot fail here, but keep
-        // the loud path anyway.
-        sc.analysis
+        // One analysis, shared by every method's job: it is plain
+        // configuration data.
+        let analysis = sc
+            .analysis
             .kind
             .build(&sc.analysis.config)
             .map_err(|e| CliError::Invalid(format!("[analysis] {e}")))?;
+        let analysis = analysis.as_ref();
         // The full model factors under the same ordering policy the
         // reducers use, so large-scenario reference sweeps see the same
         // fill reduction.
@@ -218,9 +221,9 @@ fn run(sc: &Scenario, save_roms: bool, analyze: bool) -> Result<ExecReport, CliE
         let dim = sys.dim();
         // Worker count honors the `[reduce] threads` cap (`0` =
         // available parallelism, matching the knob's meaning everywhere
-        // else); results land in their method's slot, so output order is
-        // scheduling-independent.
-        let workers = EvalEngine::new(sc.threads).worker_count(reduced.len());
+        // else).
+        let jobs = EvalEngine::new(sc.threads);
+        let workers = jobs.worker_count(reduced.len());
         // An auto engine (`[analysis] threads` unset or 0) divides the
         // machine across the concurrent jobs instead of multiplying with
         // them (jobs × all-cores would oversubscribe); an explicit value
@@ -233,40 +236,14 @@ fn run(sc: &Scenario, save_roms: bool, analyze: bool) -> Result<ExecReport, CliE
             }
             Some(n) => n,
         });
-        let outputs: Vec<Result<(String, BenchRecord), CliError>> = if workers <= 1 {
-            reduced
-                .iter()
-                .map(|m| analyze_one(sc, &engine, &full, m, &workload, dim))
-                .collect()
-        } else {
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let slots: Vec<std::sync::Mutex<Option<Result<(String, BenchRecord), CliError>>>> =
-                reduced
-                    .iter()
-                    .map(|_| std::sync::Mutex::new(None))
-                    .collect();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(m) = reduced.get(i) else { break };
-                        let out = analyze_one(sc, &engine, &full, m, &workload, dim);
-                        // pmor-lint: allow(panic-in-lib) reason="slot mutex poisoning requires a prior worker panic, which thread::scope re-raises at join"
-                        *slots[i].lock().expect("slot poisoned") = Some(out);
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| {
-                    s.into_inner()
-                        // pmor-lint: allow(panic-in-lib) reason="slot mutex poisoning requires a prior worker panic, which thread::scope re-raises at join"
-                        .expect("slot poisoned")
-                        // pmor-lint: allow(panic-in-lib) reason="each worker fills every slot index it claims before moving on"
-                        .expect("worker filled every claimed slot")
-                })
-                .collect()
-        };
+        // The jobs run on an engine of their own: contiguous runs of the
+        // method list, results back in method order. Each job's failure
+        // travels in its own slot, so the runner itself cannot fail.
+        let outputs = jobs
+            .map(&reduced, |m, _ws| {
+                Ok(analyze_one(analysis, &engine, &full, m, &workload, dim))
+            })
+            .map_err(|e| CliError::Pmor(e.to_string()))?;
         for out in outputs {
             let (text, rec) = out?;
             outln!("{}", text.strip_suffix('\n').unwrap_or(&text));
@@ -395,38 +372,45 @@ pub(crate) fn stamp_provenance(
 /// its bench record. Safe to call from concurrent workers: everything it
 /// touches is shared immutably.
 fn analyze_one(
-    sc: &Scenario,
+    analysis: &dyn Analysis,
     engine: &EvalEngine,
     full: &FullModel<'_>,
     m: &Reduced,
     workload: &str,
     dim: usize,
 ) -> Result<(String, BenchRecord), CliError> {
-    let analysis = sc
-        .analysis
-        .kind
-        .build(&sc.analysis.config)
-        .map_err(|e| CliError::Invalid(format!("[analysis] {e}")))?;
     let report = analysis
-        .run(engine, full, &m.rom)
+        .run(engine, Some(full), &m.rom)
         .map_err(|e| CliError::Pmor(format!("{} {}: {e}", m.name, analysis.name())))?;
+    let mut rec = base_record(m, workload, dim);
+    rec.metrics.extend(report.metrics.iter().cloned());
+    Ok((report_text(&report, Some(&m.name)), rec))
+}
+
+/// A report as text: its CSV block, grid, summary lines and provenance,
+/// the comment lines labelled with `method` when one is given.
+pub fn report_text(report: &AnalysisReport, method: Option<&str>) -> String {
+    let label = method.map_or_else(String::new, |m| format!("{m}: "));
     let mut text = String::new();
     if let Some(csv) = &report.csv {
         let series: Vec<(&str, Vec<f64>)> = csv
             .series
             .iter()
-            .map(|(label, values)| {
+            .map(|(l, values)| {
                 // The analysis labels the reduced side generically;
                 // the CLI knows which method it is.
-                let label = if label == "rom" { &m.name } else { label };
-                (label.as_str(), values.clone())
+                let l = match method {
+                    Some(m) if l == "rom" => m,
+                    _ => l.as_str(),
+                };
+                (l, values.clone())
             })
             .collect();
         text.push_str(&format_csv(&csv.x_label, &csv.x, &series));
     }
     if let Some(grid) = &report.grid {
         text.push_str(&format_grid(
-            &format!("{}: {}", m.name, grid.title),
+            &format!("{label}{}", grid.title),
             "p_a \\ p_b",
             &grid.row_values,
             &grid.col_values,
@@ -434,14 +418,10 @@ fn analyze_one(
         ));
     }
     for line in &report.lines {
-        let _ = writeln!(text, "# {}: {line}", m.name);
+        let _ = writeln!(text, "# {label}{line}");
     }
-    let _ = writeln!(text, "# {}: {}", m.name, report.provenance);
-    let mut rec = base_record(m, workload, dim);
-    for (metric, value) in &report.metrics {
-        rec = rec.metric(metric.clone(), *value);
-    }
-    Ok((text, rec))
+    let _ = writeln!(text, "# {label}{}", report.provenance);
+    text
 }
 
 /// A record's first metric named `name`.

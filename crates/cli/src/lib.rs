@@ -14,7 +14,7 @@
 //! pmor run    <scenario.toml>   # reduce + analyze + BENCH_*.json [+ ROMs]
 //! pmor reduce <scenario.toml>   # reduce only, persist every method's ROM
 //! pmor eval   <model.rom> …     # frequency sweep on a persisted ROM
-//! pmor mc     <model.rom> …     # Monte-Carlo statistics on a persisted ROM
+//! pmor mc     <model.rom> …     # |λ₁| statistics and yield on a persisted ROM
 //! pmor info   <model.rom>       # describe a persisted ROM
 //! pmor list                     # registered generators, methods, analyses
 //! ```
@@ -24,7 +24,9 @@
 //! shared [`pmor::ReductionContext`], analyses from `pmor-variation`,
 //! and `BENCH_*.json` records from `pmor-bench`. ROM persistence is
 //! `pmor::rom::save`/`load` — reloaded models evaluate bit-for-bit
-//! identically to the originals.
+//! identically to the originals. `pmor eval` and `pmor mc` are the
+//! registry's `frequency_sweep` and `yield` analyses run on a persisted
+//! ROM alone.
 
 /// `println!` for the `pmor` binary: every stdout line goes through
 /// [`write_line`].
@@ -59,6 +61,7 @@ pub use scenario::{AnalysisSpec, OutputSpec, Scenario, SystemSpec};
 
 use std::fmt;
 use std::io::{self, Write};
+use std::path::Path;
 
 /// Writes `line` and a newline to stdout. `println!` panics once the
 /// reader has gone (`pmor eval x.rom | head -1`); here a closed pipe ends
@@ -113,8 +116,83 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+/// `--flag value` pairs: the one flag parser of every `pmor` subcommand
+/// that takes `--flag value` options.
+#[derive(Debug)]
+pub struct Flags(Vec<(String, String)>);
+
+impl Flags {
+    /// Parses `args`, refusing (as a usage error) a bare argument, a flag
+    /// without a value and any flag not in `known`.
+    pub fn parse(args: &[String], known: &[&str]) -> Result<Flags, CliError> {
+        let mut flags = Vec::new();
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            let Some(name) = flag.strip_prefix("--") else {
+                return Err(CliError::Usage(format!("unexpected argument {flag:?}")));
+            };
+            if !known.contains(&name) {
+                return Err(CliError::Usage(format!("unknown flag --{name}")));
+            }
+            let Some(value) = it.next() else {
+                return Err(CliError::Usage(format!("--{name} needs a value")));
+            };
+            flags.push((name.to_string(), value.clone()));
+        }
+        Ok(Flags(flags))
+    }
+
+    /// The value given to `--name`, if any.
+    pub fn get(&self, name: &str) -> Option<&str> {
+        self.0
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The value given to `--name` as a `T` that `ok` accepts, if any;
+    /// any other value is a usage error naming the flag and `what` it
+    /// takes.
+    pub fn value<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        what: &str,
+        ok: fn(&T) -> bool,
+    ) -> Result<Option<T>, CliError> {
+        self.get(name)
+            .map(|v| {
+                v.parse()
+                    .ok()
+                    .filter(ok)
+                    .ok_or_else(|| CliError::Usage(format!("--{name}: invalid {what} {v:?}")))
+            })
+            .transpose()
+    }
+}
+
 impl From<crate::toml::TomlError> for CliError {
     fn from(e: crate::toml::TomlError) -> Self {
         CliError::Invalid(e.to_string())
+    }
+}
+
+/// Reads a `.rom` file: the one ROM loader of `pmor eval`, `mc`, `info`
+/// and `serve --roms`. A file in another format version is refused with
+/// its own message: the file, its version and how to rebuild it.
+///
+/// # Errors
+///
+/// Fails when the file cannot be read or is not a valid `.rom`.
+pub fn load_rom(path: &Path) -> Result<pmor::ParametricRom, CliError> {
+    use pmor::rom::{format_version, from_bytes, ROM_FORMAT_VERSION};
+    let name = path.display();
+    let bytes = std::fs::read(path).map_err(|e| CliError::Io(format!("{name}: {e}")))?;
+    match format_version(&bytes) {
+        Some(version) if version != ROM_FORMAT_VERSION => Err(CliError::Invalid(format!(
+            "{name} is a .rom file of format version {version}, which this build \
+             cannot read (it reads version {ROM_FORMAT_VERSION}); rebuild it with \
+             `pmor reduce` on its scenario"
+        ))),
+        _ => from_bytes(&bytes).map_err(|e| CliError::Pmor(format!("{name}: {e}"))),
     }
 }

@@ -2,14 +2,16 @@
 //! persistence. `pmor help` prints the command reference; the library
 //! crate (`pmor_cli`) holds all the logic so it stays testable.
 
+use pmor::{EvalEngine, ParametricRom, PmorError};
 use pmor_bench::suite::{check_runs, BenchSuite, SuiteEntryKind};
 use pmor_cli::bench_cmd::{check_files, resolve_suite, run_suite, SUITE_DIR};
-use pmor_cli::{errln, outln, reduce_scenario, run_scenario, CliError, Scenario};
-use pmor_num::Complex64;
-use pmor_variation::dist::ParameterDistribution;
-use pmor_variation::stats::Summary;
-use pmor_variation::sweep::logspace;
-use pmor_variation::MonteCarlo;
+use pmor_cli::exec::report_text;
+use pmor_cli::{
+    errln, load_rom, outln, reduce_scenario, run_scenario, AnalysisConfig, AnalysisKind, CliError,
+    Flags, Scenario,
+};
+use pmor_variation::analysis::{analysis_defaults, AnalysisReport};
+use std::path::Path;
 
 const USAGE: &str = "\
 pmor — parametric model order reduction, scenario-driven
@@ -19,10 +21,13 @@ USAGE:
                                 (+ ROM files when [output] save_roms = true)
   pmor reduce <scenario.toml>   reduce only; persist every method's ROM
   pmor eval <model.rom> [--params P1,P2,…] [--fmin HZ] [--fmax HZ] [--points N]
-                                frequency sweep of a persisted ROM (CSV)
+                                frequency sweep of a persisted ROM: H11 as
+                                CSV (the frequency_sweep analysis)
   pmor mc <model.rom> [--instances N] [--sigma S] [--seed N] [--min-pole RAD_S]
-                                Monte-Carlo dominant-pole statistics (and
-                                yield when --min-pole is given) on a ROM
+                                dominant-pole |λ₁| statistics and yield over
+                                Monte-Carlo instances of a ROM (the yield
+                                analysis; the floor is --min-pole, or 0.9 ×
+                                nominal |λ₁|); eval and mc use every core
   pmor info <model.rom>         describe a persisted ROM
   pmor bench --suite <name|path> [--entry TAG] [--repeats N] [--warmup N]
              [--out DIR] [--serve-addr ADDR]
@@ -112,79 +117,58 @@ fn load_scenario(args: &[String]) -> Result<Scenario, CliError> {
     }
 }
 
-/// Parses `--flag value` pairs after the positional ROM path.
-fn rom_and_flags(args: &[String]) -> Result<(String, Vec<(String, String)>), CliError> {
+/// Splits the positional ROM path from the `--flag value` pairs after
+/// it.
+fn rom_and_flags(args: &[String], known: &[&str]) -> Result<(String, Flags), CliError> {
     let Some((path, rest)) = args.split_first() else {
         return Err(CliError::Usage("expected a ROM file path".into()));
     };
     if path.starts_with("--") {
         return Err(CliError::Usage("the ROM file path must come first".into()));
     }
-    let mut flags = Vec::new();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let Some(name) = flag.strip_prefix("--") else {
-            return Err(CliError::Usage(format!("unexpected argument {flag:?}")));
-        };
-        let Some(value) = it.next() else {
-            return Err(CliError::Usage(format!("--{name} needs a value")));
-        };
-        flags.push((name.to_string(), value.clone()));
-    }
-    Ok((path.clone(), flags))
+    Ok((path.clone(), Flags::parse(rest, known)?))
 }
 
-fn flag_f64(flags: &[(String, String)], name: &str, default: f64) -> Result<f64, CliError> {
-    match flags.iter().find(|(n, _)| n == name) {
-        None => Ok(default),
-        Some((_, v)) => v
-            .parse::<f64>()
-            .ok()
-            .filter(|x| x.is_finite())
-            .ok_or_else(|| CliError::Usage(format!("--{name}: invalid finite number {v:?}"))),
-    }
+fn flag_f64(flags: &Flags, name: &str) -> Result<Option<f64>, CliError> {
+    flags.value(name, "finite number", |x: &f64| x.is_finite())
 }
 
-fn flag_usize(flags: &[(String, String)], name: &str, default: usize) -> Result<usize, CliError> {
-    match flags.iter().find(|(n, _)| n == name) {
-        None => Ok(default),
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| CliError::Usage(format!("--{name}: invalid integer {v:?}"))),
-    }
+fn flag_usize(flags: &Flags, name: &str) -> Result<Option<usize>, CliError> {
+    flags.value(name, "integer", |_| true)
 }
 
-fn check_flags(flags: &[(String, String)], known: &[&str]) -> Result<(), CliError> {
-    for (name, _) in flags {
-        if !known.contains(&name.as_str()) {
-            return Err(CliError::Usage(format!("unknown flag --{name}")));
-        }
-    }
-    Ok(())
+/// Builds a registry analysis and runs it on a persisted ROM alone, on
+/// one engine worker per available core. A knob value the registry
+/// refuses is a usage error.
+fn analyze_rom(
+    kind: AnalysisKind,
+    cfg: &AnalysisConfig,
+    rom: &ParametricRom,
+) -> Result<AnalysisReport, CliError> {
+    let analysis = kind.build(cfg).map_err(|e| {
+        CliError::Usage(match e {
+            PmorError::Invalid(msg) => msg,
+            other => other.to_string(),
+        })
+    })?;
+    analysis
+        .run(&EvalEngine::new(0), None, rom)
+        .map_err(|e| CliError::Pmor(format!("{}: {e}", kind.name())))
 }
 
-/// Reads a `.rom` file. One in another format version is refused with
-/// its own message: the file, its version and how to rebuild it.
-fn load_rom(path: &str) -> Result<pmor::ParametricRom, CliError> {
-    use pmor::rom::{format_version, from_bytes, ROM_FORMAT_VERSION};
-    let bytes = std::fs::read(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-    match format_version(&bytes) {
-        Some(version) if version != ROM_FORMAT_VERSION => Err(CliError::Invalid(format!(
-            "{path} is a .rom file of format version {version}, which this build \
-             cannot read (it reads version {ROM_FORMAT_VERSION}); rebuild it with \
-             `pmor reduce` on its scenario"
-        ))),
-        _ => from_bytes(&bytes).map_err(|e| CliError::Pmor(format!("{path}: {e}"))),
-    }
+/// Prints a report as `pmor run` does, without a method label.
+fn print_report(report: &AnalysisReport) {
+    let text = report_text(report, None);
+    outln!("{}", text.strip_suffix('\n').unwrap_or(&text));
 }
 
+/// `pmor eval`: the `frequency_sweep` analysis on a persisted ROM.
 fn cmd_eval(args: &[String]) -> Result<(), CliError> {
-    let (path, flags) = rom_and_flags(args)?;
-    check_flags(&flags, &["params", "fmin", "fmax", "points"])?;
-    let rom = load_rom(&path)?;
-    let p = match flags.iter().find(|(n, _)| n == "params") {
+    let (path, flags) = rom_and_flags(args, &["params", "fmin", "fmax", "points"])?;
+    let rom = load_rom(Path::new(&path))?;
+    let p = match flags.get("params") {
         None => vec![0.0; rom.num_params()],
-        Some((_, v)) => {
+        Some(v) => {
             let p: Result<Vec<f64>, _> = v.split(',').map(|t| t.trim().parse::<f64>()).collect();
             let p = p
                 .ok()
@@ -202,102 +186,52 @@ fn cmd_eval(args: &[String]) -> Result<(), CliError> {
             p
         }
     };
-    let fmin = flag_f64(&flags, "fmin", 1e7)?;
-    let fmax = flag_f64(&flags, "fmax", 1e10)?;
-    let points = flag_usize(&flags, "points", 31)?;
-    if !(fmin > 0.0 && fmax > fmin && points >= 2) {
-        return Err(CliError::Usage(
-            "need 0 < --fmin < --fmax and --points >= 2".into(),
-        ));
-    }
+    let cfg = AnalysisConfig {
+        f_min_hz: flag_f64(&flags, "fmin")?,
+        f_max_hz: flag_f64(&flags, "fmax")?,
+        points: flag_usize(&flags, "points")?,
+        parameters: Some(p.clone()),
+        ..Default::default()
+    };
+    let report = analyze_rom(AnalysisKind::FrequencySweep, &cfg, &rom)?;
     outln!(
         "# {} — {} states, {} params, evaluated at p = {p:?}",
         path,
         rom.size(),
         rom.num_params()
     );
-    outln!("freq_hz,re_h11,im_h11,abs_h11");
-    for f in logspace(fmin, fmax, points) {
-        let s = Complex64::jw(2.0 * std::f64::consts::PI * f);
-        let h = rom
-            .transfer(&p, s)
-            .map_err(|e| CliError::Pmor(format!("transfer at {f:.3e} Hz: {e}")))?;
-        let h11 = h[(0, 0)];
-        outln!("{f:.6e},{:.6e},{:.6e},{:.6e}", h11.re, h11.im, h11.abs());
-    }
+    print_report(&report);
     Ok(())
 }
 
+/// `pmor mc`: the `yield` analysis on a persisted ROM — thousands of
+/// instances evaluated on the ROM alone, the flow the paper sells.
 fn cmd_mc(args: &[String]) -> Result<(), CliError> {
-    let (path, flags) = rom_and_flags(args)?;
-    check_flags(&flags, &["instances", "sigma", "seed", "min-pole"])?;
-    let rom = load_rom(&path)?;
-    let instances = flag_usize(&flags, "instances", 1000)?.max(1);
-    let sigma = flag_f64(&flags, "sigma", 0.1)?;
-    if !(sigma > 0.0 && sigma.is_finite()) {
-        return Err(CliError::Usage("--sigma must be positive".into()));
-    }
-    let seed = flag_usize(&flags, "seed", 0x3C0)? as u64;
-    let mc = MonteCarlo {
-        distributions: vec![ParameterDistribution::Normal3Sigma { sigma }; rom.num_params()],
-        instances,
-        seed,
+    let (path, flags) = rom_and_flags(args, &["instances", "sigma", "seed", "min-pole"])?;
+    let rom = load_rom(Path::new(&path))?;
+    let instances = flag_usize(&flags, "instances")?.unwrap_or(1000);
+    let sigma = flag_f64(&flags, "sigma")?.unwrap_or(analysis_defaults::SIGMA);
+    let cfg = AnalysisConfig {
+        instances: Some(instances),
+        sigma: Some(sigma),
+        seed: flag_usize(&flags, "seed")?.map(|s| s as u64),
+        min_pole_rad_s: flag_f64(&flags, "min-pole")?,
+        ..Default::default()
     };
-    // Reduced-model-only Monte Carlo: this is the flow the paper sells —
-    // thousands of instances evaluated on the ROM alone, no full model in
-    // sight.
-    let mut pole_mags = Vec::with_capacity(instances);
-    for p in mc.sample_points() {
-        let poles = rom
-            .dominant_poles(&p, 1)
-            .map_err(|e| CliError::Pmor(format!("poles at {p:?}: {e}")))?;
-        let Some(first) = poles.first() else {
-            return Err(CliError::Pmor(format!("no finite poles at {p:?}")));
-        };
-        pole_mags.push(first.abs());
-    }
-    let s = Summary::of(&pole_mags);
+    let report = analyze_rom(AnalysisKind::Yield, &cfg, &rom)?;
     outln!(
         "# {} — {} states, {} params, {instances} instances, sigma {sigma}",
         path,
         rom.size(),
         rom.num_params()
     );
-    outln!("# dominant pole magnitude |λ₁| (rad/s):");
-    outln!(
-        "#   min {:.6e}  median {:.6e}  mean {:.6e}  max {:.6e}  std {:.3e}",
-        s.min,
-        s.median,
-        s.mean,
-        s.max,
-        s.std
-    );
-    if let Some((_, v)) = flags.iter().find(|(n, _)| n == "min-pole") {
-        let min_rad_s = v
-            .parse::<f64>()
-            .ok()
-            .filter(|m| *m > 0.0 && m.is_finite())
-            .ok_or_else(|| {
-                CliError::Usage(format!("--min-pole: expected a positive number, got {v:?}"))
-            })?;
-        // The spec reads the dominant-pole magnitudes already computed
-        // above — don't re-run the eigensolves per instance.
-        let pass = pole_mags.iter().filter(|&&m| m >= min_rad_s).count();
-        let y = pass as f64 / instances as f64;
-        let std_error = (y * (1.0 - y) / instances as f64).sqrt();
-        outln!(
-            "# yield(|λ₁| ≥ {min_rad_s:.3e}): {:.1}% ± {:.1}%",
-            100.0 * y,
-            100.0 * std_error
-        );
-    }
+    print_report(&report);
     Ok(())
 }
 
 fn cmd_info(args: &[String]) -> Result<(), CliError> {
-    let (path, flags) = rom_and_flags(args)?;
-    check_flags(&flags, &[])?;
-    let rom = load_rom(&path)?;
+    let (path, _) = rom_and_flags(args, &[])?;
+    let rom = load_rom(Path::new(&path))?;
     outln!("{path}:");
     outln!("  states:       {}", rom.size());
     outln!("  parameters:   {}", rom.num_params());
@@ -323,22 +257,11 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     if args.first().map(String::as_str) == Some("--check") {
         return check_files(&args[1..]);
     }
-    let mut flags = Vec::new();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let Some(name) = flag.strip_prefix("--") else {
-            return Err(CliError::Usage(format!("unexpected argument {flag:?}")));
-        };
-        let Some(value) = it.next() else {
-            return Err(CliError::Usage(format!("--{name} needs a value")));
-        };
-        flags.push((name.to_string(), value.clone()));
-    }
-    check_flags(
-        &flags,
+    let flags = Flags::parse(
+        args,
         &["suite", "entry", "repeats", "warmup", "out", "serve-addr"],
     )?;
-    let Some((_, suite_arg)) = flags.iter().find(|(n, _)| n == "suite") else {
+    let Some(suite_arg) = flags.get("suite") else {
         return Err(CliError::Usage(
             "bench needs --suite <name|path> (or --check <file>...)".into(),
         ));
@@ -350,28 +273,17 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
         ("repeats", &mut suite.repeats),
         ("warmup", &mut suite.warmup),
     ] {
-        if let Some((_, v)) = flags.iter().find(|(n, _)| n == name) {
-            *count = v
-                .parse::<usize>()
-                .map_err(|_| CliError::Usage(format!("--{name}: invalid integer {v:?}")))?;
+        if let Some(n) = flag_usize(&flags, name)? {
+            *count = n;
         }
     }
     // The suite's own counts passed this check at load, so a failure
     // names a flag: the message starts with `repeats` or `warmup`.
     check_runs(suite.warmup, suite.repeats).map_err(|msg| CliError::Usage(format!("--{msg}")))?;
-    let out = flags
-        .iter()
-        .find(|(n, _)| n == "out")
-        .map_or_else(|| ".".to_string(), |(_, v)| v.clone());
-    let only = flags
-        .iter()
-        .find(|(n, _)| n == "entry")
-        .map(|(_, v)| v.as_str());
-    let serve_addr = flags
-        .iter()
-        .find(|(n, _)| n == "serve-addr")
-        .map(|(_, v)| v.as_str());
-    let report = run_suite(&suite, std::path::Path::new(&out), only, serve_addr)?;
+    let out = flags.get("out").unwrap_or(".");
+    let only = flags.get("entry");
+    let serve_addr = flags.get("serve-addr");
+    let report = run_suite(&suite, Path::new(out), only, serve_addr)?;
     outln!(
         "# suite {} done: {} files, {} records",
         suite.name,
@@ -409,11 +321,7 @@ fn cmd_lint(args: &[String]) -> Result<(), CliError> {
         }
     }
     let out_dir = std::path::PathBuf::from(out);
-    pmor_cli::lint_cmd::run_lint(
-        std::path::Path::new(&root),
-        json.then_some(out_dir.as_path()),
-        check,
-    )?;
+    pmor_cli::lint_cmd::run_lint(Path::new(&root), json.then_some(out_dir.as_path()), check)?;
     Ok(())
 }
 
@@ -424,7 +332,7 @@ fn cmd_vet(args: &[String]) -> Result<(), CliError> {
         [root] if !root.starts_with("--") => root.clone(),
         _ => return Err(CliError::Usage("vet takes at most one root path".into())),
     };
-    pmor_cli::vet_cmd::run_vet(std::path::Path::new(&root))?;
+    pmor_cli::vet_cmd::run_vet(Path::new(&root))?;
     Ok(())
 }
 
@@ -438,8 +346,8 @@ fn cmd_list(args: &[String]) -> Result<(), CliError> {
             list_lints();
             Ok(())
         }
-        [flag] if flag == "--benches" => list_benches(std::path::Path::new(SUITE_DIR)),
-        [flag, dir] if flag == "--benches" => list_benches(std::path::Path::new(dir)),
+        [flag] if flag == "--benches" => list_benches(Path::new(SUITE_DIR)),
+        [flag, dir] if flag == "--benches" => list_benches(Path::new(dir)),
         _ => Err(CliError::Usage(
             "list takes no arguments, --lints, or --benches [suite-dir]".into(),
         )),

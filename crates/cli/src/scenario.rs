@@ -634,7 +634,6 @@ fn parse_analysis(doc: &Document) -> Result<AnalysisSpec, TomlError> {
                 "f_max_hz",
                 "points",
                 "parameters",
-                "compare_full",
             ],
         ),
         // The metric-specific key (`num_poles` vs `freqs_hz`) is only
@@ -721,10 +720,6 @@ fn parse_analysis(doc: &Document) -> Result<AnalysisSpec, TomlError> {
         f_max_hz: doc.f64_opt(sec, "f_max_hz")?,
         points: usize_opt(doc, sec, "points")?,
         parameters: doc.f64_array_opt(sec, "parameters")?,
-        compare_full: match doc.get(sec, "compare_full") {
-            None => None,
-            Some(_) => Some(doc.bool_or(sec, "compare_full", true)?),
-        },
         param_a: usize_opt(doc, sec, "param_a")?,
         param_b: usize_opt(doc, sec, "param_b")?,
         lo: doc.f64_opt(sec, "lo")?,
@@ -752,7 +747,7 @@ fn parse_metric(doc: &Document, default_poles: usize) -> Result<ErrorMetric, Tom
     let sec = "analysis";
     match doc.str_opt(sec, "metric")?.unwrap_or("poles") {
         "poles" => Ok(ErrorMetric::Poles {
-            num_poles: doc.usize_or(sec, "num_poles", default_poles)?.max(1),
+            num_poles: doc.usize_or(sec, "num_poles", default_poles)?,
         }),
         "transfer" => {
             let freqs_hz = doc
@@ -976,6 +971,22 @@ methods = ["prima"]
                     "methods = [\"multipoint\"]\nadaptive = true\nmax_order = 0",
                 ),
                 "zero max_order",
+            ),
+            (
+                format!("{MINIMAL}\n[analysis]\nkind = \"frequency_sweep\"\ncompare_full = true"),
+                "compare_full (the sweep compares whenever a full model is given)",
+            ),
+            (
+                format!("{MINIMAL}\n[analysis]\nkind = \"yield\"\ninstances = 0"),
+                "zero yield instances",
+            ),
+            (
+                format!("{MINIMAL}\n[analysis]\nkind = \"montecarlo\"\nnum_poles = 0"),
+                "zero num_poles",
+            ),
+            (
+                format!("{MINIMAL}\n[analysis]\nkind = \"corner_sweep\"\npoints_per_axis = 1"),
+                "one corner point per axis",
             ),
         ] {
             assert!(Scenario::parse(&mutation).is_err(), "{what} accepted");

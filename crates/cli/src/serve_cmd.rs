@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 
 use pmor_serve::{Client, ServeAddr, ServeConfig, Server};
 
-use crate::CliError;
+use crate::{CliError, Flags};
 
 /// Entry point for the `serve` subcommand.
 ///
@@ -96,26 +96,19 @@ fn connect_err(addr: &ServeAddr) -> impl Fn(pmor_serve::ServeError) -> CliError 
 
 /// Foreground daemon mode.
 fn cmd_daemon(args: &[String]) -> Result<(), CliError> {
-    let mut flags = Vec::new();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let Some(name) = flag.strip_prefix("--") else {
-            return Err(CliError::Usage(format!("unexpected argument {flag:?}")));
-        };
-        let Some(value) = it.next() else {
-            return Err(CliError::Usage(format!("--{name} needs a value")));
-        };
-        flags.push((name.to_string(), value.clone()));
-    }
-    for (name, _) in &flags {
-        if !matches!(
-            name.as_str(),
-            "addr" | "roms" | "lru" | "max-frame" | "max-batch" | "timeout-ms" | "threads"
-        ) {
-            return Err(CliError::Usage(format!("unknown flag --{name}")));
-        }
-    }
-    let Some((_, addr)) = flags.iter().find(|(n, _)| n == "addr") else {
+    let flags = Flags::parse(
+        args,
+        &[
+            "addr",
+            "roms",
+            "lru",
+            "max-frame",
+            "max-batch",
+            "timeout-ms",
+            "threads",
+        ],
+    )?;
+    let Some(addr) = flags.get("addr") else {
         return Err(CliError::Usage(
             "serve needs --addr <host:port|unix:PATH> (or --ping/--shutdown ADDR)".into(),
         ));
@@ -124,13 +117,11 @@ fn cmd_daemon(args: &[String]) -> Result<(), CliError> {
     let defaults = ServeConfig::default();
     let cfg = ServeConfig {
         addr,
-        lru_capacity: flag_parse(&flags, "lru", defaults.lru_capacity, |n: usize| n >= 1)?,
-        max_frame: flag_parse(&flags, "max-frame", defaults.max_frame, |n: u32| n >= 64)?,
-        max_batch: flag_parse(&flags, "max-batch", defaults.max_batch, |n: u32| n >= 1)?,
-        read_timeout_ms: flag_parse(&flags, "timeout-ms", defaults.read_timeout_ms, |n: u64| {
-            n >= 50
-        })?,
-        threads: flag_parse(&flags, "threads", defaults.threads, |_: usize| true)?,
+        lru_capacity: flag_or(&flags, "lru", defaults.lru_capacity, |n| *n >= 1)?,
+        max_frame: flag_or(&flags, "max-frame", defaults.max_frame, |n| *n >= 64)?,
+        max_batch: flag_or(&flags, "max-batch", defaults.max_batch, |n| *n >= 1)?,
+        read_timeout_ms: flag_or(&flags, "timeout-ms", defaults.read_timeout_ms, |n| *n >= 50)?,
+        threads: flag_or(&flags, "threads", defaults.threads, |_| true)?,
     };
     let handle = Server::start(cfg.clone()).map_err(|e| CliError::Io(e.to_string()))?;
     outln!("# pmor serve listening on {}", handle.addr());
@@ -146,7 +137,7 @@ fn cmd_daemon(args: &[String]) -> Result<(), CliError> {
             cfg.threads.to_string()
         }
     );
-    if let Some((_, dir)) = flags.iter().find(|(n, _)| n == "roms") {
+    if let Some(dir) = flags.get("roms") {
         preload_dir(&handle, Path::new(dir))?;
     }
     outln!(
@@ -174,8 +165,7 @@ fn preload_dir(handle: &pmor_serve::ServerHandle, dir: &Path) -> Result<(), CliE
         )));
     }
     for path in &paths {
-        let model = pmor::rom::load(path)
-            .map_err(|e| CliError::Pmor(format!("{}: {e}", path.display())))?;
+        let model = crate::load_rom(path)?;
         let stamp = handle.preload(&model);
         outln!(
             "# preloaded {} -> {:016x} ({} states, {} params)",
@@ -188,21 +178,14 @@ fn preload_dir(handle: &pmor_serve::ServerHandle, dir: &Path) -> Result<(), CliE
     Ok(())
 }
 
-/// Parses an optional numeric flag, enforcing a validity predicate.
-fn flag_parse<T: std::str::FromStr + Copy>(
-    flags: &[(String, String)],
+/// A numeric flag's value, or `default` when it is absent.
+fn flag_or<T: std::str::FromStr>(
+    flags: &Flags,
     name: &str,
     default: T,
-    ok: fn(T) -> bool,
+    ok: fn(&T) -> bool,
 ) -> Result<T, CliError> {
-    match flags.iter().find(|(n, _)| n == name) {
-        None => Ok(default),
-        Some((_, v)) => v
-            .parse::<T>()
-            .ok()
-            .filter(|n| ok(*n))
-            .ok_or_else(|| CliError::Usage(format!("--{name}: invalid value {v:?}"))),
-    }
+    Ok(flags.value(name, "value", ok)?.unwrap_or(default))
 }
 
 #[cfg(test)]

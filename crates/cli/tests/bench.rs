@@ -235,7 +235,6 @@ methods = ["multipoint"]
 [analysis]
 kind = "frequency_sweep"
 points = 4
-compare_full = true
 
 [output]
 dir = "{}"

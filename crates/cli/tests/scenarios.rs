@@ -108,7 +108,7 @@ fn saved_rom_matches_in_memory_rom_bitwise() {
     let sc = tiny_scenario(
         "bitwise",
         &dir,
-        "[analysis]\nkind = \"frequency_sweep\"\npoints = 3\ncompare_full = false",
+        "[analysis]\nkind = \"frequency_sweep\"\npoints = 3",
         "\"lowrank\"",
     );
     let report = run_scenario(&sc).unwrap();

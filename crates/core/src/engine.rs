@@ -176,6 +176,13 @@ pub trait TransferModel: Sync {
     /// State dimension of the model (full order `n`, or reduced size).
     fn dim(&self) -> usize;
 
+    /// Order `n` of the full model this one stands for: its own
+    /// [`TransferModel::dim`] for a full-order model, the unknown count
+    /// it was reduced from for a ROM.
+    fn full_dim(&self) -> usize {
+        self.dim()
+    }
+
     /// Number of variational parameters.
     fn num_params(&self) -> usize;
 

@@ -321,6 +321,10 @@ impl TransferModel for ParametricRom {
         self.size()
     }
 
+    fn full_dim(&self) -> usize {
+        self.full_dim
+    }
+
     fn num_params(&self) -> usize {
         ParametricRom::num_params(self)
     }

@@ -132,16 +132,13 @@ const RESULT_CRATES: [&str; 4] = [
 ];
 
 /// The scoped-thread-pool modules where `std::thread::scope` is the
-/// approved mechanism (serial-identical batch factorization, the
-/// chunked eval engine, parallel method×analysis CLI jobs, and the
-/// `[serve-*]` bench entries' concurrent-client fan-out). A new pool
-/// belongs on this list — adding it here is a reviewable act.
-pub const APPROVED_SCOPE_MODULES: [&str; 4] = [
-    "crates/core/src/engine.rs",
-    "crates/sparse/src/factor_cache.rs",
-    "crates/cli/src/exec.rs",
-    "crates/cli/src/bench_cmd.rs",
-];
+/// approved mechanism (the chunked eval engine, which also runs the
+/// CLI's parallel method×analysis jobs and the reduction context's
+/// batch factorizations, and the `[serve-*]` bench entries'
+/// concurrent-client fan-out). A new pool belongs on this list — adding
+/// it here is a reviewable act.
+pub const APPROVED_SCOPE_MODULES: [&str; 2] =
+    ["crates/core/src/engine.rs", "crates/cli/src/bench_cmd.rs"];
 
 fn in_result_crate(path: &str) -> bool {
     RESULT_CRATES.iter().any(|c| path.starts_with(c))

@@ -17,11 +17,14 @@
 //!   (the right-hand plots of the paper's Figs 5–6),
 //! * [`stats`] — summary statistics and histogram binning,
 //! * [`analysis`] — the **one analysis path**: the [`Analysis`] trait run
-//!   against two `TransferModel`s on a batched `EvalEngine`, and the
+//!   on a reduced `TransferModel`, and on the full-order reference where
+//!   the analysis compares the two, on a batched `EvalEngine`; and the
 //!   [`AnalysisKind`] registry (symmetric to `pmor`'s
 //!   `Reducer`/`ReducerKind`) front ends dispatch by name —
 //!   `frequency_sweep`, `montecarlo` (pole-error distribution and
-//!   histogram), `corner_sweep`, `yield` and `transient`.
+//!   histogram), `corner_sweep`, `yield` and `transient`. `pmor run`
+//!   gives every analysis the full model; `pmor eval` and `pmor mc` run
+//!   the sweep and the yield analysis on a persisted ROM alone.
 
 pub mod analysis;
 pub mod dist;
@@ -29,9 +32,7 @@ pub mod montecarlo;
 pub mod stats;
 pub mod sweep;
 
-pub use analysis::{
-    analysis_by_name, Analysis, AnalysisConfig, AnalysisKind, AnalysisReport, ErrorMetric,
-};
+pub use analysis::{Analysis, AnalysisConfig, AnalysisKind, AnalysisReport, ErrorMetric};
 pub use dist::ParameterDistribution;
 pub use montecarlo::MonteCarlo;
 pub use stats::{histogram, Summary};

@@ -94,7 +94,7 @@ mod tests {
             metric,
         };
         analysis
-            .run(&EvalEngine::new(threads), &FullModel::new(sys), rom)
+            .run(&EvalEngine::new(threads), Some(&FullModel::new(sys)), rom)
             .unwrap()
     }
 

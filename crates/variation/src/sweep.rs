@@ -154,7 +154,7 @@ mod tests {
             metric: ErrorMetric::Poles { num_poles: 1 },
         };
         let report = sweep
-            .run(&EvalEngine::default(), &FullModel::new(&sys), &rom)
+            .run(&EvalEngine::default(), Some(&FullModel::new(&sys)), &rom)
             .unwrap();
         let grid = &report.grid.as_ref().unwrap().values;
         assert_eq!(grid.len(), 3);

@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             metric: Some(ErrorMetric::Poles { num_poles: 5 }),
             ..Default::default()
         })?
-        .run(&EvalEngine::default(), &FullModel::new(&sys), &rom)?;
+        .run(&EvalEngine::default(), Some(&FullModel::new(&sys)), &rom)?;
     println!("\nROM-vs-full error over 5 dominant poles x {instances} instances:");
     for line in &report.lines {
         println!("  {line}");

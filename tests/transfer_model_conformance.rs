@@ -289,8 +289,12 @@ fn analysis_registry_is_deterministic_across_thread_counts() {
         ..Default::default()
     };
     let analysis = AnalysisKind::MonteCarlo.build(&cfg).unwrap();
-    let a = analysis.run(&EvalEngine::new(1), &full, &rom).unwrap();
-    let b = analysis.run(&EvalEngine::new(4), &full, &rom).unwrap();
+    let a = analysis
+        .run(&EvalEngine::new(1), Some(&full), &rom)
+        .unwrap();
+    let b = analysis
+        .run(&EvalEngine::new(4), Some(&full), &rom)
+        .unwrap();
     for metric in ["worst_rel_transfer_err", "mean_rel_transfer_err"] {
         assert_eq!(
             a.metric_value(metric).unwrap().to_bits(),

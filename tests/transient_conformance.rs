@@ -121,8 +121,12 @@ fn transient_analysis_is_bitwise_deterministic_across_thread_counts() {
             ..Default::default()
         })
         .unwrap();
-    let serial = analysis.run(&EvalEngine::new(1), &full, &rom).unwrap();
-    let parallel = analysis.run(&EvalEngine::new(4), &full, &rom).unwrap();
+    let serial = analysis
+        .run(&EvalEngine::new(1), Some(&full), &rom)
+        .unwrap();
+    let parallel = analysis
+        .run(&EvalEngine::new(4), Some(&full), &rom)
+        .unwrap();
     for metric in [
         "max_delay_err_percent",
         "mean_delay_err_percent",
