@@ -208,7 +208,7 @@ fn run_scenario_entry(
         .analysis
         .kind
         .build(&sc.analysis.config)
-        .map_err(|e| CliError::Invalid(format!("[analysis] {e}")))?;
+        .map_err(|e| CliError::Invalid(crate::analysis_build_error(&e)))?;
     let mut records = Vec::new();
     let mut gate_seen = false;
     for name in &sc.methods {

@@ -212,7 +212,7 @@ fn run(sc: &Scenario, save_roms: bool, analyze: bool) -> Result<ExecReport, CliE
             .analysis
             .kind
             .build(&sc.analysis.config)
-            .map_err(|e| CliError::Invalid(format!("[analysis] {e}")))?;
+            .map_err(|e| CliError::Invalid(crate::analysis_build_error(&e)))?;
         let analysis = analysis.as_ref();
         // The full model factors under the same ordering policy the
         // reducers use, so large-scenario reference sweeps see the same

@@ -170,6 +170,16 @@ impl Flags {
     }
 }
 
+/// An analysis the registry refuses to build, as `[analysis] …`. A knob
+/// value it rejects (`PmorError::Invalid`) is given by its message alone,
+/// since the error that carries this text is labelled already.
+pub(crate) fn analysis_build_error(e: &pmor::PmorError) -> String {
+    match e {
+        pmor::PmorError::Invalid(msg) => format!("[analysis] {msg}"),
+        other => format!("[analysis] {other}"),
+    }
+}
+
 impl From<crate::toml::TomlError> for CliError {
     fn from(e: crate::toml::TomlError) -> Self {
         CliError::Invalid(e.to_string())

@@ -736,7 +736,7 @@ fn parse_analysis(doc: &Document) -> Result<AnalysisSpec, TomlError> {
     // bands, …) surface here, with the registry as the single source of
     // validation rules.
     if let Err(e) = kind.build(&config) {
-        return fail(format!("[analysis] {e}"));
+        return fail(crate::analysis_build_error(&e));
     }
     Ok(AnalysisSpec { kind, config })
 }
@@ -991,6 +991,23 @@ methods = ["prima"]
         ] {
             assert!(Scenario::parse(&mutation).is_err(), "{what} accepted");
         }
+    }
+
+    #[test]
+    fn analysis_knob_errors_are_labelled_invalid_input_once() {
+        let text = format!("{MINIMAL}\n[analysis]\nkind = \"montecarlo\"\nsigma = -0.1");
+        let err = CliError::from(Scenario::parse(&text).unwrap_err()).to_string();
+        assert!(
+            err.contains("[analysis] sigma must be positive, got -0.1"),
+            "{err}"
+        );
+        assert_eq!(err.matches("invalid input").count(), 1, "{err}");
+        assert!(!err.contains("reduction request"), "{err}");
+        let knob = pmor::PmorError::Invalid("sigma must be positive, got -0.1".into());
+        assert_eq!(
+            knob.to_string(),
+            "invalid input: sigma must be positive, got -0.1"
+        );
     }
 
     #[test]

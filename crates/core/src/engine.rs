@@ -245,6 +245,19 @@ pub trait TransferModel: Sync {
         ws: &mut EvalWorkspace,
     ) -> Result<TransientResult>;
 
+    /// The transfer matrices of a frequency sweep at `p`, one per
+    /// frequency (`s = j·2πf`): [`TransferModel::eval_batch`] of
+    /// [`EvalPoint::sweep`] on a fresh workspace, so the model assembles
+    /// `G(p)`, `C(p)` once for the sweep. Each matrix is bitwise
+    /// [`TransferModel::transfer`] at its frequency.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first failed point's error.
+    fn frequency_response(&self, p: &[f64], freqs_hz: &[f64]) -> Result<Vec<Matrix<Complex64>>> {
+        self.eval_batch(&EvalPoint::sweep(p, freqs_hz), &mut EvalWorkspace::new())
+    }
+
     /// Evaluates a batch of points with one shared workspace, in order.
     /// This is the unit of work the [`EvalEngine`] hands each worker
     /// thread; points sharing a parameter point benefit most when they

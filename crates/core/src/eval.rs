@@ -111,22 +111,6 @@ impl<'a> FullModel<'a> {
         Ok(ws.full_l.as_ref().expect("converted above").tr_mul_mat(&x))
     }
 
-    /// Frequency sweep: one transfer matrix per frequency (`s = j·2πf`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FullModel::transfer`] errors.
-    pub fn frequency_response(
-        &self,
-        p: &[f64],
-        freqs_hz: &[f64],
-    ) -> Result<Vec<Matrix<Complex64>>> {
-        freqs_hz
-            .iter()
-            .map(|&f| self.transfer(p, Complex64::jw(2.0 * std::f64::consts::PI * f)))
-            .collect()
-    }
-
     /// All finite poles of the full pencil `(G(p), C(p))` by dense
     /// eigendecomposition — exact but `O(n³)`; intended for the paper's
     /// pole-accuracy experiments (n ≤ a few hundred).
@@ -292,6 +276,27 @@ mod tests {
             assert!(err < 1e-9, "{choice:?}: {err:e}");
             if choice == OrderingChoice::Rcm {
                 assert_eq!(full.perm, reference.perm, "Rcm must reproduce new()");
+            }
+        }
+    }
+
+    #[test]
+    fn frequency_response_is_the_pointwise_transfer_bitwise() {
+        use crate::lowrank::LowRankPmor;
+        use crate::reduce::Reducer;
+        let sys = tree(25);
+        let full = FullModel::new(&sys);
+        let rom = LowRankPmor::with_defaults().reduce_once(&sys).unwrap();
+        let (p, freqs) = ([0.2, -0.1, 0.3], [1e6, 3e8, 1e10]);
+        for model in [&full as &dyn TransferModel, &rom] {
+            let sweep = model.frequency_response(&p, &freqs).unwrap();
+            for (h, &f) in sweep.iter().zip(&freqs) {
+                let s = Complex64::jw(2.0 * std::f64::consts::PI * f);
+                let want = model.transfer(&p, s).unwrap();
+                for (a, b) in h.as_slice().iter().zip(want.as_slice()) {
+                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "{} at {f}", model.kind());
+                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "{} at {f}", model.kind());
+                }
             }
         }
     }

@@ -99,7 +99,9 @@ pub enum PmorError {
     Num(pmor_num::NumError),
     /// A sparse linear-algebra kernel failed.
     Sparse(pmor_sparse::SparseError),
-    /// The requested reduction is invalid for the given system.
+    /// An input is invalid: a reduction request for the given system, an
+    /// analysis knob, an evaluation point outside what a ROM was built
+    /// for, or a ROM file. Displays as `invalid input: …`.
     Invalid(String),
     /// An evaluation input holds a NaN or an infinity; the payload names
     /// which one (`"p"` or `"s"`).
@@ -111,7 +113,7 @@ impl fmt::Display for PmorError {
         match self {
             PmorError::Num(e) => write!(f, "dense kernel failure: {e}"),
             PmorError::Sparse(e) => write!(f, "sparse kernel failure: {e}"),
-            PmorError::Invalid(msg) => write!(f, "invalid reduction request: {msg}"),
+            PmorError::Invalid(msg) => write!(f, "invalid input: {msg}"),
             PmorError::NonFinite(what) => {
                 write!(
                     f,

@@ -30,7 +30,8 @@
 //! selected by [`LowRankOptions::include_transpose_subspaces`].
 
 use crate::opsvd::{
-    lockstep_svd, solve_each, solve_transpose_each, GeneralizedSensitivities, OperatorSvdOptions,
+    lockstep_svd, scatter_rows, solve_each, solve_transpose_each, GeneralizedSensitivities,
+    OperatorFamily, OperatorSvdOptions, Panel,
 };
 use crate::prima::{krylov_blocks, krylov_lockstep, Action};
 use crate::reduce::{Reducer, ReductionContext};
@@ -216,7 +217,9 @@ impl LowRankPmor {
 
     /// Step 1 for a group of sensitivities: the rank-`k_svd` randomized
     /// SVDs of `G0⁻¹M` (or of the raw `M` in the ablation), in lockstep.
-    /// Adds the solve passes made on `lu` to `passes`.
+    /// Every consumer of `V̂` takes `n`-vectors, so each `V̂`, computed on
+    /// its sensitivity's support, is scattered to `n` rows here. Adds the
+    /// solve passes made on `lu` to `passes`.
     fn group_svds(
         &self,
         lu: &RealFactor,
@@ -237,7 +240,14 @@ impl LowRankPmor {
             let family = GeneralizedSensitivities::new(lu, group.iter().map(|s| s.mat).collect());
             let svds = lockstep_svd(&family, &opts, &seeds)?;
             *passes += family.passes();
-            Ok(svds)
+            Ok(svds
+                .into_iter()
+                .enumerate()
+                .map(|(i, svd)| Svd {
+                    v: scatter_rows(&svd.v, &family.support(i), lu.dim()),
+                    ..svd
+                })
+                .collect())
         }
     }
 
@@ -263,7 +273,9 @@ impl LowRankPmor {
             // Ablation: the left vectors of the raw sensitivities must
             // still be mapped into moment space through G0⁻¹ to seed the
             // A0-Krylov recurrence.
-            us = solve_each(lu, &us, passes)?;
+            let mut panel = Panel::from_blocks(sys.dim(), &us);
+            solve_each(lu, &mut panel, passes)?;
+            us = (0..panel.blocks()).map(|j| panel.block(j)).collect();
         }
 
         // Forward subspaces Kr(A0, Û, k), and with the transpose
@@ -271,14 +283,16 @@ impl LowRankPmor {
         // transpose solves on the same factors.
         let mut starts: Vec<(Action, Matrix<f64>)> = Vec::with_capacity(2 * group.len());
         let vts = if o.include_transpose_subspaces {
-            solve_transpose_each(lu, &vs, passes)?
+            let mut panel = Panel::from_blocks(sys.dim(), &vs);
+            solve_transpose_each(lu, &mut panel, passes)?;
+            Some(panel)
         } else {
-            Vec::new()
+            None
         };
         for (j, u) in us.into_iter().enumerate() {
             starts.push((Action::Forward, u));
-            if let Some(vt) = vts.get(j) {
-                starts.push((Action::Transpose, vt.map(|x| -x)));
+            if let Some(vts) = &vts {
+                starts.push((Action::Transpose, vts.block(j).map(|x| -x)));
             }
         }
         let spaces = krylov_lockstep(lu, &sys.c0, &starts, o.param_order, passes)?;

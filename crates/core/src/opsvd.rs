@@ -12,13 +12,15 @@
 //! over the `G0` factors.
 
 use crate::Result;
-use pmor_num::orth::orthonormalize_columns;
+use pmor_num::orth::{orthonormalize_columns, OrthoBasis};
 use pmor_num::svd::{svd, Svd};
 use pmor_num::Matrix;
 use pmor_sparse::{CsrMatrix, LinearOperator, RealFactor};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
+use std::borrow::Cow;
 use std::cell::Cell;
+use std::ops::Range;
 
 /// Options for [`operator_svd`].
 #[derive(Debug, Clone, PartialEq)]
@@ -61,6 +63,15 @@ pub fn operator_svd(op: &dyn LinearOperator, opts: &OperatorSvdOptions) -> Resul
 /// acts on block `i`. [`lockstep_svd`] hands each stage's blocks to one
 /// call, so members that share `G0` factors
 /// ([`GeneralizedSensitivities`]) are served by one solve pass.
+///
+/// Each member reads only the input coordinates of its
+/// [`OperatorFamily::support`], so its input blocks, and the outputs of
+/// its transpose action, have one row per support coordinate. A
+/// sensitivity of a regional parameter stores a quarter of the columns
+/// of a 128×128 mesh and 2% of some of RCNetB's, so Step 1's sketches,
+/// their orthonormalizations and the small SVDs run on that many rows. A
+/// member whose support is every coordinate (a generic
+/// [`LinearOperator`]) takes the same code with `support = 0..ncols`.
 pub trait OperatorFamily {
     /// Number of members.
     fn members(&self) -> usize;
@@ -71,22 +82,91 @@ pub trait OperatorFamily {
     /// Input dimension of every member.
     fn ncols(&self) -> usize;
 
-    /// `Aᵢ·Xᵢ` for every member `i`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates a failed solve.
-    fn apply_each(&self, xs: &[Matrix<f64>]) -> Result<Vec<Matrix<f64>>>;
+    /// The input coordinates member `i` reads, ascending: `Aᵢ·x` depends
+    /// on no other entry of `x`, and `Aᵢᵀ·y` is `+0` in every other
+    /// coordinate.
+    fn support(&self, member: usize) -> Cow<'_, [usize]>;
 
-    /// `Aᵢᵀ·Xᵢ` for every member `i`.
+    /// `Aᵢ·Xᵢ` for every member `i`, side by side in one panel, where
+    /// `Xᵢ` holds the rows `support(i)` of the input block.
     ///
     /// # Errors
     ///
     /// Propagates a failed solve.
-    fn apply_transpose_each(&self, xs: &[Matrix<f64>]) -> Result<Vec<Matrix<f64>>>;
+    fn apply_each(&self, xs: &[Matrix<f64>]) -> Result<Panel>;
+
+    /// `Aᵢᵀ·Xᵢ` for every block `Xᵢ` of `xs`, on the rows `support(i)`.
+    /// The panel is consumed: the solves run in it, in place.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failed solve.
+    fn apply_transpose_each(&self, xs: Panel) -> Result<Vec<Matrix<f64>>>;
 }
 
-/// Independent operators, each applied through its own block actions.
+/// Blocks of one height side by side in one row-major matrix: block `i`
+/// is the columns [`Panel::cols`]`(i)`. A family stage writes its
+/// members' blocks into one panel and solves it in place, so no stage
+/// joins blocks before its solve or splits them after it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Panel {
+    joined: Matrix<f64>,
+    /// One past the last column of each block.
+    ends: Vec<usize>,
+}
+
+impl Panel {
+    /// An all-`+0` panel of `nrows` rows whose blocks are `widths` wide.
+    pub fn zeros(nrows: usize, widths: impl IntoIterator<Item = usize>) -> Panel {
+        let ends = block_ends(widths);
+        Panel {
+            joined: Matrix::zeros(nrows, ends.last().copied().unwrap_or(0)),
+            ends,
+        }
+    }
+
+    /// The blocks side by side.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every block has `nrows` rows.
+    pub fn from_blocks(nrows: usize, blocks: &[Matrix<f64>]) -> Panel {
+        Panel {
+            joined: Matrix::hcat(nrows, blocks),
+            ends: block_ends(blocks.iter().map(Matrix::ncols)),
+        }
+    }
+
+    /// Number of blocks.
+    pub fn blocks(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The columns of block `i`.
+    pub fn cols(&self, i: usize) -> Range<usize> {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        start..self.ends[i]
+    }
+
+    /// A copy of block `i`.
+    pub fn block(&self, i: usize) -> Matrix<f64> {
+        self.joined.columns(self.cols(i))
+    }
+}
+
+/// One past the last column of each block, for blocks `widths` wide.
+fn block_ends(widths: impl IntoIterator<Item = usize>) -> Vec<usize> {
+    widths
+        .into_iter()
+        .scan(0, |at, w| {
+            *at += w;
+            Some(*at)
+        })
+        .collect()
+}
+
+/// Independent operators, each applied through its own block actions on
+/// every coordinate.
 impl OperatorFamily for [&dyn LinearOperator] {
     fn members(&self) -> usize {
         self.len()
@@ -100,19 +180,24 @@ impl OperatorFamily for [&dyn LinearOperator] {
         self.first().map_or(0, |op| op.ncols())
     }
 
-    fn apply_each(&self, xs: &[Matrix<f64>]) -> Result<Vec<Matrix<f64>>> {
-        Ok(self
+    fn support(&self, member: usize) -> Cow<'_, [usize]> {
+        Cow::Owned((0..self[member].ncols()).collect())
+    }
+
+    fn apply_each(&self, xs: &[Matrix<f64>]) -> Result<Panel> {
+        let ys: Vec<Matrix<f64>> = self
             .iter()
             .zip(xs)
             .map(|(op, x)| op.apply_dense(x))
-            .collect())
+            .collect();
+        Ok(Panel::from_blocks(OperatorFamily::nrows(self), &ys))
     }
 
-    fn apply_transpose_each(&self, xs: &[Matrix<f64>]) -> Result<Vec<Matrix<f64>>> {
+    fn apply_transpose_each(&self, xs: Panel) -> Result<Vec<Matrix<f64>>> {
         Ok(self
             .iter()
-            .zip(xs)
-            .map(|(op, x)| op.apply_transpose_dense(x))
+            .enumerate()
+            .map(|(i, op)| op.apply_transpose_dense(&xs.block(i)))
             .collect())
     }
 }
@@ -124,6 +209,26 @@ impl OperatorFamily for [&dyn LinearOperator] {
 /// then a small dense SVD of `Bᵀ = Aᵀ·Q`. Each of those stages hands
 /// all members' blocks to one family call. The members' sketches may
 /// deflate to different widths.
+///
+/// Everything on the input side runs on member `i`'s support `Sᵢ`
+/// ([`OperatorFamily::support`]) and the result's `v` has one row per
+/// coordinate of `Sᵢ`, in its order. The sketch `Ω` is the row-major
+/// `ncols × l` Gaussian stream of the seed, of which a row outside `Sᵢ`
+/// only advances the generator; the power iterations orthonormalize
+/// `Z = Aᵀ·Q` on `Sᵢ`, and the Jacobi SVD factors `Bᵀ` on `Sᵢ`. (`Bᵀ`
+/// stays tall there: its `l'` columns are independent, as `Q` spans
+/// `Aᵢ`'s range, and it has no other nonzero rows, so `l' ≤ |Sᵢ|`.) On
+/// the full length those rows would be `+0` in `Ω`'s products, `Z`, `Bᵀ`
+/// and `V̂`, and every term they drop is an exact `+0`: no accumulator of a
+/// dot product, norm or Gram entry holds `−0` (each starts at `+0`, and
+/// under round-to-nearest a sum is `−0` only when both addends are), and
+/// a `+0` row stays `+0` under `axpy`, scaling and Jacobi rotations (the
+/// cosine is positive). So the result is bit for bit the full-length
+/// one. On perfbench's `reduce_mesh` (a 128×128 mesh whose sensitivities
+/// each store a quarter of the columns), this and the in-place panels
+/// took the traced projection from 0.250–0.257 s to 0.198–0.217 s (one
+/// seed, two runs each) and `reduce_s` from 0.347 to 0.311 s (medians of
+/// ten alternating 15 s pairs on a 2-core VM, each won by the change).
 ///
 /// # Errors
 ///
@@ -147,31 +252,28 @@ pub fn lockstep_svd<F: OperatorFamily + ?Sized>(
     let n = family.ncols();
     let l = (opts.rank + opts.oversample).min(m.min(n)).max(1);
 
-    // Gaussian sketches (Box–Muller from the uniform generator).
     let omegas: Vec<Matrix<f64>> = seeds
         .iter()
-        .map(|&seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            Matrix::from_fn(n, l, |_, _| gaussian(&mut rng))
-        })
+        .enumerate()
+        .map(|(i, &seed)| sketch(seed, l, &family.support(i)))
         .collect();
     let mut y = family.apply_each(&omegas)?;
     drop(omegas);
     for _ in 0..opts.power_iterations {
-        let z = family.apply_transpose_each(&orthonormalize_each(&y))?;
+        let z = family.apply_transpose_each(orthonormalize_blocks(&y))?;
         y = family.apply_each(&orthonormalize_each(&z))?;
     }
-    let q = orthonormalize_each(&y); // m × l', range of each member
+    let q = orthonormalize_blocks(&y); // m × l', range of each member
 
     // B = Qᵀ·A  (l' × n); factor its transpose (tall) with the dense SVD:
     // Bᵀ = W Σ Zᵀ  ⇒  A ≈ Q·B = (Q·Z) Σ Wᵀ.
-    let bt = family.apply_transpose_each(&q)?; // n × l'
-    q.iter()
-        .zip(&bt)
-        .map(|(q, bt)| {
+    let bt = family.apply_transpose_each(q.clone())?; // |Sᵢ| × l'
+    bt.iter()
+        .enumerate()
+        .map(|(i, bt)| {
             let s = svd(bt)?;
             Ok(Svd {
-                u: q.mul_mat(&s.v),
+                u: q.block(i).mul_mat(&s.v),
                 sigma: s.sigma,
                 v: s.u,
             }
@@ -180,20 +282,75 @@ pub fn lockstep_svd<F: OperatorFamily + ?Sized>(
         .collect()
 }
 
+/// The Gaussian sketch (Box–Muller from the uniform generator) of one
+/// member on its `support` rows: those rows of the row-major `ncols × l`
+/// stream of `seed`. A row outside `support` only advances the generator
+/// past its `l` draws, and the rows after the last one are not drawn.
+fn sketch(seed: u64, l: usize, support: &[usize]) -> Matrix<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut next_row = 0;
+    // `from_fn` fills row by row, left to right: the stream's order.
+    Matrix::from_fn(support.len(), l, |k, c| {
+        if c == 0 {
+            skip_gaussians(&mut rng, (support[k] - next_row) * l);
+            next_row = support[k] + 1;
+        }
+        gaussian(&mut rng)
+    })
+}
+
+/// Orthonormalizes every block of `panel` on its own, into a panel of
+/// the surviving widths.
+fn orthonormalize_blocks(panel: &Panel) -> Panel {
+    let n = panel.joined.nrows();
+    let bases: Vec<OrthoBasis<f64>> = (0..panel.blocks())
+        .map(|i| {
+            let mut basis = OrthoBasis::new(n);
+            basis.insert_columns(&panel.joined, panel.cols(i));
+            basis
+        })
+        .collect();
+    let cols: Vec<&[f64]> = bases
+        .iter()
+        .flat_map(|b| (0..b.len()).map(|k| b.vector(k)))
+        .collect();
+    Panel {
+        joined: Matrix::from_fn(n, cols.len(), |r, c| cols[c][r]),
+        ends: block_ends(bases.iter().map(OrthoBasis::len)),
+    }
+}
+
 fn orthonormalize_each(blocks: &[Matrix<f64>]) -> Vec<Matrix<f64>> {
     blocks.iter().map(orthonormalize_columns).collect()
+}
+
+/// Writes `v`, whose row `k` is coordinate `support[k]`, as `n` rows:
+/// `+0` outside `support`.
+pub(crate) fn scatter_rows(v: &Matrix<f64>, support: &[usize], n: usize) -> Matrix<f64> {
+    let mut out = Matrix::zeros(n, v.ncols());
+    for (k, &row) in support.iter().enumerate() {
+        out.row_mut(row).copy_from_slice(v.row(k));
+    }
+    out
 }
 
 /// The generalized sensitivities `x ↦ G0⁻¹(Mᵢ·x)` of Algorithm 1 for
 /// several matrices `Mᵢ` (some `Gᵢ` or `Cᵢ`), applied matrix-implicitly
 /// through one shared `G0` factorization; the transpose actions
 /// `x ↦ Mᵢᵀ(G0⁻ᵀx)` reuse the same factors (paper §4.2). Each action
-/// forms every member's `Mᵢ·Xᵢ` (or takes every `Xᵢ`), solves them side
-/// by side in one block solve and splits the result, so each member's
-/// block is bit for bit the column solves of its own block.
+/// writes every member's `Mᵢ·Xᵢ` (or takes every `Xᵢ`) into one panel,
+/// solves it in place in one block solve and reads each member's columns,
+/// so each member's block is bit for bit the column solves of its own
+/// block.
+///
+/// Member `i`'s support is the set of columns `Mᵢ` stores (stored zeros
+/// included), and it keeps `Mᵢ` with those columns renumbered
+/// ([`CsrMatrix::compact_columns`]): the renumbering is monotone, so the
+/// products run the full-length operations in their order.
 pub struct GeneralizedSensitivities<'a> {
     g0_lu: &'a RealFactor,
-    mats: Vec<&'a CsrMatrix<f64>>,
+    /// Each member's support and its `Mᵢ` on those columns.
+    mats: Vec<(Vec<usize>, CsrMatrix<f64>)>,
     passes: Cell<usize>,
 }
 
@@ -203,14 +360,14 @@ impl<'a> GeneralizedSensitivities<'a> {
     /// # Panics
     ///
     /// Panics when dimensions disagree.
-    pub fn new(g0_lu: &'a RealFactor, mats: Vec<&'a CsrMatrix<f64>>) -> Self {
+    pub fn new(g0_lu: &'a RealFactor, mats: Vec<&CsrMatrix<f64>>) -> Self {
         for m in &mats {
             assert_eq!(g0_lu.dim(), m.nrows(), "GeneralizedSensitivities: dim");
             assert_eq!(m.nrows(), m.ncols(), "GeneralizedSensitivities: square");
         }
         GeneralizedSensitivities {
             g0_lu,
-            mats,
+            mats: mats.into_iter().map(CsrMatrix::compact_columns).collect(),
             passes: Cell::new(0),
         }
     }
@@ -235,74 +392,69 @@ impl OperatorFamily for GeneralizedSensitivities<'_> {
         self.g0_lu.dim()
     }
 
-    fn apply_each(&self, xs: &[Matrix<f64>]) -> Result<Vec<Matrix<f64>>> {
-        let mx: Vec<Matrix<f64>> = self
-            .mats
-            .iter()
-            .zip(xs)
-            .map(|(m, x)| m.mul_dense(x))
-            .collect();
-        let mut passes = self.passes.get();
-        let ys = solve_each(self.g0_lu, &mx, &mut passes)?;
-        self.passes.set(passes);
-        Ok(ys)
+    fn support(&self, member: usize) -> Cow<'_, [usize]> {
+        Cow::Borrowed(&self.mats[member].0)
     }
 
-    fn apply_transpose_each(&self, xs: &[Matrix<f64>]) -> Result<Vec<Matrix<f64>>> {
+    fn apply_each(&self, xs: &[Matrix<f64>]) -> Result<Panel> {
+        let mut mx = Panel::zeros(self.g0_lu.dim(), xs.iter().map(Matrix::ncols));
+        for (i, ((_, m), x)) in self.mats.iter().zip(xs).enumerate() {
+            let at = mx.cols(i).start;
+            m.mul_dense_into(x, &mut mx.joined, at);
+        }
         let mut passes = self.passes.get();
-        let ys = solve_transpose_each(self.g0_lu, xs, &mut passes)?;
+        solve_each(self.g0_lu, &mut mx, &mut passes)?;
+        self.passes.set(passes);
+        Ok(mx)
+    }
+
+    fn apply_transpose_each(&self, mut xs: Panel) -> Result<Vec<Matrix<f64>>> {
+        let mut passes = self.passes.get();
+        solve_transpose_each(self.g0_lu, &mut xs, &mut passes)?;
         self.passes.set(passes);
         Ok(self
             .mats
             .iter()
-            .zip(&ys)
-            .map(|(m, y)| m.tr_mul_dense(y))
+            .enumerate()
+            .map(|(i, (_, m))| m.tr_mul_dense_columns(&xs.joined, xs.cols(i)))
             .collect())
     }
 }
 
-/// Solves every block of `bs` at once: the blocks side by side through
-/// one [`RealFactor::solve_block`], split back. Each result is bit for bit
-/// its own block's solve. Adds the pass to `passes` unless every block
-/// is empty.
+/// Solves every block of `panel` at once, in place, through one
+/// [`RealFactor::solve_block_in_place`]. Each block's result is bit for
+/// bit its own solve. Adds the pass to `passes` unless every block is
+/// empty.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics unless every block has `lu.dim()` rows.
-pub(crate) fn solve_each(
-    lu: &RealFactor,
-    bs: &[Matrix<f64>],
-    passes: &mut usize,
-) -> Result<Vec<Matrix<f64>>> {
-    let joined = Matrix::hcat(lu.dim(), bs);
-    *passes += usize::from(joined.ncols() > 0);
-    Ok(split_like(&lu.solve_block(&joined)?, bs))
+/// Fails unless the panel has `lu.dim()` rows.
+pub(crate) fn solve_each(lu: &RealFactor, panel: &mut Panel, passes: &mut usize) -> Result<()> {
+    *passes += usize::from(panel.joined.ncols() > 0);
+    Ok(lu.solve_block_in_place(&mut panel.joined)?)
 }
 
-/// [`solve_each`] for `G0ᵀ`, through [`RealFactor::solve_transpose_block`].
+/// [`solve_each`] for `G0ᵀ`, through
+/// [`RealFactor::solve_transpose_block_in_place`].
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics unless every block has `lu.dim()` rows.
+/// Fails unless the panel has `lu.dim()` rows.
 pub(crate) fn solve_transpose_each(
     lu: &RealFactor,
-    bs: &[Matrix<f64>],
+    panel: &mut Panel,
     passes: &mut usize,
-) -> Result<Vec<Matrix<f64>>> {
-    let joined = Matrix::hcat(lu.dim(), bs);
-    *passes += usize::from(joined.ncols() > 0);
-    Ok(split_like(&lu.solve_transpose_block(&joined)?, bs))
+) -> Result<()> {
+    *passes += usize::from(panel.joined.ncols() > 0);
+    Ok(lu.solve_transpose_block_in_place(&mut panel.joined)?)
 }
 
-/// Splits `joined` into blocks as wide as those of `like`, in order.
-fn split_like(joined: &Matrix<f64>, like: &[Matrix<f64>]) -> Vec<Matrix<f64>> {
-    let mut at = 0;
-    like.iter()
-        .map(|b| {
-            at += b.ncols();
-            joined.columns(at - b.ncols()..at)
-        })
-        .collect()
+/// Advances `rng` as `count` calls of [`gaussian`] would: two uniform
+/// draws each.
+fn skip_gaussians(rng: &mut StdRng, count: usize) {
+    for _ in 0..2 * count {
+        rng.next_u64();
+    }
 }
 
 fn gaussian(rng: &mut StdRng) -> f64 {
@@ -412,11 +564,14 @@ mod tests {
 
         let explicit = Matrix::from_fn(n, n, |r, c| m.get(r, c) / (r + 1) as f64);
         let x = Matrix::from_fn(n, 2, |i, j| ((i * 5 + j) as f64).sin());
-        let got = op.apply_each(std::slice::from_ref(&x)).unwrap();
+        assert_eq!(op.support(0).len(), n, "M stores every column");
+        let got = op.apply_each(std::slice::from_ref(&x)).unwrap().block(0);
         let want = explicit.mul_mat(&x);
-        assert!(got[0].approx_eq(&want, 1e-12 * want.max_abs()));
+        assert!(got.approx_eq(&want, 1e-12 * want.max_abs()));
 
-        let gt = op.apply_transpose_each(std::slice::from_ref(&x)).unwrap();
+        let gt = op
+            .apply_transpose_each(Panel::from_blocks(n, std::slice::from_ref(&x)))
+            .unwrap();
         let wt = explicit.tr_mul_mat(&x);
         assert!(gt[0].approx_eq(&wt, 1e-12 * wt.max_abs()));
         assert_eq!(op.passes(), 2, "one solve pass per action");
@@ -447,10 +602,7 @@ mod tests {
         let s = lockstep_svd(&op, &o, &[o.seed]).unwrap().swap_remove(0);
         assert_eq!(s.sigma.len(), 1);
         // Reconstruction check against the explicitly assembled product.
-        let explicit = op
-            .apply_each(&[Matrix::identity(n)])
-            .unwrap()
-            .swap_remove(0);
+        let explicit = op.apply_each(&[Matrix::identity(n)]).unwrap().block(0);
         assert!(s
             .reconstruct()
             .approx_eq(&explicit, 1e-8 * explicit.max_abs()));

@@ -127,11 +127,11 @@ pub(crate) enum Action {
 ///
 /// The recurrences advance in lockstep: each step applies the current
 /// vectors of every forward recurrence as one block (one
-/// [`RealFactor::solve_block`]) and those of every transpose recurrence as
-/// another. A vector's image needs only that vector, and block solves
-/// and block products are bitwise their column forms, so every basis is
-/// bit for bit the one a column-at-a-time recurrence builds. Each block
-/// solve adds one to `passes`.
+/// [`RealFactor::solve_block_in_place`]) and those of every transpose
+/// recurrence as another. A vector's image needs only that vector, and
+/// block solves and block products are bitwise their column forms, so
+/// every basis is bit for bit the one a column-at-a-time recurrence
+/// builds. Each block solve adds one to `passes`.
 pub(crate) fn krylov_lockstep(
     lu: &RealFactor,
     c: &CsrMatrix<f64>,
@@ -167,8 +167,16 @@ pub(crate) fn krylov_lockstep(
             let x = Matrix::from_fn(n, cols.len(), |i, j| cols[j][i]);
             *passes += 1;
             let mut w = match action {
-                Action::Forward => lu.solve_block(&c.mul_dense(&x))?,
-                Action::Transpose => lu.solve_transpose_block(&c.tr_mul_dense(&x))?,
+                Action::Forward => {
+                    let mut w = c.mul_dense(&x);
+                    lu.solve_block_in_place(&mut w)?;
+                    w
+                }
+                Action::Transpose => {
+                    let mut w = c.tr_mul_dense(&x);
+                    lu.solve_transpose_block_in_place(&mut w)?;
+                    w
+                }
             };
             for v in w.as_mut_slice() {
                 *v = -*v;
@@ -177,7 +185,7 @@ pub(crate) fn krylov_lockstep(
             for &r in &members {
                 let width = current[r].len();
                 let before = locals[r].len();
-                locals[r].insert_block(&w.columns(at..at + width));
+                locals[r].insert_columns(&w, at..at + width);
                 at += width;
                 current[r] = before..locals[r].len();
             }

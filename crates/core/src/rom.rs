@@ -224,23 +224,6 @@ impl ParametricRom {
         Ok(h)
     }
 
-    /// Evaluates `|H|` over a frequency sweep, returning one transfer matrix
-    /// per frequency (`s = j·2πf`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ParametricRom::transfer`] errors.
-    pub fn frequency_response(
-        &self,
-        p: &[f64],
-        freqs_hz: &[f64],
-    ) -> Result<Vec<Matrix<Complex64>>> {
-        freqs_hz
-            .iter()
-            .map(|&f| self.transfer(p, Complex64::jw(2.0 * std::f64::consts::PI * f)))
-            .collect()
-    }
-
     /// All finite poles of the reduced pencil `(G̃(p), C̃(p))`: the values
     /// `λ` with `det(G̃ + λC̃) = 0`, computed via `λ = -1/μ` for eigenvalues
     /// `μ` of `G̃⁻¹C̃` (infinite poles, `μ ≈ 0`, are dropped). Sorted by

@@ -10,6 +10,7 @@
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 use crate::vecops;
+use std::ops::Range;
 
 /// Default relative deflation tolerance: a candidate whose norm after
 /// projection falls below `tol × original norm` is considered linearly
@@ -99,14 +100,25 @@ impl<T: Scalar> OrthoBasis<T> {
     /// ([`vecops::axpy_dot_each`]). The rest of the first pass (against the
     /// block's own earlier survivors) and the second pass run per column.
     pub fn insert_block(&mut self, block: &Matrix<T>) -> usize {
+        self.insert_columns(block, 0..block.ncols())
+    }
+
+    /// [`OrthoBasis::insert_block`] of the columns `range` of `block`,
+    /// read in place: bit for bit `insert_block(&block.columns(range))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block.nrows() != dim()` or `range` is out of range.
+    pub fn insert_columns(&mut self, block: &Matrix<T>, range: Range<usize>) -> usize {
         assert_eq!(block.nrows(), self.dim, "insert_block: dimension mismatch");
         // The columns `insert` would take, gathered in one sweep over the
         // rows; a zero or non-finite column is rejected before any work.
-        let mut cols: Vec<Vec<T>> = (0..block.ncols())
+        let mut cols: Vec<Vec<T>> = range
+            .clone()
             .map(|_| Vec::with_capacity(self.dim))
             .collect();
         for r in 0..self.dim {
-            for (col, &x) in cols.iter_mut().zip(block.row(r)) {
+            for (col, &x) in cols.iter_mut().zip(&block.row(r)[range.clone()]) {
                 col.push(x);
             }
         }

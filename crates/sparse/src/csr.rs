@@ -1,6 +1,7 @@
 //! Compressed sparse row matrices.
 
 use pmor_num::{Matrix, Scalar};
+use std::ops::Range;
 
 /// A sparse matrix in CSR format.
 ///
@@ -209,15 +210,25 @@ impl<T: Scalar> CsrMatrix<T> {
     ///
     /// Panics if `x.nrows() != nrows`.
     pub fn tr_mul_dense(&self, x: &Matrix<T>) -> Matrix<T> {
+        self.tr_mul_dense_columns(x, 0..x.ncols())
+    }
+
+    /// [`CsrMatrix::tr_mul_dense`] of the columns `cols` of `X`, read in
+    /// place: bit for bit `tr_mul_dense(&x.columns(cols))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.nrows() != nrows` or `cols` is out of range.
+    pub fn tr_mul_dense_columns(&self, x: &Matrix<T>, cols: Range<usize>) -> Matrix<T> {
         assert_eq!(
             x.nrows(),
             self.nrows,
             "CsrMatrix::tr_mul_dense: dim mismatch"
         );
         let neg_zero = -T::ZERO;
-        let mut y = Matrix::zeros(self.ncols, x.ncols());
+        let mut y = Matrix::zeros(self.ncols, cols.len());
         for r in 0..self.nrows {
-            let xrow = x.row(r);
+            let xrow = &x.row(r)[cols.clone()];
             if xrow.iter().all(|&v| v == T::ZERO) {
                 continue;
             }
@@ -238,19 +249,60 @@ impl<T: Scalar> CsrMatrix<T> {
     ///
     /// Panics if `x.nrows() != ncols`.
     pub fn mul_dense(&self, x: &Matrix<T>) -> Matrix<T> {
-        assert_eq!(x.nrows(), self.ncols, "CsrMatrix::mul_dense: dim mismatch");
         let mut y = Matrix::zeros(self.nrows, x.ncols());
+        self.mul_dense_into(x, &mut y, 0);
+        y
+    }
+
+    /// [`CsrMatrix::mul_dense`] written into the columns
+    /// `at..at + x.ncols()` of `y`, bit for bit; `y`'s other columns are
+    /// left as they are. This lets several products share one wider block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.nrows() != ncols`, `y.nrows() != nrows` or the columns
+    /// do not fit in `y`.
+    pub fn mul_dense_into(&self, x: &Matrix<T>, y: &mut Matrix<T>, at: usize) {
+        assert_eq!(x.nrows(), self.ncols, "CsrMatrix::mul_dense: dim mismatch");
+        assert_eq!(y.nrows(), self.nrows, "CsrMatrix::mul_dense: dim mismatch");
+        let end = at + x.ncols();
         for r in 0..self.nrows {
+            let yrow = &mut y.row_mut(r)[at..end];
+            yrow.fill(T::ZERO);
             let (cols, vals) = self.row(r);
             for (&c, &v) in cols.iter().zip(vals.iter()) {
-                let xrow = x.row(c);
-                let yrow = y.row_mut(r);
-                for (yj, &xj) in yrow.iter_mut().zip(xrow.iter()) {
+                for (yj, &xj) in yrow.iter_mut().zip(x.row(c)) {
                     *yj += v * xj;
                 }
             }
         }
-        y
+    }
+
+    /// The columns that store entries, ascending, and the matrix with
+    /// only those columns, renumbered `0..support.len()` in that order.
+    /// Stored zeros count as entries. Every row keeps its values in
+    /// their order, so `A·X` is bit for bit the compact matrix times the
+    /// rows `support` of `X`, and the compact `Aᵀ·Y` is the rows `support`
+    /// of `Aᵀ·Y`, whose other rows are `+0`.
+    pub fn compact_columns(&self) -> (Vec<usize>, CsrMatrix<T>) {
+        let mut stored = vec![false; self.ncols];
+        for &c in &self.col_idx {
+            stored[c] = true;
+        }
+        let mut at = vec![0; self.ncols];
+        let mut support = Vec::new();
+        for (c, _) in stored.iter().enumerate().filter(|(_, &s)| s) {
+            at[c] = support.len();
+            support.push(c);
+        }
+        let compact = CsrMatrix {
+            nrows: self.nrows,
+            ncols: support.len(),
+            row_ptr: self.row_ptr.clone(),
+            col_idx: self.col_idx.iter().map(|&c| at[c]).collect(),
+            values: self.values.clone(),
+        };
+        (support, compact)
     }
 
     /// Congruence/projection product `Vᵀ · A · W` for dense `V`, `W` —
@@ -720,5 +772,28 @@ mod tests {
         let got = m.mul_dense(&x);
         let expect = m.to_dense().mul_mat(&x);
         assert!(got.approx_eq(&expect, 1e-14));
+    }
+
+    #[test]
+    fn compact_columns_keep_stored_zeros_and_the_products_bits() {
+        // Columns 1 and 4 of 6 store entries, one of them an explicit 0.0.
+        let mut m = CsrMatrix::from_triplets(3, 6, &[(0, 4, 0.3), (1, 1, 2.5), (2, 4, -1.5)]);
+        m.values[1] = 0.0;
+        let (support, compact) = m.compact_columns();
+        assert_eq!(support, vec![1, 4]);
+        assert_eq!(compact.ncols(), 2);
+        let x = Matrix::from_fn(6, 3, |r, c| ((r * 3 + c) as f64 * 0.37).sin());
+        let rows = Matrix::from_fn(2, 3, |r, c| x[(support[r], c)]);
+        let bits = |a: &Matrix<f64>| a.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&compact.mul_dense(&rows)), bits(&m.mul_dense(&x)));
+        // Written into the middle of a wider block, next to kept columns.
+        let mut wide = Matrix::from_fn(3, 5, |_, _| 9.0);
+        compact.mul_dense_into(&rows, &mut wide, 1);
+        assert_eq!(bits(&wide.columns(1..4)), bits(&m.mul_dense(&x)));
+        assert!(wide.col(0).iter().chain(&wide.col(4)).all(|&v| v == 9.0));
+        let y = Matrix::from_fn(3, 5, |r, c| ((r * 5 + c) as f64 * 0.61).cos());
+        let full = m.tr_mul_dense(&y.columns(1..4));
+        let want = Matrix::from_fn(2, 3, |r, c| full[(support[r], c)]);
+        assert_eq!(bits(&compact.tr_mul_dense_columns(&y, 1..4)), bits(&want));
     }
 }

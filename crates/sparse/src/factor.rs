@@ -135,12 +135,26 @@ impl RealFactor {
     ///
     /// Returns [`SparseError::DimensionMismatch`] if `b.nrows() != dim()`.
     pub fn solve_block(&self, b: &Matrix<f64>) -> Result<Matrix<f64>> {
+        let mut x = b.clone();
+        self.solve_block_in_place(&mut x)?;
+        Ok(x)
+    }
+
+    /// [`RealFactor::solve_block`] overwriting `b` with the solution, so a
+    /// caller that has no further use for the right-hand sides allocates
+    /// no output block.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::DimensionMismatch`] if `b.nrows() != dim()`.
+    pub fn solve_block_in_place(&self, b: &mut Matrix<f64>) -> Result<()> {
         match &self.kind {
             Kind::Ldl(f) => {
                 check_len(f.dim(), b.nrows(), "RealFactor::solve_block")?;
-                Ok(f.solve_block(b))
+                f.solve_block_in_place(b);
+                Ok(())
             }
-            Kind::Lu(f) => f.solve_block(b),
+            Kind::Lu(f) => f.solve_block_in_place(b),
         }
     }
 
@@ -152,9 +166,21 @@ impl RealFactor {
     ///
     /// Returns [`SparseError::DimensionMismatch`] if `b.nrows() != dim()`.
     pub fn solve_transpose_block(&self, b: &Matrix<f64>) -> Result<Matrix<f64>> {
+        let mut x = b.clone();
+        self.solve_transpose_block_in_place(&mut x)?;
+        Ok(x)
+    }
+
+    /// [`RealFactor::solve_transpose_block`] overwriting `b` with the
+    /// solution.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::DimensionMismatch`] if `b.nrows() != dim()`.
+    pub fn solve_transpose_block_in_place(&self, b: &mut Matrix<f64>) -> Result<()> {
         match &self.kind {
-            Kind::Ldl(_) => self.solve_block(b),
-            Kind::Lu(f) => f.solve_transpose_block(b),
+            Kind::Ldl(_) => self.solve_block_in_place(b),
+            Kind::Lu(f) => f.solve_transpose_block_in_place(b),
         }
     }
 

@@ -46,8 +46,8 @@
 //! identical to its columns solved one at a time; a column solve is the
 //! kernel at width 1. The kernel is compiled for a few fixed widths, and
 //! any block runs as chunks of those, zero-padded (see
-//! `SparseLdl::solve_block`), so no width takes a slower run-time-width
-//! loop.
+//! `SparseLdl::solve_block_in_place`), so no width takes a slower
+//! run-time-width loop.
 
 use crate::csr::CsrMatrix;
 use pmor_num::Matrix;
@@ -184,8 +184,9 @@ impl SparseLdl {
         self.rows.iter().map(Vec::len).sum::<usize>() + self.n
     }
 
-    /// Solves `A X = B` for a row-major block; see the module docs.
-    /// The caller checks `b.nrows() == dim()`.
+    /// Solves `A X = B` for a row-major block in place, overwriting `B`
+    /// with `X`; see the module docs. The caller checks
+    /// `b.nrows() == dim()`.
     ///
     /// The kernel is compiled for widths 1, 2, 4, 6 and 12 only. A block
     /// runs as chunks of 12 columns, and a narrower rest is padded with
@@ -196,9 +197,8 @@ impl SparseLdl {
     /// width read at run time, width 2 0.47–0.78 against 1.28–2.47, and
     /// width 1 0.77–1.32 against 1.83–3.38; a 10-column block padded to
     /// 12 took 2.9–3.0 ms against 4.9 ms.
-    pub(crate) fn solve_block(&self, b: &Matrix<f64>) -> Matrix<f64> {
-        let (n, m) = (self.n, b.ncols());
-        let mut out: Option<Matrix<f64>> = None;
+    pub(crate) fn solve_block_in_place(&self, b: &mut Matrix<f64>) {
+        let m = b.ncols();
         let mut at = 0;
         while at < m {
             let cols = at..m.min(at + 12);
@@ -210,12 +210,10 @@ impl SparseLdl {
                 5 | 6 => (self.solve_rows::<6>(b, cols.clone()), 6),
                 _ => (self.solve_rows::<12>(b, cols.clone()), 12),
             };
-            let out = out.get_or_insert_with(|| Matrix::zeros(n, m));
             for (k, yk) in y.chunks_exact(width).enumerate() {
-                out.row_mut(self.q[k])[cols.clone()].copy_from_slice(&yk[..cols.len()]);
+                b.row_mut(self.q[k])[cols.clone()].copy_from_slice(&yk[..cols.len()]);
             }
         }
-        out.unwrap_or_else(|| Matrix::zeros(n, 0))
     }
 
     /// The one solve kernel: solves columns `cols` of `b` (at most `M`)

@@ -443,12 +443,28 @@ impl<T: Scalar> SparseLu<T> {
     ///
     /// Returns [`SparseError::DimensionMismatch`] if `b.nrows() != dim()`.
     pub fn solve_block(&self, b: &Matrix<T>) -> Result<Matrix<T>> {
+        let mut x = b.clone();
+        self.solve_block_in_place(&mut x)?;
+        Ok(x)
+    }
+
+    /// [`SparseLu::solve_block`] overwriting `b` with the solution: the
+    /// one block kernel, with no output block to allocate.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::DimensionMismatch`] if `b.nrows() != dim()`.
+    pub fn solve_block_in_place(&self, b: &mut Matrix<T>) -> Result<()> {
         self.check_block(b, "SparseLu::solve_block")?;
-        Ok(match b.ncols() {
-            0 => Matrix::zeros(self.n, 0),
-            1 => Matrix::from_col(&self.solve(b.as_slice())?),
+        match b.ncols() {
+            0 => {}
+            1 => {
+                let x = self.solve(b.as_slice())?;
+                b.as_mut_slice().copy_from_slice(&x);
+            }
             _ => self.solve_block_of(b),
-        })
+        }
+        Ok(())
     }
 
     /// Solves `Aᵀ X = B` for a dense block of right-hand sides, bitwise
@@ -460,12 +476,28 @@ impl<T: Scalar> SparseLu<T> {
     ///
     /// Returns [`SparseError::DimensionMismatch`] if `b.nrows() != dim()`.
     pub fn solve_transpose_block(&self, b: &Matrix<T>) -> Result<Matrix<T>> {
+        let mut x = b.clone();
+        self.solve_transpose_block_in_place(&mut x)?;
+        Ok(x)
+    }
+
+    /// [`SparseLu::solve_transpose_block`] overwriting `b` with the
+    /// solution.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::DimensionMismatch`] if `b.nrows() != dim()`.
+    pub fn solve_transpose_block_in_place(&self, b: &mut Matrix<T>) -> Result<()> {
         self.check_block(b, "SparseLu::solve_transpose_block")?;
-        Ok(match b.ncols() {
-            0 => Matrix::zeros(self.n, 0),
-            1 => Matrix::from_col(&self.solve_transpose(b.as_slice())?),
+        match b.ncols() {
+            0 => {}
+            1 => {
+                let x = self.solve_transpose(b.as_slice())?;
+                b.as_mut_slice().copy_from_slice(&x);
+            }
             _ => self.solve_transpose_block_of(b),
-        })
+        }
+        Ok(())
     }
 
     fn check_block(&self, b: &Matrix<T>, context: &'static str) -> Result<()> {
@@ -481,7 +513,7 @@ impl<T: Scalar> SparseLu<T> {
     }
 
     /// [`SparseLu::solve_block`]'s kernel.
-    fn solve_block_of(&self, b: &Matrix<T>) -> Matrix<T> {
+    fn solve_block_of(&self, b: &mut Matrix<T>) {
         let (n, m) = (self.n, b.ncols());
         // Forward: L Y = P B in place, Y by pivot position. Row `r`'s
         // updates all come from steps before its own, `pinv[r]`, so
@@ -516,15 +548,13 @@ impl<T: Scalar> SparseLu<T> {
                 sub_masked(&mut above[kp * m..(kp + 1) * m], uv, zk);
             }
         }
-        let mut out = Matrix::zeros(n, m);
         for (k, yk) in y.chunks_exact(m).enumerate() {
-            out.row_mut(self.q[k]).copy_from_slice(yk);
+            b.row_mut(self.q[k]).copy_from_slice(yk);
         }
-        out
     }
 
     /// [`SparseLu::solve_transpose_block`]'s kernel.
-    fn solve_transpose_block_of(&self, b: &Matrix<T>) -> Matrix<T> {
+    fn solve_transpose_block_of(&self, b: &mut Matrix<T>) {
         let (n, m) = (self.n, b.ncols());
         let mut y = vec![T::ZERO; n * m];
         for (k, yk) in y.chunks_exact_mut(m).enumerate() {
@@ -555,11 +585,9 @@ impl<T: Scalar> SparseLu<T> {
                 }
             }
         }
-        let mut out = Matrix::zeros(n, m);
         for (k, yk) in y.chunks_exact(m).enumerate() {
-            out.row_mut(self.row_of_pos[k]).copy_from_slice(yk);
+            b.row_mut(self.row_of_pos[k]).copy_from_slice(yk);
         }
-        out
     }
 
     /// Solves for several right-hand sides given as dense columns, one

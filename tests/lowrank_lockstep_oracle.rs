@@ -5,12 +5,16 @@
 //! starts and Krylov steps of several sensitivities through one solve
 //! pass per stage, and merges with `OrthoBasis::insert_block`. The
 //! reference in `support/lowrank_reference.rs` does every solve per
-//! column and every insert per vector. These tests pin the basis and the
-//! ROM bytes to it on every workload family under both orderings, across
-//! ranks, power iterations, the §4.1 simplified variant, the raw
-//! sensitivity ablation, and sensitivities that are empty, all zero or
-//! rank one (sketches that deflate to uneven widths). They also pin the
-//! solve-pass count of the `reduce_mesh` reduction.
+//! column and every insert per vector, on full-length vectors. These
+//! tests pin the basis and the ROM bytes to it on every workload family
+//! under both orderings, across ranks, power iterations, the §4.1
+//! simplified variant, the raw sensitivity ablation, and sensitivities
+//! that are empty, all zero or rank one (sketches that deflate to uneven
+//! widths). The reducer runs each sketch on its sensitivity's support, so
+//! the families include RCNetB, whose sensitivities store as few as 2% of
+//! the columns, and a sensitivity of one node, whose support is narrower
+//! than its sketch. They also pin the solve-pass count of the
+//! `reduce_mesh` reduction.
 
 #[path = "support/lowrank_reference.rs"]
 mod lowrank_reference;
@@ -22,7 +26,7 @@ use pmor::opsvd::OperatorSvdOptions;
 use pmor::reduce::registry_defaults as rd;
 use pmor::{OrderingChoice, ParametricRom, ReductionContext};
 use pmor_circuits::generators::{
-    clock_tree, power_grid, rc_mesh, rc_random, rlc_bus, ClockTreeConfig, PowerGridConfig,
+    clock_tree, power_grid, rc_mesh, rc_random, rcnet_b, rlc_bus, ClockTreeConfig, PowerGridConfig,
     RcMeshConfig, RcRandomConfig, RlcBusConfig,
 };
 use pmor_circuits::ParametricSystem;
@@ -74,7 +78,23 @@ fn workloads() -> Vec<(&'static str, ParametricSystem)> {
             })
             .assemble(),
         ),
+        ("rcnet_b", rcnet_b().assemble()),
+        ("one_node", one_node_sensitivity()),
     ]
+}
+
+/// A 10×10 `rc_mesh` whose first conductance sensitivity grounds one
+/// node: a support of one coordinate under a sketch of several columns.
+fn one_node_sensitivity() -> ParametricSystem {
+    let mut sys = rc_mesh(&RcMeshConfig {
+        rows: 10,
+        cols: 10,
+        ..Default::default()
+    })
+    .assemble();
+    let n = sys.dim();
+    sys.gi[0] = CsrMatrix::from_triplets(n, n, &[(37, 37, 2e-3)]);
+    sys
 }
 
 /// The registry's low-rank options (what every scenario and perfbench

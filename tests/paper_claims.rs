@@ -18,7 +18,7 @@ use pmor::moments::{SinglePointOptions, SinglePointPmor};
 use pmor::multipoint::{MultiPointOptions, MultiPointPmor};
 use pmor::opsvd::{lockstep_svd, GeneralizedSensitivities, OperatorSvdOptions};
 use pmor::prima::{Prima, PrimaOptions};
-use pmor::{ParametricRom, Reducer, ReductionContext};
+use pmor::{ParametricRom, Reducer, ReductionContext, TransferModel};
 use pmor_circuits::generators::{
     clock_tree, rc_random, rcnet_a, rcnet_b, rlc_bus, ClockTreeConfig, RcRandomConfig, RlcBusConfig,
 };
